@@ -9,7 +9,8 @@ a contract CI can consume directly:
 * 1 - an assertion failed (the report is still written),
 * 2 - invalid configuration,
 * 3 - numerical kernel failure (Jacobi non-convergence or an inconsistent
-      operator composition).
+      operator composition),
+* 4 - the report could not be written.
 
 Reports are byte-identical across runs with the same config apart from the
 single ``timestamp`` field; CSV output carries no timestamp at all.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys as _sys
 from datetime import datetime, timezone
@@ -130,14 +132,15 @@ class ConfigError(ValueError):
 
 
 def parse_real(text) -> float:
-    """Parse a real number, accepting fraction syntax like ``8/7``."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    """Parse a finite real number, accepting fraction syntax like ``8/7``."""
+    num, sep, den = str(text).partition("/")
+    try:
+        value = float(num) / (float(den) if sep else 1.0)
+    except ZeroDivisionError:
+        raise ConfigError(f"zero denominator in {str(text).strip()!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite real number, got {str(text).strip()!r}")
+    return value
 
 
 def parse_int_list(text) -> list[int]:
@@ -580,7 +583,11 @@ def main(argv=None) -> int:
     except (ConfigError, PreconditionError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=_sys.stderr)
         return 2
-    paths = write_reports(config, results, passed, header, rows)
+    try:
+        paths = write_reports(config, results, passed, header, rows)
+    except OSError as exc:
+        print(f"report could not be written: {exc}", file=_sys.stderr)
+        return 4
     status = "PASS" if passed else "FAIL"
     print(f"{config['command']}: {status} ({', '.join(str(p) for p in paths)})")
     return 0 if passed else 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .qft import (
     random_phase_function,
     trial_rng,
 )
-from .weyl import WeylSystem
+from .weyl import WeylSystem, weyl_operator
 
 WEIGHT_PROVENANCES = ("euclidean-representative", "constant", "custom-table")
 
@@ -171,19 +171,23 @@ def sobolev_norm(system: WeylSystem, T, spec: SobolevSpec) -> float:
 
 
 def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed: int) -> float:
-    """Worst |  ||Phi(T)||_Lq - sobolev_norm(T) | over random operators.
+    """Worst | ||Phi(T)||_Lq - ||gamma_s * tr(T pi(.)^*)||_Lq | over random operators.
 
-    The two sides evaluate the same defining formula through the public map
-    and the norm entry point, so the deviation is pure arithmetic noise and
-    must stay below 1e-12.
+    Two independent routes to the same norm: ``sobolev_norm`` through the FFT
+    transform, and the weighted per-point trace pairings against explicitly
+    built Weyl operators.  Costs O(trials * N^4); meant for small N.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    multiplier = sobolev_weight_values(spec)
+    points = list(system.group.points())
     worst = 0.0
     for k in range(trials):
         T = random_operator(trial_rng(seed, k), system.N)
-        via_map = l_q_norm(phi_map(system, T, spec), spec.q)
-        worst = max(worst, abs(via_map - sobolev_norm(system, T, spec)))
+        via_fft = sobolev_norm(system, T, spec)
+        pairings = np.array([trace_pairing(T, weyl_operator(system, xi)) for xi in points])
+        direct = lq_table_norm(multiplier * pairings, spec.q, system.haar.mass_per_point_dual)
+        worst = max(worst, abs(direct - via_fft))
     return worst
 
 
@@ -253,23 +257,7 @@ class NormAxiomReport:
     definiteness_violations: int
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "s": self.s,
-            "p": self.p,
-            "homogeneous": self.homogeneous,
-            "trials": self.trials,
-            "seed": self.seed,
-            "worst_homogeneity_rel": self.worst_homogeneity_rel,
-            "worst_triangle_excess": self.worst_triangle_excess,
-            "triangle_violations": self.triangle_violations,
-            "worst_isometry_abs": self.worst_isometry_abs,
-            "s_monotonicity_violations": self.s_monotonicity_violations,
-            "worst_s_monotonicity_excess": self.worst_s_monotonicity_excess,
-            "hom_dominance_violations": self.hom_dominance_violations,
-            "worst_hom_dominance_excess": self.worst_hom_dominance_excess,
-            "definiteness_violations": self.definiteness_violations,
-        }
+        return asdict(self)
 
 
 def verify_norm_axioms(
@@ -373,20 +361,7 @@ class PairingBoundReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "p": self.p,
-            "p_prime": self.p_prime,
-            "q_prime": self.q_prime,
-            "s": self.s,
-            "sign": self.sign,
-            "trials": self.trials,
-            "seed": self.seed,
-            "skipped": self.skipped,
-            "max_ratio": self.max_ratio,
-            "analytic_bound": self.analytic_bound,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def pairing_analytic_bound(
@@ -477,15 +452,7 @@ class NondegeneracyReport:
     min_eigenvalue: float
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "sign": self.sign,
-            "dimension": self.dimension,
-            "rank": self.rank,
-            "full_rank": self.full_rank,
-            "deficiency": self.deficiency,
-            "min_eigenvalue": self.min_eigenvalue,
-        }
+        return asdict(self)
 
 
 def nondegeneracy_check(

@@ -49,7 +49,6 @@ class WeylSystem:
     convention: str = "standard"
     group: FiniteAbelianGroup = field(init=False)
     haar: HaarConvention = field(init=False)
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 1:
@@ -66,18 +65,10 @@ def make_weyl_system(N: int, convention: str = "standard") -> WeylSystem:
 
 
 def weyl_operator(system: WeylSystem, point: Point) -> np.ndarray:
-    """The unitary pi(a, b) as an N x N matrix (cached, read-only).
-
-    Cache population is idempotent (the same read-only matrix is rebuilt
-    identically), so concurrent first calls from several threads are safe.
-    """
+    """The unitary pi(a, b) as a freshly built, read-only N x N matrix."""
     system.group.require_point(point)
-    key = tuple(point)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
     N = system.N
-    a, b = key
+    a, b = point
     t = np.arange(N)
     M = np.zeros((N, N), dtype=np.complex128)
     # Reduce integer phases mod N before exponentiating for one-ulp accuracy.
@@ -85,7 +76,6 @@ def weyl_operator(system: WeylSystem, point: Point) -> np.ndarray:
     if system.convention == "symmetric":
         M *= np.exp(-1j * np.pi * ((a * b) % (2 * N)) / N)
     M.setflags(write=False)
-    system._cache[key] = M
     return M
 
 

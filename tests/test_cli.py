@@ -184,6 +184,40 @@ class TestExitCodes:
         assert "kernel" in capsys.readouterr().err
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exponents", "--q", "1/0"],
+            ["exponents", "--q", "inf"],
+            ["counterexample", "--rho", "1e309"],
+        ],
+        ids=["zero-denominator", "infinite-flag", "overflowing-flag"],
+    )
+    def test_non_finite_real_exits_2(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # no report, so no NaN or false PASS
+
+    def test_non_finite_real_in_config_file_exits_2(self, monkeypatch, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = inf\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["exponents", "--config", str(cfg)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "exponents_report.json").exists()
+
+    def test_unwritable_out_exits_4(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        proc = run_cli(["exponents", "--out", str(blocker / "run.json")], tmp_path)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("report could not be written:")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestReproducibility:
     def test_json_byte_identical_modulo_timestamp(self, tmp_path):
         args = ["plancherel", "--N", "4", "--trials", "20", "--seed", "9", "--format", "both"]

@@ -6,6 +6,8 @@ import pytest
 from qsobolev.groups import PhaseFunction, l_q_norm
 from qsobolev.linalg import schatten_norm
 from qsobolev.qft import (
+    OPERATOR_ENSEMBLES,
+    PHASE_ENSEMBLES,
     conjugate_exponent,
     qft_forward,
     qft_inverse,
@@ -22,6 +24,55 @@ from qsobolev.weyl import make_weyl_system, weyl_operator
 @pytest.fixture(scope="module")
 def sys4():
     return make_weyl_system(4)
+
+
+def oracle_forward(system, T):
+    """Operator-sum form of the forward transform: tr(T pi(xi)^*) point by point."""
+    return np.array([np.vdot(weyl_operator(system, xi), T) for xi in system.group.points()])
+
+
+def oracle_inverse(system, values):
+    """Operator-sum form of the inverse transform: sum_xi f(xi) pi(xi) * mass."""
+    T = np.zeros((system.N, system.N), dtype=np.complex128)
+    for v, xi in zip(values, system.group.points()):
+        T += v * weyl_operator(system, xi)
+    return T * system.haar.mass_per_point_dual
+
+
+def assert_close_rel(got, ref, rel=1e-13):
+    assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
+
+
+class TestOperatorSumOracle:
+    """The FFT transform pair against the explicit sums over all N^2 Weyl operators."""
+
+    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16])
+    def test_random_inputs(self, N, convention):
+        system = make_weyl_system(N, convention)
+        for k in range(3):
+            rng = trial_rng(N, k)
+            for kind in OPERATOR_ENSEMBLES:
+                T = random_operator(rng, N, kind)
+                assert_close_rel(qft_forward(system, T).values, oracle_forward(system, T))
+            for kind in PHASE_ENSEMBLES:
+                f = random_phase_function(rng, system, kind)
+                assert_close_rel(qft_inverse(system, f), oracle_inverse(system, f.values))
+
+    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16])
+    def test_every_weyl_operator_and_delta(self, N, convention):
+        # Oracle for a delta at xi: the inverse is pi(xi) * mass, and the
+        # forward transform of pi(xi) is N at xi and 0 elsewhere.
+        system = make_weyl_system(N, convention)
+        mass = system.haar.mass_per_point_dual
+        for i, xi in enumerate(system.group.points()):
+            W = weyl_operator(system, xi)
+            delta = PhaseFunction.delta(system.group, xi, system.haar, amplitude=1.0 - 2.0j)
+            assert_close_rel(qft_inverse(system, delta), (1.0 - 2.0j) * mass * W)
+            expected = np.zeros(N * N, dtype=np.complex128)
+            expected[i] = N
+            assert_close_rel(qft_forward(system, W).values, expected)
 
 
 class TestForward:
