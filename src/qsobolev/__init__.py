@@ -18,12 +18,7 @@ from .groups import (
     make_group,
 )
 from .linalg import (
-    JacobiConvergenceError,
-    add,
-    adjoint,
     as_operator,
-    matmul,
-    scale,
     schatten_norm,
     singular_values,
     trace_pairing,

@@ -8,7 +8,7 @@ a contract CI can consume directly:
 * 0 - every assertion in scope passed,
 * 1 - an assertion failed (the report is still written),
 * 2 - invalid configuration,
-* 3 - numerical kernel failure (Jacobi non-convergence or an inconsistent
+* 3 - numerical kernel failure (LAPACK SVD non-convergence or an inconsistent
       operator composition),
 * 4 - the report could not be written.
 
@@ -27,6 +27,8 @@ import sys as _sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .embedding import (
     PreconditionError,
@@ -35,7 +37,6 @@ from .embedding import (
     counterexample_run,
     verify_embedding_chain,
 )
-from .linalg import JacobiConvergenceError
 from .qft import (
     conjugate_exponent,
     verify_hausdorff_young,
@@ -574,10 +575,8 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         results, passed, header, rows = COMMANDS[config["command"]](config)
-    except JacobiConvergenceError as exc:
-        print(f"numerical kernel failure: {exc}", file=_sys.stderr)
-        return 3
-    except RepresentationError as exc:
+    except (np.linalg.LinAlgError, RepresentationError) as exc:
+        # Ahead of the ValueError clause: LinAlgError subclasses ValueError.
         print(f"numerical kernel failure: {exc}", file=_sys.stderr)
         return 3
     except (ConfigError, PreconditionError, ValueError) as exc:
