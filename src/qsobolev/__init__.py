@@ -26,13 +26,11 @@ from .linalg import (
 from .weyl import (
     AxiomCheck,
     AxiomReport,
-    MultiplierTable,
     RepresentationError,
     WeylSystem,
     check_axioms,
     extract_multiplier,
     make_weyl_system,
-    multiplier_table,
     phase_space_convention,
     weyl_operator,
 )
@@ -56,8 +54,6 @@ from .sobolev import (
     SobolevSpec,
     TestFamilyElement,
     Weight,
-    export_weight_csv,
-    import_weight_csv,
     make_test_element,
     make_weight_constant,
     make_weight_euclidean,

@@ -8,12 +8,15 @@ a contract CI can consume directly:
 * 0 - every assertion in scope passed,
 * 1 - an assertion failed (the report is still written),
 * 2 - invalid configuration,
-* 3 - numerical kernel failure (LAPACK SVD non-convergence or an inconsistent
-      operator composition),
+* 3 - numerical failure (LAPACK SVD non-convergence, an inconsistent operator
+      composition, an overflowing Sobolev multiplier or a NaN result; no
+      report is written),
 * 4 - the report could not be written.
 
-Reports are byte-identical across runs with the same config apart from the
-single ``timestamp`` field; CSV output carries no timestamp at all.
+Each subcommand is one :class:`Command` with a table of typed parameters whose
+parsers read flags, config-file values and defaults alike.  Reports are
+byte-identical across runs with the same config apart from the single
+``timestamp`` field; CSV output carries no timestamp at all.
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ import json
 import math
 import os
 import sys as _sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,74 +57,9 @@ from .sobolev import (
     pairing_bound_estimate,
     verify_norm_axioms,
 )
-from .weyl import RepresentationError, check_axioms, make_weyl_system
+from .weyl import CONVENTIONS, RepresentationError, check_axioms, make_weyl_system
 
 OUTPUT_DIR_ENV = "QSOBOLEV_OUTPUT_DIR"
-
-DEFAULTS: dict[str, dict] = {
-    "axioms": {"N": 4, "convention": "standard"},
-    "plancherel": {"N": 8, "trials": 100, "seed": 0},
-    "hausdorff-young": {
-        "N": 8,
-        "p": "1,8/7,4/3,8/5,2",
-        "direction": "both",
-        "trials": 100,
-        "seed": 0,
-    },
-    "sobolev-norms": {
-        "N": 8,
-        "s": 1.0,
-        "p": 4.0 / 3.0,
-        "weight": "euclidean",
-        "trials": 200,
-        "seed": 0,
-    },
-    "pairing": {
-        "N": 8,
-        "p": 4.0,
-        "s": 1.0,
-        "weight": "euclidean",
-        "sign": "both",
-        "trials": 200,
-        "seed": 0,
-    },
-    "exponents": {"alpha": 4.0, "q": 4.0, "s": 1.0},
-    "embed": {
-        "N": 8,
-        "s": 1.0,
-        "p": 4.0 / 3.0,
-        "alpha": 4.0,
-        "weight": "euclidean",
-        "homogeneous": False,
-        "beta_choice": "corrected",
-        "trials": 200,
-        "seed": 0,
-    },
-    "counterexample": {
-        "N": "8,8,8,8,16,32",
-        "sizes": "8,4,2,1,1,1",
-        "q": 4.0,
-        "rho": 8.0,
-        "selector": "subgroup",
-    },
-}
-
-TOLERANCES: dict[str, dict[str, float]] = {
-    "axioms": {
-        "composition": 1e-11,
-        "modulus": 1e-12,
-        "unitarity": 1e-12,
-        "orthogonality": 1e-11,
-        "cocycle": 1e-11,
-    },
-    "plancherel": {"deviation": 1e-11, "roundtrip": 1e-11},
-    "hausdorff-young": {"ratio_slack": 1e-10},
-    "sobolev-norms": {"homogeneity": 1e-12, "triangle": 1e-10, "isometry": 1e-12},
-    "pairing": {"pairing_slack": 1e-10, "rank": 1e-10},
-    "exponents": {"identity": 1e-15},
-    "embed": {"link1": 1e-12, "link2": 1e-10, "composite": 1e-10},
-    "counterexample": {"normalization": 1e-12, "slope_rel": 0.10},
-}
 
 CONVENTION_NOTES = {
     "group_mass_per_point": 1.0,
@@ -126,6 +67,13 @@ CONVENTION_NOTES = {
     "plancherel_constant": 1.0,
     "weyl_standard_action": "shift by a, modulate by exp(2*pi*i*b*t/N)",
 }
+
+#: Weight constructors by ``--weight`` word (the constant weight is 1).
+WEIGHTS = {"euclidean": make_weight_euclidean, "constant": make_weight_constant}
+#: Test-family weight signs by ``--sign`` word.
+SIGNS = {"-1": (-1,), "1": (1,), "both": (-1, 1)}
+#: Transform directions by ``--direction`` word.
+DIRECTIONS = {"forward": ("forward",), "inverse": ("inverse",), "both": ("forward", "inverse")}
 
 
 class ConfigError(ValueError):
@@ -139,21 +87,25 @@ def parse_real(text) -> float:
         value = float(num) / (float(den) if sep else 1.0)
     except ZeroDivisionError:
         raise ConfigError(f"zero denominator in {str(text).strip()!r}") from None
+    except ValueError:
+        raise ConfigError(f"expected a real number, got {str(text).strip()!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite real number, got {str(text).strip()!r}")
     return value
 
 
-def parse_int_list(text) -> list[int]:
-    if isinstance(text, int):
-        return [text]
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+def _parse_int(text, minimum: int) -> int:
+    try:
+        value = int(str(text).strip())
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {str(text).strip()!r}") from None
+    if value < minimum:
+        raise ConfigError(f"expected an integer >= {minimum}, got {value}")
+    return value
 
 
-def parse_real_list(text) -> list[float]:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    return [parse_real(tok) for tok in str(text).split(",") if tok.strip()]
+parse_positive_int = partial(_parse_int, minimum=1)
+parse_nonnegative_int = partial(_parse_int, minimum=0)
 
 
 def parse_bool(text) -> bool:
@@ -165,6 +117,68 @@ def parse_bool(text) -> bool:
     if val in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"cannot parse boolean from {text!r}")
+
+
+def list_of(parse_item: Callable[[object], object]) -> Callable[[object], tuple]:
+    """Parser for a non-empty comma list (or a typed sequence) of ``parse_item`` values."""
+
+    def parse(text) -> tuple:
+        items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+        values = tuple(parse_item(item) for item in items if str(item).strip())
+        if not values:
+            raise ConfigError("expected a non-empty comma-separated list")
+        return values
+
+    return parse
+
+
+@dataclass(frozen=True)
+class Choice:
+    """Parser for one word out of a fixed set."""
+
+    options: tuple[str, ...]
+
+    def __call__(self, text) -> str:
+        word = str(text).strip()
+        if word not in self.options:
+            raise ConfigError(f"expected one of {', '.join(self.options)}, got {word!r}")
+        return word
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a command: config key (and flag), parser, typed default, help."""
+
+    name: str
+    parse: Callable[[object], object]
+    default: object
+    help: str | None = None
+
+    def read(self, raw):
+        """The typed value of a flag, a config-file entry or the default."""
+        try:
+            return self.parse(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its runner, help text, named tolerances and ordered parameters."""
+
+    run: Callable[[dict], tuple]
+    help: str
+    tolerances: dict[str, float]
+    params: tuple[Param, ...]
+
+
+SEED = Param("seed", parse_nonnegative_int, 0)
+WEIGHT = Param("weight", Choice(tuple(WEIGHTS)), "euclidean")
+#: Parameters of every command that choose where the report goes, not what it holds.
+OUTPUT_PARAMS = (
+    Param("out", str, "", "report path (default: <command>_report.json in the output dir)"),
+    Param("format", Choice(("json", "csv", "both")), "json"),
+)
 
 
 def load_config_file(path: str) -> dict:
@@ -185,6 +199,17 @@ def load_config_file(path: str) -> dict:
     return entries
 
 
+def _add_flag(parser: argparse.ArgumentParser, param: Param) -> None:
+    # No argparse type or choices: every value is checked by ``param.read``.
+    flag = "--" + param.name.replace("_", "-")
+    if param.parse is parse_bool:
+        parser.add_argument(flag, dest=param.name, action="store_const", const=True,
+                            help=param.help)
+        return
+    metavar = "{" + ",".join(param.parse.options) + "}" if isinstance(param.parse, Choice) else None
+    parser.add_argument(flag, dest=param.name, metavar=metavar, help=param.help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsobolev",
@@ -192,129 +217,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qsobolev {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for param in command.params:
+            _add_flag(p, param)
         p.add_argument("--config", help="key=value config file (flags override it)")
-        p.add_argument("--out", help="report path (default: <command>_report.json in the output dir)")
-        p.add_argument("--format", choices=("json", "csv", "both"), default=None)
-        p.add_argument(
-            "--tol",
-            action="append",
-            default=None,
-            metavar="NAME=VALUE",
-            help="override a named tolerance (repeatable)",
-        )
-
-    p = sub.add_parser("axioms", help="exhaustive Weyl-system identity checks")
-    p.add_argument("--N", default=None)
-    p.add_argument("--convention", choices=("standard", "symmetric"), default=None)
-    common(p)
-
-    p = sub.add_parser("plancherel", help="norm preservation and round-trips of the transform")
-    p.add_argument("--N", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("hausdorff-young", help="two-sided norm inequality ratios")
-    p.add_argument("--N", default=None)
-    p.add_argument("--p", default=None, help="comma list of exponents in [1,2]; fractions allowed")
-    p.add_argument("--direction", choices=("forward", "inverse", "both"), default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("sobolev-norms", help="norm axioms and the weighted-map isometry")
-    p.add_argument("--N", default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--p", default=None)
-    p.add_argument("--weight", choices=("euclidean", "constant"), default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("pairing", help="duality pairing bound and test-family rank")
-    p.add_argument("--N", default=None)
-    p.add_argument("--p", default=None, help="Schatten exponent > 2 for the operator side")
-    p.add_argument("--s", default=None)
-    p.add_argument("--weight", choices=("euclidean", "constant"), default=None)
-    p.add_argument("--sign", choices=("-1", "1", "both"), default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("exponents", help="embedding exponent arithmetic")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--q", default=None)
-    p.add_argument("--s", default=None)
-    common(p)
-
-    p = sub.add_parser("embed", help="weighted Hoelder + norm-inequality chain")
-    p.add_argument("--N", default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--p", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--weight", choices=("euclidean", "constant"), default=None)
-    p.add_argument("--homogeneous", action="store_const", const=True, default=None)
-    p.add_argument("--beta-choice", choices=("corrected", "alternate"), default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("counterexample", help="scaling sweep of normalized indicator generators")
-    p.add_argument("--N", default=None, help="comma list of dimensions, one per sweep point")
-    p.add_argument("--sizes", default=None, help="comma list of set sizes, aligned with --N")
-    p.add_argument("--q", default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--selector", choices=tuple(SET_SELECTORS), default=None)
-    common(p)
-
+        for param in OUTPUT_PARAMS:
+            _add_flag(p, param)
+        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                       help="override a named tolerance (repeatable)")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, the optional config file, and explicit flags (flags win)."""
-    command = args.command
-    resolved = dict(DEFAULTS[command])
-    resolved["format"] = "json"
-    file_entries = {}
+    """Merge defaults, the optional config file, and explicit flags (flags win), typed."""
+    command = COMMANDS[args.command]
+    params = {param.name: param for param in command.params + OUTPUT_PARAMS}
+    raw = {name: param.default for name, param in params.items()}
     if args.config:
-        file_entries = load_config_file(args.config)
-    for key, value in file_entries.items():
-        if key in ("tol", "config"):
-            raise ConfigError(f"config key {key!r} is only available as a flag")
-        if key not in resolved and key not in ("out", "format"):
-            raise ConfigError(f"unknown config key {key!r} for command {command}")
-        resolved[key] = value
-    for key in list(DEFAULTS[command]) + ["out", "format"]:
-        flag = getattr(args, key.replace("-", "_"), None)
+        for key, value in load_config_file(args.config).items():
+            if key in ("tol", "config"):
+                raise ConfigError(f"config key {key!r} is only available as a flag")
+            if key not in params:
+                raise ConfigError(f"unknown config key {key!r} for command {args.command}")
+            raw[key] = value
+    for name in params:
+        flag = getattr(args, name)
         if flag is not None:
-            resolved[key] = flag
-    tolerances = dict(TOLERANCES[command])
+            raw[name] = flag
+    resolved = {name: params[name].read(value) for name, value in raw.items()}
+    tolerances = dict(command.tolerances)
     for item in args.tol or ():
         if "=" not in item:
             raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         if name not in tolerances:
             raise ConfigError(
-                f"unknown tolerance {name!r} for {command}; available: {sorted(tolerances)}"
+                f"unknown tolerance {name!r} for {args.command}; available: {sorted(tolerances)}"
             )
         tolerances[name] = parse_real(value)
     resolved["tolerances"] = tolerances
-    resolved["command"] = command
+    resolved["command"] = args.command
     return resolved
 
 
-def _weight_for(name: str, dual):
-    if name == "euclidean":
-        return make_weight_euclidean(dual)
-    if name == "constant":
-        return make_weight_constant(dual, 1.0)
-    raise ConfigError(f"unknown weight kind {name!r}")
-
-
 def run_axioms(config: dict):
-    system = make_weyl_system(int(config["N"]), config["convention"])
+    system = make_weyl_system(config["N"], config["convention"])
     tol = config["tolerances"]
     report = check_axioms(
         system,
@@ -332,9 +280,9 @@ def run_axioms(config: dict):
 
 
 def run_plancherel(config: dict):
-    system = make_weyl_system(int(config["N"]))
-    trials = int(config["trials"])
-    seed = int(config["seed"])
+    system = make_weyl_system(config["N"])
+    trials = config["trials"]
+    seed = config["seed"]
     tol = config["tolerances"]
     worst = verify_plancherel(system, trials, seed)
     roundtrips = verify_roundtrips(system, trials, seed)
@@ -353,17 +301,15 @@ def run_plancherel(config: dict):
 
 
 def run_hausdorff_young(config: dict):
-    system = make_weyl_system(int(config["N"]))
-    trials = int(config["trials"])
-    seed = int(config["seed"])
+    system = make_weyl_system(config["N"])
+    trials = config["trials"]
+    seed = config["seed"]
     slack = config["tolerances"]["ratio_slack"]
-    directions = ("forward", "inverse") if config["direction"] == "both" else (config["direction"],)
     runs = []
     passed = True
     rows = []
-    exponents = parse_real_list(config["p"])
-    for p in exponents:
-        for direction in directions:
+    for p in config["p"]:
+        for direction in DIRECTIONS[config["direction"]]:
             rep = verify_hausdorff_young(system, p, direction, trials, seed)
             ok = rep.worst_ratio <= 1.0 + slack
             passed = passed and ok
@@ -384,16 +330,12 @@ def run_hausdorff_young(config: dict):
 
 
 def run_sobolev_norms(config: dict):
-    system = make_weyl_system(int(config["N"]))
-    weight = _weight_for(config["weight"], system.group)
-    spec = SobolevSpec(s=parse_real(config["s"]), p=parse_real(config["p"]), weight=weight)
+    system = make_weyl_system(config["N"])
+    weight = WEIGHTS[config["weight"]](system.group)
+    spec = SobolevSpec(s=config["s"], p=config["p"], weight=weight)
     tol = config["tolerances"]
     report = verify_norm_axioms(
-        system,
-        spec,
-        int(config["trials"]),
-        int(config["seed"]),
-        triangle_tol=tol["triangle"],
+        system, spec, config["trials"], config["seed"], triangle_tol=tol["triangle"]
     )
     passed = (
         report.worst_homogeneity_rel <= tol["homogeneity"]
@@ -409,18 +351,17 @@ def run_sobolev_norms(config: dict):
 
 
 def run_pairing(config: dict):
-    system = make_weyl_system(int(config["N"]))
-    weight = _weight_for(config["weight"], system.group)
-    p = parse_real(config["p"])
-    s = parse_real(config["s"])
-    trials = int(config["trials"])
-    seed = int(config["seed"])
+    system = make_weyl_system(config["N"])
+    weight = WEIGHTS[config["weight"]](system.group)
+    p = config["p"]
+    s = config["s"]
+    trials = config["trials"]
+    seed = config["seed"]
     tol = config["tolerances"]
-    signs = (-1, 1) if config["sign"] == "both" else (int(config["sign"]),)
     results = {"pairing": [], "nondegeneracy": []}
     passed = True
     rows = []
-    for sign in signs:
+    for sign in SIGNS[config["sign"]]:
         bound = pairing_bound_estimate(
             system, p, s, weight, sign=sign, trials=trials, seed=seed, tolerance=tol["pairing_slack"]
         )
@@ -437,9 +378,7 @@ def run_pairing(config: dict):
 
 
 def run_exponents(config: dict):
-    alpha = parse_real(config["alpha"])
-    q = parse_real(config["q"])
-    s = parse_real(config["s"])
+    alpha, q, s = config["alpha"], config["q"], config["s"]
     report = compute_exponents(alpha, q, s)
     identity_error = abs(1.0 / report.sigma - (1.0 / alpha + 1.0 / q))
     passed = identity_error <= config["tolerances"]["identity"]
@@ -453,22 +392,17 @@ def run_exponents(config: dict):
 
 
 def run_embed(config: dict):
-    system = make_weyl_system(int(config["N"]))
-    weight = _weight_for(config["weight"], system.group)
-    spec = SobolevSpec(
-        s=parse_real(config["s"]),
-        p=parse_real(config["p"]),
-        weight=weight,
-        homogeneous=parse_bool(config["homogeneous"]),
-    )
+    system = make_weyl_system(config["N"])
+    weight = WEIGHTS[config["weight"]](system.group)
+    spec = SobolevSpec(s=config["s"], p=config["p"], weight=weight, homogeneous=config["homogeneous"])
     tol = config["tolerances"]
     report = verify_embedding_chain(
         system,
         spec,
-        parse_real(config["alpha"]),
+        config["alpha"],
         beta_choice=config["beta_choice"],
-        trials=int(config["trials"]),
-        seed=int(config["seed"]),
+        trials=config["trials"],
+        seed=config["seed"],
         link1_tol=tol["link1"],
         link2_tol=tol["link2"],
         composite_tol=tol["composite"],
@@ -491,15 +425,13 @@ def run_embed(config: dict):
 
 
 def run_counterexample(config: dict):
-    dims = parse_int_list(config["N"])
-    sizes = parse_int_list(config["sizes"])
+    dims = config["N"]
+    sizes = config["sizes"]
     if len(sizes) != len(dims):
         raise ConfigError("--sizes must list one set size per entry of --N")
-    q = parse_real(config["q"])
-    rho = parse_real(config["rho"])
     tol = config["tolerances"]
     report = counterexample_run(
-        [make_weyl_system(n) for n in dims], q, rho, config["selector"], sizes
+        [make_weyl_system(n) for n in dims], config["q"], config["rho"], config["selector"], sizes
     )
     norm_ok = all(abs(pt.sobolev_norm - 1.0) <= tol["normalization"] for pt in report.points)
     norms = [pt.schatten_beta_norm for pt in report.points]
@@ -520,16 +452,81 @@ def run_counterexample(config: dict):
     return results, norm_ok and monotone and slope_ok, ["N", "set_size", "epsilon", "generator_lq_norm", "schatten_norm"], rows
 
 
-COMMANDS = {
-    "axioms": run_axioms,
-    "plancherel": run_plancherel,
-    "hausdorff-young": run_hausdorff_young,
-    "sobolev-norms": run_sobolev_norms,
-    "pairing": run_pairing,
-    "exponents": run_exponents,
-    "embed": run_embed,
-    "counterexample": run_counterexample,
+COMMANDS: dict[str, Command] = {
+    "axioms": Command(
+        run_axioms, "exhaustive Weyl-system identity checks",
+        {"composition": 1e-11, "modulus": 1e-12, "unitarity": 1e-12, "orthogonality": 1e-11,
+         "cocycle": 1e-11},
+        (Param("N", parse_positive_int, 4), Param("convention", Choice(CONVENTIONS), "standard")),
+    ),
+    "plancherel": Command(
+        run_plancherel, "norm preservation and round-trips of the transform",
+        {"deviation": 1e-11, "roundtrip": 1e-11},
+        (Param("N", parse_positive_int, 8), Param("trials", parse_positive_int, 100), SEED),
+    ),
+    "hausdorff-young": Command(
+        run_hausdorff_young, "two-sided norm inequality ratios",
+        {"ratio_slack": 1e-10},
+        (Param("N", parse_positive_int, 8),
+         Param("p", list_of(parse_real), (1.0, 8 / 7, 4 / 3, 8 / 5, 2.0),
+               "comma list of exponents in [1,2]; fractions allowed"),
+         Param("direction", Choice(tuple(DIRECTIONS)), "both"),
+         Param("trials", parse_positive_int, 100), SEED),
+    ),
+    "sobolev-norms": Command(
+        run_sobolev_norms, "norm axioms and the weighted-map isometry",
+        {"homogeneity": 1e-12, "triangle": 1e-10, "isometry": 1e-12},
+        (Param("N", parse_positive_int, 8), Param("s", parse_real, 1.0),
+         Param("p", parse_real, 4 / 3), WEIGHT, Param("trials", parse_positive_int, 200), SEED),
+    ),
+    "pairing": Command(
+        run_pairing, "duality pairing bound and test-family rank",
+        {"pairing_slack": 1e-10, "rank": 1e-10},
+        (Param("N", parse_positive_int, 8),
+         Param("p", parse_real, 4.0, "Schatten exponent > 2 for the operator side"),
+         Param("s", parse_real, 1.0), WEIGHT, Param("sign", Choice(tuple(SIGNS)), "both"),
+         Param("trials", parse_positive_int, 200), SEED),
+    ),
+    "exponents": Command(
+        run_exponents, "embedding exponent arithmetic",
+        {"identity": 1e-15},
+        (Param("alpha", parse_real, 4.0), Param("q", parse_real, 4.0), Param("s", parse_real, 1.0)),
+    ),
+    "embed": Command(
+        run_embed, "weighted Hoelder + norm-inequality chain",
+        {"link1": 1e-12, "link2": 1e-10, "composite": 1e-10},
+        (Param("N", parse_positive_int, 8), Param("s", parse_real, 1.0),
+         Param("p", parse_real, 4 / 3), Param("alpha", parse_real, 4.0), WEIGHT,
+         Param("homogeneous", parse_bool, False),
+         Param("beta_choice", Choice(("corrected", "alternate")), "corrected"),
+         Param("trials", parse_positive_int, 200), SEED),
+    ),
+    "counterexample": Command(
+        run_counterexample, "scaling sweep of normalized indicator generators",
+        {"normalization": 1e-12, "slope_rel": 0.10},
+        (Param("N", list_of(parse_positive_int), (8, 8, 8, 8, 16, 32),
+               "comma list of dimensions, one per sweep point"),
+         Param("sizes", list_of(parse_positive_int), (8, 4, 2, 1, 1, 1),
+               "comma list of set sizes, aligned with --N"),
+         Param("q", parse_real, 4.0), Param("rho", parse_real, 8.0),
+         Param("selector", Choice(tuple(SET_SELECTORS)), "subgroup")),
+    ),
 }
+
+
+def reject_nan(value, path: str = "results") -> None:
+    """Raise ``FloatingPointError`` naming the first NaN in a nested result.
+
+    Infinities are legitimate results (the exponent conjugate to p = 1).
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            reject_nan(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            reject_nan(item, f"{path}[{index}]")
+    elif isinstance(value, float) and math.isnan(value):
+        raise FloatingPointError(f"{path} is NaN")
 
 
 def _format_cell(value) -> str:
@@ -574,8 +571,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        results, passed, header, rows = COMMANDS[config["command"]](config)
-    except (np.linalg.LinAlgError, RepresentationError) as exc:
+        results, passed, header, rows = COMMANDS[args.command].run(config)
+        reject_nan(results)
+    except (np.linalg.LinAlgError, RepresentationError, FloatingPointError) as exc:
         # Ahead of the ValueError clause: LinAlgError subclasses ValueError.
         print(f"numerical kernel failure: {exc}", file=_sys.stderr)
         return 3

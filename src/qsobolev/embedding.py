@@ -19,7 +19,7 @@ inverse transforms; the predicted log-log slope is ``1/rho - 1/q``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .groups import FiniteAbelianGroup, HaarConvention, PhaseFunction, Point, l_q_norm, lq_table_norm
 from .linalg import schatten_norm
 from .qft import conjugate_exponent, qft_forward, qft_inverse, random_operator, trial_rng
-from .sobolev import SobolevSpec, Weight, sobolev_norm, symmetric_representative
+from .sobolev import SobolevSpec, Weight, bessel_multiplier, sobolev_norm, symmetric_representative
 from .weyl import WeylSystem
 
 
@@ -49,16 +49,7 @@ class ExponentReport:
     beta_alternate_defined: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "q": self.q,
-            "s": self.s,
-            "sigma": self.sigma,
-            "beta_corrected": self.beta_corrected,
-            "beta_alternate": self.beta_alternate,
-            "sigma_in_range": self.sigma_in_range,
-            "beta_alternate_defined": self.beta_alternate_defined,
-        }
+        return asdict(self)
 
 
 def compute_exponents(alpha: float, q: float, s: float) -> ExponentReport:
@@ -107,8 +98,7 @@ def multiplier_norm(
     ``gamma^(-s)`` (homogeneous hypothesis); on a finite dual the norm is
     always finite and is simply measured.
     """
-    g = weight.values
-    m = g ** (-s) if homogeneous else (1.0 + g**2) ** (-s / 2.0)
+    m = bessel_multiplier(weight, -s, homogeneous)
     return lq_table_norm(m, alpha, convention.mass_per_point_dual)
 
 
@@ -141,31 +131,7 @@ class EmbeddingRunReport:
     ratios_alternate: tuple[float, ...] | None = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "s": self.s,
-            "p": self.p,
-            "q": self.q,
-            "alpha": self.alpha,
-            "homogeneous": self.homogeneous,
-            "sigma": self.sigma,
-            "beta_choice": self.beta_choice,
-            "beta_used": self.beta_used,
-            "beta_corrected": self.beta_corrected,
-            "beta_alternate": self.beta_alternate,
-            "multiplier_norm": self.multiplier_norm,
-            "trials": self.trials,
-            "seed": self.seed,
-            "skipped": self.skipped,
-            "violations": self.violations,
-            "link1_violations": self.link1_violations,
-            "link2_violations": self.link2_violations,
-            "max_ratio": self.max_ratio,
-            "max_link1_ratio": self.max_link1_ratio,
-            "max_link2_ratio": self.max_link2_ratio,
-            "ratios_corrected": list(self.ratios_corrected),
-            "ratios_alternate": None if self.ratios_alternate is None else list(self.ratios_alternate),
-        }
+        return asdict(self)
 
 
 def verify_embedding_chain(
@@ -326,15 +292,6 @@ class CounterexamplePoint:
     sobolev_norm: float
     schatten_beta_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "set_size": self.set_size,
-            "epsilon": self.epsilon,
-            "sobolev_norm": self.sobolev_norm,
-            "schatten_beta_norm": self.schatten_beta_norm,
-        }
-
 
 @dataclass(frozen=True)
 class CounterexampleReport:
@@ -349,15 +306,7 @@ class CounterexampleReport:
     decades_spanned: float
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "rho": self.rho,
-            "selector": self.selector,
-            "points": [p.to_dict() for p in self.points],
-            "fitted_slope": self.fitted_slope,
-            "predicted_slope": self.predicted_slope,
-            "decades_spanned": self.decades_spanned,
-        }
+        return asdict(self)
 
 
 def counterexample_run(

@@ -12,7 +12,6 @@ choices are useful, and the default ``-1`` keeps the duality chain sharp.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 
@@ -97,32 +96,6 @@ def make_weight_constant(dual: FiniteAbelianGroup, value: float = 1.0) -> Weight
     return Weight(dual, np.full(dual.total_order, float(value)), "constant")
 
 
-def export_weight_csv(weight: Weight, path) -> None:
-    """Write rows (a, b, gamma) with 17 significant digits (lossless for doubles)."""
-    if len(weight.group.orders) != 2:
-        raise ValueError("CSV weight format expects a two-factor dual group")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "gamma"])
-        for point, value in zip(weight.group.points(), weight.values):
-            writer.writerow([point[0], point[1], format(value, ".17g")])
-
-
-def import_weight_csv(dual: FiniteAbelianGroup, path) -> Weight:
-    vals = np.full(dual.total_order, np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["a", "b", "gamma"]:
-            raise ValueError(f"unexpected weight CSV header {header!r}")
-        for row in reader:
-            point = (int(row[0]), int(row[1]))
-            vals[dual.index(point)] = float(row[2])
-    if np.any(np.isnan(vals)):
-        raise ValueError("weight CSV does not cover every dual point")
-    return Weight(dual, vals, "custom-table")
-
-
 @dataclass(frozen=True, eq=False)
 class SobolevSpec:
     """Parameters (s, p, gamma, homogeneity) of one quantum Sobolev norm.
@@ -148,12 +121,20 @@ class SobolevSpec:
         return self.p / (self.p - 1.0)
 
 
-def sobolev_weight_values(spec: SobolevSpec) -> np.ndarray:
-    """The Fourier-side multiplier table: (1 + gamma^2)^(s/2), or gamma^s if homogeneous."""
-    g = spec.weight.values
-    vals = g**spec.s if spec.homogeneous else (1.0 + g**2) ** (spec.s / 2.0)
+def bessel_multiplier(weight: Weight, t: float, homogeneous: bool = False) -> np.ndarray:
+    """The order-t multiplier table (1 + gamma^2)^(t/2), or gamma^t if homogeneous.
+
+    Order ``s`` weights the Sobolev norm, order ``-s`` builds the test family
+    and the embedding constant.  Raises ``FloatingPointError`` if a value
+    overflows.
+    """
+    g = weight.values
+    with np.errstate(over="ignore"):
+        vals = g**t if homogeneous else (1.0 + g**2) ** (t / 2.0)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("Sobolev weight multiplier overflowed; reduce s or the weight")
+        raise FloatingPointError(
+            f"Sobolev multiplier of order {t!r} overflowed; reduce s or the weight"
+        )
     return vals
 
 
@@ -162,7 +143,7 @@ def phi_map(system: WeylSystem, T, spec: SobolevSpec) -> PhaseFunction:
     if spec.weight.group != system.group:
         raise ValueError("weight lives on a different dual group than the system")
     f = qft_forward(system, T)
-    return f.with_values(sobolev_weight_values(spec) * f.values)
+    return f.with_values(bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f.values)
 
 
 def sobolev_norm(system: WeylSystem, T, spec: SobolevSpec) -> float:
@@ -179,7 +160,7 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    multiplier = sobolev_weight_values(spec)
+    multiplier = bessel_multiplier(spec.weight, spec.s, spec.homogeneous)
     points = list(system.group.points())
     worst = 0.0
     for k in range(trials):
@@ -217,7 +198,7 @@ def make_test_element(
         raise ValueError("generator lives on a different dual group than the system")
     if spec.weight.group != system.group:
         raise ValueError("weight lives on a different dual group than the system")
-    multiplier = (1.0 + spec.weight.values**2) ** (sign * spec.s / 2.0)
+    multiplier = bessel_multiplier(spec.weight, sign * spec.s)
     weighted = phi.with_values(multiplier * phi.values)
     return TestFamilyElement(
         phi=phi,
@@ -232,7 +213,7 @@ def recover_generator(
 ) -> PhaseFunction:
     """Invert the test-family construction (injectivity round-trip for phi -> W_phi)."""
     f = qft_forward(system, element.operator)
-    multiplier = (1.0 + spec.weight.values**2) ** (element.sign * spec.s / 2.0)
+    multiplier = bessel_multiplier(spec.weight, element.sign * spec.s)
     return f.with_values(f.values / multiplier)
 
 
@@ -380,7 +361,7 @@ def pairing_analytic_bound(
     p_prime = conjugate_exponent(p)
     q_prime = conjugate_exponent(p_prime)
     r = 2.0 * q_prime / (q_prime - 2.0)
-    multiplier = (1.0 + weight.values**2) ** (sign * s / 2.0)
+    multiplier = bessel_multiplier(weight, sign * s)
     mult_norm = lq_table_norm(multiplier, r, system.haar.mass_per_point_dual)
     return system.N ** (1.0 / p_prime - 0.5) * mult_norm
 

@@ -18,8 +18,7 @@ asserting any contested variant.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -79,20 +78,6 @@ def weyl_operator(system: WeylSystem, point: Point) -> np.ndarray:
     return M
 
 
-def matrix_coefficient_table(system: WeylSystem, psi: np.ndarray | None = None) -> np.ndarray:
-    """Table of <pi(x) psi, psi> over all phase-space points x (integrability smoke data)."""
-    if psi is None:
-        psi = np.zeros(system.N, dtype=np.complex128)
-        psi[0] = 1.0
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (system.N,):
-        raise ValueError(f"vector must have length {system.N}")
-    table = np.array(
-        [np.vdot(psi, weyl_operator(system, x) @ psi) for x in system.group.points()]
-    )
-    return table
-
-
 def extract_multiplier(system: WeylSystem, x: Point, y: Point) -> complex:
     """The unimodular scalar c with pi(x) pi(y) = c pi(x + y), from traces.
 
@@ -107,31 +92,6 @@ def extract_multiplier(system: WeylSystem, x: Point, y: Point) -> complex:
             f"composition scalar at x={x}, y={y} has modulus {abs(c)!r}, expected 1"
         )
     return c
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplierTable:
-    """Multiplier values m(x, y) on all phase-space pairs, indexed lexicographically."""
-
-    group: FiniteAbelianGroup
-    values: np.ndarray
-
-    def value(self, x: Point, y: Point) -> complex:
-        return complex(self.values[self.group.index(x), self.group.index(y)])
-
-
-def multiplier_table(system: WeylSystem) -> MultiplierTable:
-    """Extract the full multiplier table by operator composition (K^2 pairs, K = N^2)."""
-    pts = list(system.group.points())
-    K = len(pts)
-    ops = [weyl_operator(system, p) for p in pts]
-    sum_idx = _sum_index_table(system.group, pts)
-    vals = np.empty((K, K), dtype=np.complex128)
-    for i in range(K):
-        Pi = ops[i]
-        for j in range(K):
-            vals[i, j] = np.vdot(ops[sum_idx[i, j]], Pi @ ops[j]) / system.N
-    return MultiplierTable(system.group, vals)
 
 
 def _sum_index_table(group: FiniteAbelianGroup, pts: Sequence[Point]) -> np.ndarray:
@@ -152,15 +112,6 @@ class AxiomCheck:
     worst_deviation: float
     witness: dict
     informational: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "worst_deviation": self.worst_deviation,
-            "witness": self.witness,
-            "informational": self.informational,
-        }
 
 
 @dataclass(frozen=True)
@@ -183,15 +134,7 @@ class AxiomReport:
         return all(c.passed for c in self.checks if not c.informational)
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "convention": self.convention,
-            "core_passed": self.core_passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+        return asdict(self) | {"core_passed": self.core_passed}
 
 
 def _worst(values: np.ndarray) -> tuple[float, tuple[int, ...]]:

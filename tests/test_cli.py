@@ -116,9 +116,9 @@ class TestConfigHandling:
         )
         assert proc.returncode == 0
         report = json.loads((tmp_path / "plancherel_report.json").read_text())
-        assert report["config"]["N"] == "4"
+        assert report["config"]["N"] == 4
         assert report["config"]["trials"] == 15  # flag wins
-        assert report["config"]["seed"] == "7"
+        assert report["config"]["seed"] == 7
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -185,6 +185,24 @@ class TestExitCodes:
         assert "kernel" in err
         assert "invalid configuration" not in err
 
+    @pytest.mark.parametrize(
+        "alpha, key", [("1e308", "beta_corrected"), ("1e-320", "holder_identity_error")]
+    )
+    def test_nan_result_exits_3_without_report(self, alpha, key, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["exponents", "--alpha", alpha]) == 3
+        err = capsys.readouterr().err
+        assert f"results.{key} is NaN" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["sobolev-norms", "pairing"])
+    def test_multiplier_overflow_exits_3_without_report(self, command, tmp_path):
+        proc = run_cli([command, "--N", "4", "--trials", "3", "--s", "1e308"], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical kernel failure:") and "overflowed" in proc.stderr
+        assert proc.stderr.count("\n") == 1  # no RuntimeWarning lines
+        assert not list(tmp_path.iterdir())
+
 
 class TestInputValidation:
     @pytest.mark.parametrize(
@@ -211,6 +229,29 @@ class TestInputValidation:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "exponents_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (["counterexample"], "selector = nope"),
+            (["plancherel"], "format = xml"),
+            (["hausdorff-young"], "direction = sideways"),
+            (["plancherel"], "trials = 2.5"),
+            (["plancherel", "--trials", "abc"], None),
+        ],
+        ids=["selector-file", "format-file", "direction-file", "trials-file", "trials-flag"],
+    )
+    def test_invalid_value_exits_2_naming_parameter(self, argv, entry, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        if entry is not None:
+            (tmp_path / "run.cfg").write_text(entry + "\n")
+            argv = argv + ["--config", "run.cfg"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        name = entry.split(" = ")[0] if entry else "trials"
+        assert f"{name}:" in err
+        assert {p.name for p in tmp_path.iterdir()} <= {"run.cfg"}  # no report
+
     def test_unwritable_out_exits_4(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file, not a directory\n")
@@ -234,6 +275,16 @@ class TestReproducibility:
         assert first_json != second_json  # the timestamp moved
         assert strip_timestamp(first_json.decode()) == strip_timestamp(second_json.decode())
         assert first_csv == second_csv
+
+    def test_equivalent_reals_give_identical_reports(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("alpha = 8/2\n")
+        reports = []
+        for i, args in enumerate((["--alpha", "4"], ["--alpha", "4.0"], ["--config", "run.cfg"])):
+            assert cli.main(["exponents", *args, "--out", f"r{i}.json"]) == 0
+            reports.append(strip_timestamp((tmp_path / f"r{i}.json").read_text()))
+        assert '"alpha": 4.0' in reports[0]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_seed_changes_results(self, tmp_path):
         proc_a = run_cli(["hausdorff-young", "--N", "4", "--p", "4/3", "--trials", "5", "--seed", "1", "--out", str(tmp_path / "a.json")], tmp_path)

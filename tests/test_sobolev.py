@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from qsobolev.qft import qft_forward, random_operator, trial_rng
 from qsobolev.sobolev import (
     SobolevSpec,
     Weight,
-    export_weight_csv,
-    import_weight_csv,
+    bessel_multiplier,
     make_test_element,
     make_weight_constant,
     make_weight_euclidean,
@@ -21,7 +21,6 @@ from qsobolev.sobolev import (
     phi_map,
     recover_generator,
     sobolev_norm,
-    sobolev_weight_values,
     symmetric_representative,
     verify_norm_axioms,
 )
@@ -71,21 +70,6 @@ class TestWeights:
         with pytest.raises(ValueError):
             Weight(sys4.group, np.full(16, np.inf))
 
-    def test_csv_roundtrip_exact(self, sys4, w4, tmp_path):
-        path = tmp_path / "weight.csv"
-        export_weight_csv(w4, path)
-        back = import_weight_csv(sys4.group, path)
-        assert np.array_equal(back.values, w4.values)
-        assert back.provenance == "custom-table"
-
-    def test_csv_rejects_incomplete(self, sys4, w4, tmp_path):
-        path = tmp_path / "weight.csv"
-        export_weight_csv(w4, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError):
-            import_weight_csv(sys4.group, path)
-
 
 class TestSobolevSpec:
     def test_exponent_validation(self, w4):
@@ -102,10 +86,20 @@ class TestSobolevSpec:
         assert 1.0 / spec.p + 1.0 / spec.q == pytest.approx(1.0, abs=1e-15)
 
     def test_multiplier_variants(self, w4):
-        inhom = SobolevSpec(s=2.0, p=1.5, weight=w4)
-        hom = SobolevSpec(s=2.0, p=1.5, weight=w4, homogeneous=True)
-        assert sobolev_weight_values(inhom) == pytest.approx(1.0 + w4.values**2)
-        assert sobolev_weight_values(hom) == pytest.approx(w4.values**2)
+        assert bessel_multiplier(w4, 2.0) == pytest.approx(1.0 + w4.values**2)
+        assert bessel_multiplier(w4, 2.0, homogeneous=True) == pytest.approx(w4.values**2)
+        assert bessel_multiplier(w4, -2.0) == pytest.approx(1.0 / (1.0 + w4.values**2))
+        assert bessel_multiplier(w4, -2.0, homogeneous=True) == pytest.approx(w4.values**-2)
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_multiplier_overflow_raises_without_warning(self, sys4, homogeneous):
+        weight = make_weight_constant(sys4.group, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflowed"):
+                bessel_multiplier(weight, 1e308, homogeneous)
+            # The negative order underflows to zero, which is finite.
+            assert np.all(bessel_multiplier(weight, -1e308, homogeneous) == 0.0)
 
 
 class TestSobolevNorm:

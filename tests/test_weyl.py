@@ -8,8 +8,6 @@ from qsobolev.weyl import (
     check_axioms,
     extract_multiplier,
     make_weyl_system,
-    matrix_coefficient_table,
-    multiplier_table,
     phase_space_convention,
     weyl_operator,
 )
@@ -108,13 +106,6 @@ class TestMultiplier:
                     omega ** (y[1] * x[0])
                 )
 
-    def test_table_matches_pointwise(self):
-        system = make_weyl_system(3, "symmetric")
-        table = multiplier_table(system)
-        for x in system.group.points():
-            for y in system.group.points():
-                assert table.value(x, y) == pytest.approx(extract_multiplier(system, x, y))
-
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     def test_composition_residual(self, convention):
         system = make_weyl_system(4, convention)
@@ -191,7 +182,8 @@ class TestCheckAxioms:
 
     def test_report_json_roundtrip(self):
         report = check_axioms(make_weyl_system(2))
-        blob = json.loads(report.to_json())
+        blob = json.loads(json.dumps(report.to_dict()))
+        assert blob["core_passed"] is True
         assert blob["N"] == 2
         assert {c["axiom"] for c in blob["checks"]} >= {
             "composition",
@@ -208,14 +200,3 @@ class TestCheckAxioms:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             check_axioms(make_weyl_system(17))
-
-
-class TestIntegrability:
-    def test_matrix_coefficient_table_finite(self):
-        # The integrability hypothesis is a finite sum here: just confirm the
-        # full table exists and is finite for the first basis vector.
-        system = make_weyl_system(6)
-        table = matrix_coefficient_table(system)
-        assert table.shape == (36,)
-        assert np.all(np.isfinite(table))
-        assert table[0] == pytest.approx(1.0)
