@@ -40,7 +40,7 @@ print(f"weighted-map isometry deviation over 100 draws: {phi_isometry_check(syst
 print()
 
 print("test family: W_phi = inverse transform of the weighted generator")
-phi = PhaseFunction.delta(system.group, (0, 0), system.haar)
+phi = PhaseFunction.delta(system.group, (0, 0))
 for sign in (+1, -1):
     elem = make_test_element(system, spec, phi, sign)
     top = elem.operator[0, 0]

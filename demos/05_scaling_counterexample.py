@@ -13,15 +13,15 @@ from qsobolev import counterexample_run, make_weyl_system
 
 q, rho = 4.0, 8.0
 
-dims = [8, 8, 8, 8, 16, 32, 64, 128]
-sizes = [8, 4, 2, 1, 1, 1, 1, 1]
+dims = [8, 8, 8, 8, 16, 32, 64, 128, 256, 512, 1024]
+sizes = [8, 4, 2, 1, 1, 1, 1, 1, 1, 1, 1]
 report = counterexample_run([make_weyl_system(n) for n in dims], q, rho, "subgroup", sizes)
 print(f"subgroup-shaped sweep, q={q:.0f}, rho={rho:.0f} (predicted slope {report.predicted_slope:+.4f}):")
 schatten_header = "||T||_S_rho'"
 print(f"  {'N':>4s} {'|E|':>4s} {'eps':>9s} {'||a||_q':>9s} {schatten_header:>12s}")
 for pt in report.points:
-    print(f"  {pt.N:4d} {pt.set_size:4d} {pt.epsilon:9.5f} {pt.sobolev_norm:9.6f} {pt.schatten_beta_norm:12.8f}")
-print(f"  fitted slope {report.fitted_slope:+.6f} over {report.decades_spanned:.2f} decades of measure")
+    print(f"  {pt.N:4d} {pt.set_size:4d} {pt.epsilon:9.6f} {pt.sobolev_norm:9.6f} {pt.schatten_beta_norm:12.8f}")
+print(f"  fitted slope {report.fitted_slope:+.12f} over {report.decades_spanned:.2f} decades of measure")
 print()
 
 print("shape dependence at N=32 (same measures, different sets):")

@@ -6,17 +6,7 @@ N^2-point dual, and every norm, inequality, and counterexample becomes a
 finite computation with measured constants.
 """
 
-from .groups import (
-    FiniteAbelianGroup,
-    HaarConvention,
-    PhaseFunction,
-    character,
-    group_neg,
-    group_sum,
-    l_q_norm,
-    lq_table_norm,
-    make_group,
-)
+from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm, make_group
 from .linalg import (
     as_operator,
     schatten_norm,
@@ -31,7 +21,6 @@ from .weyl import (
     check_axioms,
     extract_multiplier,
     make_weyl_system,
-    phase_space_convention,
     weyl_operator,
 )
 from .qft import (

@@ -14,9 +14,10 @@ a contract CI can consume directly:
 * 4 - the report could not be written.
 
 Each subcommand is one :class:`Command` with a table of typed parameters whose
-parsers read flags, config-file values and defaults alike.  Reports are
-byte-identical across runs with the same config apart from the single
-``timestamp`` field; CSV output carries no timestamp at all.
+parsers read flags, config-file values and defaults alike.  Every dimension
+``N`` is capped at ``MAX_N`` by its parser, before anything is allocated.
+Reports are byte-identical across runs with the same config apart from the
+single ``timestamp`` field; CSV output carries no timestamp at all.
 """
 
 from __future__ import annotations
@@ -75,9 +76,24 @@ SIGNS = {"-1": (-1,), "1": (1,), "both": (-1, 1)}
 #: Transform directions by ``--direction`` word.
 DIRECTIONS = {"forward": ("forward",), "inverse": ("inverse",), "both": ("forward", "inverse")}
 
+#: Memory budget of one run.  A run holds at most about 11 N x N complex128
+#: matrices at once (random draws, transform tables, the LAPACK SVD
+#: workspace: peak RSS above the import baseline of each subcommand that
+#: accepts N > 16, measured at N = 512 and 1024), so N is capped where 16
+#: of them fit: N <= 2048.
+MEMORY_BUDGET_BYTES = 2**30
+MAX_N = math.isqrt(MEMORY_BUDGET_BYTES // (16 * np.dtype(np.complex128).itemsize))
+
 
 class ConfigError(ValueError):
     """The resolved configuration is invalid."""
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error in one line, like any other invalid input, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"invalid configuration: {self.prog}: {message}\n")
 
 
 def parse_real(text) -> float:
@@ -106,6 +122,16 @@ def _parse_int(text, minimum: int) -> int:
 
 parse_positive_int = partial(_parse_int, minimum=1)
 parse_nonnegative_int = partial(_parse_int, minimum=0)
+
+
+def parse_dimension(text) -> int:
+    """A Hilbert dimension N in [1, MAX_N], the cap set by the memory budget."""
+    N = parse_positive_int(text)
+    if N > MAX_N:
+        raise ConfigError(
+            f"expected at most {MAX_N} (the {MEMORY_BUDGET_BYTES >> 30} GiB memory budget), got {N}"
+        )
+    return N
 
 
 def parse_bool(text) -> bool:
@@ -164,12 +190,17 @@ class Param:
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its runner, help text, named tolerances and ordered parameters."""
+    """A subcommand: its runner, help text, named tolerances and ordered parameters.
+
+    ``note``, if given, turns the results of a run into a line for stderr,
+    printed once the report is written; stdout carries only the verdict.
+    """
 
     run: Callable[[dict], tuple]
     help: str
     tolerances: dict[str, float]
     params: tuple[Param, ...]
+    note: Callable[[dict], str] | None = None
 
 
 SEED = Param("seed", parse_nonnegative_int, 0)
@@ -210,8 +241,8 @@ def _add_flag(parser: argparse.ArgumentParser, param: Param) -> None:
     parser.add_argument(flag, dest=param.name, metavar=metavar, help=param.help)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="qsobolev",
         description="Seeded verification harnesses for phase-space operator analysis",
     )
@@ -383,10 +414,6 @@ def run_exponents(config: dict):
     identity_error = abs(1.0 / report.sigma - (1.0 / alpha + 1.0 / q))
     passed = identity_error <= config["tolerances"]["identity"]
     results = report.to_dict() | {"holder_identity_error": identity_error}
-    print(
-        f"sigma = {report.sigma!r}, beta_corrected = {report.beta_corrected!r}, "
-        f"beta_alternate = {report.beta_alternate!r}"
-    )
     rows = [[k, v] for k, v in results.items()]
     return results, passed, ["field", "value"], rows
 
@@ -457,17 +484,17 @@ COMMANDS: dict[str, Command] = {
         run_axioms, "exhaustive Weyl-system identity checks",
         {"composition": 1e-11, "modulus": 1e-12, "unitarity": 1e-12, "orthogonality": 1e-11,
          "cocycle": 1e-11},
-        (Param("N", parse_positive_int, 4), Param("convention", Choice(CONVENTIONS), "standard")),
+        (Param("N", parse_dimension, 4), Param("convention", Choice(CONVENTIONS), "standard")),
     ),
     "plancherel": Command(
         run_plancherel, "norm preservation and round-trips of the transform",
         {"deviation": 1e-11, "roundtrip": 1e-11},
-        (Param("N", parse_positive_int, 8), Param("trials", parse_positive_int, 100), SEED),
+        (Param("N", parse_dimension, 8), Param("trials", parse_positive_int, 100), SEED),
     ),
     "hausdorff-young": Command(
         run_hausdorff_young, "two-sided norm inequality ratios",
         {"ratio_slack": 1e-10},
-        (Param("N", parse_positive_int, 8),
+        (Param("N", parse_dimension, 8),
          Param("p", list_of(parse_real), (1.0, 8 / 7, 4 / 3, 8 / 5, 2.0),
                "comma list of exponents in [1,2]; fractions allowed"),
          Param("direction", Choice(tuple(DIRECTIONS)), "both"),
@@ -476,13 +503,13 @@ COMMANDS: dict[str, Command] = {
     "sobolev-norms": Command(
         run_sobolev_norms, "norm axioms and the weighted-map isometry",
         {"homogeneity": 1e-12, "triangle": 1e-10, "isometry": 1e-12},
-        (Param("N", parse_positive_int, 8), Param("s", parse_real, 1.0),
+        (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), WEIGHT, Param("trials", parse_positive_int, 200), SEED),
     ),
     "pairing": Command(
         run_pairing, "duality pairing bound and test-family rank",
         {"pairing_slack": 1e-10, "rank": 1e-10},
-        (Param("N", parse_positive_int, 8),
+        (Param("N", parse_dimension, 8),
          Param("p", parse_real, 4.0, "Schatten exponent > 2 for the operator side"),
          Param("s", parse_real, 1.0), WEIGHT, Param("sign", Choice(tuple(SIGNS)), "both"),
          Param("trials", parse_positive_int, 200), SEED),
@@ -491,11 +518,13 @@ COMMANDS: dict[str, Command] = {
         run_exponents, "embedding exponent arithmetic",
         {"identity": 1e-15},
         (Param("alpha", parse_real, 4.0), Param("q", parse_real, 4.0), Param("s", parse_real, 1.0)),
+        lambda r: (f"sigma = {r['sigma']!r}, beta_corrected = {r['beta_corrected']!r}, "
+                   f"beta_alternate = {r['beta_alternate']!r}"),
     ),
     "embed": Command(
         run_embed, "weighted Hoelder + norm-inequality chain",
         {"link1": 1e-12, "link2": 1e-10, "composite": 1e-10},
-        (Param("N", parse_positive_int, 8), Param("s", parse_real, 1.0),
+        (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), Param("alpha", parse_real, 4.0), WEIGHT,
          Param("homogeneous", parse_bool, False),
          Param("beta_choice", Choice(("corrected", "alternate")), "corrected"),
@@ -504,7 +533,7 @@ COMMANDS: dict[str, Command] = {
     "counterexample": Command(
         run_counterexample, "scaling sweep of normalized indicator generators",
         {"normalization": 1e-12, "slope_rel": 0.10},
-        (Param("N", list_of(parse_positive_int), (8, 8, 8, 8, 16, 32),
+        (Param("N", list_of(parse_dimension), (8, 8, 8, 8, 16, 32),
                "comma list of dimensions, one per sweep point"),
          Param("sizes", list_of(parse_positive_int), (8, 4, 2, 1, 1, 1),
                "comma list of set sizes, aligned with --N"),
@@ -585,6 +614,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"report could not be written: {exc}", file=_sys.stderr)
         return 4
+    note = COMMANDS[args.command].note
+    if note is not None:
+        print(note(results), file=_sys.stderr)
     status = "PASS" if passed else "FAIL"
     print(f"{config['command']}: {status} ({', '.join(str(p) for p in paths)})")
     return 0 if passed else 1

@@ -24,10 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, HaarConvention, PhaseFunction, Point, l_q_norm, lq_table_norm
+from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from .linalg import schatten_norm
 from .qft import conjugate_exponent, qft_forward, qft_inverse, random_operator, trial_rng
-from .sobolev import SobolevSpec, Weight, bessel_multiplier, sobolev_norm, symmetric_representative
+from .sobolev import SobolevSpec, Weight, bessel_multiplier, sobolev_norm
 from .weyl import WeylSystem
 
 
@@ -85,13 +85,7 @@ def compute_exponents(alpha: float, q: float, s: float) -> ExponentReport:
     )
 
 
-def multiplier_norm(
-    weight: Weight,
-    s: float,
-    alpha: float,
-    homogeneous: bool,
-    convention: HaarConvention,
-) -> float:
+def multiplier_norm(weight: Weight, s: float, alpha: float, homogeneous: bool) -> float:
     """L^alpha norm of the reciprocal Sobolev multiplier (the chain constant C1).
 
     The multiplier is ``(1 + gamma^2)^(-s/2)`` (inhomogeneous hypothesis) or
@@ -99,7 +93,7 @@ def multiplier_norm(
     always finite and is simply measured.
     """
     m = bessel_multiplier(weight, -s, homogeneous)
-    return lq_table_norm(m, alpha, convention.mass_per_point_dual)
+    return lq_table_norm(m, alpha, weight.group.dual_mass)
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,7 @@ def verify_embedding_chain(
         beta_used = exponents.beta_alternate
     else:
         beta_used = beta_corrected
-    m_norm = multiplier_norm(spec.weight, spec.s, alpha, spec.homogeneous, system.haar)
+    m_norm = multiplier_norm(spec.weight, spec.s, alpha, spec.homogeneous)
 
     skipped = 0
     link1_violations = 0
@@ -236,46 +230,42 @@ def verify_embedding_chain(
     )
 
 
-def lex_first_points(group: FiniteAbelianGroup, k: int) -> list[Point]:
-    """The k lexicographically first dual points."""
-    if not 1 <= k <= group.total_order:
-        raise ValueError(f"set size {k} out of range for dual of order {group.total_order}")
-    out = []
-    for point in group.points():
-        out.append(point)
-        if len(out) == k:
-            break
-    return out
+def _require_set_size(group: PhaseSpaceGrid, k: int) -> None:
+    if not 1 <= k <= group.size:
+        raise ValueError(f"set size {k} out of range for a dual of {group.size} points")
 
 
-def ball_points(group: FiniteAbelianGroup, k: int) -> list[Point]:
-    """The k dual points nearest the origin in symmetric representatives."""
-    if not 1 <= k <= group.total_order:
-        raise ValueError(f"set size {k} out of range for dual of order {group.total_order}")
-    def radius(point: Point) -> tuple:
-        r2 = sum(
-            symmetric_representative(r, n) ** 2 for r, n in zip(point, group.orders)
-        )
-        return (r2, point)
-    return sorted(group.points(), key=radius)[:k]
+def lex_first_points(group: PhaseSpaceGrid, k: int) -> np.ndarray:
+    """Indices of the k lexicographically first dual points."""
+    _require_set_size(group, k)
+    return np.arange(k)
 
 
-def subgroup_points(group: FiniteAbelianGroup, k: int) -> list[Point]:
-    """The order-k subgroup {0} x H_k of the dual (requires k to divide the last order).
+def ball_points(group: PhaseSpaceGrid, k: int) -> np.ndarray:
+    """Indices of the k dual points nearest the origin in symmetric representatives.
+
+    Ties in the squared radius are broken lexicographically by ``(a, b)``.
+    """
+    _require_set_size(group, k)
+    a, b = group.coordinates
+    return np.lexsort((b, a, group.squared_radii()))[:k]
+
+
+def subgroup_points(group: PhaseSpaceGrid, k: int) -> np.ndarray:
+    """Indices of the order-k subgroup {0} x H_k of the dual (requires k to divide N).
 
     Inverse transforms of these indicators have flat singular spectra, so the
     predicted scaling law holds exactly at every finite size; they are the
     shape of choice when measuring the law itself rather than shape effects.
     """
-    n_last = group.orders[-1]
-    if not 1 <= k <= n_last or n_last % k != 0:
-        raise ValueError(f"subgroup selector needs k dividing {n_last}, got {k}")
-    step = n_last // k
-    zeros = (0,) * (len(group.orders) - 1)
-    return [zeros + (j * step,) for j in range(k)]
+    if not 1 <= k <= group.N or group.N % k != 0:
+        raise ValueError(f"subgroup selector needs k dividing {group.N}, got {k}")
+    # The point (0, j * N/k) has index j * N/k.
+    return np.arange(k) * (group.N // k)
 
 
-SET_SELECTORS: dict[str, Callable[[FiniteAbelianGroup, int], list[Point]]] = {
+#: Dual-set selectors by name; each returns the flat indices of k points.
+SET_SELECTORS: dict[str, Callable[[PhaseSpaceGrid, int], np.ndarray]] = {
     "lex": lex_first_points,
     "ball": ball_points,
     "subgroup": subgroup_points,
@@ -313,7 +303,7 @@ def counterexample_run(
     systems: Sequence[WeylSystem],
     q: float,
     rho: float,
-    set_selector: str | Callable[[FiniteAbelianGroup, int], list[Point]] = "lex",
+    set_selector: str = "lex",
     set_sizes: Sequence[int] | None = None,
 ) -> CounterexampleReport:
     """Sweep generators a = eps^(-1/q) 1_E over shrinking sets E and fit the growth law.
@@ -335,24 +325,19 @@ def counterexample_run(
         set_sizes = [1] * len(systems)
     if len(set_sizes) != len(systems):
         raise ValueError("set_sizes must align with systems")
-    selector_name = set_selector if isinstance(set_selector, str) else getattr(
-        set_selector, "__name__", "custom"
-    )
-    selector = SET_SELECTORS[set_selector] if isinstance(set_selector, str) else set_selector
+    if set_selector not in SET_SELECTORS:
+        raise ValueError(
+            f"set selector must be one of {tuple(SET_SELECTORS)}, got {set_selector!r}"
+        )
     rho_prime = conjugate_exponent(rho)
 
     points = []
     for system, k in zip(systems, set_sizes):
-        support = selector(system.group, k)
-        mass = system.haar.mass_per_point_dual
-        eps = len(support) * mass
-        total_mass = system.group.total_order * mass
-        if not 0.0 < eps <= total_mass:
-            raise ValueError(f"selector produced measure {eps} outside (0, {total_mass}]")
-        vals = np.zeros(system.group.total_order, dtype=np.complex128)
-        for point in support:
-            vals[system.group.index(point)] = eps ** (-1.0 / q)
-        a = PhaseFunction(system.group, vals, system.haar)
+        support = SET_SELECTORS[set_selector](system.group, k)
+        eps = len(support) * system.group.dual_mass
+        vals = np.zeros(system.group.size, dtype=np.complex128)
+        vals[support] = eps ** (-1.0 / q)
+        a = PhaseFunction(system.group, vals)
         T = qft_inverse(system, a)
         points.append(
             CounterexamplePoint(
@@ -372,7 +357,7 @@ def counterexample_run(
     return CounterexampleReport(
         q=q,
         rho=rho,
-        selector=selector_name,
+        selector=set_selector,
         points=tuple(points),
         fitted_slope=slope,
         predicted_slope=1.0 / rho - 1.0 / q,

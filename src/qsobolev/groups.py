@@ -1,174 +1,106 @@
-"""Finite abelian groups, their duals, characters, and Haar-weighted L^q norms.
+"""The phase-space grid ``Z_N x Z_N``, tables on its dual, and weighted L^q norms.
 
-A product of cyclic groups ``Z_{n1} x ... x Z_{nk}`` is self-dual: the dual
-group has the same cyclic orders and the pairing is the explicit character
-formula ``chi_xi(x) = exp(2*pi*i * sum_j xi_j x_j / n_j)``.  Every integral
-over the group or its dual is a finite sum weighted by an explicit per-point
-Haar mass, so norms and inner products reduce to weighted vector arithmetic.
+Every Weyl system of this package lives on ``Z_N x Z_N``, whose dual is again
+an ``N x N`` grid.  Its ``N^2`` points are stored flat in row-major order,
+point ``(a, b)`` at index ``a*N + b``, and each carries the dual Haar mass
+``1/N``, which pins the Plancherel constant of the transform to 1.  A function
+on the dual is a length-``N^2`` table in that order, so norms reduce to
+weighted vector arithmetic, and sums, negatives and distances of points are
+integer array arithmetic on the coordinates.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-Point = tuple[int, ...]
+
+def symmetric_representative(residues, order: int) -> np.ndarray:
+    """Elementwise representatives of ``residues`` mod ``order`` in (-order/2, order/2]."""
+    r = np.mod(residues, order)
+    return np.where(2 * r <= order, r, r - order)
 
 
 @dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Product of cyclic groups with a fixed lexicographic point enumeration."""
+class PhaseSpaceGrid:
+    """The N x N phase-space grid: N^2 points in row-major order, each of dual mass 1/N."""
 
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.orders) == 0:
-            raise ValueError("group needs at least one cyclic factor")
-        if any(int(n) != n or n < 1 for n in self.orders):
-            raise ValueError(f"cyclic orders must be positive integers, got {self.orders}")
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
-
-    @property
-    def total_order(self) -> int:
-        return math.prod(self.orders)
-
-    def points(self) -> Iterator[Point]:
-        """All points in lexicographic order (last coordinate fastest)."""
-        idx = [0] * len(self.orders)
-        for _ in range(self.total_order):
-            yield tuple(idx)
-            for j in reversed(range(len(idx))):
-                idx[j] += 1
-                if idx[j] < self.orders[j]:
-                    break
-                idx[j] = 0
-
-    def index(self, point: Point) -> int:
-        """Position of ``point`` in the lexicographic enumeration."""
-        self.require_point(point)
-        i = 0
-        for r, n in zip(point, self.orders):
-            i = i * n + r
-        return i
-
-    def point_at(self, index: int) -> Point:
-        if not 0 <= index < self.total_order:
-            raise ValueError(f"point index {index} out of range")
-        out = []
-        for n in reversed(self.orders):
-            out.append(index % n)
-            index //= n
-        return tuple(reversed(out))
-
-    def contains(self, point: Point) -> bool:
-        return len(point) == len(self.orders) and all(
-            0 <= int(r) < n and int(r) == r for r, n in zip(point, self.orders)
-        )
-
-    def require_point(self, point: Point) -> None:
-        if not self.contains(point):
-            raise ValueError(f"{point!r} is not a point of the group with orders {self.orders}")
-
-    def reduce(self, raw: Sequence[int]) -> Point:
-        """Componentwise reduction mod the cyclic orders."""
-        if len(raw) != len(self.orders):
-            raise ValueError(f"{raw!r} has wrong arity for orders {self.orders}")
-        return tuple(int(r) % n for r, n in zip(raw, self.orders))
-
-    @property
-    def identity(self) -> Point:
-        return (0,) * len(self.orders)
-
-
-def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
-    """Build ``Z_{n1} x ... x Z_{nk}`` from a list of positive cyclic orders."""
-    return FiniteAbelianGroup(tuple(orders))
-
-
-def group_sum(group: FiniteAbelianGroup, x: Point, y: Point) -> Point:
-    group.require_point(x)
-    group.require_point(y)
-    return tuple((a + b) % n for a, b, n in zip(x, y, group.orders))
-
-
-def group_neg(group: FiniteAbelianGroup, x: Point) -> Point:
-    group.require_point(x)
-    return tuple((-a) % n for a, n in zip(x, group.orders))
-
-
-def character(group: FiniteAbelianGroup, xi: Point, x: Point) -> complex:
-    """Dual pairing chi_xi(x) = exp(2*pi*i * sum_j xi_j x_j / n_j), a unit complex number.
-
-    ``xi`` lives on the dual copy of ``group`` and ``x`` on the group itself;
-    both are validated against the cyclic orders.
-    """
-    group.require_point(xi)
-    group.require_point(x)
-    # Reduce the integer phase exactly before taking exp: keeps |result| = 1
-    # to one ulp even when xi_j * x_j is large.
-    num = 0
-    den = 1
-    for xj, rj, n in zip(xi, x, group.orders):
-        num = num * n + xj * rj * den
-        den *= n
-    return cmath.exp(2j * cmath.pi * (num % den) / den)
-
-
-@dataclass(frozen=True)
-class HaarConvention:
-    """Explicit per-point Haar masses for a group and its dual."""
-
-    mass_per_point_group: float
-    mass_per_point_dual: float
+    N: int
 
     def __post_init__(self):
-        if not (self.mass_per_point_group > 0 and self.mass_per_point_dual > 0):
-            raise ValueError("Haar masses must be strictly positive")
+        if int(self.N) != self.N or self.N < 1:
+            raise ValueError(f"grid size N must be a positive integer, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
 
-    @staticmethod
-    def counting() -> "HaarConvention":
-        return HaarConvention(1.0, 1.0)
+    @property
+    def size(self) -> int:
+        return self.N * self.N
+
+    @property
+    def dual_mass(self) -> float:
+        return 1.0 / self.N
+
+    @property
+    def coordinates(self) -> np.ndarray:
+        """The (2, N^2) array whose column ``a*N + b`` is the point ``(a, b)``."""
+        return np.indices((self.N, self.N)).reshape(2, -1)
+
+    def squared_radii(self) -> np.ndarray:
+        """``a^2 + b^2`` per point, with ``a`` and ``b`` taken in the window (-N/2, N/2]."""
+        return np.sum(symmetric_representative(self.coordinates, self.N) ** 2, axis=0)
+
+    def sum_index(self) -> np.ndarray:
+        """The (N^2, N^2) table whose entry ``(i, j)`` is the index of point i + point j."""
+        N = self.N
+        a, b = self.coordinates
+        return (a[:, None] + a) % N * N + (b[:, None] + b) % N
+
+    def neg_index(self) -> np.ndarray:
+        """The index of ``-x`` for every point ``x``, in point order."""
+        a, b = self.coordinates
+        return (-a) % self.N * self.N + (-b) % self.N
+
+    def require_point(self, point) -> tuple[int, int]:
+        """``point`` as an int pair ``(a, b)``; ``ValueError`` unless ``0 <= a, b < N``."""
+        if len(point) != 2 or not all(int(r) == r and 0 <= r < self.N for r in point):
+            raise ValueError(f"{point!r} is not a point of the {self.N} x {self.N} grid")
+        return int(point[0]), int(point[1])
+
+
+def make_group(orders: Sequence[int]) -> PhaseSpaceGrid:
+    """The grid ``Z_N x Z_N`` from the orders ``[N, N]``; other orders raise ``ValueError``."""
+    if len(orders) != 2 or orders[0] != orders[1]:
+        raise ValueError(f"the phase-space grid needs cyclic orders [N, N], got {list(orders)}")
+    return PhaseSpaceGrid(orders[0])
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseFunction:
-    """Complex-valued function on a (dual) group, stored as a lexicographic table."""
+    """Complex-valued function on the dual grid, stored as a row-major table."""
 
-    group: FiniteAbelianGroup
+    group: PhaseSpaceGrid
     values: np.ndarray
-    convention: HaarConvention
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.group.total_order,):
-            raise ValueError(
-                f"value table has shape {vals.shape}, expected ({self.group.total_order},)"
-            )
+        if vals.shape != (self.group.size,):
+            raise ValueError(f"value table has shape {vals.shape}, expected ({self.group.size},)")
         if not np.all(np.isfinite(vals)):
             raise ValueError("phase function values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def value_at(self, point: Point) -> complex:
-        return complex(self.values[self.group.index(point)])
-
     def with_values(self, values: np.ndarray) -> "PhaseFunction":
-        return PhaseFunction(self.group, values, self.convention)
+        return PhaseFunction(self.group, values)
 
     @staticmethod
-    def zero(group: FiniteAbelianGroup, convention: HaarConvention) -> "PhaseFunction":
-        return PhaseFunction(group, np.zeros(group.total_order, dtype=np.complex128), convention)
-
-    @staticmethod
-    def delta(
-        group: FiniteAbelianGroup, point: Point, convention: HaarConvention, amplitude: complex = 1.0
-    ) -> "PhaseFunction":
-        vals = np.zeros(group.total_order, dtype=np.complex128)
-        vals[group.index(point)] = amplitude
-        return PhaseFunction(group, vals, convention)
+    def delta(group: PhaseSpaceGrid, point, amplitude: complex = 1.0) -> "PhaseFunction":
+        a, b = group.require_point(point)
+        vals = np.zeros(group.size, dtype=np.complex128)
+        vals[a * group.N + b] = amplitude
+        return PhaseFunction(group, vals)
 
 
 def lq_table_norm(values: np.ndarray, q: float, mass_per_point: float) -> float:
@@ -189,7 +121,6 @@ def lq_table_norm(values: np.ndarray, q: float, mass_per_point: float) -> float:
     return top * float(np.sum((mods / top) ** q) * mass_per_point) ** (1.0 / q)
 
 
-def l_q_norm(f: PhaseFunction, q: float, convention: HaarConvention | None = None) -> float:
-    """L^q(dual) norm of a phase function under its (or an overriding) Haar convention."""
-    conv = f.convention if convention is None else convention
-    return lq_table_norm(f.values, q, conv.mass_per_point_dual)
+def l_q_norm(f: PhaseFunction, q: float) -> float:
+    """L^q norm of a phase function under the dual mass 1/N of its grid."""
+    return lq_table_norm(f.values, q, f.group.dual_mass)

@@ -51,21 +51,19 @@ def qft_forward(system: WeylSystem, T) -> PhaseFunction:
     if T.shape[0] != system.N:
         raise ValueError(f"operator dimension {T.shape[0]} does not match system N={system.N}")
     values = np.fft.fft(T[_wrapped_diagonals(system.N)], axis=1) * _phase(system)
-    return PhaseFunction(system.group, values.ravel(), system.haar)
+    return PhaseFunction(system.group, values.ravel())
 
 
 def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     """Reconstruct the operator ``sum_xi f(xi) pi(xi) * mass_per_dual_point``."""
-    if f.group != system.group:
-        raise ValueError(
-            f"phase function lives on orders {f.group.orders}, system has {system.group.orders}"
-        )
     N = system.N
+    if f.group != system.group:
+        raise ValueError(f"phase function lives on the N={f.group.N} grid, system has N={N}")
     table = f.values.reshape(N, N) * np.conj(_phase(system))
     T = np.empty((N, N), dtype=np.complex128)
     # norm="forward" leaves the inverse DFT unscaled: sum_b table[a, b] omega^(b t).
     T[_wrapped_diagonals(N)] = np.fft.ifft(table, axis=1, norm="forward")
-    return T * system.haar.mass_per_point_dual
+    return T * system.group.dual_mass
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -108,7 +106,7 @@ def random_phase_function(
     rng: np.random.Generator, system: WeylSystem, kind: str = "mixed"
 ) -> PhaseFunction:
     """Random functions on the dual: dense Gaussian tables, deltas, or indicators."""
-    K = system.group.total_order
+    K = system.group.size
     if kind == "mixed":
         kind = PHASE_ENSEMBLES[rng.integers(len(PHASE_ENSEMBLES))]
     if kind == "gaussian":
@@ -123,7 +121,7 @@ def random_phase_function(
         vals[support] = rng.standard_normal() + 1j * rng.standard_normal()
     else:
         raise ValueError(f"unknown phase ensemble {kind!r}")
-    return PhaseFunction(system.group, vals, system.haar)
+    return PhaseFunction(system.group, vals)
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:

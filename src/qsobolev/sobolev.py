@@ -17,14 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .groups import (
-    FiniteAbelianGroup,
-    HaarConvention,
-    PhaseFunction,
-    Point,
-    l_q_norm,
-    lq_table_norm,
-)
+from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from .linalg import schatten_norm, trace_pairing
 from .qft import (
     conjugate_exponent,
@@ -41,59 +34,36 @@ WEIGHT_PROVENANCES = ("euclidean-representative", "constant", "custom-table")
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Strictly positive weight table gamma on a dual group."""
+    """Strictly positive weight table gamma on the dual grid."""
 
-    group: FiniteAbelianGroup
+    group: PhaseSpaceGrid
     values: np.ndarray
     provenance: str = "custom-table"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.group.total_order,):
-            raise ValueError(
-                f"weight table has shape {vals.shape}, expected ({self.group.total_order},)"
-            )
+        if vals.shape != (self.group.size,):
+            raise ValueError(f"weight table has shape {vals.shape}, expected ({self.group.size},)")
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             raise ValueError("weight values must be finite and strictly positive")
         if self.provenance not in WEIGHT_PROVENANCES:
             raise ValueError(f"provenance must be one of {WEIGHT_PROVENANCES}")
         object.__setattr__(self, "values", vals)
 
-    def value_at(self, point: Point) -> float:
-        return float(self.values[self.group.index(point)])
 
-
-def symmetric_representative(residue: int, order: int) -> int:
-    """Representative of ``residue`` in the window (-order/2, order/2]."""
-    r = residue % order
-    return r if 2 * r <= order else r - order
-
-
-def make_weight_euclidean(dual: FiniteAbelianGroup) -> Weight:
+def make_weight_euclidean(dual: PhaseSpaceGrid) -> Weight:
     """gamma(a, b) = sqrt(a_sym^2 + b_sym^2 + 1) with symmetric representatives.
 
     The +1 floor keeps gamma strictly positive at the origin, which the
     homogeneous norm needs for definiteness.
     """
-    if len(dual.orders) != 2:
-        raise ValueError("euclidean weight expects a two-factor dual group")
-    vals = np.array(
-        [
-            math.sqrt(
-                symmetric_representative(a, dual.orders[0]) ** 2
-                + symmetric_representative(b, dual.orders[1]) ** 2
-                + 1.0
-            )
-            for a, b in dual.points()
-        ]
-    )
-    return Weight(dual, vals, "euclidean-representative")
+    return Weight(dual, np.sqrt(dual.squared_radii() + 1.0), "euclidean-representative")
 
 
-def make_weight_constant(dual: FiniteAbelianGroup, value: float = 1.0) -> Weight:
+def make_weight_constant(dual: PhaseSpaceGrid, value: float = 1.0) -> Weight:
     if not value > 0.0:
         raise ValueError("constant weight must be positive")
-    return Weight(dual, np.full(dual.total_order, float(value)), "constant")
+    return Weight(dual, np.full(dual.size, float(value)), "constant")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +131,13 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     multiplier = bessel_multiplier(spec.weight, spec.s, spec.homogeneous)
-    points = list(system.group.points())
+    points = system.group.coordinates.T.tolist()
     worst = 0.0
     for k in range(trials):
         T = random_operator(trial_rng(seed, k), system.N)
         via_fft = sobolev_norm(system, T, spec)
         pairings = np.array([trace_pairing(T, weyl_operator(system, xi)) for xi in points])
-        direct = lq_table_norm(multiplier * pairings, spec.q, system.haar.mass_per_point_dual)
+        direct = lq_table_norm(multiplier * pairings, spec.q, system.group.dual_mass)
         worst = max(worst, abs(direct - via_fft))
     return worst
 
@@ -362,7 +332,7 @@ def pairing_analytic_bound(
     q_prime = conjugate_exponent(p_prime)
     r = 2.0 * q_prime / (q_prime - 2.0)
     multiplier = bessel_multiplier(weight, sign * s)
-    mult_norm = lq_table_norm(multiplier, r, system.haar.mass_per_point_dual)
+    mult_norm = lq_table_norm(multiplier, r, system.group.dual_mass)
     return system.N ** (1.0 / p_prime - 0.5) * mult_norm
 
 
@@ -447,12 +417,9 @@ def nondegeneracy_check(
     """
     if system.N > 8:
         raise ValueError(f"nondegeneracy check is limited to N <= 8, got {system.N}")
-    K = system.group.total_order
-    rows = []
-    for xi in system.group.points():
-        phi = PhaseFunction.delta(system.group, xi, system.haar)
-        rows.append(make_test_element(system, spec, phi, sign).operator.ravel())
-    V = np.stack(rows)
+    K = system.group.size
+    deltas = (PhaseFunction(system.group, row) for row in np.eye(K))
+    V = np.stack([make_test_element(system, spec, phi, sign).operator.ravel() for phi in deltas])
     gram = V.conj() @ V.T
     eigs = np.linalg.eigvalsh(gram)
     top = float(eigs[-1])

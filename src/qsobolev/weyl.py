@@ -19,11 +19,10 @@ asserting any contested variant.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, HaarConvention, Point, group_neg, group_sum, make_group
+from .groups import PhaseSpaceGrid
 
 CONVENTIONS = ("standard", "symmetric")
 
@@ -35,19 +34,13 @@ class RepresentationError(RuntimeError):
     """Operator composition did not reduce to a unimodular multiple of a Weyl operator."""
 
 
-def phase_space_convention(N: int) -> HaarConvention:
-    """Counting mass on the group, mass 1/N per dual point: Plancherel constant 1."""
-    return HaarConvention(1.0, 1.0 / N)
-
-
 @dataclass(frozen=True, eq=False)
 class WeylSystem:
     """Projective phase-space representation of Z_N x Z_N on C^N."""
 
     N: int
     convention: str = "standard"
-    group: FiniteAbelianGroup = field(init=False)
-    haar: HaarConvention = field(init=False)
+    group: PhaseSpaceGrid = field(init=False)
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 1:
@@ -55,19 +48,17 @@ class WeylSystem:
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
         object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "group", make_group([self.N, self.N]))
-        object.__setattr__(self, "haar", phase_space_convention(self.N))
+        object.__setattr__(self, "group", PhaseSpaceGrid(self.N))
 
 
 def make_weyl_system(N: int, convention: str = "standard") -> WeylSystem:
     return WeylSystem(N, convention)
 
 
-def weyl_operator(system: WeylSystem, point: Point) -> np.ndarray:
+def weyl_operator(system: WeylSystem, point) -> np.ndarray:
     """The unitary pi(a, b) as a freshly built, read-only N x N matrix."""
-    system.group.require_point(point)
+    a, b = system.group.require_point(point)
     N = system.N
-    a, b = point
     t = np.arange(N)
     M = np.zeros((N, N), dtype=np.complex128)
     # Reduce integer phases mod N before exponentiating for one-ulp accuracy.
@@ -78,29 +69,21 @@ def weyl_operator(system: WeylSystem, point: Point) -> np.ndarray:
     return M
 
 
-def extract_multiplier(system: WeylSystem, x: Point, y: Point) -> complex:
+def extract_multiplier(system: WeylSystem, x, y) -> complex:
     """The unimodular scalar c with pi(x) pi(y) = c pi(x + y), from traces.
 
     Computed as ``tr(pi(x+y)^* pi(x) pi(y)) / N``; deviations of the modulus
     from 1 beyond a guard threshold raise :class:`RepresentationError`.
     """
+    N = system.N
     P = weyl_operator(system, x) @ weyl_operator(system, y)
-    Q = weyl_operator(system, group_sum(system.group, x, y))
-    c = complex(np.vdot(Q, P)) / system.N
+    Q = weyl_operator(system, ((x[0] + y[0]) % N, (x[1] + y[1]) % N))
+    c = complex(np.vdot(Q, P)) / N
     if abs(abs(c) - 1.0) > MULTIPLIER_MODULUS_GUARD:
         raise RepresentationError(
             f"composition scalar at x={x}, y={y} has modulus {abs(c)!r}, expected 1"
         )
     return c
-
-
-def _sum_index_table(group: FiniteAbelianGroup, pts: Sequence[Point]) -> np.ndarray:
-    K = len(pts)
-    idx = np.empty((K, K), dtype=np.intp)
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            idx[i, j] = group.index(group_sum(group, x, y))
-    return idx
 
 
 @dataclass(frozen=True)
@@ -171,12 +154,11 @@ def check_axioms(
     if system.N > 16:
         raise ValueError(f"exhaustive axiom check is limited to N <= 16, got {system.N}")
     group = system.group
-    pts = list(group.points())
-    K = len(pts)
+    K = group.size
     N = system.N
-    ops = [weyl_operator(system, p) for p in pts]
-    sum_idx = _sum_index_table(group, pts)
-    neg_idx = np.array([group.index(group_neg(group, p)) for p in pts], dtype=np.intp)
+    ops = [weyl_operator(system, p) for p in group.coordinates.T.tolist()]
+    sum_idx = group.sum_index()
+    neg_idx = group.neg_index()
 
     m = np.empty((K, K), dtype=np.complex128)
     comp_res = np.empty((K, K))
@@ -210,15 +192,18 @@ def check_axioms(
 
     unit_dev = np.array([np.linalg.norm(op.conj().T @ op - np.eye(N)) for op in ops])
     worst_unit = float(np.max(unit_dev))
-    unit_at = (int(np.argmax(unit_dev)),)
+    unit_at = np.argmax(unit_dev)
 
     V = np.stack([op.ravel() for op in ops])
     gram = V.conj() @ V.T
     ortho_dev = np.abs(gram - N * np.eye(K))
     worst_ortho, ortho_at = _worst(ortho_dev)
 
+    def point(i) -> list[int]:
+        return list(divmod(int(i), N))
+
     def pair_witness(i: int, j: int) -> dict:
-        return {"x": list(pts[i]), "y": list(pts[j])}
+        return {"x": point(i), "y": point(j)}
 
     checks = (
         AxiomCheck("composition", worst_comp <= composition_tol, worst_comp, pair_witness(*comp_at)),
@@ -242,14 +227,12 @@ def check_axioms(
             worst_cocycle <= cocycle_tol,
             worst_cocycle,
             {
-                "x": list(pts[cocycle_at[0]]),
-                "y": list(pts[cocycle_at[1]]),
-                "z": list(pts[cocycle_at[2]]),
+                "x": point(cocycle_at[0]),
+                "y": point(cocycle_at[1]),
+                "z": point(cocycle_at[2]),
             },
         ),
-        AxiomCheck(
-            "unitarity", worst_unit <= unitarity_tol, worst_unit, {"x": list(pts[unit_at[0]])}
-        ),
+        AxiomCheck("unitarity", worst_unit <= unitarity_tol, worst_unit, {"x": point(unit_at)}),
         AxiomCheck(
             "trace_orthogonality",
             worst_ortho <= orthogonality_tol,

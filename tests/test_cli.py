@@ -32,7 +32,8 @@ class TestSubcommands:
     def test_exponents_prints_and_passes(self, tmp_path):
         proc = run_cli(["exponents", "--alpha", "4", "--q", "4", "--s", "1"], tmp_path)
         assert proc.returncode == 0
-        assert "sigma = 2.0" in proc.stdout
+        assert "sigma = 2.0" in proc.stderr
+        assert proc.stdout.splitlines() == ["exponents: PASS (exponents_report.json)"]
         report = json.loads((tmp_path / "exponents_report.json").read_text())
         assert report["passed"] is True
         assert report["results"]["beta_alternate"] == pytest.approx(16.0 / 11.0)
@@ -252,6 +253,21 @@ class TestInputValidation:
         assert f"{name}:" in err
         assert {p.name for p in tmp_path.iterdir()} <= {"run.cfg"}  # no report
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["plancherel", "--bogus", "1"], ["plancherel", "--trials"], []],
+        ids=["unknown-flag", "flag-without-value", "no-command"],
+    )
+    def test_usage_error_is_one_line_exit_2(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("invalid configuration: qsobolev") and err.count("\n") == 1
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_unwritable_out_exits_4(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file, not a directory\n")
@@ -259,6 +275,51 @@ class TestInputValidation:
         assert proc.returncode == 4
         assert proc.stderr.startswith("report could not be written:")
         assert proc.stderr.count("\n") == 1
+
+
+class TestDimensionCap:
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (["plancherel", "--N", "200000"], None),
+            (["axioms", "--N", str(cli.MAX_N + 1)], None),
+            (["counterexample", "--N", "8,200000", "--sizes", "8,1"], None),
+            (["embed"], "N = 10**6"),
+            (["pairing"], f"N = {cli.MAX_N + 1}"),
+        ],
+        ids=["plancherel-flag", "axioms-flag", "counterexample-item", "bad-int-file", "pairing-file"],
+    )
+    def test_oversized_N_exits_2_before_allocating(self, argv, entry, monkeypatch, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Weyl system was built for a rejected N")
+
+        monkeypatch.setattr(cli, "make_weyl_system", refuse)
+        monkeypatch.chdir(tmp_path)
+        if entry is not None:
+            (tmp_path / "run.cfg").write_text(entry + "\n")
+            argv = argv + ["--config", "run.cfg"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: N:") and err.count("\n") == 1
+        assert {p.name for p in tmp_path.iterdir()} <= {"run.cfg"}  # no report
+
+    def test_defaults_benchmark_sizes_and_1024_stay_legal(self):
+        assert cli.MAX_N >= 1024
+        for name, command in cli.COMMANDS.items():
+            params = {param.name: param for param in command.params}
+            if "N" not in params:
+                continue
+            N = params["N"]
+            N.read(N.default)
+            if name == "counterexample":
+                assert N.read("8,8,8,8,16,32,64,128,256,512,1024")[-1] == 1024
+                with pytest.raises(cli.ConfigError, match="^N:"):
+                    N.read(f"8,{cli.MAX_N + 1}")
+            else:
+                assert N.read("128") == 128 and N.read("1024") == 1024
+                assert N.read(str(cli.MAX_N)) == cli.MAX_N
+                with pytest.raises(cli.ConfigError, match="^N:"):
+                    N.read(str(cli.MAX_N + 1))
 
 
 class TestReproducibility:

@@ -14,7 +14,7 @@ from qsobolev.embedding import (
     subgroup_points,
     verify_embedding_chain,
 )
-from qsobolev.groups import HaarConvention, l_q_norm, make_group
+from qsobolev.groups import PhaseFunction, l_q_norm, make_group
 from qsobolev.sobolev import SobolevSpec, make_weight_constant, make_weight_euclidean
 from qsobolev.weyl import make_weyl_system
 
@@ -68,22 +68,19 @@ class TestMultiplierNorm:
         # gamma = 1 makes the multiplier constant 1/2; total dual mass is 4.
         dual = make_group([4, 4])
         weight = make_weight_constant(dual, 1.0)
-        conv = HaarConvention(1.0, 0.25)
-        assert multiplier_norm(weight, 2.0, 1.0, False, conv) == pytest.approx(2.0)
+        assert multiplier_norm(weight, 2.0, 1.0, False) == pytest.approx(2.0)
 
     def test_sup_norm(self):
         dual = make_group([4, 4])
         weight = make_weight_euclidean(dual)
-        conv = HaarConvention(1.0, 0.25)
         expected = (1.0 + float(np.min(weight.values)) ** 2) ** (-1.0)
-        assert multiplier_norm(weight, 2.0, math.inf, False, conv) == pytest.approx(expected)
+        assert multiplier_norm(weight, 2.0, math.inf, False) == pytest.approx(expected)
 
     def test_homogeneous_brute_force(self):
         dual = make_group([4, 4])
         weight = make_weight_euclidean(dual)
-        conv = HaarConvention(1.0, 0.25)
         expected = sum(g ** (-1.0 * 2.0) * 0.25 for g in weight.values) ** 0.5
-        assert multiplier_norm(weight, 1.0, 2.0, True, conv) == pytest.approx(expected, rel=1e-13)
+        assert multiplier_norm(weight, 1.0, 2.0, True) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.fixture(scope="module")
@@ -151,20 +148,39 @@ class TestEmbeddingChain:
             verify_embedding_chain(system, spec, alpha=4.0, beta_choice="guess")
 
 
+def as_points(indices, N):
+    # Flat row-major indices back to (a, b) tuples.
+    return [divmod(int(i), N) for i in indices]
+
+
+def sorted_ball_oracle(N, k):
+    # Oracle: every point sorted by (r^2, point), with symmetric representatives.
+    def rep(r):
+        return r if 2 * r <= N else r - N
+
+    points = [(a, b) for a in range(N) for b in range(N)]
+    return sorted(points, key=lambda p: (rep(p[0]) ** 2 + rep(p[1]) ** 2, p))[:k]
+
+
 class TestSetSelectors:
     def test_lex_prefix(self):
         group = make_group([4, 4])
-        assert lex_first_points(group, 3) == [(0, 0), (0, 1), (0, 2)]
+        assert as_points(lex_first_points(group, 3), 4) == [(0, 0), (0, 1), (0, 2)]
 
     def test_ball_centers_on_origin(self):
         group = make_group([4, 4])
-        pts = ball_points(group, 5)
+        pts = as_points(ball_points(group, 5), 4)
         assert pts[0] == (0, 0)
         assert set(pts) == {(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)}
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16, 64])
+    def test_ball_order_matches_sorted_oracle(self, N):
+        for k in sorted({1, N, max(1, N * N // 2), N * N}):
+            assert as_points(ball_points(make_group([N, N]), k), N) == sorted_ball_oracle(N, k)
+
     def test_subgroup_stride(self):
         group = make_group([8, 8])
-        assert subgroup_points(group, 4) == [(0, 0), (0, 2), (0, 4), (0, 6)]
+        assert as_points(subgroup_points(group, 4), 8) == [(0, 0), (0, 2), (0, 4), (0, 6)]
 
     def test_subgroup_requires_divisor(self):
         group = make_group([8, 8])
@@ -192,20 +208,16 @@ class TestCounterexample:
         system = make_weyl_system(16)
         vals = np.zeros(256, dtype=complex)
         vals[0] = (1.0 / 16.0) ** (-0.25)
-        from qsobolev.groups import PhaseFunction
-
-        a = PhaseFunction(system.group, vals, system.haar)
+        a = PhaseFunction(system.group, vals)
         assert l_q_norm(a, 8.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_full_support_flat_case(self):
         # E = whole dual: eps = N and ||a||_rho = eps^(1/rho - 1/q) is the
         # smallest generator norm in any sweep.
         system = make_weyl_system(4)
-        from qsobolev.groups import PhaseFunction
-
         eps = 4.0
         vals = np.full(16, eps ** (-0.25), dtype=complex)
-        a = PhaseFunction(system.group, vals, system.haar)
+        a = PhaseFunction(system.group, vals)
         assert l_q_norm(a, 4.0) == pytest.approx(1.0, abs=1e-13)
         assert l_q_norm(a, 8.0) == pytest.approx(eps ** (1.0 / 8.0 - 1.0 / 4.0), rel=1e-13)
 
@@ -219,6 +231,16 @@ class TestCounterexample:
                 pt.epsilon ** (-1.0 / 8.0), rel=1e-12
             )
         assert report.fitted_slope == pytest.approx(-1.0 / 8.0, abs=1e-10)
+
+    def test_subgroup_sweep_to_1024(self):
+        # The flat-spectrum sweep run out to N = 1024: three decades of measure.
+        dims = [8, 8, 8, 8] + [2**j for j in range(4, 11)]
+        sizes = [8, 4, 2, 1] + [1] * 7
+        report = counterexample_run([make_weyl_system(n) for n in dims], 4.0, 8.0, "subgroup", sizes)
+        assert abs(report.fitted_slope - (-0.125)) <= 1e-9
+        assert report.decades_spanned >= 3.0
+        norms = [pt.schatten_beta_norm for pt in report.points]
+        assert all(b > a for a, b in zip(norms, norms[1:]))
 
     def test_subgroup_sweep_exact_slope(self):
         systems = [make_weyl_system(n) for n in (8, 8, 8, 8, 16, 32)]
@@ -260,11 +282,7 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             counterexample_run([system, system], 4.0, 8.0, "lex", [2, 2])
 
-    def test_custom_selector_callable(self):
-        def corner(group, k):
-            return lex_first_points(group, k)
-
-        report = counterexample_run(
-            [make_weyl_system(4), make_weyl_system(8)], 4.0, 8.0, corner, [1, 1]
-        )
-        assert report.selector == "corner"
+    def test_unknown_selector_name(self):
+        systems = [make_weyl_system(4), make_weyl_system(8)]
+        with pytest.raises(ValueError, match="selector"):
+            counterexample_run(systems, 4.0, 8.0, "corner", [1, 1])

@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsobolev.groups import (
-    FiniteAbelianGroup,
-    HaarConvention,
     PhaseFunction,
-    character,
-    group_neg,
-    group_sum,
+    PhaseSpaceGrid,
     l_q_norm,
     lq_table_norm,
     make_group,
@@ -25,144 +21,125 @@ def brute_lq(values, q, mass):
     return sum(abs(v) ** q * mass for v in values) ** (1.0 / q)
 
 
+def grid_points(N):
+    # Oracle enumeration: row-major (a, b) tuples, last coordinate fastest.
+    return [(a, b) for a in range(N) for b in range(N)]
+
+
 class TestMakeGroup:
     def test_single_cyclic_factor(self):
-        assert make_group([4]).total_order == 4
+        # Only the square grid Z_N x Z_N exists: one cyclic factor is rejected.
+        with pytest.raises(ValueError):
+            make_group([4])
 
     def test_product_order(self):
-        assert make_group([2, 3]).total_order == 6
+        assert make_group([3, 3]).size == 9
+        assert make_group([3, 3]) == PhaseSpaceGrid(3)
+        with pytest.raises(ValueError):
+            make_group([2, 3])
 
     def test_trivial_group(self):
-        g = make_group([1])
-        assert g.total_order == 1
-        assert list(g.points()) == [(0,)]
+        g = make_group([1, 1])
+        assert g.size == 1
+        assert g.coordinates.tolist() == [[0], [0]]
 
     def test_rejects_empty_and_nonpositive(self):
+        for orders in ([], [4, 0], [0, 0], [-2, -2], [-2], [4, 4, 4]):
+            with pytest.raises(ValueError):
+                make_group(orders)
         with pytest.raises(ValueError):
-            make_group([])
-        with pytest.raises(ValueError):
-            make_group([4, 0])
-        with pytest.raises(ValueError):
-            make_group([-2])
+            PhaseSpaceGrid(2.5)
 
     def test_enumeration_is_lexicographic(self):
-        g = make_group([2, 3])
-        pts = list(g.points())
-        assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-        for i, p in enumerate(pts):
-            assert g.index(p) == i
-            assert g.point_at(i) == p
+        for N in (1, 2, 3, 5):
+            a, b = make_group([N, N]).coordinates
+            pts = list(zip(a.tolist(), b.tolist()))
+            assert pts == grid_points(N)
+            assert [x * N + y for x, y in pts] == list(range(N * N))
 
-
-class TestCharacter:
-    def test_z4_generator(self):
-        g = make_group([4])
-        assert character(g, (1,), (1,)) == pytest.approx(1j)
-
-    def test_trivial_character(self):
-        g = make_group([7])
-        for x in g.points():
-            assert character(g, (0,), x) == pytest.approx(1.0)
-
-    def test_z2_z2_diagonal(self):
-        # (-1) * (-1) by direct evaluation of the two factors.
-        g = make_group([2, 2])
-        assert character(g, (1, 1), (1, 1)) == pytest.approx(1.0)
-
-    def test_out_of_range_rejected(self):
-        g = make_group([4])
-        with pytest.raises(ValueError):
-            character(g, (4,), (0,))
-        with pytest.raises(ValueError):
-            character(g, (0,), (-1,))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_unit_modulus_and_homomorphism(self, data):
-        orders = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
-        g = make_group(orders)
-        draw_pt = lambda: tuple(data.draw(st.integers(0, n - 1)) for n in orders)
-        xi, x, y = draw_pt(), draw_pt(), draw_pt()
-        assert abs(abs(character(g, xi, x)) - 1.0) < 1e-14
-        lhs = character(g, xi, group_sum(g, x, y))
-        rhs = character(g, xi, x) * character(g, xi, y)
-        assert lhs == pytest.approx(rhs, abs=1e-13)
-
-    @pytest.mark.parametrize("orders", [[4], [2, 3], [8], [2, 2, 2], [8, 8], [64]])
-    def test_orthogonality_exhaustive(self, orders):
-        # sum_x chi_xi(x) conj(chi_eta(x)) = |G| delta_{xi,eta}, |G| <= 64.
-        g = make_group(orders)
-        pts = list(g.points())
-        table = np.array([[character(g, xi, x) for x in pts] for xi in pts])
-        gram = table @ table.conj().T
-        assert np.max(np.abs(gram - g.total_order * np.eye(g.total_order))) < 1e-11
+    def test_require_point(self):
+        g = make_group([4, 4])
+        assert g.require_point((3, 1)) == (3, 1)
+        assert g.require_point([np.int64(2), 0.0]) == (2, 0)
+        for bad in [(4, 0), (0, -1), (1, 1.5), (1,), (1, 2, 3)]:
+            with pytest.raises(ValueError):
+                g.require_point(bad)
 
 
 class TestGroupArithmetic:
+    # Flat-index tables against tuple arithmetic mod N on every pair of points.
     def test_mod_4_sum(self):
-        g = make_group([4])
-        assert group_sum(g, (3,), (2,)) == (1,)
+        g = make_group([4, 4])
+        pts = grid_points(4)
+        table = g.sum_index()
+        assert pts[table[pts.index((3, 1)), pts.index((2, 3))]] == (1, 0)
+        for i, (a, b) in enumerate(pts):
+            for j, (c, d) in enumerate(pts):
+                assert pts[table[i, j]] == ((a + c) % 4, (b + d) % 4)
 
     def test_neg(self):
-        g = make_group([4])
-        assert group_neg(g, (1,)) == (3,)
+        g = make_group([4, 4])
+        pts = grid_points(4)
+        assert [pts[i] for i in g.neg_index()] == [((-a) % 4, (-b) % 4) for a, b in pts]
 
     def test_product_sum(self):
-        g = make_group([2, 3])
-        assert group_sum(g, (1, 2), (1, 2)) == (0, 1)
+        g = make_group([3, 3])
+        pts = grid_points(3)
+        assert pts[g.sum_index()[pts.index((1, 2)), pts.index((1, 2))]] == (2, 1)
 
     def test_sum_with_neg_is_identity(self):
-        g = make_group([5, 3])
-        for x in g.points():
-            assert group_sum(g, x, group_neg(g, x)) == g.identity
+        for N in (1, 2, 5, 6):
+            g = make_group([N, N])
+            table = g.sum_index()
+            assert np.all(table[np.arange(N * N), g.neg_index()] == 0)
 
 
 class TestLqNorm:
     def dual16(self):
-        return make_group([4, 4]), HaarConvention(1.0, 0.25)
+        # The N = 4 grid has 16 dual points of mass 1/4.
+        return make_group([4, 4])
 
     def test_constant_one_total_mass(self):
-        g, conv = self.dual16()
-        f = PhaseFunction(g, np.ones(16), conv)
+        g = self.dual16()
+        f = PhaseFunction(g, np.ones(16))
         assert l_q_norm(f, 1.0) == pytest.approx(4.0)
 
     def test_constant_sup(self):
-        g, conv = self.dual16()
-        f = PhaseFunction(g, np.ones(16), conv)
+        g = self.dual16()
+        f = PhaseFunction(g, np.ones(16))
         assert l_q_norm(f, math.inf) == pytest.approx(1.0)
 
     def test_indicator_l2(self):
-        g, conv = self.dual16()
+        g = self.dual16()
         vals = np.zeros(16)
         vals[[1, 5, 11]] = 1.0
-        f = PhaseFunction(g, vals, conv)
+        f = PhaseFunction(g, vals)
         assert l_q_norm(f, 2.0) == pytest.approx(brute_lq(vals, 2.0, 0.25))
         assert l_q_norm(f, 2.0) == pytest.approx(math.sqrt(3 * 0.25))
 
     def test_matches_brute_force(self):
-        g, conv = self.dual16()
+        g = self.dual16()
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        f = PhaseFunction(g, vals, conv)
+        f = PhaseFunction(g, vals)
         for q in (0.5, 1.0, 1.7, 2.0, 4.0, math.inf):
             assert l_q_norm(f, q) == pytest.approx(brute_lq(vals, q, 0.25), rel=1e-13)
 
     def test_rejects_bad_exponent(self):
-        g, conv = self.dual16()
-        f = PhaseFunction(g, np.ones(16), conv)
+        g = self.dual16()
+        f = PhaseFunction(g, np.ones(16))
         with pytest.raises(ValueError):
             l_q_norm(f, 0.0)
         with pytest.raises(ValueError):
             l_q_norm(f, -1.0)
 
     def test_zero_function(self):
-        g, conv = self.dual16()
-        f = PhaseFunction.zero(g, conv)
+        g = self.dual16()
+        f = PhaseFunction(g, np.zeros(16))
         assert l_q_norm(f, 2.0) == 0.0
         assert l_q_norm(f, math.inf) == 0.0
 
     def test_pointwise_monotone(self):
-        g, conv = self.dual16()
         rng = np.random.default_rng(11)
         small = np.abs(rng.standard_normal(16))
         big = small + np.abs(rng.standard_normal(16))
@@ -176,17 +153,16 @@ class TestLqNorm:
         st.floats(1.0, 20.0),
     )
     def test_triangle_inequality(self, u, v, q):
-        g, conv = self.dual16()
-        fu = PhaseFunction(g, np.array(u), conv)
-        fv = PhaseFunction(g, np.array(v), conv)
-        fsum = PhaseFunction(g, fu.values + fv.values, conv)
+        g = self.dual16()
+        fu = PhaseFunction(g, np.array(u))
+        fv = PhaseFunction(g, np.array(v))
+        fsum = PhaseFunction(g, fu.values + fv.values)
         lhs = l_q_norm(fsum, q)
         rhs = l_q_norm(fu, q) + l_q_norm(fv, q)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
     def test_holder_on_dual(self):
         # ||fg||_sigma <= ||f||_alpha ||g||_q with 1/sigma = 1/alpha + 1/q.
-        g, conv = self.dual16()
         rng = np.random.default_rng(23)
         for trial in range(200):
             f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -203,21 +179,24 @@ class TestPhaseFunction:
     def test_shape_validation(self):
         g = make_group([4, 4])
         with pytest.raises(ValueError):
-            PhaseFunction(g, np.ones(5), HaarConvention.counting())
+            PhaseFunction(g, np.ones(5))
 
     def test_finiteness_validation(self):
-        g = make_group([2])
+        g = make_group([2, 2])
         with pytest.raises(ValueError):
-            PhaseFunction(g, np.array([1.0, np.nan]), HaarConvention.counting())
+            PhaseFunction(g, np.array([1.0, np.nan, 0.0, 0.0]))
 
     def test_delta_and_value_at(self):
+        # The value at (a, b) sits at the row-major index a*N + b.
         g = make_group([4, 4])
-        f = PhaseFunction.delta(g, (1, 2), HaarConvention.counting(), amplitude=2j)
-        assert f.value_at((1, 2)) == 2j
-        assert f.value_at((0, 0)) == 0
+        f = PhaseFunction.delta(g, (1, 2), amplitude=2j)
+        expected = np.zeros(16, dtype=complex)
+        expected[1 * 4 + 2] = 2j
+        assert np.array_equal(f.values, expected)
+        with pytest.raises(ValueError):
+            PhaseFunction.delta(g, (4, 0))
 
     def test_haar_positivity(self):
-        with pytest.raises(ValueError):
-            HaarConvention(0.0, 1.0)
-        with pytest.raises(ValueError):
-            HaarConvention(1.0, -0.5)
+        # The dual Haar mass is 1/N > 0 on every grid.
+        for N in (1, 2, 8, 1024):
+            assert make_group([N, N]).dual_mass == 1.0 / N > 0.0

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qsobolev.groups import PhaseFunction, l_q_norm, make_group
+from qsobolev.groups import PhaseFunction, l_q_norm, make_group, symmetric_representative
 from qsobolev.linalg import trace_pairing, schatten_norm
 from qsobolev.qft import qft_forward, random_operator, trial_rng
 from qsobolev.sobolev import (
@@ -21,10 +21,20 @@ from qsobolev.sobolev import (
     phi_map,
     recover_generator,
     sobolev_norm,
-    symmetric_representative,
     verify_norm_axioms,
 )
 from qsobolev.weyl import make_weyl_system, weyl_operator
+
+
+def scalar_representative(residue, order):
+    # Oracle: the scalar loop form of the (-order/2, order/2] window.
+    r = residue % order
+    return r if 2 * r <= order else r - order
+
+
+def index(point, N):
+    # Row-major position of the point (a, b) on the N x N dual grid.
+    return point[0] * N + point[1]
 
 
 @pytest.fixture(scope="module")
@@ -39,24 +49,35 @@ def w4(sys4):
 
 class TestWeights:
     def test_origin_floor(self, w4):
-        assert w4.value_at((0, 0)) == pytest.approx(1.0)
+        assert w4.values[index((0, 0), 4)] == pytest.approx(1.0)
 
     def test_symmetric_representative_wraps(self):
         dual = make_group([8, 8])
         w = make_weight_euclidean(dual)
-        assert w.value_at((7, 0)) == pytest.approx(math.sqrt(2.0))
+        assert w.values[index((7, 0), 8)] == pytest.approx(math.sqrt(2.0))
 
     def test_boundary_representative(self):
         dual = make_group([8, 8])
         w = make_weight_euclidean(dual)
-        assert w.value_at((4, 4)) == pytest.approx(math.sqrt(33.0))
+        assert w.values[index((4, 4), 8)] == pytest.approx(math.sqrt(33.0))
 
     def test_representative_window(self):
-        for n in (2, 3, 4, 7, 8):
-            for r in range(n):
-                rep = symmetric_representative(r, n)
-                assert -n / 2 < rep <= n / 2
-                assert (rep - r) % n == 0
+        for n in (1, 2, 3, 4, 7, 8):
+            residues = np.arange(-2 * n, 2 * n + 1)
+            rep = symmetric_representative(residues, n)
+            assert rep.tolist() == [scalar_representative(int(r), n) for r in residues]
+            assert np.all((-n / 2 < rep) & (rep <= n / 2))
+            assert np.all((rep - residues) % n == 0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16])
+    def test_euclidean_matches_scalar_loop(self, N):
+        dual = make_group([N, N])
+        expected = [
+            math.sqrt(scalar_representative(a, N) ** 2 + scalar_representative(b, N) ** 2 + 1.0)
+            for a in range(N)
+            for b in range(N)
+        ]
+        assert make_weight_euclidean(dual).values.tolist() == expected
 
     def test_constant_weight(self, sys4):
         w = make_weight_constant(sys4.group, 2.5)
@@ -152,20 +173,20 @@ class TestSobolevNorm:
 class TestTestFamily:
     def test_zero_generator(self, sys4, w4):
         spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
-        elem = make_test_element(sys4, spec, PhaseFunction.zero(sys4.group, sys4.haar))
+        elem = make_test_element(sys4, spec, PhaseFunction(sys4.group, np.zeros(16)))
         assert np.all(elem.operator == 0)
         assert elem.negative_norm == 0.0
 
     def test_delta_generator_positive_sign(self, sys4, w4):
         # Weight 2 at the origin, reconstruction mass 1/N: W = (2/N) I.
         spec = SobolevSpec(s=2.0, p=4.0 / 3.0, weight=w4)
-        phi = PhaseFunction.delta(sys4.group, (0, 0), sys4.haar)
+        phi = PhaseFunction.delta(sys4.group, (0, 0))
         elem = make_test_element(sys4, spec, phi, sign=+1)
         assert np.allclose(elem.operator, (2.0 / 4.0) * np.eye(4))
 
     def test_delta_generator_negative_sign(self, sys4, w4):
         spec = SobolevSpec(s=2.0, p=4.0 / 3.0, weight=w4)
-        phi = PhaseFunction.delta(sys4.group, (0, 0), sys4.haar)
+        phi = PhaseFunction.delta(sys4.group, (0, 0))
         elem = make_test_element(sys4, spec, phi, sign=-1)
         assert np.allclose(elem.operator, (0.5 / 4.0) * np.eye(4))
 
@@ -173,7 +194,7 @@ class TestTestFamily:
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=w4)
         rng = np.random.default_rng(11)
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        phi = PhaseFunction(sys4.group, vals, sys4.haar)
+        phi = PhaseFunction(sys4.group, vals)
         elem = make_test_element(sys4, spec, phi)
         assert elem.negative_norm == pytest.approx(l_q_norm(phi, spec.q))
 
@@ -181,7 +202,7 @@ class TestTestFamily:
         spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
         rng = np.random.default_rng(13)
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        phi = PhaseFunction(sys4.group, vals, sys4.haar)
+        phi = PhaseFunction(sys4.group, vals)
         for sign in (-1, 1):
             elem = make_test_element(sys4, spec, phi, sign)
             back = recover_generator(sys4, spec, elem)
@@ -194,9 +215,9 @@ class TestTestFamily:
         v2 = np.zeros(16, dtype=complex)
         v1[[0, 3, 5]] = [1.0, 2.0, -1.0j]
         v2[[7, 9]] = [0.5, 3.0]
-        e1 = make_test_element(sys4, spec, PhaseFunction(sys4.group, v1, sys4.haar))
-        e2 = make_test_element(sys4, spec, PhaseFunction(sys4.group, v2, sys4.haar))
-        esum = make_test_element(sys4, spec, PhaseFunction(sys4.group, v1 + v2, sys4.haar))
+        e1 = make_test_element(sys4, spec, PhaseFunction(sys4.group, v1))
+        e2 = make_test_element(sys4, spec, PhaseFunction(sys4.group, v2))
+        esum = make_test_element(sys4, spec, PhaseFunction(sys4.group, v1 + v2))
         q = spec.q
         assert esum.negative_norm == pytest.approx(
             (e1.negative_norm**q + e2.negative_norm**q) ** (1.0 / q), rel=1e-13
@@ -205,7 +226,7 @@ class TestTestFamily:
     def test_sign_validation(self, sys4, w4):
         spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
         with pytest.raises(ValueError):
-            make_test_element(sys4, spec, PhaseFunction.zero(sys4.group, sys4.haar), sign=2)
+            make_test_element(sys4, spec, PhaseFunction(sys4.group, np.zeros(16)), sign=2)
 
 
 class TestPairingBound:
@@ -217,13 +238,13 @@ class TestPairingBound:
         spec = SobolevSpec(s=s, p=4.0 / 3.0, weight=w4)
         for sign in (-1, 1):
             for xi in [(0, 0), (1, 2), (3, 1)]:
-                phi = PhaseFunction.delta(sys4.group, xi, sys4.haar)
+                phi = PhaseFunction.delta(sys4.group, xi)
                 elem = make_test_element(sys4, spec, phi, sign)
                 T = (2.0 - 1.0j) * np.asarray(weyl_operator(sys4, xi))
                 ratio = abs(trace_pairing(T, elem.operator)) / (
                     schatten_norm(T, p) * elem.negative_norm
                 )
-                expected = (1.0 + w4.value_at(xi) ** 2) ** (sign * s / 2.0)
+                expected = (1.0 + w4.values[index(xi, 4)] ** 2) ** (sign * s / 2.0)
                 assert ratio == pytest.approx(expected, rel=1e-12)
 
     def test_harness_respects_bound(self):

@@ -8,9 +8,14 @@ from qsobolev.weyl import (
     check_axioms,
     extract_multiplier,
     make_weyl_system,
-    phase_space_convention,
     weyl_operator,
 )
+from qsobolev.groups import make_group
+
+
+def grid_points(N):
+    # Oracle enumeration: row-major (a, b) tuples, last coordinate fastest.
+    return [(a, b) for a in range(N) for b in range(N)]
 
 
 class TestWeylOperator:
@@ -44,7 +49,7 @@ class TestWeylOperator:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8])
     def test_unitarity_exhaustive(self, N, convention):
         system = make_weyl_system(N, convention)
-        for x in system.group.points():
+        for x in grid_points(N):
             op = weyl_operator(system, x)
             assert np.linalg.norm(op.conj().T @ op - np.eye(N)) < 1e-12
 
@@ -52,7 +57,7 @@ class TestWeylOperator:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8])
     def test_trace_orthogonality_exhaustive(self, N, convention):
         system = make_weyl_system(N, convention)
-        ops = [weyl_operator(system, x) for x in system.group.points()]
+        ops = [weyl_operator(system, x) for x in grid_points(N)]
         V = np.stack([op.ravel() for op in ops])
         gram = V.conj() @ V.T
         assert np.max(np.abs(gram - N * np.eye(N * N))) < 1e-11
@@ -77,9 +82,10 @@ class TestWeylOperator:
             op[0, 0] = 5.0
 
     def test_convention(self):
-        conv = phase_space_convention(8)
-        assert conv.mass_per_point_group == 1.0
-        assert conv.mass_per_point_dual == pytest.approx(1.0 / 8.0)
+        # Mass 1/N per dual point on the system's N x N grid: Plancherel constant 1.
+        system = make_weyl_system(8)
+        assert system.group == make_group([8, 8])
+        assert system.group.dual_mass == 1.0 / 8.0
 
 
 class TestMultiplier:
@@ -109,8 +115,8 @@ class TestMultiplier:
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     def test_composition_residual(self, convention):
         system = make_weyl_system(4, convention)
-        for x in system.group.points():
-            for y in system.group.points():
+        for x in grid_points(4):
+            for y in grid_points(4):
                 m = extract_multiplier(system, x, y)
                 z = tuple((a + b) % 4 for a, b in zip(x, y))
                 residual = weyl_operator(system, x) @ weyl_operator(system, y) - m * weyl_operator(system, z)
@@ -169,6 +175,25 @@ class TestCheckAxioms:
         report = check_axioms(make_weyl_system(2, "symmetric"))
         assert report.check("inverse_conjugation_swapped").passed
         assert not report.check("inverse_conjugation").passed
+
+    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_pairwise_deviations_match_tuple_oracle(self, N, convention):
+        # Worst deviations recomputed pair by pair with tuple arithmetic mod N.
+        system = make_weyl_system(N, convention)
+        pts = grid_points(N)
+        m = {(x, y): extract_multiplier(system, x, y) for x in pts for y in pts}
+        neg = lambda x: ((-x[0]) % N, (-x[1]) % N)
+        worst_inv = max(abs(m[x, y] - np.conj(m[neg(x), neg(y)])) for x in pts for y in pts)
+        worst_swap = max(abs(m[x, y] - np.conj(m[neg(y), neg(x)])) for x in pts for y in pts)
+        report = check_axioms(system)
+        assert report.check("inverse_conjugation").worst_deviation == pytest.approx(worst_inv, abs=1e-12)
+        assert report.check("inverse_conjugation_swapped").worst_deviation == pytest.approx(
+            worst_swap, abs=1e-12
+        )
+        witness = report.check("inverse_conjugation").witness
+        x, y = tuple(witness["x"]), tuple(witness["y"])
+        assert abs(m[x, y] - np.conj(m[neg(x), neg(y)])) == pytest.approx(worst_inv, abs=1e-12)
 
     def test_axiom3_rows_are_informational(self):
         report = check_axioms(make_weyl_system(4))
