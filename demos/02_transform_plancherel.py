@@ -33,9 +33,10 @@ print()
 print("norm inequality ratios (must stay <= 1), 300 draws per cell:")
 print(f"  {'p':>8s} {'q':>8s} {'forward':>12s} {'inverse':>12s}")
 rows = []
-for p in (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0):
-    fwd = verify_hausdorff_young(system, p, "forward", 300, 11)
-    inv = verify_hausdorff_young(system, p, "inverse", 300, 11)
+exponents = (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0)
+forward = verify_hausdorff_young(system, exponents, "forward", 300, 11)
+inverse = verify_hausdorff_young(system, exponents, "inverse", 300, 11)
+for p, fwd, inv in zip(exponents, forward, inverse):
     rows.append((p, fwd.q, fwd.worst_ratio, inv.worst_ratio))
     print(f"  {p:8.4f} {fwd.q:8.4f} {fwd.worst_ratio:12.8f} {inv.worst_ratio:12.8f}")
 

@@ -47,7 +47,7 @@ for sign in (+1, -1):
     print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {elem.negative_norm:.4f}")
 print()
 
-bound = pairing_bound_estimate(system, p=4.0, s=1.0, weight=weight, sign=-1, trials=400, seed=5)
+(bound,) = pairing_bound_estimate(system, p=4.0, s=1.0, weight=weight, signs=(-1,), trials=400, seed=5)
 print(f"pairing ratios over 400 draws (p=4, s=1): max {bound.max_ratio:.4f} "
       f"vs analytic bound {bound.analytic_bound:.4f} -> satisfied: {bound.satisfied}")
 

@@ -15,7 +15,8 @@ a contract CI can consume directly:
 
 Each subcommand is one :class:`Command` with a table of typed parameters whose
 parsers read flags, config-file values and defaults alike.  Every dimension
-``N`` is capped at ``MAX_N`` by its parser, before anything is allocated.
+``N`` is capped by its parser, before anything is allocated: at ``MAX_N``, or
+at ``AXIOM_CHECK_MAX_N`` for the exhaustive axiom check.
 Reports are byte-identical across runs with the same config apart from the
 single ``timestamp`` field; CSV output carries no timestamp at all.
 """
@@ -58,7 +59,13 @@ from .sobolev import (
     pairing_bound_estimate,
     verify_norm_axioms,
 )
-from .weyl import CONVENTIONS, RepresentationError, check_axioms, make_weyl_system
+from .weyl import (
+    AXIOM_CHECK_MAX_N,
+    CONVENTIONS,
+    RepresentationError,
+    check_axioms,
+    make_weyl_system,
+)
 
 OUTPUT_DIR_ENV = "QSOBOLEV_OUTPUT_DIR"
 
@@ -124,14 +131,20 @@ parse_positive_int = partial(_parse_int, minimum=1)
 parse_nonnegative_int = partial(_parse_int, minimum=0)
 
 
-def parse_dimension(text) -> int:
-    """A Hilbert dimension N in [1, MAX_N], the cap set by the memory budget."""
-    N = parse_positive_int(text)
-    if N > MAX_N:
-        raise ConfigError(
-            f"expected at most {MAX_N} (the {MEMORY_BUDGET_BYTES >> 30} GiB memory budget), got {N}"
-        )
-    return N
+def dimension_at_most(limit: int, reason: str) -> Callable[[object], int]:
+    """Parser for a Hilbert dimension N in [1, limit]; ``reason`` names what sets the cap."""
+
+    def parse(text) -> int:
+        N = parse_positive_int(text)
+        if N > limit:
+            raise ConfigError(f"expected at most {limit} ({reason}), got {N}")
+        return N
+
+    return parse
+
+
+#: A dimension N in [1, MAX_N], the cap set by the memory budget.
+parse_dimension = dimension_at_most(MAX_N, f"the {MEMORY_BUDGET_BYTES >> 30} GiB memory budget")
 
 
 def parse_bool(text) -> bool:
@@ -336,16 +349,20 @@ def run_hausdorff_young(config: dict):
     trials = config["trials"]
     seed = config["seed"]
     slack = config["tolerances"]["ratio_slack"]
+    # Each direction draws its trials once and measures every exponent on them.
+    by_direction = [
+        verify_hausdorff_young(system, config["p"], direction, trials, seed)
+        for direction in DIRECTIONS[config["direction"]]
+    ]
     runs = []
     passed = True
     rows = []
-    for p in config["p"]:
-        for direction in DIRECTIONS[config["direction"]]:
-            rep = verify_hausdorff_young(system, p, direction, trials, seed)
+    for reports in zip(*by_direction):  # exponent-major, as listed in --p
+        for rep in reports:
             ok = rep.worst_ratio <= 1.0 + slack
             passed = passed and ok
             runs.append(rep.to_dict() | {"passed": ok})
-            rows.append([rep.p, rep.q, direction, config["N"], trials, seed, rep.worst_ratio, rep.skipped, ok])
+            rows.append([rep.p, rep.q, rep.direction, config["N"], trials, seed, rep.worst_ratio, rep.skipped, ok])
     results = {"runs": runs}
     # Reported, never asserted: whether the endpoint exponents bound the
     # interior maxima in this sample.
@@ -392,10 +409,11 @@ def run_pairing(config: dict):
     results = {"pairing": [], "nondegeneracy": []}
     passed = True
     rows = []
-    for sign in SIGNS[config["sign"]]:
-        bound = pairing_bound_estimate(
-            system, p, s, weight, sign=sign, trials=trials, seed=seed, tolerance=tol["pairing_slack"]
-        )
+    signs = SIGNS[config["sign"]]
+    bounds = pairing_bound_estimate(
+        system, p, s, weight, signs=signs, trials=trials, seed=seed, tolerance=tol["pairing_slack"]
+    )
+    for sign, bound in zip(signs, bounds):
         passed = passed and bound.satisfied
         results["pairing"].append(bound.to_dict())
         rows.append(["pairing", sign, bound.max_ratio, bound.analytic_bound, bound.satisfied])
@@ -484,7 +502,8 @@ COMMANDS: dict[str, Command] = {
         run_axioms, "exhaustive Weyl-system identity checks",
         {"composition": 1e-11, "modulus": 1e-12, "unitarity": 1e-12, "orthogonality": 1e-11,
          "cocycle": 1e-11},
-        (Param("N", parse_dimension, 4), Param("convention", Choice(CONVENTIONS), "standard")),
+        (Param("N", dimension_at_most(AXIOM_CHECK_MAX_N, "the exhaustive axiom check"), 4),
+         Param("convention", Choice(CONVENTIONS), "standard")),
     ),
     "plancherel": Command(
         run_plancherel, "norm preservation and round-trips of the transform",

@@ -25,8 +25,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
-from .linalg import schatten_norm
-from .qft import conjugate_exponent, qft_forward, qft_inverse, random_operator, trial_rng
+from .linalg import schatten_norm, singular_values
+from .qft import (
+    conjugate_exponent,
+    kept_ratios,
+    qft_forward,
+    qft_inverse,
+    operator_draw,
+    run_trials,
+    worst_trial,
+)
 from .sobolev import SobolevSpec, Weight, bessel_multiplier, sobolev_norm
 from .weyl import WeylSystem
 
@@ -149,8 +157,6 @@ def verify_embedding_chain(
     """
     if beta_choice not in ("corrected", "alternate"):
         raise ValueError(f"beta_choice must be 'corrected' or 'alternate', got {beta_choice!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     exponents = compute_exponents(alpha, spec.q, spec.s)
     if not exponents.sigma_in_range:
         raise PreconditionError(
@@ -168,41 +174,23 @@ def verify_embedding_chain(
     else:
         beta_used = beta_corrected
     m_norm = multiplier_norm(spec.weight, spec.s, alpha, spec.homogeneous)
+    betas = [beta_corrected]
+    if exponents.beta_alternate_defined:
+        betas.append(exponents.beta_alternate)
 
-    skipped = 0
-    link1_violations = 0
-    link2_violations = 0
-    violations = 0
-    max_link1 = 0.0
-    max_link2 = 0.0
-    max_ratio = 0.0
-    ratios_corrected: list[float] = []
-    ratios_alternate: list[float] | None = [] if exponents.beta_alternate_defined else None
-    for k in range(trials):
-        T = random_operator(trial_rng(seed, k), system.N)
-        snorm = sobolev_norm(system, T, spec)
-        if snorm == 0.0:
-            skipped += 1
-            continue
-        f_sigma = l_q_norm(qft_forward(system, T), sigma)
-        link1 = f_sigma / (m_norm * snorm)
-        max_link1 = max(max_link1, link1)
-        if link1 > 1.0 + link1_tol:
-            link1_violations += 1
-        s_sigma_prime = schatten_norm(T, beta_corrected)
-        if f_sigma > 0.0:
-            link2 = s_sigma_prime / f_sigma
-            max_link2 = max(max_link2, link2)
-            if link2 > 1.0 + link2_tol:
-                link2_violations += 1
-        ratio_corrected = s_sigma_prime / snorm
-        ratios_corrected.append(ratio_corrected)
-        if ratios_alternate is not None:
-            ratios_alternate.append(schatten_norm(T, exponents.beta_alternate) / snorm)
-        ratio_used = ratio_corrected if beta_choice == "corrected" else ratios_alternate[-1]
-        max_ratio = max(max_ratio, ratio_used)
-        if ratio_used > m_norm * (1.0 + composite_tol):
-            violations += 1
+    def measure(T):
+        s = singular_values(T)
+        return (
+            sobolev_norm(system, T, spec),
+            l_q_norm(qft_forward(system, T), sigma),
+            np.stack([lq_table_norm(s, beta, 1.0) for beta in betas], axis=-1),
+        )
+
+    snorm, f_sigma, schatten = run_trials(system.N, trials, seed, operator_draw(system), measure)
+    link1, kept = kept_ratios(f_sigma, m_norm * snorm)
+    link2, link2_kept = kept_ratios(schatten[:, 0], f_sigma)
+    ratios = [kept_ratios(schatten[:, j], snorm)[0] for j in range(len(betas))]
+    used = ratios[0] if beta_choice == "corrected" else ratios[1]
     return EmbeddingRunReport(
         N=system.N,
         s=spec.s,
@@ -218,15 +206,15 @@ def verify_embedding_chain(
         multiplier_norm=m_norm,
         trials=trials,
         seed=seed,
-        skipped=skipped,
-        violations=violations,
-        link1_violations=link1_violations,
-        link2_violations=link2_violations,
-        max_ratio=max_ratio,
-        max_link1_ratio=max_link1,
-        max_link2_ratio=max_link2,
-        ratios_corrected=tuple(ratios_corrected),
-        ratios_alternate=None if ratios_alternate is None else tuple(ratios_alternate),
+        skipped=int(np.count_nonzero(~kept)),
+        violations=int(np.count_nonzero(kept & (used > m_norm * (1.0 + composite_tol)))),
+        link1_violations=int(np.count_nonzero(kept & (link1 > 1.0 + link1_tol))),
+        link2_violations=int(np.count_nonzero(link2_kept & (link2 > 1.0 + link2_tol))),
+        max_ratio=worst_trial(used, kept)[0],
+        max_link1_ratio=worst_trial(link1, kept)[0],
+        max_link2_ratio=worst_trial(link2, link2_kept)[0],
+        ratios_corrected=tuple(ratios[0][kept].tolist()),
+        ratios_alternate=tuple(ratios[1][kept].tolist()) if len(ratios) > 1 else None,
     )
 
 

@@ -79,15 +79,18 @@ def make_group(orders: Sequence[int]) -> PhaseSpaceGrid:
 
 @dataclass(frozen=True, eq=False)
 class PhaseFunction:
-    """Complex-valued function on the dual grid, stored as a row-major table."""
+    """Complex-valued function on the dual grid, stored as a row-major table.
+
+    Leading axes of ``values`` hold a stack of functions, one table per row.
+    """
 
     group: PhaseSpaceGrid
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.group.size,):
-            raise ValueError(f"value table has shape {vals.shape}, expected ({self.group.size},)")
+        if vals.shape[-1:] != (self.group.size,):
+            raise ValueError(f"value table has shape {vals.shape}, expected (..., {self.group.size})")
         if not np.all(np.isfinite(vals)):
             raise ValueError("phase function values must be finite")
         object.__setattr__(self, "values", vals)
@@ -103,24 +106,28 @@ class PhaseFunction:
         return PhaseFunction(group, vals)
 
 
-def lq_table_norm(values: np.ndarray, q: float, mass_per_point: float) -> float:
-    """Weighted l^q norm (sum |v|^q * mass)^(1/q) of a raw value table.
+def lq_table_norm(values: np.ndarray, q: float, mass_per_point: float):
+    """Weighted l^q norm (sum |v|^q * mass)^(1/q) along the last axis of a value table.
 
+    A stack of tables gives a stack of norms; one table gives a scalar.
     ``q = inf`` returns the max modulus.  Uses numpy's pairwise summation and
     rescales by the max modulus so large exponents neither overflow nor lose
-    accuracy.
+    accuracy.  The final root is the scalar ``pow`` applied element by
+    element: numpy's vectorised power can differ from it in the last bit, and
+    a norm must not depend on whether its table was stacked.
     """
     if math.isnan(q) or q <= 0:
-        raise ValueError(f"exponent q must be positive or inf, got {q}")
+        raise ValueError(f"exponent must be positive or inf, got {q}")
     mods = np.abs(np.asarray(values))
-    if mods.size == 0:
-        return 0.0
-    top = float(np.max(mods))
-    if math.isinf(q) or top == 0.0:
+    top = np.max(mods, axis=-1)
+    if math.isinf(q):
         return top
-    return top * float(np.sum((mods / top) ** q) * mass_per_point) ** (1.0 / q)
+    scale = np.where(top > 0.0, top, 1.0)[..., None]
+    total = np.sum((mods / scale) ** q, axis=-1) * mass_per_point
+    root = np.array([t ** (1.0 / q) for t in total.ravel().tolist()]).reshape(total.shape)
+    return top * root
 
 
-def l_q_norm(f: PhaseFunction, q: float) -> float:
-    """L^q norm of a phase function under the dual mass 1/N of its grid."""
+def l_q_norm(f: PhaseFunction, q: float):
+    """L^q norm of a phase function (or of each in a stack) under the dual mass 1/N."""
     return lq_table_norm(f.values, q, f.group.dual_mass)

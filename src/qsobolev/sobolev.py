@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,11 +22,14 @@ from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from .linalg import schatten_norm, trace_pairing
 from .qft import (
     conjugate_exponent,
+    kept_ratios,
     qft_forward,
     qft_inverse,
+    operator_draw,
     random_operator,
     random_phase_function,
-    trial_rng,
+    run_trials,
+    worst_trial,
 )
 from .weyl import WeylSystem, weyl_operator
 
@@ -128,18 +132,16 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
     transform, and the weighted per-point trace pairings against explicitly
     built Weyl operators.  Costs O(trials * N^4); meant for small N.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     multiplier = bessel_multiplier(spec.weight, spec.s, spec.homogeneous)
-    points = system.group.coordinates.T.tolist()
-    worst = 0.0
-    for k in range(trials):
-        T = random_operator(trial_rng(seed, k), system.N)
+    weyl = np.stack([weyl_operator(system, xi) for xi in system.group.coordinates.T.tolist()])
+
+    def measure(T):
         via_fft = sobolev_norm(system, T, spec)
-        pairings = np.array([trace_pairing(T, weyl_operator(system, xi)) for xi in points])
-        direct = lq_table_norm(multiplier * pairings, spec.q, system.group.dual_mass)
-        worst = max(worst, abs(direct - via_fft))
-    return worst
+        pairings = trace_pairing(T[:, None], weyl)
+        return (np.abs(lq_table_norm(multiplier * pairings, spec.q, system.group.dual_mass) - via_fft),)
+
+    (deviations,) = run_trials(system.N, trials, seed, operator_draw(system), measure)
+    return worst_trial(deviations)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,52 +231,38 @@ def verify_norm_axioms(
     the inhomogeneous one, and definiteness (no vanishing norm on a nonzero
     operator).  Violation counts use relative excess beyond the given slacks.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     base = SobolevSpec(s=spec.s, p=spec.p, weight=spec.weight, homogeneous=False)
     stronger = SobolevSpec(s=2.0 * spec.s, p=spec.p, weight=spec.weight, homogeneous=False)
     hom = SobolevSpec(s=spec.s, p=spec.p, weight=spec.weight, homogeneous=True)
 
-    worst_hom_rel = 0.0
-    worst_tri = -math.inf
-    tri_viol = 0
-    worst_iso = 0.0
-    mono_viol = 0
-    worst_mono = -math.inf
-    dom_viol = 0
-    worst_dom = -math.inf
-    definite_viol = 0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
+    def draw(rng):
         T = random_operator(rng, system.N)
         S = random_operator(rng, system.N)
-        c = complex(rng.standard_normal(), rng.standard_normal())
+        return T, S, complex(rng.standard_normal(), rng.standard_normal())
+
+    def measure(T, S, c):
         nT = sobolev_norm(system, T, spec)
-        nS = sobolev_norm(system, S, spec)
-        if nT == 0.0 and np.any(T != 0.0):
-            definite_viol += 1
-        if nT > 0.0:
-            scaled = sobolev_norm(system, c * T, spec)
-            worst_hom_rel = max(worst_hom_rel, abs(scaled - abs(c) * nT) / (abs(c) * nT))
-        if nT + nS > 0.0:
-            excess = (sobolev_norm(system, T + S, spec) - (nT + nS)) / (nT + nS)
-            worst_tri = max(worst_tri, excess)
-            if excess > triangle_tol:
-                tri_viol += 1
-        worst_iso = max(worst_iso, abs(l_q_norm(phi_map(system, T, spec), spec.q) - nT))
-        n_base = sobolev_norm(system, T, base)
-        n_stronger = sobolev_norm(system, T, stronger)
-        if n_base > 0.0:
-            excess = (n_base - n_stronger) / n_base
-            worst_mono = max(worst_mono, excess)
-            if excess > monotone_tol:
-                mono_viol += 1
-        n_hom = sobolev_norm(system, T, hom)
-        if n_base > 0.0:
-            excess = (n_hom - n_base) / n_base
-            worst_dom = max(worst_dom, excess)
-            if excess > monotone_tol:
-                dom_viol += 1
+        return (
+            nT,
+            sobolev_norm(system, S, spec),
+            np.any(T != 0.0, axis=(-2, -1)),
+            sobolev_norm(system, c[:, None, None] * T, spec),
+            # libm's hypot, as abs(complex); np.abs may differ from it in the last bit.
+            np.hypot(c.real, c.imag),
+            sobolev_norm(system, T + S, spec),
+            l_q_norm(phi_map(system, T, spec), spec.q),
+            sobolev_norm(system, T, base),
+            sobolev_norm(system, T, stronger),
+            sobolev_norm(system, T, hom),
+        )
+
+    nT, nS, nonzero, scaled, modulus, n_sum, n_iso, n_base, n_stronger, n_hom = run_trials(
+        system.N, trials, seed, draw, measure
+    )
+    worst_hom_rel = worst_trial(*kept_ratios(np.abs(scaled - modulus * nT), modulus * nT))[0]
+    triangle, kept = kept_ratios(n_sum - (nT + nS), nT + nS)
+    monotone, base_kept = kept_ratios(n_base - n_stronger, n_base)
+    dominance = kept_ratios(n_hom - n_base, n_base)[0]
     return NormAxiomReport(
         N=system.N,
         s=spec.s,
@@ -283,14 +271,14 @@ def verify_norm_axioms(
         trials=trials,
         seed=seed,
         worst_homogeneity_rel=worst_hom_rel,
-        worst_triangle_excess=worst_tri,
-        triangle_violations=tri_viol,
-        worst_isometry_abs=worst_iso,
-        s_monotonicity_violations=mono_viol,
-        worst_s_monotonicity_excess=worst_mono,
-        hom_dominance_violations=dom_viol,
-        worst_hom_dominance_excess=worst_dom,
-        definiteness_violations=definite_viol,
+        worst_triangle_excess=worst_trial(triangle, kept, -math.inf)[0],
+        triangle_violations=int(np.count_nonzero(kept & (triangle > triangle_tol))),
+        worst_isometry_abs=worst_trial(np.abs(n_iso - nT))[0],
+        s_monotonicity_violations=int(np.count_nonzero(base_kept & (monotone > monotone_tol))),
+        worst_s_monotonicity_excess=worst_trial(monotone, base_kept, -math.inf)[0],
+        hom_dominance_violations=int(np.count_nonzero(base_kept & (dominance > monotone_tol))),
+        worst_hom_dominance_excess=worst_trial(dominance, base_kept, -math.inf)[0],
+        definiteness_violations=int(np.count_nonzero((nT == 0.0) & nonzero)),
     )
 
 
@@ -341,53 +329,60 @@ def pairing_bound_estimate(
     p: float,
     s: float,
     weight: Weight,
-    sign: int = -1,
+    signs: Sequence[int] = (-1,),
     trials: int = 100,
     seed: int = 0,
     tolerance: float = 1e-10,
-) -> PairingBoundReport:
+) -> tuple[PairingBoundReport, ...]:
     """Sample |tr(T W_phi^*)| / (||T||_Sp * ||phi||_q') against the analytic bound.
 
     Requires ``p > 2`` so the test elements live on the conjugate side
-    (p' < 2, q' = p).  Trials with a vanishing denominator are skipped and
-    counted.
+    (p' < 2, q' = p).  Returns one report per weight sign in ``signs``, all
+    measured on the same draws of ``(T, phi)``.  Trials with a vanishing
+    denominator are skipped and counted.
     """
     if not p > 2.0:
         raise ValueError(f"pairing estimate needs p > 2, got {p}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if weight.group != system.group:
         raise ValueError("weight lives on a different dual group than the system")
     p_prime = conjugate_exponent(p)
     q_prime = conjugate_exponent(p_prime)
     dual_spec = SobolevSpec(s=s, p=p_prime, weight=weight)
-    bound = pairing_analytic_bound(system, p, s, weight, sign)
-    worst = 0.0
-    skipped = 0
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        T = random_operator(rng, system.N)
-        phi = random_phase_function(rng, system)
-        element = make_test_element(system, dual_spec, phi, sign)
-        denom = schatten_norm(T, p) * element.negative_norm
-        if denom == 0.0:
-            skipped += 1
-            continue
-        worst = max(worst, abs(trace_pairing(T, element.operator)) / denom)
-    return PairingBoundReport(
-        N=system.N,
-        p=p,
-        p_prime=p_prime,
-        q_prime=q_prime,
-        s=s,
-        sign=sign,
-        trials=trials,
-        seed=seed,
-        skipped=skipped,
-        max_ratio=worst,
-        analytic_bound=bound,
-        satisfied=worst <= bound * (1.0 + tolerance),
-    )
+    bounds = [pairing_analytic_bound(system, p, s, weight, sign) for sign in signs]
+
+    def draw(rng):
+        return random_operator(rng, system.N), random_phase_function(rng, system).values
+
+    def measure(T, values):
+        phi = PhaseFunction(system.group, values)
+        elements = [make_test_element(system, dual_spec, phi, sign) for sign in signs]
+        pairings = np.stack([trace_pairing(T, e.operator) for e in elements], axis=-1)
+        # libm's hypot, as abs(complex); np.abs may differ from it in the last bit.
+        moduli = np.hypot(pairings.real, pairings.imag)
+        return moduli, schatten_norm(T, p) * elements[0].negative_norm
+
+    moduli, denominators = run_trials(system.N, trials, seed, draw, measure)
+    reports = []
+    for j, (sign, bound) in enumerate(zip(signs, bounds)):
+        ratios, kept = kept_ratios(moduli[:, j], denominators)
+        worst = worst_trial(ratios, kept)[0]
+        reports.append(
+            PairingBoundReport(
+                N=system.N,
+                p=p,
+                p_prime=p_prime,
+                q_prime=q_prime,
+                s=s,
+                sign=sign,
+                trials=trials,
+                seed=seed,
+                skipped=int(np.count_nonzero(~kept)),
+                max_ratio=worst,
+                analytic_bound=bound,
+                satisfied=bool(worst <= bound * (1.0 + tolerance)),
+            )
+        )
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -418,8 +413,8 @@ def nondegeneracy_check(
     if system.N > 8:
         raise ValueError(f"nondegeneracy check is limited to N <= 8, got {system.N}")
     K = system.group.size
-    deltas = (PhaseFunction(system.group, row) for row in np.eye(K))
-    V = np.stack([make_test_element(system, spec, phi, sign).operator.ravel() for phi in deltas])
+    deltas = PhaseFunction(system.group, np.eye(K))
+    V = make_test_element(system, spec, deltas, sign).operator.reshape(K, K)
     gram = V.conj() @ V.T
     eigs = np.linalg.eigvalsh(gram)
     top = float(eigs[-1])

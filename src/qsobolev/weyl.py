@@ -29,6 +29,9 @@ CONVENTIONS = ("standard", "symmetric")
 #: Modulus-1 scalar extraction is rejected beyond this deviation.
 MULTIPLIER_MODULUS_GUARD = 1e-8
 
+#: Largest N for :func:`check_axioms`, whose cocycle check visits N^6 triples.
+AXIOM_CHECK_MAX_N = 16
+
 
 class RepresentationError(RuntimeError):
     """Operator composition did not reduce to a unimodular multiple of a Weyl operator."""
@@ -149,10 +152,12 @@ def check_axioms(
 
     The two inverse-conjugation variants are informational: which one a Weyl
     convention satisfies depends on N and on the convention, so no experiment
-    downstream assumes either.  Requires ``N <= 16``.
+    downstream assumes either.  Requires ``N <= AXIOM_CHECK_MAX_N``.
     """
-    if system.N > 16:
-        raise ValueError(f"exhaustive axiom check is limited to N <= 16, got {system.N}")
+    if system.N > AXIOM_CHECK_MAX_N:
+        raise ValueError(
+            f"exhaustive axiom check is limited to N <= {AXIOM_CHECK_MAX_N}, got {system.N}"
+        )
     group = system.group
     K = group.size
     N = system.N

@@ -283,11 +283,19 @@ class TestDimensionCap:
         [
             (["plancherel", "--N", "200000"], None),
             (["axioms", "--N", str(cli.MAX_N + 1)], None),
+            (["axioms", "--N", "17"], None),
             (["counterexample", "--N", "8,200000", "--sizes", "8,1"], None),
             (["embed"], "N = 10**6"),
             (["pairing"], f"N = {cli.MAX_N + 1}"),
         ],
-        ids=["plancherel-flag", "axioms-flag", "counterexample-item", "bad-int-file", "pairing-file"],
+        ids=[
+            "plancherel-flag",
+            "axioms-flag",
+            "axioms-check-cap",
+            "counterexample-item",
+            "bad-int-file",
+            "pairing-file",
+        ],
     )
     def test_oversized_N_exits_2_before_allocating(self, argv, entry, monkeypatch, tmp_path, capsys):
         def refuse(*args, **kwargs):
@@ -315,6 +323,11 @@ class TestDimensionCap:
                 assert N.read("8,8,8,8,16,32,64,128,256,512,1024")[-1] == 1024
                 with pytest.raises(cli.ConfigError, match="^N:"):
                     N.read(f"8,{cli.MAX_N + 1}")
+            elif name == "axioms":
+                # The exhaustive check has its own, smaller cap.
+                assert N.read("16") == 16
+                with pytest.raises(cli.ConfigError, match="^N: expected at most 16 "):
+                    N.read("17")
             else:
                 assert N.read("128") == 128 and N.read("1024") == 1024
                 assert N.read(str(cli.MAX_N)) == cli.MAX_N

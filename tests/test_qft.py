@@ -176,7 +176,7 @@ class TestPlancherel:
 
 class TestHausdorffYoung:
     def test_unitary_endpoint_is_exact(self, sys4):
-        rep = verify_hausdorff_young(sys4, 2.0, "forward", 50, 3)
+        (rep,) = verify_hausdorff_young(sys4, [2.0], "forward", 50, 3)
         assert rep.worst_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_p1_forward_operator_norm_bound(self, sys4):
@@ -202,12 +202,12 @@ class TestHausdorffYoung:
     @pytest.mark.parametrize("p", [1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_sampled_ratios(self, sys4, p, direction):
-        rep = verify_hausdorff_young(sys4, p, direction, 100, 11)
+        (rep,) = verify_hausdorff_young(sys4, [p], direction, 100, 11)
         assert rep.worst_ratio <= 1.0 + 1e-10
         assert rep.q == pytest.approx(conjugate_exponent(p))
 
     def test_report_fields(self, sys4):
-        rep = verify_hausdorff_young(sys4, 1.5, "inverse", 20, 5)
+        (rep,) = verify_hausdorff_young(sys4, [1.5], "inverse", 20, 5)
         d = rep.to_dict()
         assert d["direction"] == "inverse"
         assert d["trials"] == 20
@@ -217,11 +217,11 @@ class TestHausdorffYoung:
 
     def test_exponent_validation(self, sys4):
         with pytest.raises(ValueError):
-            verify_hausdorff_young(sys4, 0.9, "forward", 10, 0)
+            verify_hausdorff_young(sys4, [0.9], "forward", 10, 0)
         with pytest.raises(ValueError):
-            verify_hausdorff_young(sys4, 2.5, "forward", 10, 0)
+            verify_hausdorff_young(sys4, [2.5], "forward", 10, 0)
         with pytest.raises(ValueError):
-            verify_hausdorff_young(sys4, 1.5, "sideways", 10, 0)
+            verify_hausdorff_young(sys4, [1.5], "sideways", 10, 0)
 
 
 class TestEnsembles:

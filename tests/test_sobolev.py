@@ -250,10 +250,11 @@ class TestPairingBound:
     def test_harness_respects_bound(self):
         system = make_weyl_system(8)
         weight = make_weight_euclidean(system.group)
-        for sign in (-1, 1):
-            rep = pairing_bound_estimate(
-                system, p=4.0, s=1.0, weight=weight, sign=sign, trials=120, seed=3
-            )
+        reps = pairing_bound_estimate(
+            system, p=4.0, s=1.0, weight=weight, signs=(-1, 1), trials=120, seed=3
+        )
+        assert [rep.sign for rep in reps] == [-1, 1]
+        for rep in reps:
             assert rep.satisfied
             assert rep.max_ratio <= rep.analytic_bound * (1.0 + 1e-10)
             assert rep.q_prime == pytest.approx(4.0)
