@@ -24,7 +24,7 @@ T = random_operator(np.random.default_rng(1), 8)
 back = qft_inverse(system, qft_forward(system, T))
 print(f"reconstruction residual on a random operator: {np.linalg.norm(back - T):.2e}")
 
-print(f"worst Plancherel deviation over 300 draws:    {verify_plancherel(system, 300, 7):.2e}")
+print(f"worst Plancherel deviation over 300 draws:    {verify_plancherel(system, 300, 7)['worst_relative_deviation']:.2e}")
 rts = verify_roundtrips(system, 200, 7)
 print(f"worst round-trip residuals:                   "
       f"operator {rts['operator_roundtrip']:.2e}, function {rts['function_roundtrip']:.2e}")

@@ -25,6 +25,16 @@ operators, and measures a whole chunk with stacked kernel calls.
 report fields: skipped trials come from a zero-denominator mask, and the worst
 value and its witness from ``np.argmax``, whose first occurrence is the trial
 a loop keeping the first strict maximum would report.
+
+A random draw is split in two.  The per-trial part only reads the stream:
+:func:`read_operator` and :func:`read_phase_table` consume it in the order a
+one-go draw does and return raw arrays (an :class:`OperatorRead`, a dual
+table), not validated objects.  The deterministic part runs once per chunk:
+:func:`assemble_operators` factors the Ginibre matrices of all
+``sparse_unitary`` reads with one batched QR and conjugates their sparse cores
+with one stacked matmul, bit for bit what one draw at a time gives.  The
+one-draw API, :func:`random_operator` and :func:`random_phase_function`, is
+the same reader and assembly applied to a single trial.
 """
 
 from __future__ import annotations
@@ -85,68 +95,132 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
         raise ValueError(f"phase function lives on the N={f.group.N} grid, system has N={N}")
     lead = f.values.shape[:-1]
     table = f.values.reshape(*lead, N, N) * np.conj(_phase(system))
-    T = np.empty((*lead, N * N), dtype=np.complex128)
     # norm="forward" leaves the inverse DFT unscaled: sum_b table[a, b] omega^(b t).
-    T[..., _wrapped_diagonals(N)] = np.fft.ifft(table, axis=-1, norm="forward")
+    diagonals = np.fft.ifft(table, axis=-1, norm="forward")
+    del table  # one N^2 table fewer while T is filled
+    T = np.empty((*lead, N * N), dtype=np.complex128)
+    T[..., _wrapped_diagonals(N)] = diagonals
     return T.reshape(*lead, N, N) * system.group.dual_mass
+
+
+def _haar_unitaries(Z: np.ndarray) -> np.ndarray:
+    """Haar-ish unitaries from the QR factorization of Ginibre matrices (one or a stack).
+
+    A stack is factored with one ``np.linalg.qr`` call, which loops LAPACK
+    over the matrices exactly as single calls do.
+    """
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
+def _read_ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish random unitary from the QR factorization of a Ginibre matrix."""
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    return _haar_unitaries(_read_ginibre(rng, n))
 
 
-def random_operator(rng: np.random.Generator, n: int, kind: str = "mixed") -> np.ndarray:
-    """Random test operators: Ginibre, rank-one, diagonal, or unitary-conjugated sparse.
+@dataclass(frozen=True, eq=False)
+class OperatorRead:
+    """One random operator as read from its stream, before chunk assembly.
+
+    ``matrix`` is the operator itself, except for a ``sparse_unitary`` draw:
+    there it is the Ginibre matrix of the Haar unitary ``U``, and ``core``
+    holds the ``(rows, cols, values)`` of the sparse matrix ``S`` in ``U S U*``.
+    """
+
+    matrix: np.ndarray
+    core: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def read_operator(rng: np.random.Generator, n: int, kind: str = "mixed") -> OperatorRead:
+    """Read one random operator from ``rng``: Ginibre, rank-one, diagonal, or sparse core.
 
     ``mixed`` draws the ensemble uniformly; the variety supplies diverse
     near-extremal candidates for the norm inequalities (rank-one operators in
-    particular saturate the interpolated bounds).
+    particular saturate the interpolated bounds).  Only the stream is read
+    here; the QR factorization and conjugation of a ``sparse_unitary`` draw
+    wait for :func:`assemble_operators`.
     """
     if kind == "mixed":
         kind = OPERATOR_ENSEMBLES[rng.integers(len(OPERATOR_ENSEMBLES))]
     if kind == "ginibre":
-        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+        return OperatorRead(_read_ginibre(rng, n) / math.sqrt(2.0))
     if kind == "rank_one":
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return np.outer(u, v.conj())
+        return OperatorRead(np.outer(u, v.conj()))
     if kind == "diagonal":
-        return np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return OperatorRead(np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
     if kind == "sparse_unitary":
-        S = np.zeros((n, n), dtype=np.complex128)
         nnz = max(1, n // 2)
         rows = rng.integers(n, size=nnz)
         cols = rng.integers(n, size=nnz)
-        S[rows, cols] = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
-        U = random_unitary(rng, n)
-        return U @ S @ U.conj().T
+        values = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+        return OperatorRead(_read_ginibre(rng, n), (rows, cols, values))
     raise ValueError(f"unknown operator ensemble {kind!r}")
+
+
+def assemble_operators(matrices: np.ndarray, cores: Sequence) -> np.ndarray:
+    """Turn the stacked ``matrix`` fields of a chunk of reads into its operators, in place.
+
+    ``cores[k]`` is the ``core`` of read k.  The Ginibre matrices of all
+    ``sparse_unitary`` reads are factored with one batched QR and conjugate
+    their cores with one stacked matmul, bit for bit what one read at a time
+    gives.  Returns ``matrices``.
+    """
+    haar = [k for k, core in enumerate(cores) if core is not None]
+    if not haar:
+        return matrices
+    # A chunk of sparse_unitary reads only (at large N, a chunk of one) is
+    # factored and overwritten without a copy of the stack: at N = 1024 that
+    # saves one N x N array at the peak, 120 instead of 136 MiB for three such trials.
+    whole = len(haar) == len(matrices)
+    U = _haar_unitaries(matrices if whole else matrices[haar])
+    S = np.zeros_like(U)
+    for s, k in zip(S, haar):
+        rows, cols, values = cores[k]
+        s[rows, cols] = values
+    US = U @ S
+    if whole:
+        np.matmul(US, U.conj().swapaxes(-2, -1), out=matrices)
+    else:
+        matrices[haar] = US @ U.conj().swapaxes(-2, -1)
+    return matrices
+
+
+def random_operator(rng: np.random.Generator, n: int, kind: str = "mixed") -> np.ndarray:
+    """One random operator: :func:`read_operator` assembled on its own."""
+    read = read_operator(rng, n, kind)
+    return assemble_operators(read.matrix[None], [read.core])[0]
+
+
+def read_phase_table(rng: np.random.Generator, size: int, kind: str = "mixed") -> np.ndarray:
+    """Read one random table on the dual: dense Gaussian, a delta, or an indicator."""
+    if kind == "mixed":
+        kind = PHASE_ENSEMBLES[rng.integers(len(PHASE_ENSEMBLES))]
+    if kind == "gaussian":
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    values = np.zeros(size, dtype=np.complex128)
+    if kind == "delta":
+        values[rng.integers(size)] = rng.standard_normal() + 1j * rng.standard_normal()
+    elif kind == "indicator":
+        count = int(rng.integers(1, size + 1))
+        support = rng.choice(size, size=count, replace=False)
+        values[support] = rng.standard_normal() + 1j * rng.standard_normal()
+    else:
+        raise ValueError(f"unknown phase ensemble {kind!r}")
+    return values
 
 
 def random_phase_function(
     rng: np.random.Generator, system: WeylSystem, kind: str = "mixed"
 ) -> PhaseFunction:
-    """Random functions on the dual: dense Gaussian tables, deltas, or indicators."""
-    K = system.group.size
-    if kind == "mixed":
-        kind = PHASE_ENSEMBLES[rng.integers(len(PHASE_ENSEMBLES))]
-    if kind == "gaussian":
-        vals = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-    elif kind == "delta":
-        vals = np.zeros(K, dtype=np.complex128)
-        vals[rng.integers(K)] = rng.standard_normal() + 1j * rng.standard_normal()
-    elif kind == "indicator":
-        vals = np.zeros(K, dtype=np.complex128)
-        size = int(rng.integers(1, K + 1))
-        support = rng.choice(K, size=size, replace=False)
-        vals[support] = rng.standard_normal() + 1j * rng.standard_normal()
-    else:
-        raise ValueError(f"unknown phase ensemble {kind!r}")
-    return PhaseFunction(system.group, vals)
+    """One random function on the dual: :func:`read_phase_table` as a PhaseFunction."""
+    return PhaseFunction(system.group, read_phase_table(rng, system.group.size, kind))
 
 
 #: Byte budget of one chunk of stacked trial draws: 128 complex 8 x 8
@@ -156,8 +230,12 @@ CHUNK_BYTES = 128 * 1024
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-trial generator derived from (seed, trial index)."""
-    return np.random.default_rng([seed, index])
+    """Deterministic per-trial generator derived from (seed, trial index).
+
+    The stream of ``np.random.default_rng([seed, index])``, built without
+    ``default_rng``'s argument dispatch.
+    """
+    return np.random.Generator(np.random.PCG64([seed, index]))
 
 
 def chunk_length(N: int) -> int:
@@ -170,29 +248,66 @@ def run_trials(N: int, trials: int, seed: int, draw, measure) -> tuple[np.ndarra
 
     ``draw(rng)`` runs on ``trial_rng(seed, k)`` for ``k = 0, ..., trials - 1``
     in order, so every trial sees the stream it would see alone, and returns
-    a tuple of arrays or scalars.  The draws of ``chunk_length(N)`` trials are
-    stacked component by component and passed to ``measure``, which returns a
-    tuple of arrays whose leading axis runs over the chunk; those are joined
-    in trial order.
+    a tuple of arrays, scalars or :class:`OperatorRead` objects.  The draws of
+    ``chunk_length(N)`` trials are stacked component by component (a column
+    of operator reads is then assembled by :func:`assemble_operators`) and
+    passed to ``measure``, which returns a tuple of arrays whose leading axis
+    runs over the chunk; those are joined in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     step = chunk_length(N)
 
     def measure_chunk(start: int) -> tuple:
-        # Locals end with the call, so no chunk is still held while the next is drawn.
-        draws = [draw(trial_rng(seed, k)) for k in range(start, min(start + step, trials))]
-        stacks = [np.stack(column) for column in zip(*draws)]
-        del draws  # measure one copy of the chunk, not two
-        return measure(*stacks)
+        # Each draw is copied into its chunk stack and dropped, and locals end
+        # with the call, so at most one chunk and one draw are held at a time.
+        length = min(start + step, trials) - start
+        for i in range(length):
+            parts = draw(trial_rng(seed, start + i))
+            if i == 0:
+                columns = [_ChunkColumn(length, part) for part in parts]
+            for column, part in zip(columns, parts):
+                column.put(i, part)
+        del parts, part
+        return measure(*(column.finish() for column in columns))
 
-    parts = [measure_chunk(start) for start in range(0, trials, step)]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    measured = [measure_chunk(start) for start in range(0, trials, step)]
+    return tuple(np.concatenate(column) for column in zip(*measured))
+
+
+class _ChunkColumn:
+    """One component of a chunk's draws, copied into its stack as each trial is drawn.
+
+    A column of :class:`OperatorRead` objects stacks their matrices, keeps
+    their cores and is assembled by :func:`assemble_operators` when finished.
+    """
+
+    def __init__(self, length: int, first):
+        self.cores = [] if isinstance(first, OperatorRead) else None
+        sample = np.asarray(first if self.cores is None else first.matrix)
+        self.stack = np.empty((length, *sample.shape), sample.dtype)
+
+    def put(self, i: int, part) -> None:
+        if self.cores is None:
+            self.stack[i] = part
+        else:
+            self.stack[i] = part.matrix
+            self.cores.append(part.core)
+
+    def finish(self) -> np.ndarray:
+        if self.cores is None:
+            return self.stack
+        return assemble_operators(self.stack, self.cores)
 
 
 def operator_draw(system: WeylSystem):
     """The :func:`run_trials` draw of one random operator on C^N per trial."""
-    return lambda rng: (random_operator(rng, system.N),)
+    return lambda rng: (read_operator(rng, system.N),)
+
+
+def operator_and_table_draw(system: WeylSystem):
+    """The :func:`run_trials` draw of a random operator, then a random dual table."""
+    return lambda rng: (read_operator(rng, system.N), read_phase_table(rng, system.group.size))
 
 
 def kept_ratios(numerators: np.ndarray, denominators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,38 +334,52 @@ def worst_trial(values: np.ndarray, kept=True, floor: float = 0.0) -> tuple[floa
     return float(values[k]), k
 
 
-def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> float:
-    """Worst relative deviation | ||F(T)||_L2 - ||T||_S2 | / ||T||_S2 over random T."""
+def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, values: np.ndarray) -> tuple:
+    """Residuals and norms of ``F^-1 F T`` against T and ``F F^-1 f`` against f, per trial."""
+    back = qft_inverse(system, qft_forward(system, T))
+    again = qft_forward(system, qft_inverse(system, PhaseFunction(system.group, values)))
+    return (
+        np.linalg.norm(back - T, axis=(-2, -1)),
+        np.linalg.norm(T, axis=(-2, -1)),
+        np.linalg.norm(again.values - values, axis=-1),
+        np.linalg.norm(values, axis=-1),
+    )
 
-    def measure(T):
-        s2 = schatten_norm(T, 2.0)
-        return np.abs(l_q_norm(qft_forward(system, T), 2.0) - s2), s2
 
-    deviations, s2 = run_trials(system.N, trials, seed, operator_draw(system), measure)
-    return worst_trial(*kept_ratios(deviations, s2))[0]
-
-
-def verify_roundtrips(system: WeylSystem, trials: int, seed: int) -> dict:
-    """Worst relative residuals of both transform compositions on random inputs."""
-
-    def draw(rng):
-        return random_operator(rng, system.N), random_phase_function(rng, system).values
-
-    def measure(T, values):
-        back = qft_inverse(system, qft_forward(system, T))
-        again = qft_forward(system, qft_inverse(system, PhaseFunction(system.group, values)))
-        return (
-            np.linalg.norm(back - T, axis=(-2, -1)),
-            np.linalg.norm(T, axis=(-2, -1)),
-            np.linalg.norm(again.values - values, axis=-1),
-            np.linalg.norm(values, axis=-1),
-        )
-
-    op_err, op_norm, fn_err, fn_norm = run_trials(system.N, trials, seed, draw, measure)
+def _roundtrip_report(op_err, op_norm, fn_err, fn_norm) -> dict:
     return {
         "operator_roundtrip": worst_trial(*kept_ratios(op_err, op_norm))[0],
         "function_roundtrip": worst_trial(*kept_ratios(fn_err, fn_norm))[0],
     }
+
+
+def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> dict:
+    """Worst Plancherel deviation and round-trip residuals, measured on one set of draws.
+
+    ``worst_relative_deviation`` is the worst ``| ||F(T)||_L2 - ||T||_S2 | /
+    ||T||_S2`` over random T; the round-trip fields are those of
+    :func:`verify_roundtrips` on the same operators and dual tables.
+    """
+
+    def measure(T, values):
+        s2 = schatten_norm(T, 2.0)
+        deviations = np.abs(l_q_norm(qft_forward(system, T), 2.0) - s2)
+        return deviations, s2, *_roundtrip_residuals(system, T, values)
+
+    deviations, s2, *residuals = run_trials(
+        system.N, trials, seed, operator_and_table_draw(system), measure
+    )
+    worst = worst_trial(*kept_ratios(deviations, s2))[0]
+    return {"worst_relative_deviation": worst} | _roundtrip_report(*residuals)
+
+
+def verify_roundtrips(system: WeylSystem, trials: int, seed: int) -> dict:
+    """Worst relative residuals of both transform compositions on random inputs."""
+    residuals = run_trials(
+        system.N, trials, seed, operator_and_table_draw(system),
+        lambda T, values: _roundtrip_residuals(system, T, values),
+    )
+    return _roundtrip_report(*residuals)
 
 
 @dataclass(frozen=True)
@@ -313,7 +442,7 @@ def verify_hausdorff_young(
     else:
 
         def draw(rng):
-            return (random_phase_function(rng, system).values,)
+            return (read_phase_table(rng, system.group.size),)
 
         def measure(f):
             S = singular_values(qft_inverse(system, PhaseFunction(system.group, f)))

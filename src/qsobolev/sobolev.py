@@ -25,15 +25,18 @@ from .qft import (
     kept_ratios,
     qft_forward,
     qft_inverse,
+    operator_and_table_draw,
     operator_draw,
-    random_operator,
-    random_phase_function,
+    read_operator,
     run_trials,
     worst_trial,
 )
 from .weyl import WeylSystem, weyl_operator
 
 WEIGHT_PROVENANCES = ("euclidean-representative", "constant", "custom-table")
+
+#: Largest N of :func:`nondegeneracy_check`, whose Gram matrix has N^4 entries.
+NONDEGENERACY_MAX_N = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +239,8 @@ def verify_norm_axioms(
     hom = SobolevSpec(s=spec.s, p=spec.p, weight=spec.weight, homogeneous=True)
 
     def draw(rng):
-        T = random_operator(rng, system.N)
-        S = random_operator(rng, system.N)
+        T = read_operator(rng, system.N)
+        S = read_operator(rng, system.N)
         return T, S, complex(rng.standard_normal(), rng.standard_normal())
 
     def measure(T, S, c):
@@ -350,9 +353,6 @@ def pairing_bound_estimate(
     dual_spec = SobolevSpec(s=s, p=p_prime, weight=weight)
     bounds = [pairing_analytic_bound(system, p, s, weight, sign) for sign in signs]
 
-    def draw(rng):
-        return random_operator(rng, system.N), random_phase_function(rng, system).values
-
     def measure(T, values):
         phi = PhaseFunction(system.group, values)
         elements = [make_test_element(system, dual_spec, phi, sign) for sign in signs]
@@ -361,7 +361,9 @@ def pairing_bound_estimate(
         moduli = np.hypot(pairings.real, pairings.imag)
         return moduli, schatten_norm(T, p) * elements[0].negative_norm
 
-    moduli, denominators = run_trials(system.N, trials, seed, draw, measure)
+    moduli, denominators = run_trials(
+        system.N, trials, seed, operator_and_table_draw(system), measure
+    )
     reports = []
     for j, (sign, bound) in enumerate(zip(signs, bounds)):
         ratios, kept = kept_ratios(moduli[:, j], denominators)
@@ -408,10 +410,12 @@ def nondegeneracy_check(
 
     Builds W_phi for every dual delta generator and checks that their Gram
     matrix has full rank N^2: then the only operator orthogonal to the whole
-    family is zero.  Limited to ``N <= 8`` (the Gram matrix has N^4 entries).
+    family is zero.  Limited to ``N <= NONDEGENERACY_MAX_N``.
     """
-    if system.N > 8:
-        raise ValueError(f"nondegeneracy check is limited to N <= 8, got {system.N}")
+    if system.N > NONDEGENERACY_MAX_N:
+        raise ValueError(
+            f"nondegeneracy check is limited to N <= {NONDEGENERACY_MAX_N}, got {system.N}"
+        )
     K = system.group.size
     deltas = PhaseFunction(system.group, np.eye(K))
     V = make_test_element(system, spec, deltas, sign).operator.reshape(K, K)

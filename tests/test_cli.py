@@ -82,6 +82,23 @@ class TestSubcommands:
         assert len(report["results"]["pairing"]) == 2  # both signs
         assert all(nd["full_rank"] for nd in report["results"]["nondegeneracy"])
 
+    def test_pairing_notes_the_skipped_rank_check(self, tmp_path, capsys):
+        out = tmp_path / "pairing_report.json"
+        assert cli.main(["pairing", "--N", "9", "--trials", "5", "--out", str(out)]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr.splitlines() == [
+            "nondegeneracy rank check skipped: it runs only at N <= 8, got N = 9"
+        ]
+        assert stdout.splitlines() == [f"pairing: PASS ({out})"]
+        results = json.loads(out.read_text())["results"]
+        assert results["nondegeneracy"] == [] and len(results["pairing"]) == 2
+        assert cli.main(["pairing", "--N", "8", "--trials", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(json.loads(out.read_text())["results"]["nondegeneracy"]) == 2
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_embed(self, tmp_path):
         proc = run_cli(["embed", "--N", "4", "--trials", "20", "--p", "4/3"], tmp_path)
         assert proc.returncode == 0

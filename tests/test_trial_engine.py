@@ -10,6 +10,7 @@ engine alike.
 import contextlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,12 +47,7 @@ from qsobolev.sobolev import (
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
 EXPONENTS = (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0)
-#: Fields whose exact value is 0 and whose batched form sums in another order
-#: (the Frobenius norms of the round trips), so only an absolute bound holds.
-#: Every other float, noise-level ones included, is computed in the loop's order.
-ZERO_FIELDS = frozenset({"operator_roundtrip", "function_roundtrip"})
 ULPS = 4
-ZERO_ATOL = 1e-15
 
 
 # -- the per-trial loops, kept as oracles -------------------------------------
@@ -343,8 +339,9 @@ def _embedding_pair(beta_choice, homogeneous):
 #: name -> (engine harness, per-trial oracle), each taking (system, trials, seed).
 HARNESSES = {
     "plancherel": (
-        lambda system, t, s: {"plancherel": verify_plancherel(system, t, s)},
-        lambda system, t, s: {"plancherel": plancherel_loop(system, t, s)},
+        verify_plancherel,
+        lambda system, t, s: {"worst_relative_deviation": plancherel_loop(system, t, s)}
+        | roundtrips_loop(system, t, s),
     ),
     "roundtrips": (verify_roundtrips, roundtrips_loop),
     "hausdorff-young-forward": _hy("forward"),
@@ -368,7 +365,7 @@ HARNESSES = {
 
 
 def assert_matches(batch, oracle, path="", field=""):
-    """Counts, indices and flags equal; floats within ULPS (ZERO_ATOL for zero fields)."""
+    """Counts, indices and flags equal; floats within ULPS of the oracle."""
     if isinstance(oracle, dict):
         assert isinstance(batch, dict) and batch.keys() == oracle.keys(), path
         for key in oracle:
@@ -379,9 +376,7 @@ def assert_matches(batch, oracle, path="", field=""):
             assert_matches(b, o, f"{path}[{i}]", field)
     elif isinstance(oracle, float):
         assert isinstance(batch, float), path
-        if field in ZERO_FIELDS:
-            assert abs(batch - oracle) <= ZERO_ATOL, (path, batch, oracle)
-        elif batch != oracle:
+        if batch != oracle:
             gap = abs(batch - oracle)
             assert gap <= ULPS * np.spacing(max(abs(batch), abs(oracle))), (path, batch, oracle)
     else:
@@ -438,29 +433,31 @@ class TestOracles:
 
 @pytest.fixture
 def zero_draws(monkeypatch):
-    """Trial indices whose operator and phase-function draws become zero.
+    """Trial indices whose operator reads and dual-table reads become zero.
 
-    The real draw still runs first, so every later draw of the trial sees the
+    The patch sits on the per-trial readers, which the engine's draws and the
+    oracles' ``random_operator``/``random_phase_function`` both go through.
+    The real read still runs first, so every later read of the trial sees the
     stream it would see without the patch.
     """
     zeros = set()
     current = {}
-    real_rng, real_operator, real_phase = qft.trial_rng, qft.random_operator, qft.random_phase_function
+    real_rng, real_operator, real_table = qft.trial_rng, qft.read_operator, qft.read_phase_table
 
     def trial_rng(seed, k):
         current["k"] = k
         return real_rng(seed, k)
 
-    def random_operator(rng, n, kind="mixed"):
-        T = real_operator(rng, n, kind)
-        return np.zeros_like(T) if current["k"] in zeros else T
+    def read_operator(rng, n, kind="mixed"):
+        read = real_operator(rng, n, kind)
+        return qft.OperatorRead(np.zeros_like(read.matrix)) if current["k"] in zeros else read
 
-    def random_phase_function(rng, system, kind="mixed"):
-        f = real_phase(rng, system, kind)
-        return f.with_values(np.zeros_like(f.values)) if current["k"] in zeros else f
+    def read_phase_table(rng, size, kind="mixed"):
+        values = real_table(rng, size, kind)
+        return np.zeros_like(values) if current["k"] in zeros else values
 
     for module in (qft, sobolev, embedding):
-        for fn in (trial_rng, random_operator, random_phase_function):
+        for fn in (trial_rng, read_operator, read_phase_table):
             if hasattr(module, fn.__name__):
                 monkeypatch.setattr(module, fn.__name__, fn)
     return zeros
@@ -546,12 +543,13 @@ def _run_cli(argv, tmp_path):
 
 
 class TestDrawCounts:
-    @pytest.mark.parametrize("command", ["hausdorff-young", "pairing"])
+    # plancherel: 100 trials shared by the deviation and both round trips;
+    # hausdorff-young: 100 trials per direction; pairing: 200 shared by both signs.
+    @pytest.mark.parametrize("command", ["plancherel", "hausdorff-young", "pairing"])
     def test_cli_defaults_draw_each_trial_once(self, command, monkeypatch, tmp_path):
         draws = _count_calls(monkeypatch, qft, "trial_rng")
         assert _run_cli([command], tmp_path) == 0
-        # 100 trials per direction; 200 trials shared by both signs.
-        assert len(draws) == 200
+        assert len(draws) == {"plancherel": 100, "hausdorff-young": 200, "pairing": 200}[command]
 
     def test_hausdorff_young_decomposes_once_per_chunk(self, monkeypatch, tmp_path):
         svds = _count_calls(monkeypatch, linalg, "singular_values")
@@ -578,6 +576,130 @@ class TestDrawCounts:
         svds = _count_calls(monkeypatch, linalg, "singular_values")
         run(make_weyl_system(8))
         assert len(svds) == 3  # 300 trials in chunks of 128
+
+
+# -- stream reads and chunk assembly ------------------------------------------
+
+
+def operator_oracle(rng, n, kind="mixed"):
+    """One random operator drawn and built in one go, with its own QR (the pre-split draw)."""
+    if kind == "mixed":
+        kind = qft.OPERATOR_ENSEMBLES[rng.integers(len(qft.OPERATOR_ENSEMBLES))]
+    if kind == "ginibre":
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    if kind == "rank_one":
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return np.outer(u, v.conj())
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    S = np.zeros((n, n), dtype=np.complex128)
+    nnz = max(1, n // 2)
+    rows = rng.integers(n, size=nnz)
+    cols = rng.integers(n, size=nnz)
+    S[rows, cols] = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    U = Q * (d / np.abs(d))
+    return U @ S @ U.conj().T
+
+
+def phase_table_oracle(rng, K, kind="mixed"):
+    """One random dual table drawn in one go (the pre-split draw)."""
+    if kind == "mixed":
+        kind = qft.PHASE_ENSEMBLES[rng.integers(len(qft.PHASE_ENSEMBLES))]
+    if kind == "gaussian":
+        return rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    vals = np.zeros(K, dtype=np.complex128)
+    if kind == "delta":
+        vals[rng.integers(K)] = rng.standard_normal() + 1j * rng.standard_normal()
+    else:
+        size = int(rng.integers(1, K + 1))
+        support = rng.choice(K, size=size, replace=False)
+        vals[support] = rng.standard_normal() + 1j * rng.standard_normal()
+    return vals
+
+
+ASSEMBLY_DIMENSIONS = [1, 2, 3, 8, 32, 64]
+
+
+class TestStreamReads:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
+    @pytest.mark.parametrize("index", [0, 1, 127, 10**6])
+    def test_trial_rng_is_the_default_rng_stream(self, seed, index):
+        ours, reference = qft.trial_rng(seed, index), np.random.default_rng([seed, index])
+        assert ours.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(ours.standard_normal(64), reference.standard_normal(64))
+        assert np.array_equal(ours.integers(2**62, size=8), reference.integers(2**62, size=8))
+
+    @pytest.mark.parametrize("N", ASSEMBLY_DIMENSIONS)
+    @pytest.mark.parametrize("kind", ("mixed",) + qft.OPERATOR_ENSEMBLES)
+    def test_chunk_assembly_equals_one_draw_at_a_time(self, N, kind, chunk_of):
+        chunk_of(N, 12)
+        (chunk,) = qft.run_trials(N, 12, N, lambda rng: (qft.read_operator(rng, N, kind),), lambda T: (T,))
+        for k in range(12):
+            rng, oracle_rng = qft.trial_rng(N, k), qft.trial_rng(N, k)
+            expected = operator_oracle(oracle_rng, N, kind)
+            assert np.array_equal(chunk[k], expected), k
+            assert np.array_equal(qft.random_operator(rng, N, kind), expected), k
+            # The read leaves the stream where the one-go draw does.
+            assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    @pytest.mark.parametrize("N", ASSEMBLY_DIMENSIONS)
+    @pytest.mark.parametrize("kind", ("mixed",) + qft.PHASE_ENSEMBLES)
+    def test_phase_tables_equal_one_draw_at_a_time(self, N, kind):
+        system = make_weyl_system(N)
+        for k in range(12):
+            rng, oracle_rng = qft.trial_rng(N, k), qft.trial_rng(N, k)
+            expected = phase_table_oracle(oracle_rng, N * N, kind)
+            assert np.array_equal(qft.read_phase_table(rng, N * N, kind), expected), k
+            assert rng.standard_normal() == oracle_rng.standard_normal()
+            f = qft.random_phase_function(qft.trial_rng(N, k), system, kind)
+            assert np.array_equal(f.values, expected), k
+
+    @pytest.mark.parametrize(
+        "run, per_chunk",
+        [
+            (lambda system: verify_plancherel(system, 300, 0), 1),
+            (lambda system: verify_hausdorff_young(system, EXPONENTS, "forward", 300, 0), 1),
+            (lambda system: verify_hausdorff_young(system, EXPONENTS, "inverse", 300, 0), 0),
+            (lambda system: pairing_bound_estimate(
+                system, 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0), 1),
+            (lambda system: verify_embedding_chain(system, _spec(system), 4.0, trials=300, seed=0), 1),
+            (lambda system: verify_norm_axioms(system, _spec(system), 300, 0), 2),
+        ],
+        ids=["plancherel", "hausdorff-young-forward", "hausdorff-young-inverse", "pairing",
+             "embedding", "norm-axioms"],
+    )
+    def test_one_qr_per_operator_column_per_chunk(self, run, per_chunk, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        run(make_weyl_system(8))
+        # 300 trials in chunks of 128; norm-axioms draws two operators (T, S) per trial.
+        assert len(calls) == 3 * per_chunk
+        assert all(len(shape) == 3 and shape[1:] == (8, 8) for shape in calls)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_sparse_only_chunk_is_assembled_without_a_copy(self, length):
+        # numpy reports its arrays to tracemalloc; LAPACK's work space is not traced.
+        # In place, the Q, R, U, S and U S arrays peak at four stacks; a copy
+        # of the Ginibre stack before the QR would make it five.
+        reads = [qft.read_operator(qft.trial_rng(0, k), 64, "sparse_unitary") for k in range(length)]
+        stack = np.stack([read.matrix for read in reads])
+        tracemalloc.start()
+        try:
+            qft.assemble_operators(stack, [read.core for read in reads])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * stack.nbytes
 
 
 # -- stacked kernels ----------------------------------------------------------
