@@ -28,14 +28,12 @@ from .qft import (
     conjugate_exponent,
     qft_forward,
     qft_inverse,
-    random_operator,
-    random_phase_function,
-    random_unitary,
-    trial_rng,
+    replay,
     verify_hausdorff_young,
     verify_plancherel,
     verify_roundtrips,
 )
+from .streams import random_operator, random_phase_function, random_unitary, trial_rng
 from .sobolev import (
     NondegeneracyReport,
     NormAxiomReport,

@@ -16,25 +16,22 @@ symmetric convention.  A transform costs O(N^2 log N) time and O(N^2) memory
 of operators or functions as well and transform it with one FFT call.
 
 Every sampling harness of the package runs on one trial engine,
-:func:`run_trials`.  It owns the ``trials >= 1`` check, calls a per-trial draw
-on ``trial_rng(seed, k)`` for ``k = 0, 1, ...`` in order (so every per-trial
-stream, and with it every report, is what a one-trial-at-a-time loop gives),
-stacks the draws in chunks of at most ``CHUNK_BYTES`` of N x N complex
-operators, and measures a whole chunk with stacked kernel calls.
+:func:`run_trials`.  It owns the ``trials >= 1`` check and reads trial
+``k = 0, 1, ...`` in order from the stream of ``np.random.default_rng([seed,
+k])``, so every report is what a one-trial-at-a-time loop gives.  The streams
+are seeded in blocks: :func:`~qsobolev.streams.seed_block` derives the
+generator states of ``SEED_BLOCK`` trials in one vectorised pass, and a single
+generator, local to the run, is reset to each trial's state, so the generator
+handed to a read is valid only during that call.  A trial does nothing but
+read its stream into the buffers of its chunk (at most ``CHUNK_BYTES`` of
+N x N complex operators); all draw arithmetic runs once per chunk (the
+Ginibre scaling, outer products, diagonals, phase tables, one batched QR and
+one stacked ``U S U*``), and the chunk is measured with stacked kernel calls.
 :func:`kept_ratios` and :func:`worst_trial` reduce the per-trial arrays to the
 report fields: skipped trials come from a zero-denominator mask, and the worst
 value and its witness from ``np.argmax``, whose first occurrence is the trial
-a loop keeping the first strict maximum would report.
-
-A random draw is split in two.  The per-trial part only reads the stream:
-:func:`read_operator` and :func:`read_phase_table` consume it in the order a
-one-go draw does and return raw arrays (an :class:`OperatorRead`, a dual
-table), not validated objects.  The deterministic part runs once per chunk:
-:func:`assemble_operators` factors the Ginibre matrices of all
-``sparse_unitary`` reads with one batched QR and conjugates their sparse cores
-with one stacked matmul, bit for bit what one draw at a time gives.  The
-one-draw API, :func:`random_operator` and :func:`random_phase_function`, is
-the same reader and assembly applied to a single trial.
+a loop keeping the first strict maximum would report.  :func:`replay` rebuilds
+one trial's draw, a reported witness for instance.
 """
 
 from __future__ import annotations
@@ -47,10 +44,21 @@ import numpy as np
 
 from .groups import PhaseFunction, l_q_norm, lq_table_norm
 from .linalg import as_operator, schatten_norm, singular_values
+# The ensembles and one-draw functions keep their qft names as well.
+from .streams import (
+    OPERATOR_ENSEMBLES,
+    PHASE_ENSEMBLES,
+    SEED_BLOCK,
+    OperatorReads,
+    TableReads,
+    random_operator,
+    random_phase_function,
+    random_unitary,
+    seed_block,
+    seed_trial,
+    trial_rng,
+)
 from .weyl import WeylSystem
-
-OPERATOR_ENSEMBLES = ("ginibre", "rank_one", "diagonal", "sparse_unitary")
-PHASE_ENSEMBLES = ("gaussian", "delta", "indicator")
 
 
 def _wrapped_diagonals(N: int) -> np.ndarray:
@@ -103,139 +111,10 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     return T.reshape(*lead, N, N) * system.group.dual_mass
 
 
-def _haar_unitaries(Z: np.ndarray) -> np.ndarray:
-    """Haar-ish unitaries from the QR factorization of Ginibre matrices (one or a stack).
-
-    A stack is factored with one ``np.linalg.qr`` call, which loops LAPACK
-    over the matrices exactly as single calls do.
-    """
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    return Q * (d / np.abs(d))[..., None, :]
-
-
-def _read_ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish random unitary from the QR factorization of a Ginibre matrix."""
-    return _haar_unitaries(_read_ginibre(rng, n))
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorRead:
-    """One random operator as read from its stream, before chunk assembly.
-
-    ``matrix`` is the operator itself, except for a ``sparse_unitary`` draw:
-    there it is the Ginibre matrix of the Haar unitary ``U``, and ``core``
-    holds the ``(rows, cols, values)`` of the sparse matrix ``S`` in ``U S U*``.
-    """
-
-    matrix: np.ndarray
-    core: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
-def read_operator(rng: np.random.Generator, n: int, kind: str = "mixed") -> OperatorRead:
-    """Read one random operator from ``rng``: Ginibre, rank-one, diagonal, or sparse core.
-
-    ``mixed`` draws the ensemble uniformly; the variety supplies diverse
-    near-extremal candidates for the norm inequalities (rank-one operators in
-    particular saturate the interpolated bounds).  Only the stream is read
-    here; the QR factorization and conjugation of a ``sparse_unitary`` draw
-    wait for :func:`assemble_operators`.
-    """
-    if kind == "mixed":
-        kind = OPERATOR_ENSEMBLES[rng.integers(len(OPERATOR_ENSEMBLES))]
-    if kind == "ginibre":
-        return OperatorRead(_read_ginibre(rng, n) / math.sqrt(2.0))
-    if kind == "rank_one":
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return OperatorRead(np.outer(u, v.conj()))
-    if kind == "diagonal":
-        return OperatorRead(np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    if kind == "sparse_unitary":
-        nnz = max(1, n // 2)
-        rows = rng.integers(n, size=nnz)
-        cols = rng.integers(n, size=nnz)
-        values = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
-        return OperatorRead(_read_ginibre(rng, n), (rows, cols, values))
-    raise ValueError(f"unknown operator ensemble {kind!r}")
-
-
-def assemble_operators(matrices: np.ndarray, cores: Sequence) -> np.ndarray:
-    """Turn the stacked ``matrix`` fields of a chunk of reads into its operators, in place.
-
-    ``cores[k]`` is the ``core`` of read k.  The Ginibre matrices of all
-    ``sparse_unitary`` reads are factored with one batched QR and conjugate
-    their cores with one stacked matmul, bit for bit what one read at a time
-    gives.  Returns ``matrices``.
-    """
-    haar = [k for k, core in enumerate(cores) if core is not None]
-    if not haar:
-        return matrices
-    # A chunk of sparse_unitary reads only (at large N, a chunk of one) is
-    # factored and overwritten without a copy of the stack: at N = 1024 that
-    # saves one N x N array at the peak, 120 instead of 136 MiB for three such trials.
-    whole = len(haar) == len(matrices)
-    U = _haar_unitaries(matrices if whole else matrices[haar])
-    S = np.zeros_like(U)
-    for s, k in zip(S, haar):
-        rows, cols, values = cores[k]
-        s[rows, cols] = values
-    US = U @ S
-    if whole:
-        np.matmul(US, U.conj().swapaxes(-2, -1), out=matrices)
-    else:
-        matrices[haar] = US @ U.conj().swapaxes(-2, -1)
-    return matrices
-
-
-def random_operator(rng: np.random.Generator, n: int, kind: str = "mixed") -> np.ndarray:
-    """One random operator: :func:`read_operator` assembled on its own."""
-    read = read_operator(rng, n, kind)
-    return assemble_operators(read.matrix[None], [read.core])[0]
-
-
-def read_phase_table(rng: np.random.Generator, size: int, kind: str = "mixed") -> np.ndarray:
-    """Read one random table on the dual: dense Gaussian, a delta, or an indicator."""
-    if kind == "mixed":
-        kind = PHASE_ENSEMBLES[rng.integers(len(PHASE_ENSEMBLES))]
-    if kind == "gaussian":
-        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    values = np.zeros(size, dtype=np.complex128)
-    if kind == "delta":
-        values[rng.integers(size)] = rng.standard_normal() + 1j * rng.standard_normal()
-    elif kind == "indicator":
-        count = int(rng.integers(1, size + 1))
-        support = rng.choice(size, size=count, replace=False)
-        values[support] = rng.standard_normal() + 1j * rng.standard_normal()
-    else:
-        raise ValueError(f"unknown phase ensemble {kind!r}")
-    return values
-
-
-def random_phase_function(
-    rng: np.random.Generator, system: WeylSystem, kind: str = "mixed"
-) -> PhaseFunction:
-    """One random function on the dual: :func:`read_phase_table` as a PhaseFunction."""
-    return PhaseFunction(system.group, read_phase_table(rng, system.group.size, kind))
-
-
 #: Byte budget of one chunk of stacked trial draws: 128 complex 8 x 8
 #: operators, 8 at N = 32, 2 at N = 64, and one trial per chunk from N = 91 up,
 #: so a large-N harness holds no more N x N matrices than one trial would.
 CHUNK_BYTES = 128 * 1024
-
-
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-trial generator derived from (seed, trial index).
-
-    The stream of ``np.random.default_rng([seed, index])``, built without
-    ``default_rng``'s argument dispatch.
-    """
-    return np.random.Generator(np.random.PCG64([seed, index]))
 
 
 def chunk_length(N: int) -> int:
@@ -243,71 +122,71 @@ def chunk_length(N: int) -> int:
     return max(1, CHUNK_BYTES // (16 * N * N))
 
 
-def run_trials(N: int, trials: int, seed: int, draw, measure) -> tuple[np.ndarray, ...]:
-    """The trial engine: draw each trial on its own stream, measure whole chunks, join.
+def _read(rng: np.random.Generator, columns: Sequence, i: int) -> None:
+    for column in columns:
+        column.read(rng, i)
 
-    ``draw(rng)`` runs on ``trial_rng(seed, k)`` for ``k = 0, ..., trials - 1``
-    in order, so every trial sees the stream it would see alone, and returns
-    a tuple of arrays, scalars or :class:`OperatorRead` objects.  The draws of
-    ``chunk_length(N)`` trials are stacked component by component (a column
-    of operator reads is then assembled by :func:`assemble_operators`) and
-    passed to ``measure``, which returns a tuple of arrays whose leading axis
-    runs over the chunk; those are joined in trial order.
+
+def run_trials(N: int, trials: int, seed: int, draw, measure) -> tuple[np.ndarray, ...]:
+    """The trial engine: read each trial from its own stream, assemble and measure chunks, join.
+
+    ``draw(length)`` returns the columns of one chunk of ``length`` trials
+    (:class:`OperatorReads`, :class:`TableReads`, :class:`ScalarReads`).
+    Trial k is read into slot ``k - start`` of each column, in column order,
+    from one generator reset to the stream of ``np.random.default_rng([seed,
+    k])``; the states come from :func:`seed_block`, ``SEED_BLOCK`` trials at
+    a time, and the generator is local to the call.  So every trial reads
+    what it would read alone, and no trial does more than read its stream:
+    all draw arithmetic runs in ``assemble``, once per chunk of
+    ``chunk_length(N)`` trials.  ``measure`` gets the assembled columns and
+    returns a tuple of arrays whose leading axis runs over the chunk; those
+    are joined in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     step = chunk_length(N)
-
-    def measure_chunk(start: int) -> tuple:
-        # Each draw is copied into its chunk stack and dropped, and locals end
-        # with the call, so at most one chunk and one draw are held at a time.
-        length = min(start + step, trials) - start
-        for i in range(length):
-            parts = draw(trial_rng(seed, start + i))
-            if i == 0:
-                columns = [_ChunkColumn(length, part) for part in parts]
-            for column, part in zip(columns, parts):
-                column.put(i, part)
-        del parts, part
-        return measure(*(column.finish() for column in columns))
-
-    measured = [measure_chunk(start) for start in range(0, trials, step)]
+    rng = np.random.Generator(np.random.PCG64())
+    measured = []
+    for start in range(0, trials, step):
+        stop = min(start + step, trials)
+        columns = draw(stop - start)
+        for k in range(start, stop):
+            if k % SEED_BLOCK == 0:
+                block = seed_block(seed, k, min(SEED_BLOCK, trials - k))
+            seed_trial(rng, block, k)
+            _read(rng, columns, k - start)
+        # An assembled column is its own read buffer: measuring holds one chunk.
+        parts = [column.assemble() for column in columns]
+        del columns
+        measured.append(measure(*parts))
+        del parts
     return tuple(np.concatenate(column) for column in zip(*measured))
 
 
-class _ChunkColumn:
-    """One component of a chunk's draws, copied into its stack as each trial is drawn.
+def replay(draw, seed: int, index: int) -> tuple[np.ndarray, ...]:
+    """Trial ``index``'s assembled draw, as :func:`run_trials` passes it to ``measure``.
 
-    A column of :class:`OperatorRead` objects stacks their matrices, keeps
-    their cores and is assembled by :func:`assemble_operators` when finished.
+    Each part keeps a leading axis of length one.  With a harness's draw and
+    seed, this rebuilds a reported witness from its ``witness_index``.
     """
-
-    def __init__(self, length: int, first):
-        self.cores = [] if isinstance(first, OperatorRead) else None
-        sample = np.asarray(first if self.cores is None else first.matrix)
-        self.stack = np.empty((length, *sample.shape), sample.dtype)
-
-    def put(self, i: int, part) -> None:
-        if self.cores is None:
-            self.stack[i] = part
-        else:
-            self.stack[i] = part.matrix
-            self.cores.append(part.core)
-
-    def finish(self) -> np.ndarray:
-        if self.cores is None:
-            return self.stack
-        return assemble_operators(self.stack, self.cores)
+    columns = draw(1)
+    _read(trial_rng(seed, index), columns, 0)
+    return tuple(column.assemble() for column in columns)
 
 
 def operator_draw(system: WeylSystem):
     """The :func:`run_trials` draw of one random operator on C^N per trial."""
-    return lambda rng: (read_operator(rng, system.N),)
+    return lambda length: (OperatorReads(system.N, length),)
+
+
+def table_draw(system: WeylSystem):
+    """The :func:`run_trials` draw of one random table on the dual per trial."""
+    return lambda length: (TableReads(system.group.size, length),)
 
 
 def operator_and_table_draw(system: WeylSystem):
     """The :func:`run_trials` draw of a random operator, then a random dual table."""
-    return lambda rng: (read_operator(rng, system.N), read_phase_table(rng, system.group.size))
+    return lambda length: (OperatorReads(system.N, length), TableReads(system.group.size, length))
 
 
 def kept_ratios(numerators: np.ndarray, denominators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -440,9 +319,7 @@ def verify_hausdorff_young(
             transformed = norms(qft_forward(system, T).values, qs, mass)
             return transformed, norms(singular_values(T), exponents, 1.0)
     else:
-
-        def draw(rng):
-            return (read_phase_table(rng, system.group.size),)
+        draw = table_draw(system)
 
         def measure(f):
             S = singular_values(qft_inverse(system, PhaseFunction(system.group, f)))

@@ -27,10 +27,10 @@ from .qft import (
     qft_inverse,
     operator_and_table_draw,
     operator_draw,
-    read_operator,
     run_trials,
     worst_trial,
 )
+from .streams import OperatorReads, ScalarReads
 from .weyl import WeylSystem, weyl_operator
 
 WEIGHT_PROVENANCES = ("euclidean-representative", "constant", "custom-table")
@@ -238,10 +238,8 @@ def verify_norm_axioms(
     stronger = SobolevSpec(s=2.0 * spec.s, p=spec.p, weight=spec.weight, homogeneous=False)
     hom = SobolevSpec(s=spec.s, p=spec.p, weight=spec.weight, homogeneous=True)
 
-    def draw(rng):
-        T = read_operator(rng, system.N)
-        S = read_operator(rng, system.N)
-        return T, S, complex(rng.standard_normal(), rng.standard_normal())
+    def draw(length):
+        return OperatorReads(system.N, length), OperatorReads(system.N, length), ScalarReads(length)
 
     def measure(T, S, c):
         nT = sobolev_norm(system, T, spec)

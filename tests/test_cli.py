@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -366,6 +368,19 @@ class TestReproducibility:
         assert first_json != second_json  # the timestamp moved
         assert strip_timestamp(first_json.decode()) == strip_timestamp(second_json.decode())
         assert first_csv == second_csv
+
+    def test_multi_word_seed_reports_are_byte_identical(self, tmp_path):
+        # 2**64 + 5 takes three 32-bit words of seed entropy.
+        seed = 2**64 + 5
+        args = ["hausdorff-young", "--N", "4", "--trials", "20", "--seed", str(seed), "--format", "both"]
+        reports = []
+        for name in ("first", "second"):
+            out = tmp_path / f"{name}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(args + ["--out", str(out)]) == 0
+            reports.append((strip_timestamp(out.read_text()), out.with_suffix(".csv").read_bytes()))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0][0])["config"]["seed"] == seed
 
     def test_equivalent_reals_give_identical_reports(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

@@ -1,10 +1,10 @@
 """The chunked trial engine against the per-trial loops it replaced.
 
 The oracles below are the harness loops as they were before the engine: one
-``trial_rng(seed, k)`` per trial, single-operator kernel calls, and a running
-worst that is replaced only on a strict ``>``.  They look up the draws as
-``qft.<name>`` at call time, so a monkeypatched draw reaches them and the
-engine alike.
+``np.random.default_rng([seed, k])`` per trial (:func:`oracle_rng`),
+single-operator kernel calls, and a running worst that is replaced only on a
+strict ``>``.  They look up :func:`oracle_rng` and the draws at call time, so
+a monkeypatched stream or read reaches them and the engine alike.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsobolev import cli, embedding, linalg, qft, sobolev
+from qsobolev import cli, embedding, linalg, qft, sobolev, streams
 from qsobolev.embedding import compute_exponents, multiplier_norm, verify_embedding_chain
 from qsobolev.groups import PhaseFunction, l_q_norm, lq_table_norm
 from qsobolev.linalg import as_operator, schatten_norm, singular_values, trace_pairing
@@ -48,6 +48,13 @@ from qsobolev.weyl import make_weyl_system, weyl_operator
 
 EXPONENTS = (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0)
 ULPS = 4
+#: A seed of three 32-bit words; the CLI takes any non-negative ``--seed``.
+WIDE_SEED = 2**64 + 5
+
+
+def oracle_rng(seed, k):
+    """Trial k's stream, built the way numpy documents it."""
+    return np.random.default_rng([seed, k])
 
 
 # -- the per-trial loops, kept as oracles -------------------------------------
@@ -56,7 +63,7 @@ ULPS = 4
 def plancherel_loop(system, trials, seed):
     worst = 0.0
     for k in range(trials):
-        T = qft.random_operator(qft.trial_rng(seed, k), system.N)
+        T = qft.random_operator(oracle_rng(seed, k), system.N)
         s2 = schatten_norm(T, 2.0)
         if s2 == 0.0:
             continue
@@ -69,7 +76,7 @@ def roundtrips_loop(system, trials, seed):
     worst_op = 0.0
     worst_fn = 0.0
     for k in range(trials):
-        rng = qft.trial_rng(seed, k)
+        rng = oracle_rng(seed, k)
         T = qft.random_operator(rng, system.N)
         norm_T = np.linalg.norm(T)
         if norm_T > 0.0:
@@ -89,7 +96,7 @@ def hausdorff_young_loop(system, p, direction, trials, seed):
     witness = None
     skipped = 0
     for k in range(trials):
-        rng = qft.trial_rng(seed, k)
+        rng = oracle_rng(seed, k)
         if direction == "forward":
             T = qft.random_operator(rng, system.N)
             denom = schatten_norm(T, p)
@@ -125,7 +132,7 @@ def phi_isometry_loop(system, spec, trials, seed):
     points = system.group.coordinates.T.tolist()
     worst = 0.0
     for k in range(trials):
-        T = qft.random_operator(qft.trial_rng(seed, k), system.N)
+        T = qft.random_operator(oracle_rng(seed, k), system.N)
         via_fft = sobolev_norm(system, T, spec)
         pairings = np.array([trace_pairing(T, weyl_operator(system, xi)) for xi in points])
         direct = lq_table_norm(multiplier * pairings, spec.q, system.group.dual_mass)
@@ -147,7 +154,7 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
     worst_dom = -math.inf
     definite_viol = 0
     for k in range(trials):
-        rng = qft.trial_rng(seed, k)
+        rng = oracle_rng(seed, k)
         T = qft.random_operator(rng, system.N)
         S = qft.random_operator(rng, system.N)
         c = complex(rng.standard_normal(), rng.standard_normal())
@@ -204,7 +211,7 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
     worst = 0.0
     skipped = 0
     for k in range(trials):
-        rng = qft.trial_rng(seed, k)
+        rng = oracle_rng(seed, k)
         T = qft.random_operator(rng, system.N)
         phi = qft.random_phase_function(rng, system)
         element = make_test_element(system, dual_spec, phi, sign)
@@ -239,7 +246,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
     ratios_corrected = []
     ratios_alternate = [] if exponents.beta_alternate_defined else None
     for k in range(trials):
-        T = qft.random_operator(qft.trial_rng(seed, k), system.N)
+        T = qft.random_operator(oracle_rng(seed, k), system.N)
         snorm = sobolev_norm(system, T, spec)
         if snorm == 0.0:
             out["skipped"] += 1
@@ -404,7 +411,7 @@ def trial_counts(chunk):
 class TestOracles:
     @pytest.mark.parametrize("name", sorted(HARNESSES))
     @pytest.mark.parametrize("N", [1, 2, 3, 8])
-    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("seed", [0, 17, WIDE_SEED])
     def test_small_chunks(self, name, N, seed, chunk_of):
         chunk_of(N, 4)
         batch, oracle = HARNESSES[name]
@@ -435,31 +442,43 @@ class TestOracles:
 def zero_draws(monkeypatch):
     """Trial indices whose operator reads and dual-table reads become zero.
 
-    The patch sits on the per-trial readers, which the engine's draws and the
-    oracles' ``random_operator``/``random_phase_function`` both go through.
-    The real read still runs first, so every later read of the trial sees the
-    stream it would see without the patch.
+    The engine resets its generator to trial k through ``qft.seed_trial`` and
+    the oracles take trial k's stream from :func:`oracle_rng`; both record k.
+    The patch then sits on the reads, which the engine's columns and the
+    oracles' ``random_operator``/``random_phase_function`` both go through:
+    the real read still runs first, so every later read of the trial sees the
+    stream it would see without the patch, and the trial's assembled row is
+    zeroed.
     """
     zeros = set()
     current = {}
-    real_rng, real_operator, real_table = qft.trial_rng, qft.read_operator, qft.read_phase_table
+    real_seed_trial = qft.seed_trial
 
-    def trial_rng(seed, k):
+    def seed_trial(rng, block, k):
         current["k"] = k
-        return real_rng(seed, k)
+        real_seed_trial(rng, block, k)
 
-    def read_operator(rng, n, kind="mixed"):
-        read = real_operator(rng, n, kind)
-        return qft.OperatorRead(np.zeros_like(read.matrix)) if current["k"] in zeros else read
+    def stream(seed, k):
+        current["k"] = k
+        return np.random.default_rng([seed, k])
 
-    def read_phase_table(rng, size, kind="mixed"):
-        values = real_table(rng, size, kind)
-        return np.zeros_like(values) if current["k"] in zeros else values
+    monkeypatch.setattr(qft, "seed_trial", seed_trial)
+    monkeypatch.setitem(globals(), "oracle_rng", stream)
+    for reads in (qft.OperatorReads, qft.TableReads):
+        real_read, real_assemble = reads.read, reads.assemble
 
-    for module in (qft, sobolev, embedding):
-        for fn in (trial_rng, read_operator, read_phase_table):
-            if hasattr(module, fn.__name__):
-                monkeypatch.setattr(module, fn.__name__, fn)
+        def read(self, rng, i, real_read=real_read):
+            real_read(self, rng, i)
+            if current["k"] in zeros:
+                self.__dict__.setdefault("zeroed", []).append(i)
+
+        def assemble(self, real_assemble=real_assemble):
+            stack = real_assemble(self)
+            stack[self.__dict__.get("zeroed", [])] = 0.0
+            return stack
+
+        monkeypatch.setattr(reads, "read", read)
+        monkeypatch.setattr(reads, "assemble", assemble)
     return zeros
 
 
@@ -547,7 +566,7 @@ class TestDrawCounts:
     # hausdorff-young: 100 trials per direction; pairing: 200 shared by both signs.
     @pytest.mark.parametrize("command", ["plancherel", "hausdorff-young", "pairing"])
     def test_cli_defaults_draw_each_trial_once(self, command, monkeypatch, tmp_path):
-        draws = _count_calls(monkeypatch, qft, "trial_rng")
+        draws = _count_calls(monkeypatch, qft, "seed_trial")
         assert _run_cli([command], tmp_path) == 0
         assert len(draws) == {"plancherel": 100, "hausdorff-young": 200, "pairing": 200}[command]
 
@@ -637,26 +656,27 @@ class TestStreamReads:
     @pytest.mark.parametrize("kind", ("mixed",) + qft.OPERATOR_ENSEMBLES)
     def test_chunk_assembly_equals_one_draw_at_a_time(self, N, kind, chunk_of):
         chunk_of(N, 12)
-        (chunk,) = qft.run_trials(N, 12, N, lambda rng: (qft.read_operator(rng, N, kind),), lambda T: (T,))
+        (chunk,) = qft.run_trials(N, 12, N, lambda length: (qft.OperatorReads(N, length, kind),), lambda T: (T,))
         for k in range(12):
-            rng, oracle_rng = qft.trial_rng(N, k), qft.trial_rng(N, k)
-            expected = operator_oracle(oracle_rng, N, kind)
+            rng, reference = oracle_rng(N, k), oracle_rng(N, k)
+            expected = operator_oracle(reference, N, kind)
             assert np.array_equal(chunk[k], expected), k
             assert np.array_equal(qft.random_operator(rng, N, kind), expected), k
             # The read leaves the stream where the one-go draw does.
-            assert rng.standard_normal() == oracle_rng.standard_normal()
+            assert rng.standard_normal() == reference.standard_normal()
 
     @pytest.mark.parametrize("N", ASSEMBLY_DIMENSIONS)
     @pytest.mark.parametrize("kind", ("mixed",) + qft.PHASE_ENSEMBLES)
-    def test_phase_tables_equal_one_draw_at_a_time(self, N, kind):
+    def test_phase_tables_equal_one_draw_at_a_time(self, N, kind, chunk_of):
+        chunk_of(N, 5)
         system = make_weyl_system(N)
+        (chunk,) = qft.run_trials(N, 12, N, lambda length: (qft.TableReads(N * N, length, kind),), lambda f: (f,))
         for k in range(12):
-            rng, oracle_rng = qft.trial_rng(N, k), qft.trial_rng(N, k)
-            expected = phase_table_oracle(oracle_rng, N * N, kind)
-            assert np.array_equal(qft.read_phase_table(rng, N * N, kind), expected), k
-            assert rng.standard_normal() == oracle_rng.standard_normal()
-            f = qft.random_phase_function(qft.trial_rng(N, k), system, kind)
-            assert np.array_equal(f.values, expected), k
+            rng, reference = oracle_rng(N, k), oracle_rng(N, k)
+            expected = phase_table_oracle(reference, N * N, kind)
+            assert np.array_equal(chunk[k], expected), k
+            assert np.array_equal(qft.random_phase_function(rng, system, kind).values, expected), k
+            assert rng.standard_normal() == reference.standard_normal()
 
     @pytest.mark.parametrize(
         "run, per_chunk",
@@ -689,17 +709,88 @@ class TestStreamReads:
     @pytest.mark.parametrize("length", [1, 3])
     def test_sparse_only_chunk_is_assembled_without_a_copy(self, length):
         # numpy reports its arrays to tracemalloc; LAPACK's work space is not traced.
-        # In place, the Q, R, U, S and U S arrays peak at four stacks; a copy
-        # of the Ginibre stack before the QR would make it five.
-        reads = [qft.read_operator(qft.trial_rng(0, k), 64, "sparse_unitary") for k in range(length)]
-        stack = np.stack([read.matrix for read in reads])
+        # The Ginibre matrices are built in place of their reads, so the QR's
+        # copy, Q and R peak at three stacks; a Ginibre stack kept beside the
+        # reads through the QR would make it four.
+        reads = qft.OperatorReads(64, length, "sparse_unitary")
+        for k in range(length):
+            reads.read(oracle_rng(0, k), k)
         tracemalloc.start()
         try:
-            qft.assemble_operators(stack, [read.core for read in reads])
+            reads.assemble()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * stack.nbytes
+        assert peak < 3.5 * reads.operators.nbytes
+
+
+class StreamProbe:
+    """A draw column that records each trial's generator state and first draws."""
+
+    def __init__(self, length):
+        self.states = np.empty(length, dtype=object)
+        self.draws = np.empty((length, 4))
+
+    def read(self, rng, i):
+        self.states[i] = rng.bit_generator.state
+        self.draws[i, :3] = rng.standard_normal(3)
+        self.draws[i, 3] = rng.integers(2**52)
+
+    def assemble(self):
+        return self
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, WIDE_SEED, 2**130 + 3, np.uint64(2**63 + 9)]
+SEED_IDS = ["0", "1", "2^32-1", "2^32", "2^64+5", "2^130+3", "uint64"]
+
+
+class TestStreamSeeding:
+    @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+    def test_engine_streams_are_the_default_rng_streams(self, seed):
+        # Past the first seeding block, so trials on both sides of its boundary.
+        trials = qft.SEED_BLOCK + 3
+        draw = lambda length: (StreamProbe(length),)
+        states, draws = qft.run_trials(8, trials, seed, draw, lambda probe: (probe.states, probe.draws))
+        for k in range(trials):
+            reference = np.random.default_rng([seed, k])
+            assert states[k] == reference.bit_generator.state, k
+            assert np.array_equal(draws[k, :3], reference.standard_normal(3)), k
+            assert draws[k, 3] == reference.integers(2**52), k
+
+    @pytest.mark.parametrize("seed", [0, WIDE_SEED, 2**130 + 3], ids=["0", "2^64+5", "2^130+3"])
+    def test_block_crosses_the_index_word_boundary(self, seed):
+        # Indices 2^32 - 2 and 2^32 - 1 are one 32-bit word, 2^32 and up two.
+        start = 2**32 - 2
+        for j, state in enumerate(streams.seed_block(seed, start, 4)):
+            assert state == np.random.default_rng([seed, start + j]).bit_generator.state, j
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, np.float64(2.0)], ids=["negative", "float", "numpy-float"])
+    def test_invalid_seed_raises_what_default_rng_raises(self, bad):
+        with pytest.raises(Exception) as expected:
+            np.random.default_rng([bad, 0])
+        with pytest.raises(expected.type):
+            qft.trial_rng(bad, 0)
+        with pytest.raises(expected.type):
+            qft.run_trials(8, 3, bad, qft.operator_draw(make_weyl_system(8)), lambda T: (T,))
+
+
+class TestReplay:
+    def test_replay_is_the_engine_draw(self):
+        system = make_weyl_system(8)
+        draw = qft.operator_and_table_draw(system)
+        T, f = qft.run_trials(8, 200, 4, draw, lambda T, f: (T, f))
+        for k in (0, 127, 128, 199):
+            T_k, f_k = qft.replay(draw, 4, k)
+            assert T_k.shape == (1, 8, 8) and f_k.shape == (1, 64)
+            assert np.array_equal(T_k[0], T[k]) and np.array_equal(f_k[0], f[k])
+
+    def test_forward_witness_replays_its_worst_ratio(self):
+        system = make_weyl_system(8)
+        for rep in verify_hausdorff_young(system, EXPONENTS, "forward", 100, 0):
+            (T,) = qft.replay(qft.operator_draw(system), 0, rep.witness_index)
+            transformed = lq_table_norm(qft_forward(system, T).values, rep.q, system.group.dual_mass)
+            ratio = transformed / lq_table_norm(singular_values(T), rep.p, 1.0)
+            assert ratio[0] == rep.worst_ratio, rep.p
 
 
 # -- stacked kernels ----------------------------------------------------------
