@@ -87,7 +87,9 @@ DIRECTIONS = {"forward": ("forward",), "inverse": ("inverse",), "both": ("forwar
 #: matrices at once (random draws, transform tables, the LAPACK SVD
 #: workspace: peak RSS above the import baseline of each subcommand that
 #: accepts N > 16, measured at N = 512 and 1024), so N is capped where 16
-#: of them fit: N <= 2048.
+#: of them fit: N <= 2048.  The transform's cached wrapped-diagonal index
+#: fits in that room: one N x N int64 table per cached N, half a matrix
+#: (8 MiB at N = 1024, 32 MiB at N = 2048), at most four of them.
 MEMORY_BUDGET_BYTES = 2**30
 MAX_N = math.isqrt(MEMORY_BUDGET_BYTES // (16 * np.dtype(np.complex128).itemsize))
 

@@ -232,11 +232,14 @@ def lex_first_points(group: PhaseSpaceGrid, k: int) -> np.ndarray:
 def ball_points(group: PhaseSpaceGrid, k: int) -> np.ndarray:
     """Indices of the k dual points nearest the origin in symmetric representatives.
 
-    Ties in the squared radius are broken lexicographically by ``(a, b)``.
+    Ties in the squared radius are broken lexicographically by ``(a, b)``:
+    points are stored in that order, so a stable sort by radius keeps it.
+    Only the points within the k-th smallest radius are sorted.
     """
     _require_set_size(group, k)
-    a, b = group.coordinates
-    return np.lexsort((b, a, group.squared_radii()))[:k]
+    radii = group.squared_radii()
+    within = np.flatnonzero(radii <= np.partition(radii, k - 1)[k - 1])
+    return within[np.argsort(radii[within], kind="stable")[:k]]
 
 
 def subgroup_points(group: PhaseSpaceGrid, k: int) -> np.ndarray:

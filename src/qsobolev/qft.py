@@ -13,7 +13,8 @@ the support of ``pi(a, b)``: ``tr(T pi(a, b)^*)`` is the length-N DFT in ``t``
 of ``D[a, :]`` at frequency ``b``, times ``exp(i pi (a b mod 2N) / N)`` in the
 symmetric convention.  A transform costs O(N^2 log N) time and O(N^2) memory
 (Feichtinger, Kozek & Luef, ACHA 2009; Werner, JMP 1984).  Both take a stack
-of operators or functions as well and transform it with one FFT call.
+of operators or functions as well and transform it with one FFT call, and
+both read the diagonals through one index built once per N.
 
 Every sampling harness of the package runs on one trial engine,
 :func:`run_trials`.  It owns the ``trials >= 1`` check and reads trial
@@ -36,6 +37,7 @@ one trial's draw, a reported witness for instance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -61,10 +63,18 @@ from .streams import (
 from .weyl import WeylSystem
 
 
+@functools.lru_cache(maxsize=4)
 def _wrapped_diagonals(N: int) -> np.ndarray:
-    """Flat indices ``t*N + (t + a) % N`` at ``[a, t]``: ``D[a, t] = T[t, (t + a) % N]``."""
+    """Flat indices ``t*N + (t + a) % N`` at ``[a, t]``: ``D[a, t] = T[t, (t + a) % N]``.
+
+    Built once per N and shared read-only by every system of that N; the
+    cache holds the four most recent N, one N^2 int64 table each (32 MiB at
+    N = 2048).
+    """
     t = np.arange(N)
-    return t * N + (t[:, None] + t) % N
+    index = t * N + (t[:, None] + t) % N
+    index.setflags(write=False)
+    return index
 
 
 def _phase(system: WeylSystem) -> np.ndarray | float:
@@ -108,7 +118,9 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     del table  # one N^2 table fewer while T is filled
     T = np.empty((*lead, N * N), dtype=np.complex128)
     T[..., _wrapped_diagonals(N)] = diagonals
-    return T.reshape(*lead, N, N) * system.group.dual_mass
+    del diagonals
+    T *= system.group.dual_mass  # in place: no second N^2 operator
+    return T.reshape(*lead, N, N)
 
 
 #: Byte budget of one chunk of stacked trial draws: 128 complex 8 x 8

@@ -173,10 +173,18 @@ class TestSetSelectors:
         assert pts[0] == (0, 0)
         assert set(pts) == {(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)}
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16, 64])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 8, 16, 64, 127, 128])
     def test_ball_order_matches_sorted_oracle(self, N):
-        for k in sorted({1, N, max(1, N * N // 2), N * N}):
+        # k = 2, 3, 6 and 10 end inside a class of equal radius once N >= 5.
+        for k in sorted({1, 2, 3, 6, 10, N, max(1, N * N // 2), N * N} & set(range(1, N * N + 1))):
             assert as_points(ball_points(make_group([N, N]), k), N) == sorted_ball_oracle(N, k)
+
+    def test_returned_indices_are_the_callers(self):
+        group = make_group([8, 8])
+        first = ball_points(group, 6)
+        expected = first.copy()
+        first[:] = -1
+        np.testing.assert_array_equal(ball_points(group, 6), expected)
 
     def test_subgroup_stride(self):
         group = make_group([8, 8])

@@ -26,6 +26,16 @@ def grid_points(N):
     return [(a, b) for a in range(N) for b in range(N)]
 
 
+def unmasked_lq(values, q, mass):
+    # Oracle: lq_table_norm with every ratio raised to the power, zeros included.
+    mods = np.abs(values)
+    top = np.max(mods, axis=-1)
+    scale = np.where(top > 0.0, top, 1.0)[..., None]
+    total = np.sum((mods / scale) ** q, axis=-1) * mass
+    root = np.array([t ** (1.0 / q) for t in total.ravel().tolist()]).reshape(total.shape)
+    return top * root
+
+
 class TestMakeGroup:
     def test_single_cyclic_factor(self):
         # Only the square grid Z_N x Z_N exists: one cyclic factor is rejected.
@@ -64,6 +74,17 @@ class TestMakeGroup:
         for bad in [(4, 0), (0, -1), (1, 1.5), (1,), (1, 2, 3)]:
             with pytest.raises(ValueError):
                 g.require_point(bad)
+
+
+class TestSquaredRadii:
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 9])
+    def test_equals_indices_form(self, N):
+        # Oracle: both coordinates of every point from np.indices, folded into (-N/2, N/2].
+        r = np.indices((N, N)).reshape(2, -1) % N
+        expected = np.sum(np.where(2 * r <= N, r, r - N) ** 2, axis=0)
+        radii = make_group([N, N]).squared_radii()
+        assert radii.dtype == expected.dtype
+        np.testing.assert_array_equal(radii, expected)
 
 
 class TestGroupArithmetic:
@@ -124,6 +145,20 @@ class TestLqNorm:
         f = PhaseFunction(g, vals)
         for q in (0.5, 1.0, 1.7, 2.0, 4.0, math.inf):
             assert l_q_norm(f, q) == pytest.approx(brute_lq(vals, q, 0.25), rel=1e-13)
+
+    @pytest.mark.parametrize("q", [1.0, 8 / 7, 4 / 3, 2.0, 4.0, 8.0])
+    def test_zero_skip_equals_unmasked_sum(self, q):
+        # A delta, an indicator, an all-zero row and a dense row whose moduli
+        # span six decades, bit for bit, stacked and one table at a time.
+        rng = np.random.default_rng(5)
+        stack = np.zeros((4, 64), dtype=np.complex128)
+        stack[0, 17] = 0.3 - 2.0j
+        stack[1, [2, 9, 40, 63]] = 1.0
+        stack[3] = np.exp(2j * np.pi * rng.random(64)) * 10.0 ** rng.uniform(-6.0, 0.0, 64)
+        expected = unmasked_lq(stack, q, 0.125)
+        assert lq_table_norm(stack, q, 0.125).tobytes() == expected.tobytes()
+        for row, value in zip(stack, expected):
+            assert lq_table_norm(row, q, 0.125) == value
 
     def test_rejects_bad_exponent(self):
         g = self.dual16()

@@ -6,6 +6,8 @@ import pytest
 from qsobolev.groups import PhaseFunction, l_q_norm
 from qsobolev.linalg import schatten_norm
 from qsobolev.qft import (
+    _phase,
+    _wrapped_diagonals,
     OPERATOR_ENSEMBLES,
     PHASE_ENSEMBLES,
     conjugate_exponent,
@@ -77,6 +79,76 @@ class TestOperatorSumOracle:
             expected = np.zeros(N * N, dtype=np.complex128)
             expected[i] = N
             assert_close_rel(qft_forward(system, W).values, expected)
+
+
+def per_call_index(N):
+    """The wrapped-diagonal index as the transforms once rebuilt it on every call."""
+    t = np.arange(N)
+    return t * N + (t[:, None] + t) % N
+
+
+def per_call_forward(system, T):
+    """The forward transform with a freshly built index: the cached path's oracle."""
+    N = system.N
+    lead = T.shape[:-2]
+    diagonals = np.take(T.reshape(*lead, N * N), per_call_index(N), axis=-1)
+    return (np.fft.fft(diagonals, axis=-1) * _phase(system)).reshape(*lead, N * N)
+
+
+def per_call_inverse(system, values):
+    """The inverse transform with a freshly built index: the cached path's oracle."""
+    N = system.N
+    lead = values.shape[:-1]
+    table = values.reshape(*lead, N, N) * np.conj(_phase(system))
+    T = np.empty((*lead, N * N), dtype=np.complex128)
+    T[..., per_call_index(N)] = np.fft.ifft(table, axis=-1, norm="forward")
+    return T.reshape(*lead, N, N) * system.group.dual_mass
+
+
+class TestCachedIndex:
+    """The per-N cached index gives the per-call transforms bit for bit."""
+
+    SIZES = (1, 2, 3, 5, 8, 64, 127, 128)
+
+    def assert_bitwise_oracle(self, N, convention):
+        system = make_weyl_system(N, convention)
+        rng = np.random.default_rng(N)
+        T = rng.standard_normal((3, N, N)) + 1j * rng.standard_normal((3, N, N))
+        f = rng.standard_normal((3, N * N)) + 1j * rng.standard_normal((3, N * N))
+        for ops, values in ((T, f), (T[0], f[0])):
+            forward = qft_forward(system, ops).values
+            inverse = qft_inverse(system, PhaseFunction(system.group, values))
+            np.testing.assert_array_equal(forward, per_call_forward(system, ops))
+            np.testing.assert_array_equal(inverse, per_call_inverse(system, values))
+
+    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
+    @pytest.mark.parametrize("N", SIZES)
+    def test_bitwise_equal_to_per_call_index(self, N, convention):
+        self.assert_bitwise_oracle(N, convention)
+
+    def test_bitwise_equal_after_cache_evictions(self):
+        bound = _wrapped_diagonals.cache_info().maxsize
+        for N in range(9, 10 + 2 * bound):
+            qft_forward(make_weyl_system(N), np.eye(N))
+        assert _wrapped_diagonals.cache_info().currsize == bound
+        for N in self.SIZES:
+            for convention in ("standard", "symmetric"):
+                self.assert_bitwise_oracle(N, convention)
+
+    def test_index_is_read_only(self):
+        index = _wrapped_diagonals(8)
+        np.testing.assert_array_equal(index, per_call_index(8))
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+
+    def test_systems_of_equal_n_share_the_index(self):
+        first, second = make_weyl_system(6), make_weyl_system(6, "symmetric")
+        qft_forward(first, np.eye(6))
+        hits = _wrapped_diagonals.cache_info().hits
+        qft_inverse(second, PhaseFunction(second.group, np.ones(36)))
+        assert _wrapped_diagonals.cache_info().hits == hits + 1
+        assert _wrapped_diagonals(6) is _wrapped_diagonals(6)
 
 
 class TestForward:
