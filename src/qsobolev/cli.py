@@ -8,9 +8,8 @@ a contract CI can consume directly:
 * 0 - every assertion in scope passed,
 * 1 - an assertion failed (the report is still written),
 * 2 - invalid configuration,
-* 3 - numerical failure (LAPACK SVD non-convergence, an inconsistent operator
-      composition, an overflowing Sobolev multiplier or a NaN result; no
-      report is written),
+* 3 - numerical failure (LAPACK SVD non-convergence, an overflowing Sobolev
+      multiplier or a NaN result; no report is written),
 * 4 - the report could not be written.
 
 Each subcommand is one :class:`Command` with a table of typed parameters whose
@@ -29,7 +28,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
@@ -62,7 +61,6 @@ from .sobolev import (
 from .weyl import (
     AXIOM_CHECK_MAX_N,
     CONVENTIONS,
-    RepresentationError,
     check_axioms,
     make_weyl_system,
 )
@@ -325,7 +323,8 @@ def run_axioms(config: dict):
         [c.axiom, c.informational, c.passed, c.worst_deviation, json.dumps(c.witness)]
         for c in report.checks
     ]
-    return report.to_dict(), report.core_passed, ["axiom", "informational", "passed", "worst_deviation", "witness"], rows
+    results = asdict(report) | {"core_passed": report.core_passed}
+    return results, report.core_passed, ["axiom", "informational", "passed", "worst_deviation", "witness"], rows
 
 
 def run_plancherel(config: dict):
@@ -361,7 +360,7 @@ def run_hausdorff_young(config: dict):
         for rep in reports:
             ok = rep.worst_ratio <= 1.0 + slack
             passed = passed and ok
-            runs.append(rep.to_dict() | {"passed": ok})
+            runs.append(asdict(rep) | {"passed": ok})
             rows.append([rep.p, rep.q, rep.direction, config["N"], trials, seed, rep.worst_ratio, rep.skipped, ok])
     results = {"runs": runs}
     # Reported, never asserted: whether the endpoint exponents bound the
@@ -393,7 +392,7 @@ def run_sobolev_norms(config: dict):
         and report.hom_dominance_violations == 0
         and report.definiteness_violations == 0
     )
-    d = report.to_dict()
+    d = asdict(report)
     rows = [[k, v] for k, v in d.items()]
     return d, passed, ["field", "value"], rows
 
@@ -415,13 +414,13 @@ def run_pairing(config: dict):
     )
     for sign, bound in zip(signs, bounds):
         passed = passed and bound.satisfied
-        results["pairing"].append(bound.to_dict())
+        results["pairing"].append(asdict(bound))
         rows.append(["pairing", sign, bound.max_ratio, bound.analytic_bound, bound.satisfied])
         if system.N <= NONDEGENERACY_MAX_N:
             dual_spec = SobolevSpec(s=s, p=conjugate_exponent(p), weight=weight)
             nd = nondegeneracy_check(system, dual_spec, sign=sign, rank_tol=tol["rank"])
             passed = passed and nd.full_rank
-            results["nondegeneracy"].append(nd.to_dict())
+            results["nondegeneracy"].append(asdict(nd))
             rows.append(["nondegeneracy", sign, nd.rank, nd.dimension, nd.full_rank])
     return results, passed, ["check", "sign", "value", "reference", "passed"], rows
 
@@ -431,7 +430,7 @@ def run_exponents(config: dict):
     report = compute_exponents(alpha, q, s)
     identity_error = abs(1.0 / report.sigma - (1.0 / alpha + 1.0 / q))
     passed = identity_error <= config["tolerances"]["identity"]
-    results = report.to_dict() | {"holder_identity_error": identity_error}
+    results = asdict(report) | {"holder_identity_error": identity_error}
     rows = [[k, v] for k, v in results.items()]
     return results, passed, ["field", "value"], rows
 
@@ -466,7 +465,7 @@ def run_embed(config: dict):
             )
         )
     ]
-    return report.to_dict(), passed, ["trial", "ratio_corrected", "ratio_alternate"], rows
+    return asdict(report), passed, ["trial", "ratio_corrected", "ratio_alternate"], rows
 
 
 def run_counterexample(config: dict):
@@ -485,7 +484,7 @@ def run_counterexample(config: dict):
         abs(report.fitted_slope - report.predicted_slope)
         <= tol["slope_rel"] * abs(report.predicted_slope)
     )
-    results = report.to_dict() | {
+    results = asdict(report) | {
         "normalization_ok": norm_ok,
         "strictly_increasing": monotone,
         "slope_within_tolerance": slope_ok,
@@ -624,7 +623,7 @@ def main(argv=None) -> int:
         config = resolve_config(args)
         results, passed, header, rows = COMMANDS[args.command].run(config)
         reject_nan(results)
-    except (np.linalg.LinAlgError, RepresentationError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # Ahead of the ValueError clause: LinAlgError subclasses ValueError.
         print(f"numerical kernel failure: {exc}", file=_sys.stderr)
         return 3

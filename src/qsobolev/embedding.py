@@ -19,7 +19,7 @@ inverse transforms; the predicted log-log slope is ``1/rho - 1/q``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .qft import (
     run_trials,
     worst_trial,
 )
-from .sobolev import SobolevSpec, Weight, bessel_multiplier, sobolev_norm
+from .sobolev import SobolevSpec, Weight, bessel_multiplier, transform_norm
 from .weyl import WeylSystem
 
 
@@ -55,9 +55,6 @@ class ExponentReport:
     beta_alternate: float | None
     sigma_in_range: bool
     beta_alternate_defined: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compute_exponents(alpha: float, q: float, s: float) -> ExponentReport:
@@ -132,9 +129,6 @@ class EmbeddingRunReport:
     ratios_corrected: tuple[float, ...] = field(repr=False)
     ratios_alternate: tuple[float, ...] | None = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def verify_embedding_chain(
     system: WeylSystem,
@@ -180,9 +174,10 @@ def verify_embedding_chain(
 
     def measure(T):
         s = singular_values(T)
+        f = qft_forward(system, T)
         return (
-            sobolev_norm(system, T, spec),
-            l_q_norm(qft_forward(system, T), sigma),
+            transform_norm(f, spec, spec.s, spec.homogeneous),
+            l_q_norm(f, sigma),
             np.stack([lq_table_norm(s, beta, 1.0) for beta in betas], axis=-1),
         )
 
@@ -285,9 +280,6 @@ class CounterexampleReport:
     fitted_slope: float
     predicted_slope: float
     decades_spanned: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def counterexample_run(

@@ -11,7 +11,9 @@ below measure both claims on seeded random ensembles.
 Both directions run on the wrapped diagonals ``D[a, t] = T[t, t + a mod N]``,
 the support of ``pi(a, b)``: ``tr(T pi(a, b)^*)`` is the length-N DFT in ``t``
 of ``D[a, :]`` at frequency ``b``, times ``exp(i pi (a b mod 2N) / N)`` in the
-symmetric convention.  A transform costs O(N^2 log N) time and O(N^2) memory
+symmetric convention.  That phase table is gathered from the 2N roots
+``exp(i pi k / N)`` on each call; the standard convention does no phase
+arithmetic at all.  A transform costs O(N^2 log N) time and O(N^2) memory
 (Feichtinger, Kozek & Luef, ACHA 2009; Werner, JMP 1984).  Both take a stack
 of operators or functions as well and transform it with one FFT call, and
 both read the diagonals through one index built once per N.
@@ -32,34 +34,22 @@ one stacked ``U S U*``), and the chunk is measured with stacked kernel calls.
 report fields: skipped trials come from a zero-denominator mask, and the worst
 value and its witness from ``np.argmax``, whose first occurrence is the trial
 a loop keeping the first strict maximum would report.  :func:`replay` rebuilds
-one trial's draw, a reported witness for instance.
+one trial's draw, a reported witness for instance.  The random ensembles and
+their one-draw functions live in :mod:`qsobolev.streams` only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .groups import PhaseFunction, l_q_norm, lq_table_norm
 from .linalg import as_operator, schatten_norm, singular_values
-# The ensembles and one-draw functions keep their qft names as well.
-from .streams import (
-    OPERATOR_ENSEMBLES,
-    PHASE_ENSEMBLES,
-    SEED_BLOCK,
-    OperatorReads,
-    TableReads,
-    random_operator,
-    random_phase_function,
-    random_unitary,
-    seed_block,
-    seed_trial,
-    trial_rng,
-)
+from .streams import SEED_BLOCK, OperatorReads, TableReads, seed_block, seed_trial, trial_rng
 from .weyl import WeylSystem
 
 
@@ -77,13 +67,16 @@ def _wrapped_diagonals(N: int) -> np.ndarray:
     return index
 
 
-def _phase(system: WeylSystem) -> np.ndarray | float:
-    """Conjugate of the symmetric-convention factor over ``(a, b)`` (1 if standard),
-    with the integer phase reduced mod 2N as in ``weyl_operator``."""
-    if system.convention == "standard":
-        return 1.0
-    a = np.arange(system.N)
-    return np.exp(1j * np.pi * (np.outer(a, a) % (2 * system.N)) / system.N)
+def _phase(N: int) -> np.ndarray:
+    """Conjugate of the symmetric-convention factor, ``exp(i pi (a b mod 2N) / N)`` over ``(a, b)``.
+
+    Gathered from the 2N roots ``exp(i pi k / N)`` at the integer phases
+    reduced mod 2N, as in ``weyl_operator``: 2N complex exponentials per
+    call instead of N^2, with the same values.
+    """
+    a = np.arange(N)
+    roots = np.exp(1j * np.pi * np.arange(2 * N) / N)
+    return roots[np.outer(a, a) % (2 * N)]
 
 
 def qft_forward(system: WeylSystem, T) -> PhaseFunction:
@@ -99,7 +92,9 @@ def qft_forward(system: WeylSystem, T) -> PhaseFunction:
     lead = T.shape[:-2]
     # np.take keeps a stack C-contiguous, so each row reduces as a single table would.
     diagonals = np.take(T.reshape(*lead, N * N), _wrapped_diagonals(N), axis=-1)
-    values = np.fft.fft(diagonals, axis=-1) * _phase(system)
+    values = np.fft.fft(diagonals, axis=-1)
+    if system.convention == "symmetric":
+        values *= _phase(N)
     return PhaseFunction(system.group, values.reshape(*lead, N * N))
 
 
@@ -112,7 +107,9 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     if f.group != system.group:
         raise ValueError(f"phase function lives on the N={f.group.N} grid, system has N={N}")
     lead = f.values.shape[:-1]
-    table = f.values.reshape(*lead, N, N) * np.conj(_phase(system))
+    table = f.values.reshape(*lead, N, N)
+    if system.convention == "symmetric":
+        table = table * np.conj(_phase(N))
     # norm="forward" leaves the inverse DFT unscaled: sum_b table[a, b] omega^(b t).
     diagonals = np.fft.ifft(table, axis=-1, norm="forward")
     del table  # one N^2 table fewer while T is filled
@@ -286,9 +283,6 @@ class HausdorffYoungReport:
     witness_available: bool
     witness_index: int | None = None
     skipped: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def conjugate_exponent(p: float) -> float:

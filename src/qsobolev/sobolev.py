@@ -13,7 +13,7 @@ choices are useful, and the default ``-1`` keeps the duality chain sharp.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +115,20 @@ def bessel_multiplier(weight: Weight, t: float, homogeneous: bool = False) -> np
     return vals
 
 
+def transform_norm(f: PhaseFunction, spec: SobolevSpec, order: float, homogeneous: bool):
+    """The Sobolev norm, at ``order`` and ``homogeneous``, of the operator whose transform is ``f``.
+
+    ``||bessel_multiplier(order) * f||_{L^q}`` with the spec's weight and
+    ``q``; a stack of transforms gives a stack of norms.  The multiplier is
+    built per call: a table kept across transforms would add N^2 floats to
+    the peak of every chunk, 8 MiB at N = 1024.
+    """
+    if spec.weight.group != f.group:
+        raise ValueError("weight lives on a different dual group than the system")
+    multiplied = bessel_multiplier(spec.weight, order, homogeneous) * f.values
+    return l_q_norm(f.with_values(multiplied), spec.q)
+
+
 def phi_map(system: WeylSystem, T, spec: SobolevSpec) -> PhaseFunction:
     """The weighted transform Phi(T): the Sobolev norm is its plain L^q norm."""
     if spec.weight.group != system.group:
@@ -125,7 +139,7 @@ def phi_map(system: WeylSystem, T, spec: SobolevSpec) -> PhaseFunction:
 
 def sobolev_norm(system: WeylSystem, T, spec: SobolevSpec) -> float:
     """Weighted L^q norm of the phase-space transform of ``T``; zero iff T = 0."""
-    return l_q_norm(phi_map(system, T, spec), spec.q)
+    return transform_norm(qft_forward(system, T), spec, spec.s, spec.homogeneous)
 
 
 def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed: int) -> float:
@@ -135,13 +149,12 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
     transform, and the weighted per-point trace pairings against explicitly
     built Weyl operators.  Costs O(trials * N^4); meant for small N.
     """
-    multiplier = bessel_multiplier(spec.weight, spec.s, spec.homogeneous)
     weyl = np.stack([weyl_operator(system, xi) for xi in system.group.coordinates.T.tolist()])
 
     def measure(T):
         via_fft = sobolev_norm(system, T, spec)
-        pairings = trace_pairing(T[:, None], weyl)
-        return (np.abs(lq_table_norm(multiplier * pairings, spec.q, system.group.dual_mass) - via_fft),)
+        pairings = PhaseFunction(system.group, trace_pairing(T[:, None], weyl))
+        return (np.abs(transform_norm(pairings, spec, spec.s, spec.homogeneous) - via_fft),)
 
     (deviations,) = run_trials(system.N, trials, seed, operator_draw(system), measure)
     return worst_trial(deviations)[0]
@@ -212,9 +225,6 @@ class NormAxiomReport:
     worst_hom_dominance_excess: float
     definiteness_violations: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def verify_norm_axioms(
     system: WeylSystem,
@@ -234,15 +244,6 @@ def verify_norm_axioms(
     the inhomogeneous one, and definiteness (no vanishing norm on a nonzero
     operator).  Violation counts use relative excess beyond the given slacks.
     """
-    if spec.weight.group != system.group:
-        raise ValueError("weight lives on a different dual group than the system")
-
-    def norm(f: PhaseFunction, order: float = spec.s, homogeneous: bool = spec.homogeneous):
-        # sobolev_norm of the operator whose transform is f.  The multiplier is
-        # built per use: a table kept across transforms would add N^2 floats
-        # to the peak of every chunk, 8 MiB at N = 1024.
-        multiplied = bessel_multiplier(spec.weight, order, homogeneous) * f.values
-        return l_q_norm(f.with_values(multiplied), spec.q)
 
     def draw(length):
         return OperatorReads(system.N, length), OperatorReads(system.N, length), ScalarReads(length)
@@ -252,16 +253,16 @@ def verify_norm_axioms(
         # and 2s and the homogeneous one at s.
         fT = qft_forward(system, T)
         orders = ((spec.s, spec.homogeneous), (spec.s, False), (2.0 * spec.s, False), (spec.s, True))
-        nT, n_base, n_stronger, n_hom = (norm(fT, t, homogeneous) for t, homogeneous in orders)
+        nT, n_base, n_stronger, n_hom = (transform_norm(fT, spec, *order) for order in orders)
         del fT
         return (
             nT,
-            norm(qft_forward(system, S)),
+            sobolev_norm(system, S, spec),
             np.any(T != 0.0, axis=(-2, -1)),
-            norm(qft_forward(system, c[:, None, None] * T)),
+            sobolev_norm(system, c[:, None, None] * T, spec),
             # libm's hypot, as abs(complex); np.abs may differ from it in the last bit.
             np.hypot(c.real, c.imag),
-            norm(qft_forward(system, T + S)),
+            sobolev_norm(system, T + S, spec),
             n_base,
             n_stronger,
             n_hom,
@@ -310,9 +311,6 @@ class PairingBoundReport:
     max_ratio: float
     analytic_bound: float
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def pairing_analytic_bound(
@@ -407,9 +405,6 @@ class NondegeneracyReport:
     full_rank: bool
     deficiency: int
     min_eigenvalue: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def nondegeneracy_check(

@@ -12,6 +12,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,8 +24,6 @@ from qsobolev.qft import (
     conjugate_exponent,
     qft_forward,
     qft_inverse,
-    random_operator,
-    trial_rng,
     verify_hausdorff_young,
     verify_plancherel,
 )
@@ -36,6 +35,7 @@ from qsobolev.sobolev import (
     phi_isometry_check,
     verify_norm_axioms,
 )
+from qsobolev.streams import random_operator, trial_rng
 from qsobolev.weyl import check_axioms, make_weyl_system, weyl_operator
 
 SEED = 20240901
@@ -196,7 +196,7 @@ def test_criterion_7_exponent_adjudication(tmp_path):
         system, spec, alpha=4.0, beta_choice="alternate", trials=500, seed=SEED
     )
     out = tmp_path / "beta_adjudication.json"
-    out.write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
+    out.write_text(json.dumps(asdict(rep), indent=2, sort_keys=True))
     stored = json.loads(out.read_text())
     identity_error = abs(1.0 / rep.sigma - (1.0 / 4.0 + 1.0 / spec.q))
     ok = (

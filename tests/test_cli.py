@@ -191,6 +191,27 @@ class TestExitCodes:
         report = json.loads((tmp_path / "plancherel_report.json").read_text())
         assert report["passed"] is False
 
+    def test_inconsistent_composition_exits_1_with_report(self, monkeypatch, tmp_path, capsys):
+        # check_axioms measures a broken composition and reports it; nothing raises.
+        import qsobolev.weyl
+
+        original = qsobolev.weyl.weyl_operator
+
+        def corrupted(system, point):
+            op = original(system, point)
+            return 0.5 * op if tuple(point) == (1, 0) else op
+
+        monkeypatch.setattr(qsobolev.weyl, "weyl_operator", corrupted)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["axioms"]) == 1
+        assert capsys.readouterr().out.startswith("axioms: FAIL")
+        report = json.loads((tmp_path / "axioms_report.json").read_text())
+        checks = {c["axiom"]: c for c in report["results"]["checks"]}
+        assert not checks["composition"]["passed"]
+        assert checks["composition"]["worst_deviation"] > 1.0
+        assert report["results"]["core_passed"] is False
+        assert report["passed"] is False
+
     def test_kernel_failure_exits_3(self, monkeypatch, tmp_path, capsys):
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

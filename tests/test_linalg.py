@@ -9,7 +9,7 @@ from qsobolev.linalg import (
     singular_values,
     trace_pairing,
 )
-from qsobolev.qft import OPERATOR_ENSEMBLES, random_operator, random_unitary
+from qsobolev.streams import OPERATOR_ENSEMBLES, random_operator, random_unitary
 
 
 def eig_oracle(T, noise_floor=0.0):

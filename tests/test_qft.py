@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,17 +9,19 @@ from qsobolev.linalg import schatten_norm
 from qsobolev.qft import (
     _phase,
     _wrapped_diagonals,
-    OPERATOR_ENSEMBLES,
-    PHASE_ENSEMBLES,
     conjugate_exponent,
     qft_forward,
     qft_inverse,
-    random_operator,
-    random_phase_function,
-    trial_rng,
     verify_hausdorff_young,
     verify_plancherel,
     verify_roundtrips,
+)
+from qsobolev.streams import (
+    OPERATOR_ENSEMBLES,
+    PHASE_ENSEMBLES,
+    random_operator,
+    random_phase_function,
+    trial_rng,
 )
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
@@ -87,26 +90,34 @@ def per_call_index(N):
     return t * N + (t[:, None] + t) % N
 
 
+def per_call_phase(system):
+    """The symmetric phase table from N^2 complex exponentials (1 if standard)."""
+    if system.convention == "standard":
+        return 1.0
+    a = np.arange(system.N)
+    return np.exp(1j * np.pi * (np.outer(a, a) % (2 * system.N)) / system.N)
+
+
 def per_call_forward(system, T):
-    """The forward transform with a freshly built index: the cached path's oracle."""
+    """The forward transform with a freshly built index and phase: the cached path's oracle."""
     N = system.N
     lead = T.shape[:-2]
     diagonals = np.take(T.reshape(*lead, N * N), per_call_index(N), axis=-1)
-    return (np.fft.fft(diagonals, axis=-1) * _phase(system)).reshape(*lead, N * N)
+    return (np.fft.fft(diagonals, axis=-1) * per_call_phase(system)).reshape(*lead, N * N)
 
 
 def per_call_inverse(system, values):
-    """The inverse transform with a freshly built index: the cached path's oracle."""
+    """The inverse transform with a freshly built index and phase: the cached path's oracle."""
     N = system.N
     lead = values.shape[:-1]
-    table = values.reshape(*lead, N, N) * np.conj(_phase(system))
+    table = values.reshape(*lead, N, N) * np.conj(per_call_phase(system))
     T = np.empty((*lead, N * N), dtype=np.complex128)
     T[..., per_call_index(N)] = np.fft.ifft(table, axis=-1, norm="forward")
     return T.reshape(*lead, N, N) * system.group.dual_mass
 
 
 class TestCachedIndex:
-    """The per-N cached index gives the per-call transforms bit for bit."""
+    """The per-N cached index and the gathered phase give the per-call transforms bit for bit."""
 
     SIZES = (1, 2, 3, 5, 8, 64, 127, 128)
 
@@ -134,6 +145,12 @@ class TestCachedIndex:
         for N in self.SIZES:
             for convention in ("standard", "symmetric"):
                 self.assert_bitwise_oracle(N, convention)
+
+    @pytest.mark.parametrize("N", SIZES + (1024,))
+    def test_gathered_phase_equals_per_call_exp(self, N):
+        expected = per_call_phase(make_weyl_system(N, "symmetric"))
+        # Compare the bits, so a signed zero or a last-bit difference both show.
+        np.testing.assert_array_equal(_phase(N).view(np.float64), expected.view(np.float64))
 
     def test_index_is_read_only(self):
         index = _wrapped_diagonals(8)
@@ -281,7 +298,7 @@ class TestHausdorffYoung:
 
     def test_report_fields(self, sys4):
         (rep,) = verify_hausdorff_young(sys4, [1.5], "inverse", 20, 5)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["direction"] == "inverse"
         assert d["trials"] == 20
         assert d["seed"] == 5

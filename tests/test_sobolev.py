@@ -1,12 +1,14 @@
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from qsobolev.groups import PhaseFunction, l_q_norm, make_group, symmetric_representative
 from qsobolev.linalg import trace_pairing, schatten_norm
-from qsobolev.qft import qft_forward, random_operator, trial_rng
+from qsobolev.qft import qft_forward
+from qsobolev.streams import random_operator, trial_rng
 from qsobolev.sobolev import (
     SobolevSpec,
     Weight,
@@ -293,6 +295,6 @@ class TestNondegeneracy:
 
     def test_report_dict(self, sys4, w4):
         spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
-        d = nondegeneracy_check(sys4, spec).to_dict()
+        d = asdict(nondegeneracy_check(sys4, spec))
         assert d["dimension"] == 16
         assert d["full_rank"] is True

@@ -11,6 +11,7 @@ import contextlib
 import io
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def oracle_rng(seed, k):
 def plancherel_loop(system, trials, seed):
     worst = 0.0
     for k in range(trials):
-        T = qft.random_operator(oracle_rng(seed, k), system.N)
+        T = streams.random_operator(oracle_rng(seed, k), system.N)
         s2 = schatten_norm(T, 2.0)
         if s2 == 0.0:
             continue
@@ -77,12 +78,12 @@ def roundtrips_loop(system, trials, seed):
     worst_fn = 0.0
     for k in range(trials):
         rng = oracle_rng(seed, k)
-        T = qft.random_operator(rng, system.N)
+        T = streams.random_operator(rng, system.N)
         norm_T = np.linalg.norm(T)
         if norm_T > 0.0:
             back = qft_inverse(system, qft_forward(system, T))
             worst_op = max(worst_op, np.linalg.norm(back - T) / norm_T)
-        f = qft.random_phase_function(rng, system)
+        f = streams.random_phase_function(rng, system)
         norm_f = np.linalg.norm(f.values)
         if norm_f > 0.0:
             again = qft_forward(system, qft_inverse(system, f))
@@ -98,14 +99,14 @@ def hausdorff_young_loop(system, p, direction, trials, seed):
     for k in range(trials):
         rng = oracle_rng(seed, k)
         if direction == "forward":
-            T = qft.random_operator(rng, system.N)
+            T = streams.random_operator(rng, system.N)
             denom = schatten_norm(T, p)
             if denom == 0.0:
                 skipped += 1
                 continue
             ratio = l_q_norm(qft_forward(system, T), q) / denom
         else:
-            f = qft.random_phase_function(rng, system)
+            f = streams.random_phase_function(rng, system)
             denom = l_q_norm(f, p)
             if denom == 0.0:
                 skipped += 1
@@ -132,7 +133,7 @@ def phi_isometry_loop(system, spec, trials, seed):
     points = system.group.coordinates.T.tolist()
     worst = 0.0
     for k in range(trials):
-        T = qft.random_operator(oracle_rng(seed, k), system.N)
+        T = streams.random_operator(oracle_rng(seed, k), system.N)
         via_fft = sobolev_norm(system, T, spec)
         pairings = np.array([trace_pairing(T, weyl_operator(system, xi)) for xi in points])
         direct = lq_table_norm(multiplier * pairings, spec.q, system.group.dual_mass)
@@ -155,8 +156,8 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
     definite_viol = 0
     for k in range(trials):
         rng = oracle_rng(seed, k)
-        T = qft.random_operator(rng, system.N)
-        S = qft.random_operator(rng, system.N)
+        T = streams.random_operator(rng, system.N)
+        S = streams.random_operator(rng, system.N)
         c = complex(rng.standard_normal(), rng.standard_normal())
         nT = sobolev_norm(system, T, spec)
         nS = sobolev_norm(system, S, spec)
@@ -212,8 +213,8 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
     skipped = 0
     for k in range(trials):
         rng = oracle_rng(seed, k)
-        T = qft.random_operator(rng, system.N)
-        phi = qft.random_phase_function(rng, system)
+        T = streams.random_operator(rng, system.N)
+        phi = streams.random_phase_function(rng, system)
         element = make_test_element(system, dual_spec, phi, sign)
         denom = schatten_norm(T, p) * element.negative_norm
         if denom == 0.0:
@@ -246,7 +247,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
     ratios_corrected = []
     ratios_alternate = [] if exponents.beta_alternate_defined else None
     for k in range(trials):
-        T = qft.random_operator(oracle_rng(seed, k), system.N)
+        T = streams.random_operator(oracle_rng(seed, k), system.N)
         snorm = sobolev_norm(system, T, spec)
         if snorm == 0.0:
             out["skipped"] += 1
@@ -293,7 +294,7 @@ def _spec(system, homogeneous=False):
 
 def _embedding_fields(report):
     """The fields of an embedding report that :func:`embedding_loop` measures."""
-    d = report.to_dict()
+    d = asdict(report)
     return {
         key: d[key]
         for key in (
@@ -312,9 +313,9 @@ def _embedding_fields(report):
 
 def _hy(direction):
     return (
-        lambda system, t, s: [r.to_dict() for r in verify_hausdorff_young(system, EXPONENTS, direction, t, s)],
+        lambda system, t, s: [asdict(r) for r in verify_hausdorff_young(system, EXPONENTS, direction, t, s)],
         lambda system, t, s: [
-            hausdorff_young_loop(system, p, direction, t, s).to_dict() for p in EXPONENTS
+            asdict(hausdorff_young_loop(system, p, direction, t, s)) for p in EXPONENTS
         ],
     )
 
@@ -323,11 +324,11 @@ def _pairing_pair():
     def batch(system, t, s):
         weight = make_weight_euclidean(system.group)
         reps = pairing_bound_estimate(system, 4.0, 1.0, weight, signs=(-1, 1), trials=t, seed=s)
-        return [r.to_dict() for r in reps]
+        return [asdict(r) for r in reps]
 
     def oracle(system, t, s):
         weight = make_weight_euclidean(system.group)
-        return [pairing_loop(system, 4.0, 1.0, weight, sign, t, s).to_dict() for sign in (-1, 1)]
+        return [asdict(pairing_loop(system, 4.0, 1.0, weight, sign, t, s)) for sign in (-1, 1)]
 
     return batch, oracle
 
@@ -354,12 +355,12 @@ HARNESSES = {
     "hausdorff-young-forward": _hy("forward"),
     "hausdorff-young-inverse": _hy("inverse"),
     "norm-axioms": (
-        lambda system, t, s: verify_norm_axioms(system, _spec(system), t, s).to_dict(),
-        lambda system, t, s: norm_axioms_loop(system, _spec(system), t, s).to_dict(),
+        lambda system, t, s: asdict(verify_norm_axioms(system, _spec(system), t, s)),
+        lambda system, t, s: asdict(norm_axioms_loop(system, _spec(system), t, s)),
     ),
     "norm-axioms-homogeneous": (
-        lambda system, t, s: verify_norm_axioms(system, _spec(system, True), t, s).to_dict(),
-        lambda system, t, s: norm_axioms_loop(system, _spec(system, True), t, s).to_dict(),
+        lambda system, t, s: asdict(verify_norm_axioms(system, _spec(system, True), t, s)),
+        lambda system, t, s: asdict(norm_axioms_loop(system, _spec(system, True), t, s)),
     ),
     "phi-isometry": (
         lambda system, t, s: {"phi_isometry": phi_isometry_check(system, _spec(system), t, s)},
@@ -596,6 +597,14 @@ class TestDrawCounts:
         run(make_weyl_system(8))
         assert len(svds) == 3  # 300 trials in chunks of 128
 
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_embedding_transforms_once_per_chunk(self, homogeneous, monkeypatch):
+        # One transform serves both the Sobolev norm and ||F(T)||_sigma.
+        transforms = _count_calls(monkeypatch, qft, "qft_forward")
+        system = make_weyl_system(8)
+        verify_embedding_chain(system, _spec(system, homogeneous), 4.0, trials=300, seed=0)
+        assert len(transforms) == 3  # 300 trials in chunks of 128
+
 
 # -- stream reads and chunk assembly ------------------------------------------
 
@@ -603,7 +612,7 @@ class TestDrawCounts:
 def operator_oracle(rng, n, kind="mixed"):
     """One random operator drawn and built in one go, with its own QR (the pre-split draw)."""
     if kind == "mixed":
-        kind = qft.OPERATOR_ENSEMBLES[rng.integers(len(qft.OPERATOR_ENSEMBLES))]
+        kind = streams.OPERATOR_ENSEMBLES[rng.integers(len(streams.OPERATOR_ENSEMBLES))]
     if kind == "ginibre":
         return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
     if kind == "rank_one":
@@ -627,7 +636,7 @@ def operator_oracle(rng, n, kind="mixed"):
 def phase_table_oracle(rng, K, kind="mixed"):
     """One random dual table drawn in one go (the pre-split draw)."""
     if kind == "mixed":
-        kind = qft.PHASE_ENSEMBLES[rng.integers(len(qft.PHASE_ENSEMBLES))]
+        kind = streams.PHASE_ENSEMBLES[rng.integers(len(streams.PHASE_ENSEMBLES))]
     if kind == "gaussian":
         return rng.standard_normal(K) + 1j * rng.standard_normal(K)
     vals = np.zeros(K, dtype=np.complex128)
@@ -647,13 +656,13 @@ class TestStreamReads:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
     @pytest.mark.parametrize("index", [0, 1, 127, 10**6])
     def test_trial_rng_is_the_default_rng_stream(self, seed, index):
-        ours, reference = qft.trial_rng(seed, index), np.random.default_rng([seed, index])
+        ours, reference = streams.trial_rng(seed, index), np.random.default_rng([seed, index])
         assert ours.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(ours.standard_normal(64), reference.standard_normal(64))
         assert np.array_equal(ours.integers(2**62, size=8), reference.integers(2**62, size=8))
 
     @pytest.mark.parametrize("N", ASSEMBLY_DIMENSIONS)
-    @pytest.mark.parametrize("kind", ("mixed",) + qft.OPERATOR_ENSEMBLES)
+    @pytest.mark.parametrize("kind", ("mixed",) + streams.OPERATOR_ENSEMBLES)
     def test_chunk_assembly_equals_one_draw_at_a_time(self, N, kind, chunk_of):
         chunk_of(N, 12)
         (chunk,) = qft.run_trials(N, 12, N, lambda length: (qft.OperatorReads(N, length, kind),), lambda T: (T,))
@@ -661,12 +670,12 @@ class TestStreamReads:
             rng, reference = oracle_rng(N, k), oracle_rng(N, k)
             expected = operator_oracle(reference, N, kind)
             assert np.array_equal(chunk[k], expected), k
-            assert np.array_equal(qft.random_operator(rng, N, kind), expected), k
+            assert np.array_equal(streams.random_operator(rng, N, kind), expected), k
             # The read leaves the stream where the one-go draw does.
             assert rng.standard_normal() == reference.standard_normal()
 
     @pytest.mark.parametrize("N", ASSEMBLY_DIMENSIONS)
-    @pytest.mark.parametrize("kind", ("mixed",) + qft.PHASE_ENSEMBLES)
+    @pytest.mark.parametrize("kind", ("mixed",) + streams.PHASE_ENSEMBLES)
     def test_phase_tables_equal_one_draw_at_a_time(self, N, kind, chunk_of):
         chunk_of(N, 5)
         system = make_weyl_system(N)
@@ -675,7 +684,7 @@ class TestStreamReads:
             rng, reference = oracle_rng(N, k), oracle_rng(N, k)
             expected = phase_table_oracle(reference, N * N, kind)
             assert np.array_equal(chunk[k], expected), k
-            assert np.array_equal(qft.random_phase_function(rng, system, kind).values, expected), k
+            assert np.array_equal(streams.random_phase_function(rng, system, kind).values, expected), k
             assert rng.standard_normal() == reference.standard_normal()
 
     @pytest.mark.parametrize(
@@ -769,7 +778,7 @@ class TestStreamSeeding:
         with pytest.raises(Exception) as expected:
             np.random.default_rng([bad, 0])
         with pytest.raises(expected.type):
-            qft.trial_rng(bad, 0)
+            streams.trial_rng(bad, 0)
         with pytest.raises(expected.type):
             qft.run_trials(8, 3, bad, qft.operator_draw(make_weyl_system(8)), lambda T: (T,))
 
@@ -800,8 +809,8 @@ class TestStackedKernels:
     @pytest.mark.parametrize("N", [1, 2, 3, 8])
     def test_stack_equals_single_calls(self, N):
         system = make_weyl_system(N, "symmetric")
-        Ts = np.stack([qft.random_operator(qft.trial_rng(N, k), N) for k in range(7)])
-        fs = np.stack([qft.random_phase_function(qft.trial_rng(N, k), system).values for k in range(7)])
+        Ts = np.stack([streams.random_operator(streams.trial_rng(N, k), N) for k in range(7)])
+        fs = np.stack([streams.random_phase_function(streams.trial_rng(N, k), system).values for k in range(7)])
         stacked_f = PhaseFunction(system.group, fs)
         svals = singular_values(Ts)
         forward = qft_forward(system, Ts).values

@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from qsobolev import weyl
 from qsobolev.weyl import (
     RepresentationError,
     check_axioms,
@@ -207,8 +209,8 @@ class TestCheckAxioms:
 
     def test_report_json_roundtrip(self):
         report = check_axioms(make_weyl_system(2))
-        blob = json.loads(json.dumps(report.to_dict()))
-        assert blob["core_passed"] is True
+        assert report.core_passed is True
+        blob = json.loads(json.dumps(asdict(report)))
         assert blob["N"] == 2
         assert {c["axiom"] for c in blob["checks"]} >= {
             "composition",
@@ -225,3 +227,91 @@ class TestCheckAxioms:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             check_axioms(make_weyl_system(17))
+
+
+def axioms_loop(system):
+    """The multiplier table and residuals as ``check_axioms`` once built them, pair by pair.
+
+    One ``np.vdot`` and one ``np.linalg.norm`` per pair, one norm per operator:
+    the oracle of the stacked composition routine.
+    """
+    N = system.N
+    group = system.group
+    K = group.size
+    ops = [weyl_operator(system, p) for p in group.coordinates.T.tolist()]
+    sum_idx = group.sum_index()
+    m = np.empty((K, K), dtype=np.complex128)
+    comp_res = np.empty((K, K))
+    for i in range(K):
+        for j in range(K):
+            prod = ops[i] @ ops[j]
+            target = ops[sum_idx[i, j]]
+            c = np.vdot(target, prod) / N
+            m[i, j] = c
+            comp_res[i, j] = np.linalg.norm(prod - c * target)
+    unit_dev = np.array([np.linalg.norm(op.conj().T @ op - np.eye(N)) for op in ops])
+    return m, comp_res, unit_dev
+
+
+def first_worst(values):
+    """Largest value and the point indices of its first occurrence."""
+    flat = int(np.argmax(values))
+    return values.flat[flat], np.unravel_index(flat, values.shape)
+
+
+class TestStackedComposition:
+    """``check_axioms`` on one operator stack against the per-pair loop it replaced."""
+
+    @pytest.fixture
+    def captured_rows(self, monkeypatch):
+        """The multiplier rows ``check_axioms`` gets from the composition routine, in order."""
+        rows = []
+        compose = weyl._compose
+
+        def spy(left, right, target):
+            c, residuals = compose(left, right, target)
+            rows.append(np.array(c))
+            return c, residuals
+
+        monkeypatch.setattr(weyl, "_compose", spy)
+        return rows
+
+    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8])
+    def test_matches_per_pair_loop(self, N, convention, captured_rows):
+        system = make_weyl_system(N, convention)
+        m, comp_res, unit_dev = axioms_loop(system)
+        report = check_axioms(system)
+        np.testing.assert_array_equal(np.stack(captured_rows).view(np.float64), m.view(np.float64))
+
+        def point(i):
+            return list(divmod(int(i), N))
+
+        def assert_row(axiom, values, names):
+            worst, at = first_worst(values)
+            check = report.check(axiom)
+            assert check.worst_deviation == worst, axiom
+            assert check.witness == {name: point(i) for name, i in zip(names, at)}, axiom
+
+        group = system.group
+        neg = group.neg_index()
+        sum_idx = group.sum_index()
+        assert_row("unimodular", np.abs(np.abs(m) - 1.0), "xy")
+        assert_row("inverse_conjugation", np.abs(m - np.conj(m[np.ix_(neg, neg)])), "xy")
+        assert_row("inverse_conjugation_swapped", np.abs(m - np.conj(m[np.ix_(neg, neg)].T)), "xy")
+        # m(x, y) m(x + y, z) against m(y, z) m(x, y + z) over every triple (x, y, z).
+        lhs = m[:, :, None] * m[sum_idx, :]
+        rhs = m[None, :, :] * m[:, sum_idx]
+        assert_row("cocycle", np.abs(lhs - rhs), "xyz")
+
+        # Stacked Frobenius norms sum in another order than one norm per matrix.
+        assert abs(report.check("composition").worst_deviation - comp_res.max()) <= 1e-30
+        assert abs(report.check("unitarity").worst_deviation - unit_dev.max()) <= 1e-30
+
+    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
+    def test_extract_multiplier_is_the_vdot_scalar(self, convention):
+        system = make_weyl_system(5, convention)
+        m, _, _ = axioms_loop(system)
+        for i, x in enumerate(grid_points(5)):
+            for j, y in enumerate(grid_points(5)):
+                assert extract_multiplier(system, x, y) == complex(m[i, j])
