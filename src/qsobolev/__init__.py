@@ -33,7 +33,7 @@ from .qft import (
     verify_plancherel,
     verify_roundtrips,
 )
-from .streams import random_operator, random_phase_function, random_unitary, trial_rng
+from .streams import random_operator, random_phase_function, trial_rng
 from .sobolev import (
     NondegeneracyReport,
     NormAxiomReport,
@@ -49,7 +49,6 @@ from .sobolev import (
     pairing_bound_estimate,
     phi_isometry_check,
     phi_map,
-    recover_generator,
     sobolev_norm,
     verify_norm_axioms,
 )

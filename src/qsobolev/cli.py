@@ -596,14 +596,13 @@ def write_reports(config: dict, results: dict, passed: bool, header, rows) -> li
         "config": {k: v for k, v in config.items() if k not in ("command", "out", "format")},
         "conventions": CONVENTION_NOTES,
         "results": results,
-        # A numpy.bool_ verdict would otherwise go through ``default=str``.
         "passed": bool(passed),
     }
     written = []
     fmt = config["format"]
     if fmt in ("json", "both"):
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
+        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         written.append(out)
     if fmt in ("csv", "both"):
         csv_path = out.with_suffix(".csv")

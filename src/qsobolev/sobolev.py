@@ -33,10 +33,11 @@ from .qft import (
 from .streams import OperatorReads, ScalarReads
 from .weyl import WeylSystem, weyl_operator
 
-WEIGHT_PROVENANCES = ("euclidean-representative", "constant", "custom-table")
-
 #: Largest N of :func:`nondegeneracy_check`, whose Gram matrix has N^4 entries.
 NONDEGENERACY_MAX_N = 8
+
+#: Relative slack of the s-monotonicity and homogeneous-dominance counts.
+MONOTONE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +46,6 @@ class Weight:
 
     group: PhaseSpaceGrid
     values: np.ndarray
-    provenance: str = "custom-table"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -53,8 +53,6 @@ class Weight:
             raise ValueError(f"weight table has shape {vals.shape}, expected ({self.group.size},)")
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             raise ValueError("weight values must be finite and strictly positive")
-        if self.provenance not in WEIGHT_PROVENANCES:
-            raise ValueError(f"provenance must be one of {WEIGHT_PROVENANCES}")
         object.__setattr__(self, "values", vals)
 
 
@@ -64,13 +62,12 @@ def make_weight_euclidean(dual: PhaseSpaceGrid) -> Weight:
     The +1 floor keeps gamma strictly positive at the origin, which the
     homogeneous norm needs for definiteness.
     """
-    return Weight(dual, np.sqrt(dual.squared_radii() + 1.0), "euclidean-representative")
+    return Weight(dual, np.sqrt(dual.squared_radii() + 1.0))
 
 
-def make_weight_constant(dual: PhaseSpaceGrid, value: float = 1.0) -> Weight:
-    if not value > 0.0:
-        raise ValueError("constant weight must be positive")
-    return Weight(dual, np.full(dual.size, float(value)), "constant")
+def make_weight_constant(dual: PhaseSpaceGrid) -> Weight:
+    """gamma = 1 on every point of the dual."""
+    return Weight(dual, np.ones(dual.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,15 +193,6 @@ def make_test_element(
     )
 
 
-def recover_generator(
-    system: WeylSystem, spec: SobolevSpec, element: TestFamilyElement
-) -> PhaseFunction:
-    """Invert the test-family construction (injectivity round-trip for phi -> W_phi)."""
-    f = qft_forward(system, element.operator)
-    multiplier = bessel_multiplier(spec.weight, element.sign * spec.s)
-    return f.with_values(f.values / multiplier)
-
-
 @dataclass(frozen=True)
 class NormAxiomReport:
     """Measured norm-axiom deviations for one Sobolev parameter set."""
@@ -232,7 +220,6 @@ def verify_norm_axioms(
     trials: int,
     seed: int,
     triangle_tol: float = 1e-10,
-    monotone_tol: float = 1e-12,
 ) -> NormAxiomReport:
     """Measure the norm axioms and order relations on seeded random operator pairs.
 
@@ -242,7 +229,9 @@ def verify_norm_axioms(
     inhomogeneous norm in the smoothness parameter (the Bessel multiplier is
     >= 1 and increases with s), pointwise dominance of the homogeneous norm by
     the inhomogeneous one, and definiteness (no vanishing norm on a nonzero
-    operator).  Violation counts use relative excess beyond the given slacks.
+    operator).  Violation counts use relative excess beyond ``triangle_tol``
+    for the triangle inequality and beyond ``MONOTONE_TOL`` for the two order
+    relations.
     """
 
     def draw(length):
@@ -287,9 +276,9 @@ def verify_norm_axioms(
         triangle_violations=int(np.count_nonzero(kept & (triangle > triangle_tol))),
         # phi_map's norm is sobolev_norm itself, so this reads 0.0 by construction.
         worst_isometry_abs=worst_trial(np.abs(nT - nT))[0],
-        s_monotonicity_violations=int(np.count_nonzero(base_kept & (monotone > monotone_tol))),
+        s_monotonicity_violations=int(np.count_nonzero(base_kept & (monotone > MONOTONE_TOL))),
         worst_s_monotonicity_excess=worst_trial(monotone, base_kept, -math.inf)[0],
-        hom_dominance_violations=int(np.count_nonzero(base_kept & (dominance > monotone_tol))),
+        hom_dominance_violations=int(np.count_nonzero(base_kept & (dominance > MONOTONE_TOL))),
         worst_hom_dominance_excess=worst_trial(dominance, base_kept, -math.inf)[0],
         definiteness_violations=int(np.count_nonzero((nT == 0.0) & nonzero)),
     )

@@ -17,8 +17,8 @@ multipliers ``tr(pi(x+y)^* pi(x) pi(y)) / N`` from the trace-pairing kernel
 and the Frobenius residuals of the composition identity, for one pair
 (:func:`extract_multiplier`) or one row ``x`` against every ``y`` at once
 (:func:`check_axioms`).  ``check_axioms`` measures all the defining
-identities exhaustively on one stack of the ``N^2`` operators and reports
-deviations instead of asserting any contested variant.
+identities exhaustively on one stack of the ``N^2`` operators, one table row
+per identity, and reports deviations instead of asserting any contested variant.
 """
 
 from __future__ import annotations
@@ -141,6 +141,7 @@ class AxiomReport:
 
 
 def _worst(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The largest value and the indices of its first occurrence."""
     flat = int(np.argmax(values))
     return float(values.flat[flat]), np.unravel_index(flat, values.shape)
 
@@ -169,7 +170,9 @@ def check_axioms(
 
     The two inverse-conjugation variants are informational: which one a Weyl
     convention satisfies depends on N and on the convention, so no experiment
-    downstream assumes either.  Requires ``N <= AXIOM_CHECK_MAX_N``.
+    downstream assumes either.  Each identity is one table row: tolerance,
+    informational flag, witness labels, and the worst deviation with the first
+    point reaching it.  Requires ``N <= AXIOM_CHECK_MAX_N``.
     """
     if system.N > AXIOM_CHECK_MAX_N:
         raise ValueError(
@@ -187,74 +190,26 @@ def check_axioms(
     comp_res = np.empty((K, K))
     for i in range(K):
         m[i], comp_res[i] = _compose(stack[i], stack, stack[sum_idx[i]])
-
-    worst_comp, comp_at = _worst(comp_res)
-    worst_mod, mod_at = _worst(np.abs(np.abs(m) - 1.0))
-
-    inv_dev = np.abs(m - np.conj(m[np.ix_(neg_idx, neg_idx)]))
-    worst_inv, inv_at = _worst(inv_dev)
-    inv_swap_dev = np.abs(m - np.conj(m[np.ix_(neg_idx, neg_idx)].T))
-    worst_swap, swap_at = _worst(inv_swap_dev)
-
-    worst_cocycle = 0.0
-    cocycle_at = (0, 0, 0)
-    for i in range(K):
-        lhs = m[i, :][:, None] * m[sum_idx[i, :], :]
-        rhs = m * m[i, sum_idx]
-        dev = np.abs(lhs - rhs)
-        w, at = _worst(dev)
-        if w > worst_cocycle:
-            worst_cocycle = w
-            cocycle_at = (i, at[0], at[1])
-
+    conj_neg = np.conj(m[np.ix_(neg_idx, neg_idx)])
+    # Row x of the cocycle: |m(x,y) m(x+y,z) - m(y,z) m(x,y+z)| over every (y, z).
+    cocycle = [_worst(np.abs(m[i][:, None] * m[sum_idx[i]] - m * m[i, sum_idx])) for i in range(K)]
+    x = int(np.argmax([worst for worst, _ in cocycle]))
     unit_dev = np.linalg.norm(np.conj(stack).swapaxes(-2, -1) @ stack - np.eye(N), axis=(-2, -1))
-    worst_unit = float(np.max(unit_dev))
-    unit_at = np.argmax(unit_dev)
-
     V = stack.reshape(K, N * N)
-    gram = V.conj() @ V.T
-    ortho_dev = np.abs(gram - N * np.eye(K))
-    worst_ortho, ortho_at = _worst(ortho_dev)
 
-    def point(i) -> list[int]:
-        return list(divmod(int(i), N))
-
-    def pair_witness(i: int, j: int) -> dict:
-        return {"x": point(i), "y": point(j)}
-
-    checks = (
-        AxiomCheck("composition", worst_comp <= composition_tol, worst_comp, pair_witness(*comp_at)),
-        AxiomCheck("unimodular", worst_mod <= modulus_tol, worst_mod, pair_witness(*mod_at)),
-        AxiomCheck(
-            "inverse_conjugation",
-            worst_inv <= composition_tol,
-            worst_inv,
-            pair_witness(*inv_at),
-            informational=True,
-        ),
-        AxiomCheck(
-            "inverse_conjugation_swapped",
-            worst_swap <= composition_tol,
-            worst_swap,
-            pair_witness(*swap_at),
-            informational=True,
-        ),
-        AxiomCheck(
-            "cocycle",
-            worst_cocycle <= cocycle_tol,
-            worst_cocycle,
-            {
-                "x": point(cocycle_at[0]),
-                "y": point(cocycle_at[1]),
-                "z": point(cocycle_at[2]),
-            },
-        ),
-        AxiomCheck("unitarity", worst_unit <= unitarity_tol, worst_unit, {"x": point(unit_at)}),
-        AxiomCheck(
-            "trace_orthogonality",
-            worst_ortho <= orthogonality_tol,
-            worst_ortho,
-            pair_witness(*ortho_at),
-        ),
+    rows = (
+        ("composition", composition_tol, False, "xy", _worst(comp_res)),
+        ("unimodular", modulus_tol, False, "xy", _worst(np.abs(np.abs(m) - 1.0))),
+        ("inverse_conjugation", composition_tol, True, "xy", _worst(np.abs(m - conj_neg))),
+        ("inverse_conjugation_swapped", composition_tol, True, "xy", _worst(np.abs(m - conj_neg.T))),
+        ("cocycle", cocycle_tol, False, "xyz", (cocycle[x][0], (x, *cocycle[x][1]))),
+        ("unitarity", unitarity_tol, False, "x", _worst(unit_dev)),
+        ("trace_orthogonality", orthogonality_tol, False, "xy",
+         _worst(np.abs(V.conj() @ V.T - N * np.eye(K)))),
+    )
+    checks = tuple(
+        AxiomCheck(name, worst <= tol, worst,
+                   {label: list(divmod(int(i), N)) for label, i in zip(labels, at)}, informational)
+        for name, tol, informational, labels, (worst, at) in rows
     )
     return AxiomReport(N=N, convention=system.convention, checks=checks)

@@ -126,6 +126,28 @@ class TestSubcommands:
         assert lines[0] == "N,set_size,epsilon,generator_lq_norm,schatten_norm"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hausdorff-young", "--N", "4", "--trials", "10", "--direction", "inverse"],
+            ["embed", "--N", "4", "--trials", "10", "--homogeneous", "--beta-choice", "alternate"],
+            ["counterexample", "--selector", "ball"],
+            ["pairing", "--N", "16", "--trials", "5"],
+        ],
+    )
+    def test_non_default_paths_write_plain_json(self, argv, monkeypatch, tmp_path):
+        # The report is written with plain ``json.dumps``: a numpy scalar that
+        # is not a float (numpy.bool_, numpy.int64) raises instead of being
+        # written as a string.  The ball selector misses the predicted slope
+        # at the default sizes, so that run fails its verdict and exits 1.
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+        code = cli.main(argv + ["--format", "both"])
+        assert code == (1 if "ball" in argv else 0)
+        stem = argv[0].replace("-", "_") + "_report"
+        report = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert report["passed"] is (code == 0)
+        assert (tmp_path / f"{stem}.csv").read_text().count("\n") >= 2
+
 
 class TestConfigHandling:
     def test_config_file_and_flag_precedence(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion and prints its measurements."""
+"""Smoke test: every demo script runs to completion, warning-free, and prints its measurements."""
 
 import subprocess
 import sys
@@ -20,8 +20,14 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     ],
 )
 def test_demo_runs(name, tmp_path):
+    # A RuntimeWarning (overflow, invalid value) is an error, and nothing else
+    # may reach stderr either.
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / name)], cwd=tmp_path, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", str(DEMOS / name)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout.strip()

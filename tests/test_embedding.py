@@ -67,7 +67,7 @@ class TestMultiplierNorm:
     def test_constant_weight_l1(self):
         # gamma = 1 makes the multiplier constant 1/2; total dual mass is 4.
         dual = make_group([4, 4])
-        weight = make_weight_constant(dual, 1.0)
+        weight = make_weight_constant(dual)
         assert multiplier_norm(weight, 2.0, 1.0, False) == pytest.approx(2.0)
 
     def test_sup_norm(self):

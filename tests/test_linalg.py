@@ -9,7 +9,14 @@ from qsobolev.linalg import (
     singular_values,
     trace_pairing,
 )
-from qsobolev.streams import OPERATOR_ENSEMBLES, random_operator, random_unitary
+from qsobolev.streams import OPERATOR_ENSEMBLES, random_operator
+
+
+def random_unitary(rng, n):
+    """Haar random unitary: the QR factor of a Ginibre matrix, phases fixed by diag(R)."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
 
 
 def eig_oracle(T, noise_floor=0.0):

@@ -21,7 +21,6 @@ from qsobolev.sobolev import (
     pairing_bound_estimate,
     phi_isometry_check,
     phi_map,
-    recover_generator,
     sobolev_norm,
     verify_norm_axioms,
 )
@@ -82,10 +81,8 @@ class TestWeights:
         assert make_weight_euclidean(dual).values.tolist() == expected
 
     def test_constant_weight(self, sys4):
-        w = make_weight_constant(sys4.group, 2.5)
-        assert np.all(w.values == 2.5)
-        with pytest.raises(ValueError):
-            make_weight_constant(sys4.group, 0.0)
+        w = make_weight_constant(sys4.group)
+        assert w.values.tolist() == [1.0] * 16
 
     def test_positivity_enforced(self, sys4):
         with pytest.raises(ValueError):
@@ -116,7 +113,7 @@ class TestSobolevSpec:
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_multiplier_overflow_raises_without_warning(self, sys4, homogeneous):
-        weight = make_weight_constant(sys4.group, 2.0)
+        weight = Weight(sys4.group, np.full(16, 2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="overflowed"):
@@ -132,7 +129,7 @@ class TestSobolevNorm:
 
     def test_degenerate_smoothness_reduces_to_lq(self, sys4):
         # s = 0 turns the multiplier into 1, so the norm is the plain L^q norm.
-        w = make_weight_constant(sys4.group, 1.0)
+        w = make_weight_constant(sys4.group)
         spec = SobolevSpec(s=0.0, p=4.0 / 3.0, weight=w)
         T = random_operator(np.random.default_rng(4), 4)
         assert sobolev_norm(sys4, T, spec) == pytest.approx(
@@ -207,8 +204,9 @@ class TestTestFamily:
         phi = PhaseFunction(sys4.group, vals)
         for sign in (-1, 1):
             elem = make_test_element(sys4, spec, phi, sign)
-            back = recover_generator(sys4, spec, elem)
-            assert np.max(np.abs(back.values - phi.values)) < 1e-11
+            # Invert the construction: divide the transform by the order sign*s multiplier.
+            back = qft_forward(sys4, elem.operator).values / bessel_multiplier(w4, sign * spec.s)
+            assert np.max(np.abs(back - phi.values)) < 1e-11
 
     def test_disjoint_support_norm_additivity(self, sys4, w4):
         # ||phi1 + phi2||_q'^q' splits exactly over disjoint supports.

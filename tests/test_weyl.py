@@ -228,6 +228,28 @@ class TestCheckAxioms:
         with pytest.raises(ValueError):
             check_axioms(make_weyl_system(17))
 
+    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
+    @pytest.mark.parametrize("N", [1, 4])
+    @pytest.mark.parametrize(
+        "keyword, axioms",
+        [
+            ("composition_tol", {"composition", "inverse_conjugation", "inverse_conjugation_swapped"}),
+            ("modulus_tol", {"unimodular"}),
+            ("cocycle_tol", {"cocycle"}),
+            ("unitarity_tol", {"unitarity"}),
+            ("orthogonality_tol", {"trace_orthogonality"}),
+        ],
+    )
+    def test_each_tolerance_gates_only_its_rows(self, keyword, axioms, N, convention):
+        # A negative tolerance fails every row it gates, since deviations are >= 0.
+        # At N = 1 every row passes by default, so each flip shows; at N = 4
+        # (the CLI default) both inverse-conjugation rows already fail.
+        system = make_weyl_system(N, convention)
+        default = {c.axiom: c.passed for c in check_axioms(system).checks}
+        assert N != 1 or all(default.values())
+        flipped = {c.axiom: c.passed for c in check_axioms(system, **{keyword: -1.0}).checks}
+        assert flipped == {axiom: passed and axiom not in axioms for axiom, passed in default.items()}
+
 
 def axioms_loop(system):
     """The multiplier table and residuals as ``check_axioms`` once built them, pair by pair.
