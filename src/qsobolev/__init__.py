@@ -28,12 +28,11 @@ from .qft import (
     conjugate_exponent,
     qft_forward,
     qft_inverse,
-    replay,
     verify_hausdorff_young,
     verify_plancherel,
     verify_roundtrips,
 )
-from .streams import random_operator, random_phase_function, trial_rng
+from .streams import random_operator, random_phase_function, replay, trial_rng
 from .sobolev import (
     NondegeneracyReport,
     NormAxiomReport,

@@ -20,22 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from .linalg import schatten_norm, singular_values
-from .qft import (
-    conjugate_exponent,
-    kept_ratios,
-    qft_forward,
-    qft_inverse,
-    operator_draw,
-    run_trials,
-    worst_trial,
-)
+from .qft import conjugate_exponent, qft_forward, qft_inverse
 from .sobolev import SobolevSpec, Weight, bessel_multiplier, transform_norm
+from .streams import OperatorReads, kept_ratios, run_trials, worst_trial
 from .weyl import WeylSystem
 
 
@@ -181,7 +175,8 @@ def verify_embedding_chain(
             np.stack([lq_table_norm(s, beta, 1.0) for beta in betas], axis=-1),
         )
 
-    snorm, f_sigma, schatten = run_trials(system.N, trials, seed, operator_draw(system), measure)
+    draw = (partial(OperatorReads, system.N),)
+    snorm, f_sigma, schatten = run_trials(system.N, trials, seed, draw, measure)
     link1, kept = kept_ratios(f_sigma, m_norm * snorm)
     link2, link2_kept = kept_ratios(schatten[:, 0], f_sigma)
     ratios = [kept_ratios(schatten[:, j], snorm)[0] for j in range(len(betas))]

@@ -18,42 +18,26 @@ arithmetic at all.  A transform costs O(N^2 log N) time and O(N^2) memory
 of operators or functions as well and transform it with one FFT call, and
 both read the diagonals through one index built once per N.
 
-Every sampling harness of the package runs on one trial engine,
-:func:`run_trials`.  It owns the ``trials >= 1`` check and reads trial
-``k = 0, 1, ...`` in order from the stream of ``np.random.default_rng([seed,
-k])``, so every report is what a one-trial-at-a-time loop gives.  The streams
-are seeded in blocks: :func:`~qsobolev.streams.seed_block` derives the
-generator states of ``SEED_BLOCK`` trials in one vectorised pass, and a single
-generator, local to the run, is reset to each trial's state, so the generator
-handed to a read is valid only during that call.  A trial does nothing but
-read its stream into the buffers of its chunk (at most ``CHUNK_BYTES`` of
-N x N complex operators); all draw arithmetic runs once per chunk (the
-Ginibre scaling, outer products, diagonals, phase tables, one batched QR and
-one stacked ``U S U*``), and the chunk is measured with stacked kernel calls.
-:func:`kept_ratios` and :func:`worst_trial` reduce the per-trial arrays to the
-report fields: skipped trials come from a zero-denominator mask, and the worst
-value and its witness from ``np.argmax``, whose first occurrence is the trial
-a loop keeping the first strict maximum would report.  :func:`replay` rebuilds
-one trial's draw, a reported witness for instance.  The random ensembles and
-their one-draw functions live in :mod:`qsobolev.streams` only.
+The harnesses run on the trial engine of :mod:`qsobolev.streams`, which
+also owns the seeded streams and the random ensembles read from them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .groups import PhaseFunction, l_q_norm, lq_table_norm
+from . import streams
 from .linalg import as_operator, schatten_norm, singular_values
-from .streams import SEED_BLOCK, OperatorReads, TableReads, seed_block, seed_trial, trial_rng
 from .weyl import WeylSystem
 
 
-@functools.lru_cache(maxsize=4)
+@lru_cache(maxsize=4)
 def _wrapped_diagonals(N: int) -> np.ndarray:
     """Flat indices ``t*N + (t + a) % N`` at ``[a, t]``: ``D[a, t] = T[t, (t + a) % N]``.
 
@@ -120,108 +104,6 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     return T.reshape(*lead, N, N)
 
 
-#: Byte budget of one chunk of stacked trial draws: 128 complex 8 x 8
-#: operators, 8 at N = 32, 2 at N = 64, and one trial per chunk from N = 91 up,
-#: so a large-N harness holds no more N x N matrices than one trial would.
-CHUNK_BYTES = 128 * 1024
-
-
-def chunk_length(N: int) -> int:
-    """Trials per chunk: the N x N complex128 draws that fit in ``CHUNK_BYTES``, at least 1."""
-    return max(1, CHUNK_BYTES // (16 * N * N))
-
-
-def _read(rng: np.random.Generator, columns: Sequence, i: int) -> None:
-    for column in columns:
-        column.read(rng, i)
-
-
-def run_trials(N: int, trials: int, seed: int, draw, measure) -> tuple[np.ndarray, ...]:
-    """The trial engine: read each trial from its own stream, assemble and measure chunks, join.
-
-    ``draw(length)`` returns the columns of one chunk of ``length`` trials
-    (:class:`OperatorReads`, :class:`TableReads`, :class:`ScalarReads`).
-    Trial k is read into slot ``k - start`` of each column, in column order,
-    from one generator reset to the stream of ``np.random.default_rng([seed,
-    k])``; the states come from :func:`seed_block`, ``SEED_BLOCK`` trials at
-    a time, and the generator is local to the call.  So every trial reads
-    what it would read alone, and no trial does more than read its stream:
-    all draw arithmetic runs in ``assemble``, once per chunk of
-    ``chunk_length(N)`` trials.  ``measure`` gets the assembled columns and
-    returns a tuple of arrays whose leading axis runs over the chunk; those
-    are joined in trial order.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    step = chunk_length(N)
-    rng = np.random.Generator(np.random.PCG64())
-    measured = []
-    for start in range(0, trials, step):
-        stop = min(start + step, trials)
-        columns = draw(stop - start)
-        for k in range(start, stop):
-            if k % SEED_BLOCK == 0:
-                block = seed_block(seed, k, min(SEED_BLOCK, trials - k))
-            seed_trial(rng, block, k)
-            _read(rng, columns, k - start)
-        # An assembled column is its own read buffer: measuring holds one chunk.
-        parts = [column.assemble() for column in columns]
-        del columns
-        measured.append(measure(*parts))
-        del parts
-    return tuple(np.concatenate(column) for column in zip(*measured))
-
-
-def replay(draw, seed: int, index: int) -> tuple[np.ndarray, ...]:
-    """Trial ``index``'s assembled draw, as :func:`run_trials` passes it to ``measure``.
-
-    Each part keeps a leading axis of length one.  With a harness's draw and
-    seed, this rebuilds a reported witness from its ``witness_index``.
-    """
-    columns = draw(1)
-    _read(trial_rng(seed, index), columns, 0)
-    return tuple(column.assemble() for column in columns)
-
-
-def operator_draw(system: WeylSystem):
-    """The :func:`run_trials` draw of one random operator on C^N per trial."""
-    return lambda length: (OperatorReads(system.N, length),)
-
-
-def table_draw(system: WeylSystem):
-    """The :func:`run_trials` draw of one random table on the dual per trial."""
-    return lambda length: (TableReads(system.group.size, length),)
-
-
-def operator_and_table_draw(system: WeylSystem):
-    """The :func:`run_trials` draw of a random operator, then a random dual table."""
-    return lambda length: (OperatorReads(system.N, length), TableReads(system.group.size, length))
-
-
-def kept_ratios(numerators: np.ndarray, denominators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial ``numerators / denominators`` and the mask of kept trials.
-
-    A trial with a zero denominator is skipped: its ratio reads 0 and its mask
-    entry is False.
-    """
-    kept = denominators != 0.0
-    return np.divide(numerators, denominators, out=np.zeros(kept.shape), where=kept), kept
-
-
-def worst_trial(values: np.ndarray, kept=True, floor: float = 0.0) -> tuple[float, int | None]:
-    """The largest kept value and the first trial attaining it, or ``(floor, None)``.
-
-    ``np.argmax`` returns the first occurrence of the maximum, the trial a
-    loop keeps when it replaces its running worst (starting at ``floor``) only
-    on a strict ``>``.  A NaN is returned, not skipped.
-    """
-    values = np.where(kept, values, -np.inf)
-    k = int(np.argmax(values))
-    if values[k] <= floor:
-        return floor, None
-    return float(values[k]), k
-
-
 def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, values: np.ndarray) -> tuple:
     """Residuals and norms of ``F^-1 F T`` against T and ``F F^-1 f`` against f, per trial."""
     back = qft_inverse(system, qft_forward(system, T))
@@ -236,8 +118,8 @@ def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, values: np.ndarray) 
 
 def _roundtrip_report(op_err, op_norm, fn_err, fn_norm) -> dict:
     return {
-        "operator_roundtrip": worst_trial(*kept_ratios(op_err, op_norm))[0],
-        "function_roundtrip": worst_trial(*kept_ratios(fn_err, fn_norm))[0],
+        "operator_roundtrip": streams.worst_trial(*streams.kept_ratios(op_err, op_norm))[0],
+        "function_roundtrip": streams.worst_trial(*streams.kept_ratios(fn_err, fn_norm))[0],
     }
 
 
@@ -254,19 +136,16 @@ def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> dict:
         deviations = np.abs(l_q_norm(qft_forward(system, T), 2.0) - s2)
         return deviations, s2, *_roundtrip_residuals(system, T, values)
 
-    deviations, s2, *residuals = run_trials(
-        system.N, trials, seed, operator_and_table_draw(system), measure
-    )
-    worst = worst_trial(*kept_ratios(deviations, s2))[0]
+    draw = (partial(streams.OperatorReads, system.N), partial(streams.TableReads, system.group.size))
+    deviations, s2, *residuals = streams.run_trials(system.N, trials, seed, draw, measure)
+    worst = streams.worst_trial(*streams.kept_ratios(deviations, s2))[0]
     return {"worst_relative_deviation": worst} | _roundtrip_report(*residuals)
 
 
 def verify_roundtrips(system: WeylSystem, trials: int, seed: int) -> dict:
     """Worst relative residuals of both transform compositions on random inputs."""
-    residuals = run_trials(
-        system.N, trials, seed, operator_and_table_draw(system),
-        lambda T, values: _roundtrip_residuals(system, T, values),
-    )
+    draw = (partial(streams.OperatorReads, system.N), partial(streams.TableReads, system.group.size))
+    residuals = streams.run_trials(system.N, trials, seed, draw, partial(_roundtrip_residuals, system))
     return _roundtrip_report(*residuals)
 
 
@@ -314,28 +193,28 @@ def verify_hausdorff_young(
     qs = [conjugate_exponent(p) for p in exponents]
     mass = system.group.dual_mass
 
-    def norms(tables, ps, mass_per_point):
+    def power_norms(tables, ps, mass_per_point):
         # Schatten norms are the unweighted l^p norms of the singular values.
         return np.stack([lq_table_norm(tables, p, mass_per_point) for p in ps], axis=-1)
 
     if direction == "forward":
-        draw = operator_draw(system)
+        draw = (partial(streams.OperatorReads, system.N),)
 
         def measure(T):
-            transformed = norms(qft_forward(system, T).values, qs, mass)
-            return transformed, norms(singular_values(T), exponents, 1.0)
+            transformed = power_norms(qft_forward(system, T).values, qs, mass)
+            return transformed, power_norms(singular_values(T), exponents, 1.0)
     else:
-        draw = table_draw(system)
+        draw = (partial(streams.TableReads, system.group.size),)
 
         def measure(f):
             S = singular_values(qft_inverse(system, PhaseFunction(system.group, f)))
-            return norms(S, qs, 1.0), norms(f, exponents, mass)
+            return power_norms(S, qs, 1.0), power_norms(f, exponents, mass)
 
-    norms, denominators = run_trials(system.N, trials, seed, draw, measure)
+    numerators, denominators = streams.run_trials(system.N, trials, seed, draw, measure)
     reports = []
     for j, (p, q) in enumerate(zip(exponents, qs)):
-        ratios, kept = kept_ratios(norms[:, j], denominators[:, j])
-        worst, witness = worst_trial(ratios, kept)
+        ratios, kept = streams.kept_ratios(numerators[:, j], denominators[:, j])
+        worst, witness = streams.worst_trial(ratios, kept)
         reports.append(
             HausdorffYoungReport(
                 p=p,

@@ -14,23 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from .linalg import schatten_norm, trace_pairing
-from .qft import (
-    conjugate_exponent,
-    kept_ratios,
-    qft_forward,
-    qft_inverse,
-    operator_and_table_draw,
-    operator_draw,
-    run_trials,
-    worst_trial,
-)
-from .streams import OperatorReads, ScalarReads
+from .qft import conjugate_exponent, qft_forward, qft_inverse
+from .streams import OperatorReads, ScalarReads, TableReads, kept_ratios, run_trials, worst_trial
 from .weyl import WeylSystem, weyl_operator
 
 #: Largest N of :func:`nondegeneracy_check`, whose Gram matrix has N^4 entries.
@@ -153,7 +145,7 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
         pairings = PhaseFunction(system.group, trace_pairing(T[:, None], weyl))
         return (np.abs(transform_norm(pairings, spec, spec.s, spec.homogeneous) - via_fft),)
 
-    (deviations,) = run_trials(system.N, trials, seed, operator_draw(system), measure)
+    (deviations,) = run_trials(system.N, trials, seed, (partial(OperatorReads, system.N),), measure)
     return worst_trial(deviations)[0]
 
 
@@ -234,9 +226,6 @@ def verify_norm_axioms(
     relations.
     """
 
-    def draw(length):
-        return OperatorReads(system.N, length), OperatorReads(system.N, length), ScalarReads(length)
-
     def measure(T, S, c):
         # One transform of T for the spec's norm, the inhomogeneous norms at s
         # and 2s and the homogeneous one at s.
@@ -257,6 +246,7 @@ def verify_norm_axioms(
             n_hom,
         )
 
+    draw = (partial(OperatorReads, system.N), partial(OperatorReads, system.N), ScalarReads)
     nT, nS, nonzero, scaled, modulus, n_sum, n_base, n_stronger, n_hom = run_trials(
         system.N, trials, seed, draw, measure
     )
@@ -357,9 +347,8 @@ def pairing_bound_estimate(
         moduli = np.hypot(pairings.real, pairings.imag)
         return moduli, schatten_norm(T, p) * elements[0].negative_norm
 
-    moduli, denominators = run_trials(
-        system.N, trials, seed, operator_and_table_draw(system), measure
-    )
+    draw = (partial(OperatorReads, system.N), partial(TableReads, system.group.size))
+    moduli, denominators = run_trials(system.N, trials, seed, draw, measure)
     reports = []
     for j, (sign, bound) in enumerate(zip(signs, bounds)):
         ratios, kept = kept_ratios(moduli[:, j], denominators)

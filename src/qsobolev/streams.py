@@ -1,4 +1,4 @@
-"""Seeded per-trial random streams and the random ensembles read from them.
+"""The trial engine, its seeded per-trial streams, and the random ensembles read from them.
 
 Trial k of a run with seed ``seed`` draws from the stream of
 ``np.random.default_rng([seed, k])``.  numpy seeds that generator in two
@@ -8,18 +8,29 @@ four words and expands the pool to four 64-bit words, and PCG64 sets its
 128-bit LCG state from them (``pcg_setseq_128_srandom_r``, O'Neill, PCG,
 HMC-CS-2014-0905).  The state is therefore a pure function of ``(seed, k)``:
 :func:`seed_block` derives the states of ``SEED_BLOCK`` consecutive trials
-at once, running the hashing on arrays, and :func:`seed_trial` resets one
-generator to a trial's state, which yields exactly the stream a fresh
-``default_rng([seed, k])`` would.
+at once, running the hashing on arrays.
 
 A trial only reads its stream.  :class:`OperatorReads`, :class:`TableReads`
 and :class:`ScalarReads` each hold one component of a chunk of trials: their
 ``read(rng, i)`` consumes trial i's draw in the order a one-go draw does and
 writes the raw normals and integers into preallocated buffers, and
-``assemble()`` then runs all complex arithmetic of the chunk at once, bit
-for bit what one draw at a time gives.  :func:`random_operator` and
-:func:`random_phase_function` are the same reads and assembly on a chunk of
-one trial.
+``assemble()`` then runs all complex arithmetic of the chunk at once (the
+Ginibre scaling, outer products, diagonals, phase tables, one batched QR and
+one stacked ``U S U*``), bit for bit what one draw at a time gives.
+:func:`random_operator` and :func:`random_phase_function` are the same reads
+and assembly on a chunk of one trial.
+
+Every sampling harness runs on the trial engine :func:`run_trials`.  A draw
+is a tuple of one-argument column constructors, ``(partial(OperatorReads,
+N), ScalarReads)`` for instance, each making its column for a chunk of at
+most ``CHUNK_BYTES`` of N x N complex operators.  One generator, local to
+the run, is reset to each trial's state in trial order, so every report is
+what a one-trial-at-a-time loop gives, and the generator handed to a read is
+valid only during that call.  :func:`kept_ratios` and :func:`worst_trial`
+reduce the per-trial arrays to report fields: the worst value and its
+witness come from ``np.argmax``, whose first occurrence is the trial a loop
+keeping the first strict maximum would report.  :func:`replay` rebuilds one
+trial's draw, a reported witness for instance.
 """
 
 from __future__ import annotations
@@ -148,16 +159,22 @@ def seed_block(seed: int, start: int, count: int) -> list[dict]:
     return states
 
 
-def seed_trial(rng: np.random.Generator, block: list[dict], k: int) -> None:
-    """Reset ``rng`` to trial k's stream; ``block`` is the :func:`seed_block` holding k."""
-    rng.bit_generator.state = block[k % SEED_BLOCK]
+def _trial_streams(seed: int, start: int, stop: int):
+    """One generator, reset in turn to the streams of trials ``start`` to ``stop - 1``.
+
+    Each stream is valid until the next is drawn; the states come from
+    :func:`seed_block`, ``SEED_BLOCK`` trials at a time.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+    for first in range(start, stop, SEED_BLOCK):
+        for state in seed_block(seed, first, min(SEED_BLOCK, stop - first)):
+            rng.bit_generator.state = state
+            yield rng
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """The generator of one trial: the stream of ``np.random.default_rng([seed, index])``."""
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = seed_block(seed, index, 1)[0]
-    return rng
+    return next(_trial_streams(seed, index, index + 1))
 
 
 # -- raw reads and chunk assembly -----------------------------------------------
@@ -335,3 +352,84 @@ def random_phase_function(
     reads = TableReads(system.group.size, 1, kind)
     reads.read(rng, 0)
     return PhaseFunction(system.group, reads.assemble()[0])
+
+
+# -- the trial engine ------------------------------------------------------------
+
+#: Byte budget of one chunk of stacked trial draws: 128 complex 8 x 8
+#: operators, 8 at N = 32, 2 at N = 64, and one trial per chunk from N = 91 up,
+#: so a large-N harness holds no more N x N matrices than one trial would.
+CHUNK_BYTES = 128 * 1024
+
+
+def chunk_length(N: int) -> int:
+    """Trials per chunk: the N x N complex128 draws that fit in ``CHUNK_BYTES``, at least 1."""
+    return max(1, CHUNK_BYTES // (16 * N * N))
+
+
+def _read_chunk(draw, length: int, streams) -> list:
+    """The columns of ``draw`` for ``length`` trials, trial i read from the i-th of ``streams``."""
+    columns = [column(length) for column in draw]
+    for i, rng in zip(range(length), streams):
+        for column in columns:
+            column.read(rng, i)
+    return columns
+
+
+def run_trials(N: int, trials: int, seed: int, draw, measure) -> tuple[np.ndarray, ...]:
+    """The trial engine: read each trial from its own stream, assemble and measure chunks, join.
+
+    Trial k is read into slot ``k - start`` of each column of ``draw``, in
+    column order, from the stream of ``np.random.default_rng([seed, k])``.
+    All draw arithmetic runs in ``assemble``, once per chunk of
+    ``chunk_length(N)`` trials.  ``measure`` gets the assembled columns and
+    returns arrays whose leading axis runs over the chunk, joined in trial
+    order.  ``trials`` must be at least 1.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    step = chunk_length(N)
+    streams = _trial_streams(seed, 0, trials)
+    measured = []
+    for start in range(0, trials, step):
+        columns = _read_chunk(draw, min(step, trials - start), streams)
+        # An assembled column is its own read buffer: measuring holds one chunk.
+        parts = [column.assemble() for column in columns]
+        del columns
+        measured.append(measure(*parts))
+        del parts
+    return tuple(np.concatenate(column) for column in zip(*measured))
+
+
+def replay(draw, seed: int, index: int) -> tuple[np.ndarray, ...]:
+    """Trial ``index``'s assembled draw, as :func:`run_trials` passes it to ``measure``.
+
+    Each part keeps a leading axis of length one.  With a harness's draw and
+    seed, this rebuilds a reported witness from its ``witness_index``.
+    """
+    columns = _read_chunk(draw, 1, _trial_streams(seed, index, index + 1))
+    return tuple(column.assemble() for column in columns)
+
+
+def kept_ratios(numerators: np.ndarray, denominators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial ``numerators / denominators`` and the mask of kept trials.
+
+    A trial with a zero denominator is skipped: its ratio reads 0 and its mask
+    entry is False.
+    """
+    kept = denominators != 0.0
+    return np.divide(numerators, denominators, out=np.zeros(kept.shape), where=kept), kept
+
+
+def worst_trial(values: np.ndarray, kept=True, floor: float = 0.0) -> tuple[float, int | None]:
+    """The largest kept value and the first trial attaining it, or ``(floor, None)``.
+
+    ``np.argmax`` returns the first occurrence of the maximum, the trial a
+    loop keeps when it replaces its running worst (starting at ``floor``) only
+    on a strict ``>``.  A NaN is returned, not skipped.
+    """
+    values = np.where(kept, values, -np.inf)
+    k = int(np.argmax(values))
+    if values[k] <= floor:
+        return floor, None
+    return float(values[k]), k

@@ -12,6 +12,7 @@ import io
 import math
 import tracemalloc
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,9 +22,7 @@ from qsobolev.embedding import compute_exponents, multiplier_norm, verify_embedd
 from qsobolev.groups import PhaseFunction, l_q_norm, lq_table_norm
 from qsobolev.linalg import as_operator, schatten_norm, singular_values, trace_pairing
 from qsobolev.qft import (
-    CHUNK_BYTES,
     HausdorffYoungReport,
-    chunk_length,
     conjugate_exponent,
     qft_forward,
     qft_inverse,
@@ -45,6 +44,7 @@ from qsobolev.sobolev import (
     sobolev_norm,
     verify_norm_axioms,
 )
+from qsobolev.streams import CHUNK_BYTES, chunk_length
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
 EXPONENTS = (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0)
@@ -396,7 +396,7 @@ def chunk_of(monkeypatch):
     """Set ``CHUNK_BYTES`` so that a chunk holds ``length`` trials at dimension N."""
 
     def set_length(N, length):
-        monkeypatch.setattr(qft, "CHUNK_BYTES", length * 16 * N * N)
+        monkeypatch.setattr(streams, "CHUNK_BYTES", length * 16 * N * N)
         assert chunk_length(N) == length
 
     return set_length
@@ -443,8 +443,8 @@ class TestOracles:
 def zero_draws(monkeypatch):
     """Trial indices whose operator reads and dual-table reads become zero.
 
-    The engine resets its generator to trial k through ``qft.seed_trial`` and
-    the oracles take trial k's stream from :func:`oracle_rng`; both record k.
+    The engine takes trial k's stream from ``streams._trial_streams`` and the
+    oracles take it from :func:`oracle_rng`; both record k.
     The patch then sits on the reads, which the engine's columns and the
     oracles' ``random_operator``/``random_phase_function`` both go through:
     the real read still runs first, so every later read of the trial sees the
@@ -453,19 +453,20 @@ def zero_draws(monkeypatch):
     """
     zeros = set()
     current = {}
-    real_seed_trial = qft.seed_trial
+    real_trial_streams = streams._trial_streams
 
-    def seed_trial(rng, block, k):
-        current["k"] = k
-        real_seed_trial(rng, block, k)
+    def trial_streams(seed, start, stop):
+        for k, rng in zip(range(start, stop), real_trial_streams(seed, start, stop)):
+            current["k"] = k
+            yield rng
 
     def stream(seed, k):
         current["k"] = k
         return np.random.default_rng([seed, k])
 
-    monkeypatch.setattr(qft, "seed_trial", seed_trial)
+    monkeypatch.setattr(streams, "_trial_streams", trial_streams)
     monkeypatch.setitem(globals(), "oracle_rng", stream)
-    for reads in (qft.OperatorReads, qft.TableReads):
+    for reads in (streams.OperatorReads, streams.TableReads):
         real_read, real_assemble = reads.read, reads.assemble
 
         def read(self, rng, i, real_read=real_read):
@@ -530,13 +531,13 @@ class TestChunking:
         batch = HARNESSES[name][0]
         system = make_weyl_system(3)
         one_chunk = batch(system, 10, 5)
-        monkeypatch.setattr(qft, "CHUNK_BYTES", 3 * 16 * 9)  # chunks of 3, 3, 3 and 1
+        monkeypatch.setattr(streams, "CHUNK_BYTES", 3 * 16 * 9)  # chunks of 3, 3, 3 and 1
         assert chunk_length(3) == 3
         assert batch(system, 10, 5) == one_chunk
 
     def test_trials_validated_by_engine(self):
         with pytest.raises(ValueError, match="trials"):
-            qft.run_trials(4, 0, 0, qft.operator_draw(make_weyl_system(4)), lambda T: (T,))
+            streams.run_trials(4, 0, 0, (partial(streams.OperatorReads, 4),), lambda T: (T,))
 
 
 # -- draw and decomposition counts --------------------------------------------
@@ -557,6 +558,20 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_trials(monkeypatch):
+    """Count the trial streams the engine reads, one per trial."""
+    trials = []
+    real_trial_streams = streams._trial_streams
+
+    def counted(seed, start, stop):
+        for rng in real_trial_streams(seed, start, stop):
+            trials.append(1)
+            yield rng
+
+    monkeypatch.setattr(streams, "_trial_streams", counted)
+    return trials
+
+
 def _run_cli(argv, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv + ["--out", str(tmp_path / "report.json")])
@@ -567,7 +582,7 @@ class TestDrawCounts:
     # hausdorff-young: 100 trials per direction; pairing: 200 shared by both signs.
     @pytest.mark.parametrize("command", ["plancherel", "hausdorff-young", "pairing"])
     def test_cli_defaults_draw_each_trial_once(self, command, monkeypatch, tmp_path):
-        draws = _count_calls(monkeypatch, qft, "seed_trial")
+        draws = _count_trials(monkeypatch)
         assert _run_cli([command], tmp_path) == 0
         assert len(draws) == {"plancherel": 100, "hausdorff-young": 200, "pairing": 200}[command]
 
@@ -665,7 +680,7 @@ class TestStreamReads:
     @pytest.mark.parametrize("kind", ("mixed",) + streams.OPERATOR_ENSEMBLES)
     def test_chunk_assembly_equals_one_draw_at_a_time(self, N, kind, chunk_of):
         chunk_of(N, 12)
-        (chunk,) = qft.run_trials(N, 12, N, lambda length: (qft.OperatorReads(N, length, kind),), lambda T: (T,))
+        (chunk,) = streams.run_trials(N, 12, N, (partial(streams.OperatorReads, N, kind=kind),), lambda T: (T,))
         for k in range(12):
             rng, reference = oracle_rng(N, k), oracle_rng(N, k)
             expected = operator_oracle(reference, N, kind)
@@ -679,7 +694,7 @@ class TestStreamReads:
     def test_phase_tables_equal_one_draw_at_a_time(self, N, kind, chunk_of):
         chunk_of(N, 5)
         system = make_weyl_system(N)
-        (chunk,) = qft.run_trials(N, 12, N, lambda length: (qft.TableReads(N * N, length, kind),), lambda f: (f,))
+        (chunk,) = streams.run_trials(N, 12, N, (partial(streams.TableReads, N * N, kind=kind),), lambda f: (f,))
         for k in range(12):
             rng, reference = oracle_rng(N, k), oracle_rng(N, k)
             expected = phase_table_oracle(reference, N * N, kind)
@@ -721,7 +736,7 @@ class TestStreamReads:
         # The Ginibre matrices are built in place of their reads, so the QR's
         # copy, Q and R peak at three stacks; a Ginibre stack kept beside the
         # reads through the QR would make it four.
-        reads = qft.OperatorReads(64, length, "sparse_unitary")
+        reads = streams.OperatorReads(64, length, "sparse_unitary")
         for k in range(length):
             reads.read(oracle_rng(0, k), k)
         tracemalloc.start()
@@ -757,9 +772,8 @@ class TestStreamSeeding:
     @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
     def test_engine_streams_are_the_default_rng_streams(self, seed):
         # Past the first seeding block, so trials on both sides of its boundary.
-        trials = qft.SEED_BLOCK + 3
-        draw = lambda length: (StreamProbe(length),)
-        states, draws = qft.run_trials(8, trials, seed, draw, lambda probe: (probe.states, probe.draws))
+        trials = streams.SEED_BLOCK + 3
+        states, draws = streams.run_trials(8, trials, seed, (StreamProbe,), lambda probe: (probe.states, probe.draws))
         for k in range(trials):
             reference = np.random.default_rng([seed, k])
             assert states[k] == reference.bit_generator.state, k
@@ -780,23 +794,34 @@ class TestStreamSeeding:
         with pytest.raises(expected.type):
             streams.trial_rng(bad, 0)
         with pytest.raises(expected.type):
-            qft.run_trials(8, 3, bad, qft.operator_draw(make_weyl_system(8)), lambda T: (T,))
+            streams.run_trials(8, 3, bad, (partial(streams.OperatorReads, 8),), lambda T: (T,))
 
 
 class TestReplay:
     def test_replay_is_the_engine_draw(self):
-        system = make_weyl_system(8)
-        draw = qft.operator_and_table_draw(system)
-        T, f = qft.run_trials(8, 200, 4, draw, lambda T, f: (T, f))
+        draw = (partial(streams.OperatorReads, 8), partial(streams.TableReads, 64))
+        T, f = streams.run_trials(8, 200, 4, draw, lambda T, f: (T, f))
         for k in (0, 127, 128, 199):
-            T_k, f_k = qft.replay(draw, 4, k)
+            T_k, f_k = streams.replay(draw, 4, k)
             assert T_k.shape == (1, 8, 8) and f_k.shape == (1, 64)
             assert np.array_equal(T_k[0], T[k]) and np.array_equal(f_k[0], f[k])
+
+    def test_replay_of_the_norm_axioms_draw(self):
+        # Two operators and a scalar per trial, as verify_norm_axioms reads them;
+        # trials 127 and 128 sit on both sides of the first chunk boundary.
+        draw = (partial(streams.OperatorReads, 8), partial(streams.OperatorReads, 8), streams.ScalarReads)
+        T, S, c = streams.run_trials(8, 200, 4, draw, lambda T, S, c: (T, S, c))
+        assert chunk_length(8) == 128
+        for k in (0, 127, 128, 199):
+            T_k, S_k, c_k = streams.replay(draw, 4, k)
+            assert T_k.shape == S_k.shape == (1, 8, 8) and c_k.shape == (1,)
+            assert np.array_equal(T_k[0], T[k]) and np.array_equal(S_k[0], S[k])
+            assert c_k[0] == c[k]
 
     def test_forward_witness_replays_its_worst_ratio(self):
         system = make_weyl_system(8)
         for rep in verify_hausdorff_young(system, EXPONENTS, "forward", 100, 0):
-            (T,) = qft.replay(qft.operator_draw(system), 0, rep.witness_index)
+            (T,) = streams.replay((partial(streams.OperatorReads, 8),), 0, rep.witness_index)
             transformed = lq_table_norm(qft_forward(system, T).values, rep.q, system.group.dual_mass)
             ratio = transformed / lq_table_norm(singular_values(T), rep.p, 1.0)
             assert ratio[0] == rep.worst_ratio, rep.p
