@@ -9,7 +9,7 @@ variants on inverses.
 
 import numpy as np
 
-from qsobolev import check_axioms, extract_multiplier, make_weyl_system, weyl_operator
+from qsobolev.weyl import check_axioms, extract_multiplier, make_weyl_system, weyl_operator
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 

@@ -8,15 +8,15 @@ all of that on seeded random ensembles and prints the worst ratios.
 
 import numpy as np
 
-from qsobolev import (
-    make_weyl_system,
+from qsobolev.qft import (
     qft_forward,
     qft_inverse,
-    random_operator,
     verify_hausdorff_young,
     verify_plancherel,
     verify_roundtrips,
 )
+from qsobolev.streams import random_operator
+from qsobolev.weyl import make_weyl_system
 
 system = make_weyl_system(8)
 

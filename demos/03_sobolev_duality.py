@@ -9,18 +9,17 @@ family has full rank, so the pairing separates points.
 
 import numpy as np
 
-from qsobolev import (
-    PhaseFunction,
+from qsobolev.groups import PhaseFunction, l_q_norm
+from qsobolev.sobolev import (
     SobolevSpec,
     make_test_element,
     make_weight_euclidean,
-    make_weyl_system,
     nondegeneracy_check,
     pairing_bound_estimate,
     phi_isometry_check,
     sobolev_norm,
-    weyl_operator,
 )
+from qsobolev.weyl import make_weyl_system, weyl_operator
 
 system = make_weyl_system(8)
 weight = make_weight_euclidean(system.group)
@@ -42,9 +41,8 @@ print()
 print("test family: W_phi = inverse transform of the weighted generator")
 phi = PhaseFunction.delta(system.group, (0, 0))
 for sign in (+1, -1):
-    elem = make_test_element(system, spec, phi, sign)
-    top = elem.operator[0, 0]
-    print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {elem.negative_norm:.4f}")
+    top = make_test_element(system, spec, phi, sign)[0, 0]
+    print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {l_q_norm(phi, spec.q):.4f}")
 print()
 
 (bound,) = pairing_bound_estimate(system, p=4.0, s=1.0, weight=weight, signs=(-1,), trials=400, seed=5)

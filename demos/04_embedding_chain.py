@@ -7,7 +7,9 @@ a second alternate candidate beta = alpha q/(alpha(q-1) - s) is carried
 alongside and simply measured, never asserted.
 """
 
-from qsobolev import SobolevSpec, compute_exponents, make_weight_euclidean, make_weyl_system, verify_embedding_chain
+from qsobolev.embedding import compute_exponents, verify_embedding_chain
+from qsobolev.sobolev import SobolevSpec, make_weight_euclidean
+from qsobolev.weyl import make_weyl_system
 
 print("exponent arithmetic for a few configurations:")
 print(f"  {'alpha':>6s} {'q':>4s} {'s':>4s} {'sigma':>7s} {'in range':>9s} {'beta_corr':>10s} {'beta_alt':>11s}")

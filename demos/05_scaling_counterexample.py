@@ -9,7 +9,8 @@ and every shape must leave it past eps = 1, where the Hilbert-Schmidt lower
 bound eps^(1/2 - 1/q) overtakes the prediction.
 """
 
-from qsobolev import counterexample_run, make_weyl_system
+from qsobolev.embedding import counterexample_run
+from qsobolev.weyl import make_weyl_system
 
 q, rho = 4.0, 8.0
 

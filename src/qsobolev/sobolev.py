@@ -84,7 +84,7 @@ class SobolevSpec:
 
     @property
     def q(self) -> float:
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
 
 def bessel_multiplier(weight: Weight, t: float, homogeneous: bool = False) -> np.ndarray:
@@ -118,14 +118,6 @@ def transform_norm(f: PhaseFunction, spec: SobolevSpec, order: float, homogeneou
     return l_q_norm(f.with_values(multiplied), spec.q)
 
 
-def phi_map(system: WeylSystem, T, spec: SobolevSpec) -> PhaseFunction:
-    """The weighted transform Phi(T): the Sobolev norm is its plain L^q norm."""
-    if spec.weight.group != system.group:
-        raise ValueError("weight lives on a different dual group than the system")
-    f = qft_forward(system, T)
-    return f.with_values(bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f.values)
-
-
 def sobolev_norm(system: WeylSystem, T, spec: SobolevSpec) -> float:
     """Weighted L^q norm of the phase-space transform of ``T``; zero iff T = 0."""
     return transform_norm(qft_forward(system, T), spec, spec.s, spec.homogeneous)
@@ -149,25 +141,16 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
     return worst_trial(deviations)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class TestFamilyElement:
-    """Negative-order test operator W_phi with its generator and defining norm."""
-
-    phi: PhaseFunction
-    operator: np.ndarray
-    negative_norm: float
-    sign: int
-
-
 def make_test_element(
     system: WeylSystem, spec: SobolevSpec, phi: PhaseFunction, sign: int = -1
-) -> TestFamilyElement:
-    """Build W_phi = F^-1((1 + gamma^2)^(sign * s / 2) phi) for the negative-order space.
+) -> np.ndarray:
+    """The test operator W_phi = F^-1((1 + gamma^2)^(sign * s / 2) phi) of the negative-order space.
 
-    ``spec`` carries the dual-space exponent pair: its ``p`` plays the role of
-    p' in (1, 2) and the defining norm of the element is ``||phi||_{L^q'}``
-    with ``q' = spec.q``.  The weight sign is an explicit caller choice (+1 or
-    -1); -1 is the default used by the duality harnesses.
+    A stack of generators gives a stack of operators.  ``spec`` carries the
+    dual-space exponent pair: its ``p`` plays the role of p' in (1, 2) and the
+    defining norm of W_phi is ``l_q_norm(phi, spec.q)``.  The weight sign is an
+    explicit caller choice (+1 or -1); -1 is the default used by the duality
+    harnesses.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -176,13 +159,7 @@ def make_test_element(
     if spec.weight.group != system.group:
         raise ValueError("weight lives on a different dual group than the system")
     multiplier = bessel_multiplier(spec.weight, sign * spec.s)
-    weighted = phi.with_values(multiplier * phi.values)
-    return TestFamilyElement(
-        phi=phi,
-        operator=qft_inverse(system, weighted),
-        negative_norm=l_q_norm(phi, spec.q),
-        sign=sign,
-    )
+    return qft_inverse(system, phi.with_values(multiplier * phi.values))
 
 
 @dataclass(frozen=True)
@@ -264,7 +241,7 @@ def verify_norm_axioms(
         worst_homogeneity_rel=worst_hom_rel,
         worst_triangle_excess=worst_trial(triangle, kept, -math.inf)[0],
         triangle_violations=int(np.count_nonzero(kept & (triangle > triangle_tol))),
-        # phi_map's norm is sobolev_norm itself, so this reads 0.0 by construction.
+        # The weighted map's L^q norm is sobolev_norm itself, so this reads 0.0 by construction.
         worst_isometry_abs=worst_trial(np.abs(nT - nT))[0],
         s_monotonicity_violations=int(np.count_nonzero(base_kept & (monotone > MONOTONE_TOL))),
         worst_s_monotonicity_excess=worst_trial(monotone, base_kept, -math.inf)[0],
@@ -341,11 +318,13 @@ def pairing_bound_estimate(
 
     def measure(T, values):
         phi = PhaseFunction(system.group, values)
-        elements = [make_test_element(system, dual_spec, phi, sign) for sign in signs]
-        pairings = np.stack([trace_pairing(T, e.operator) for e in elements], axis=-1)
+        pairings = np.stack(
+            [trace_pairing(T, make_test_element(system, dual_spec, phi, sign)) for sign in signs],
+            axis=-1,
+        )
         # libm's hypot, as abs(complex); np.abs may differ from it in the last bit.
         moduli = np.hypot(pairings.real, pairings.imag)
-        return moduli, schatten_norm(T, p) * elements[0].negative_norm
+        return moduli, schatten_norm(T, p) * l_q_norm(phi, q_prime)
 
     draw = (partial(OperatorReads, system.N), partial(TableReads, system.group.size))
     moduli, denominators = run_trials(system.N, trials, seed, draw, measure)
@@ -400,7 +379,7 @@ def nondegeneracy_check(
         )
     K = system.group.size
     deltas = PhaseFunction(system.group, np.eye(K))
-    V = make_test_element(system, spec, deltas, sign).operator.reshape(K, K)
+    V = make_test_element(system, spec, deltas, sign).reshape(K, K)
     gram = V.conj() @ V.T
     eigs = np.linalg.eigvalsh(gram)
     top = float(eigs[-1])

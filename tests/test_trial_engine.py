@@ -34,13 +34,13 @@ from qsobolev.sobolev import (
     NormAxiomReport,
     PairingBoundReport,
     SobolevSpec,
+    bessel_multiplier,
     make_test_element,
     make_weight_euclidean,
     nondegeneracy_check,
     pairing_analytic_bound,
     pairing_bound_estimate,
     phi_isometry_check,
-    phi_map,
     sobolev_norm,
     verify_norm_axioms,
 )
@@ -171,7 +171,9 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
             worst_tri = max(worst_tri, excess)
             if excess > triangle_tol:
                 tri_viol += 1
-        worst_iso = max(worst_iso, abs(l_q_norm(phi_map(system, T, spec), spec.q) - nT))
+        f = qft_forward(system, T)
+        weighted = f.with_values(bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f.values)
+        worst_iso = max(worst_iso, abs(l_q_norm(weighted, spec.q) - nT))
         n_base = sobolev_norm(system, T, base)
         n_stronger = sobolev_norm(system, T, stronger)
         if n_base > 0.0:
@@ -215,12 +217,12 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
         rng = oracle_rng(seed, k)
         T = streams.random_operator(rng, system.N)
         phi = streams.random_phase_function(rng, system)
-        element = make_test_element(system, dual_spec, phi, sign)
-        denom = schatten_norm(T, p) * element.negative_norm
+        W = make_test_element(system, dual_spec, phi, sign)
+        denom = schatten_norm(T, p) * l_q_norm(phi, dual_spec.q)
         if denom == 0.0:
             skipped += 1
             continue
-        worst = max(worst, abs(complex(trace_pairing(T, element.operator))) / denom)
+        worst = max(worst, abs(complex(trace_pairing(T, W))) / denom)
     return PairingBoundReport(
         N=system.N,
         p=p,
@@ -279,7 +281,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
 def nondegeneracy_loop(system, spec, sign):
     K = system.group.size
     deltas = (PhaseFunction(system.group, row) for row in np.eye(K))
-    V = np.stack([make_test_element(system, spec, phi, sign).operator.ravel() for phi in deltas])
+    V = np.stack([make_test_element(system, spec, phi, sign).ravel() for phi in deltas])
     eigs = np.linalg.eigvalsh(V.conj() @ V.T)
     return int(np.sum(eigs > 1e-10 * max(float(eigs[-1]), 1.0))), float(eigs[0])
 
