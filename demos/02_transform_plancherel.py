@@ -15,12 +15,14 @@ from qsobolev.qft import (
     verify_plancherel,
     verify_roundtrips,
 )
-from qsobolev.streams import random_operator
+from qsobolev.streams import OperatorReads
 from qsobolev.weyl import make_weyl_system
 
 system = make_weyl_system(8)
 
-T = random_operator(np.random.default_rng(1), 8)
+reads = OperatorReads(8, 1)
+reads.read(np.random.default_rng(1), 0)
+T = reads.assemble()[0]
 back = qft_inverse(system, qft_forward(system, T))
 print(f"reconstruction residual on a random operator: {np.linalg.norm(back - T):.2e}")
 

@@ -564,19 +564,21 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def reject_nan(value, path: str = "results") -> None:
-    """Raise ``FloatingPointError`` naming the first NaN in a nested result.
+def nan_path(value) -> str | None:
+    """The path of the first NaN in a nested result, as ``.key`` and ``[index]`` steps, or None.
 
-    Infinities are legitimate results (the exponent conjugate to p = 1).
+    Infinities are legitimate results (the exponent conjugate to p = 1).  A
+    step is formatted only on the way back from the NaN found.
     """
     if isinstance(value, dict):
-        for key, item in value.items():
-            reject_nan(item, f"{path}.{key}")
+        steps, items = ".{}", value.items()
     elif isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            reject_nan(item, f"{path}[{index}]")
-    elif isinstance(value, float) and math.isnan(value):
-        raise FloatingPointError(f"{path} is NaN")
+        steps, items = "[{}]", enumerate(value)
+    else:
+        return "" if isinstance(value, float) and math.isnan(value) else None
+    for key, item in items:
+        if (below := nan_path(item)) is not None:
+            return steps.format(key) + below
 
 
 def _format_cell(value) -> str:
@@ -621,7 +623,8 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         results, passed, header, rows = COMMANDS[args.command].run(config)
-        reject_nan(results)
+        if (where := nan_path(results)) is not None:
+            raise FloatingPointError(f"results{where} is NaN")
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # Ahead of the ValueError clause: LinAlgError subclasses ValueError.
         print(f"numerical kernel failure: {exc}", file=_sys.stderr)

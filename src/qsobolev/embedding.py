@@ -172,7 +172,7 @@ def verify_embedding_chain(
         return (
             transform_norm(f, spec, spec.s, spec.homogeneous),
             l_q_norm(f, sigma),
-            np.stack([lq_table_norm(s, beta, 1.0) for beta in betas], axis=-1),
+            lq_table_norm(s, betas, 1.0),
         )
 
     draw = (partial(OperatorReads, system.N),)

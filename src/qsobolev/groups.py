@@ -107,31 +107,37 @@ class PhaseFunction:
         return PhaseFunction(group, vals)
 
 
-def lq_table_norm(values: np.ndarray, q: float, mass_per_point: float):
+def lq_table_norm(values: np.ndarray, q: float | Sequence[float], mass_per_point: float):
     """Weighted l^q norm (sum |v|^q * mass)^(1/q) along the last axis of a value table.
 
-    A stack of tables gives a stack of norms; one table gives a scalar.
-    ``q = inf`` returns the max modulus.  Uses numpy's pairwise summation and
-    rescales by the max modulus so large exponents neither overflow nor lose
-    accuracy.  Only the nonzero ratios are raised to the power, because
-    numpy's vectorised power is several times slower on zeros; a zero adds an
-    exact zero either way, so every sum is that of the unmasked form.  The
-    final root is the scalar ``pow`` applied element by element: numpy's
-    vectorised power can differ from it in the last bit, and a norm must not
-    depend on whether its table was stacked.
+    A stack of tables gives a stack of norms; one table gives a scalar.  A
+    sequence of exponents adds a trailing axis of norms, each equal to the
+    norm at that exponent alone, from one pass over moduli, maximum and
+    rescale.  ``q = inf`` gives the max modulus.  Uses numpy's pairwise
+    summation and rescales by the max modulus so large exponents neither
+    overflow nor lose accuracy.  Only the nonzero ratios are raised to the
+    power, because numpy's vectorised power is several times slower on
+    zeros; a zero adds an exact zero either way, so every sum is that of the
+    unmasked form.  The final root is the scalar ``pow`` applied element by
+    element: numpy's vectorised power can differ from it in the last bit,
+    and a norm must not depend on whether its table was stacked.
     """
-    if math.isnan(q) or q <= 0:
+    single = np.ndim(q) == 0
+    exponents = [float(e) for e in np.ravel(q)]
+    if any(math.isnan(e) or e <= 0 for e in exponents):
         raise ValueError(f"exponent must be positive or inf, got {q}")
-    mods = np.abs(np.asarray(values))
-    top = np.max(mods, axis=-1)
-    if math.isinf(q):
-        return top
-    scale = np.where(top > 0.0, top, 1.0)[..., None]
-    ratios = mods / scale
-    np.power(ratios, q, out=ratios, where=ratios != 0.0)
-    total = np.sum(ratios, axis=-1) * mass_per_point
-    root = np.array([t ** (1.0 / q) for t in total.ravel().tolist()]).reshape(total.shape)
-    return top * root
+    ratios = np.abs(np.asarray(values)).astype(float, copy=False)
+    top = np.max(ratios, axis=-1)
+    ratios /= np.where(top > 0.0, top, 1.0)[..., None]  # the moduli, rescaled in place
+    powers = ratios if single else np.zeros_like(ratios)
+    norms = []
+    for e in exponents:
+        if not math.isinf(e):
+            np.power(ratios, e, out=powers, where=ratios != 0.0)
+            total = np.sum(powers, axis=-1) * mass_per_point
+            root = np.array([t ** (1.0 / e) for t in total.ravel().tolist()]).reshape(total.shape)
+        norms.append(top if math.isinf(e) else top * root)
+    return norms[0] if single else np.stack(norms, axis=-1)
 
 
 def l_q_norm(f: PhaseFunction, q: float):

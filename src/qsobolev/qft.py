@@ -33,7 +33,7 @@ import numpy as np
 
 from .groups import PhaseFunction, l_q_norm, lq_table_norm
 from . import streams
-from .linalg import as_operator, schatten_norm, singular_values
+from .linalg import as_operator, singular_values
 from .weyl import WeylSystem
 
 
@@ -104,12 +104,12 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     return T.reshape(*lead, N, N)
 
 
-def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, values: np.ndarray) -> tuple:
-    """Residuals and norms of ``F^-1 F T`` against T and ``F F^-1 f`` against f, per trial."""
-    back = qft_inverse(system, qft_forward(system, T))
+def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, transformed: PhaseFunction, values) -> tuple:
+    """Residuals and norms of ``F^-1 F T`` against T and ``F F^-1 f`` against f, per trial, given ``F T``."""
+    # The caller holds F T, so F^-1 F T is built last: no chunk of it lives through F F^-1 f.
     again = qft_forward(system, qft_inverse(system, PhaseFunction(system.group, values)))
     return (
-        np.linalg.norm(back - T, axis=(-2, -1)),
+        np.linalg.norm(qft_inverse(system, transformed) - T, axis=(-2, -1)),
         np.linalg.norm(T, axis=(-2, -1)),
         np.linalg.norm(again.values - values, axis=-1),
         np.linalg.norm(values, axis=-1),
@@ -127,26 +127,27 @@ def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> dict:
     """Worst Plancherel deviation and round-trip residuals, measured on one set of draws.
 
     ``worst_relative_deviation`` is the worst ``| ||F(T)||_L2 - ||T||_S2 | /
-    ||T||_S2`` over random T; the round-trip fields are those of
-    :func:`verify_roundtrips` on the same operators and dual tables.
+    ||T||_S2`` over random T, with ``||T||_S2`` taken from the entries; the
+    round-trip fields are those of :func:`verify_roundtrips` on the same
+    operators and dual tables, and one transform of T serves both.
     """
 
     def measure(T, values):
-        s2 = schatten_norm(T, 2.0)
-        deviations = np.abs(l_q_norm(qft_forward(system, T), 2.0) - s2)
-        return deviations, s2, *_roundtrip_residuals(system, T, values)
+        transformed = qft_forward(system, T)
+        residuals = _roundtrip_residuals(system, T, transformed, values)
+        return np.abs(l_q_norm(transformed, 2.0) - residuals[1]), *residuals
 
     draw = (partial(streams.OperatorReads, system.N), partial(streams.TableReads, system.group.size))
-    deviations, s2, *residuals = streams.run_trials(system.N, trials, seed, draw, measure)
-    worst = streams.worst_trial(*streams.kept_ratios(deviations, s2))[0]
+    deviations, *residuals = streams.run_trials(system.N, trials, seed, draw, measure)
+    worst = streams.worst_trial(*streams.kept_ratios(deviations, residuals[1]))[0]
     return {"worst_relative_deviation": worst} | _roundtrip_report(*residuals)
 
 
 def verify_roundtrips(system: WeylSystem, trials: int, seed: int) -> dict:
     """Worst relative residuals of both transform compositions on random inputs."""
     draw = (partial(streams.OperatorReads, system.N), partial(streams.TableReads, system.group.size))
-    residuals = streams.run_trials(system.N, trials, seed, draw, partial(_roundtrip_residuals, system))
-    return _roundtrip_report(*residuals)
+    measure = lambda T, values: _roundtrip_residuals(system, T, qft_forward(system, T), values)  # noqa: E731
+    return _roundtrip_report(*streams.run_trials(system.N, trials, seed, draw, measure))
 
 
 @dataclass(frozen=True)
@@ -192,23 +193,19 @@ def verify_hausdorff_young(
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     qs = [conjugate_exponent(p) for p in exponents]
     mass = system.group.dual_mass
-
-    def power_norms(tables, ps, mass_per_point):
-        # Schatten norms are the unweighted l^p norms of the singular values.
-        return np.stack([lq_table_norm(tables, p, mass_per_point) for p in ps], axis=-1)
-
+    # Schatten norms are the unweighted l^p norms of the singular values.
     if direction == "forward":
         draw = (partial(streams.OperatorReads, system.N),)
 
         def measure(T):
-            transformed = power_norms(qft_forward(system, T).values, qs, mass)
-            return transformed, power_norms(singular_values(T), exponents, 1.0)
+            transformed = lq_table_norm(qft_forward(system, T).values, qs, mass)
+            return transformed, lq_table_norm(singular_values(T), exponents, 1.0)
     else:
         draw = (partial(streams.TableReads, system.group.size),)
 
         def measure(f):
             S = singular_values(qft_inverse(system, PhaseFunction(system.group, f)))
-            return power_norms(S, qs, 1.0), power_norms(f, exponents, mass)
+            return lq_table_norm(S, qs, 1.0), lq_table_norm(f, exponents, mass)
 
     numerators, denominators = streams.run_trials(system.N, trials, seed, draw, measure)
     reports = []

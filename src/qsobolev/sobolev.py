@@ -204,14 +204,14 @@ def verify_norm_axioms(
     """
 
     def measure(T, S, c):
-        # One transform of T for the spec's norm, the inhomogeneous norms at s
-        # and 2s and the homogeneous one at s.
+        # One transform of T for the inhomogeneous norms at s and 2s and the
+        # homogeneous one at s; the spec's norm is one of them.
         fT = qft_forward(system, T)
-        orders = ((spec.s, spec.homogeneous), (spec.s, False), (2.0 * spec.s, False), (spec.s, True))
-        nT, n_base, n_stronger, n_hom = (transform_norm(fT, spec, *order) for order in orders)
+        orders = ((spec.s, False), (2.0 * spec.s, False), (spec.s, True))
+        n_base, n_stronger, n_hom = (transform_norm(fT, spec, *order) for order in orders)
         del fT
         return (
-            nT,
+            n_hom if spec.homogeneous else n_base,
             sobolev_norm(system, S, spec),
             np.any(T != 0.0, axis=(-2, -1)),
             sobolev_norm(system, c[:, None, None] * T, spec),
@@ -309,9 +309,11 @@ def pairing_bound_estimate(
     """
     if not p > 2.0:
         raise ValueError(f"pairing estimate needs p > 2, got {p}")
+    p_prime = conjugate_exponent(p)
+    if not p_prime > 1.0:
+        raise ValueError(f"pairing estimate needs p' = p/(p - 1) > 1, got p' = {p_prime} for p = {p}")
     if weight.group != system.group:
         raise ValueError("weight lives on a different dual group than the system")
-    p_prime = conjugate_exponent(p)
     q_prime = conjugate_exponent(p_prime)
     dual_spec = SobolevSpec(s=s, p=p_prime, weight=weight)
     bounds = [pairing_analytic_bound(system, p, s, weight, sign) for sign in signs]

@@ -16,9 +16,8 @@ and :class:`ScalarReads` each hold one component of a chunk of trials: their
 writes the raw normals and integers into preallocated buffers, and
 ``assemble()`` then runs all complex arithmetic of the chunk at once (the
 Ginibre scaling, outer products, diagonals, phase tables, one batched QR and
-one stacked ``U S U*``), bit for bit what one draw at a time gives.
-:func:`random_operator` and :func:`random_phase_function` are the same reads
-and assembly on a chunk of one trial.
+one stacked ``U S U*``), bit for bit what one draw at a time gives.  The
+module depends on numpy only.
 
 Every sampling harness runs on the trial engine :func:`run_trials`.  A draw
 is a tuple of one-argument column constructors, ``(partial(OperatorReads,
@@ -39,9 +38,6 @@ import math
 import operator
 
 import numpy as np
-
-from .groups import PhaseFunction
-from .weyl import WeylSystem
 
 OPERATOR_ENSEMBLES = ("ginibre", "rank_one", "diagonal", "sparse_unitary")
 PHASE_ENSEMBLES = ("gaussian", "delta", "indicator")
@@ -170,11 +166,6 @@ def _trial_streams(seed: int, start: int, stop: int):
         for state in seed_block(seed, first, min(SEED_BLOCK, stop - first)):
             rng.bit_generator.state = state
             yield rng
-
-
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """The generator of one trial: the stream of ``np.random.default_rng([seed, index])``."""
-    return next(_trial_streams(seed, index, index + 1))
 
 
 # -- raw reads and chunk assembly -----------------------------------------------
@@ -336,22 +327,6 @@ class ScalarReads:
 
     def assemble(self) -> np.ndarray:
         return self.scalars
-
-
-def random_operator(rng: np.random.Generator, n: int, kind: str = "mixed") -> np.ndarray:
-    """One random operator: an :class:`OperatorReads` chunk of one trial."""
-    reads = OperatorReads(n, 1, kind)
-    reads.read(rng, 0)
-    return reads.assemble()[0]
-
-
-def random_phase_function(
-    rng: np.random.Generator, system: WeylSystem, kind: str = "mixed"
-) -> PhaseFunction:
-    """One random function on the dual: a :class:`TableReads` chunk of one trial."""
-    reads = TableReads(system.group.size, 1, kind)
-    reads.read(rng, 0)
-    return PhaseFunction(system.group, reads.assemble()[0])
 
 
 # -- the trial engine ------------------------------------------------------------

@@ -35,8 +35,9 @@ from qsobolev.sobolev import (
     phi_isometry_check,
     verify_norm_axioms,
 )
-from qsobolev.streams import random_operator, trial_rng
 from qsobolev.weyl import check_axioms, make_weyl_system, weyl_operator
+
+from draw_oracles import operator_oracle
 
 SEED = 20240901
 
@@ -270,7 +271,7 @@ def test_criterion_9_kernel_oracle():
     for k in range(200):
         rng = np.random.default_rng([SEED, k])
         n = int(rng.integers(2, 9))
-        T = random_operator(rng, n)
+        T = operator_oracle(rng, n)
         s = singular_values(T)
         evals = np.linalg.eigvalsh(np.asarray(T).conj().T @ np.asarray(T))
         ref = np.sqrt(np.clip(evals, 0.0, None))[::-1]
@@ -284,8 +285,8 @@ def test_criterion_9_kernel_oracle():
     for k in range(1000):
         rng = np.random.default_rng([SEED + 1, k])
         n = int(rng.integers(2, 9))
-        A = random_operator(rng, n)
-        B = random_operator(rng, n)
+        A = operator_oracle(rng, n)
+        B = operator_oracle(rng, n)
         r = float(rng.uniform(1.0, 4.0))
         u = float(rng.uniform(0.05, 0.95))
         lhs = schatten_norm(A @ B, r)

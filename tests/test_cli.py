@@ -238,15 +238,23 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        import qsobolev.linalg
-
-        monkeypatch.setattr(qsobolev.linalg, "singular_values", explode)
+        # At the LAPACK call itself, so every module's route to the SVD fails.
+        monkeypatch.setattr(np.linalg, "svd", explode)
         monkeypatch.chdir(tmp_path)
-        rc = cli.main(["plancherel", "--N", "4", "--trials", "3"])
+        rc = cli.main(["hausdorff-young", "--N", "4", "--trials", "3"])
         assert rc == 3
         err = capsys.readouterr().err
         assert "kernel" in err
         assert "invalid configuration" not in err
+
+    def test_dual_exponent_rounding_to_one_exits_2(self, monkeypatch, tmp_path, capsys):
+        # p / (p - 1) rounds to 1.0 at p = 1e308: the message names both values.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["pairing", "--N", "4", "--trials", "3", "--p", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert "1e+308" in err and "1.0" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "alpha, key", [("1e308", "beta_corrected"), ("1e-320", "holder_identity_error")]

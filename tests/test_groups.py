@@ -160,6 +160,35 @@ class TestLqNorm:
         for row, value in zip(stack, expected):
             assert lq_table_norm(row, q, 0.125) == value
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_exponent_sequence_equals_one_exponent_at_a_time(self, dense):
+        # A trailing axis of norms, each bit for bit the norm at that exponent
+        # alone, on a stack and on one table, inf and a repeat among them.
+        rng = np.random.default_rng(8)
+        stack = np.zeros((5, 64), dtype=np.complex128)
+        if dense:
+            stack[:] = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+            stack[4] *= 10.0 ** rng.uniform(-6.0, 0.0, 64)
+        else:
+            stack[0, 17] = 0.3 - 2.0j
+            stack[1, [2, 9, 40, 63]] = 1.0
+            stack[3, ::7] = rng.standard_normal(10)
+        qs = (1.0, 8 / 7, math.inf, 4 / 3, 0.5, 2.0, 8.0, 1.0)
+        for table in (stack, stack[3]):
+            norms = lq_table_norm(table, qs, 0.125)
+            assert norms.shape == table.shape[:-1] + (len(qs),)
+            for j, q in enumerate(qs):
+                assert norms[..., j].tobytes() == np.asarray(lq_table_norm(table, q, 0.125)).tobytes(), q
+        assert lq_table_norm(stack, np.array(qs), 0.125).tobytes() == lq_table_norm(stack, qs, 0.125).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_bad_exponent_anywhere_in_a_sequence(self, bad, at):
+        qs = [2.0, math.inf, 4.0]
+        qs[at] = bad
+        with pytest.raises(ValueError, match="exponent"):
+            lq_table_norm(np.ones((3, 16)), qs, 0.25)
+
     def test_rejects_bad_exponent(self):
         g = self.dual16()
         f = PhaseFunction(g, np.ones(16))

@@ -9,7 +9,9 @@ from qsobolev.linalg import (
     singular_values,
     trace_pairing,
 )
-from qsobolev.streams import OPERATOR_ENSEMBLES, random_operator
+from qsobolev.streams import OPERATOR_ENSEMBLES
+
+from draw_oracles import operator_oracle
 
 
 def random_unitary(rng, n):
@@ -99,7 +101,7 @@ class TestSingularValues:
         for k in range(100):
             rng = np.random.default_rng([17, k])
             n = int(rng.integers(1, 9))
-            T = random_operator(rng, n)
+            T = operator_oracle(rng, n)
             s = singular_values(T)
             ref = eig_oracle(T, noise_floor=1e-7)
             top = max(ref[0], 1e-300)
@@ -115,7 +117,7 @@ class TestSingularValues:
         for kind in OPERATOR_ENSEMBLES:
             for k in range(50):
                 rng = np.random.default_rng([47, k])
-                cases.append((random_operator(rng, int(rng.integers(1, 9)), kind), None))
+                cases.append((operator_oracle(rng, int(rng.integers(1, 9)), kind), None))
         for k in range(100):
             rng = np.random.default_rng([53, k])
             n = int(rng.integers(2, 9))
@@ -187,7 +189,7 @@ class TestSchattenNorm:
     def test_frobenius_agreement(self):
         for k in range(20):
             rng = np.random.default_rng([29, k])
-            T = random_operator(rng, 6)
+            T = operator_oracle(rng, 6)
             assert schatten_norm(T, 2.0) == pytest.approx(np.linalg.norm(T), rel=1e-12)
 
     def test_quasi_norm_allowed(self):
@@ -210,8 +212,8 @@ class TestSchattenNorm:
         for k in range(300):
             rng = np.random.default_rng([31, k])
             n = int(rng.integers(2, 7))
-            A = random_operator(rng, n)
-            B = random_operator(rng, n)
+            A = operator_oracle(rng, n)
+            B = operator_oracle(rng, n)
             r = float(rng.uniform(1.0, 4.0))
             u = float(rng.uniform(0.05, 0.95))
             p, q = r / u, r / (1.0 - u)
@@ -223,8 +225,8 @@ class TestSchattenNorm:
         for k in range(200):
             rng = np.random.default_rng([37, k])
             n = int(rng.integers(2, 7))
-            A = random_operator(rng, n)
-            B = random_operator(rng, n)
+            A = operator_oracle(rng, n)
+            B = operator_oracle(rng, n)
             p = float(rng.uniform(1.0, 6.0))
             assert schatten_norm(A + B, p) <= (
                 schatten_norm(A, p) + schatten_norm(B, p)
@@ -234,7 +236,7 @@ class TestSchattenNorm:
         for k in range(100):
             rng = np.random.default_rng([41, k])
             n = int(rng.integers(2, 9))
-            T = random_operator(rng, n)
+            T = operator_oracle(rng, n)
             U, V = random_unitary(rng, n), random_unitary(rng, n)
             p = float(rng.uniform(0.5, 8.0))
             a = schatten_norm(T, p)
@@ -255,15 +257,15 @@ class TestTracePairing:
 
     def test_conjugate_linear_in_second_slot(self):
         rng = np.random.default_rng(7)
-        T = random_operator(rng, 4)
-        W = random_operator(rng, 4)
+        T = operator_oracle(rng, 4)
+        W = operator_oracle(rng, 4)
         c = 1.3 - 0.7j
         assert trace_pairing(T, c * W) == pytest.approx(np.conj(c) * trace_pairing(T, W))
 
     def test_entrywise_formula(self):
         rng = np.random.default_rng(9)
-        T = random_operator(rng, 5)
-        W = random_operator(rng, 5)
+        T = operator_oracle(rng, 5)
+        W = operator_oracle(rng, 5)
         expected = np.sum(T * W.conj())
         assert trace_pairing(T, W) == pytest.approx(expected)
 
@@ -272,8 +274,8 @@ class TestTracePairing:
         for k in range(200):
             rng = np.random.default_rng([43, k])
             n = int(rng.integers(2, 7))
-            T = random_operator(rng, n)
-            W = random_operator(rng, n)
+            T = operator_oracle(rng, n)
+            W = operator_oracle(rng, n)
             p = float(rng.uniform(1.0, 8.0))
             pc = p / (p - 1.0) if p > 1.0 else math.inf
             assert abs(trace_pairing(T, W)) <= schatten_norm(T, p) * schatten_norm(

@@ -16,14 +16,10 @@ from qsobolev.qft import (
     verify_plancherel,
     verify_roundtrips,
 )
-from qsobolev.streams import (
-    OPERATOR_ENSEMBLES,
-    PHASE_ENSEMBLES,
-    random_operator,
-    random_phase_function,
-    trial_rng,
-)
+from qsobolev.streams import OPERATOR_ENSEMBLES, PHASE_ENSEMBLES, OperatorReads, TableReads
 from qsobolev.weyl import make_weyl_system, weyl_operator
+
+from draw_oracles import operator_oracle, phase_table_oracle
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +57,12 @@ class TestOperatorSumOracle:
     def test_random_inputs(self, N, convention):
         system = make_weyl_system(N, convention)
         for k in range(3):
-            rng = trial_rng(N, k)
+            rng = np.random.default_rng([N, k])
             for kind in OPERATOR_ENSEMBLES:
-                T = random_operator(rng, N, kind)
+                T = operator_oracle(rng, N, kind)
                 assert_close_rel(qft_forward(system, T).values, oracle_forward(system, T))
             for kind in PHASE_ENSEMBLES:
-                f = random_phase_function(rng, system, kind)
+                f = PhaseFunction(system.group, phase_table_oracle(rng, N * N, kind))
                 assert_close_rel(qft_inverse(system, f), oracle_inverse(system, f.values))
 
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
@@ -189,7 +185,7 @@ class TestForward:
 
     def test_matches_trace_definition(self, sys4):
         rng = np.random.default_rng(0)
-        T = random_operator(rng, 4)
+        T = operator_oracle(rng, 4)
         f = qft_forward(sys4, T)
         for xi in [(0, 0), (1, 2), (3, 3)]:
             direct = np.trace(T @ weyl_operator(sys4, xi).conj().T)
@@ -197,9 +193,9 @@ class TestForward:
 
     def test_linearity(self, sys4):
         for k in range(30):
-            rng = trial_rng(101, k)
-            T = random_operator(rng, 4)
-            S = random_operator(rng, 4)
+            rng = np.random.default_rng([101, k])
+            T = operator_oracle(rng, 4)
+            S = operator_oracle(rng, 4)
             a = complex(rng.standard_normal(), rng.standard_normal())
             b = complex(rng.standard_normal(), rng.standard_normal())
             lhs = qft_forward(sys4, a * T + b * S).values
@@ -223,7 +219,7 @@ class TestInverse:
 
     def test_roundtrip_random(self, sys4):
         for k in range(50):
-            T = random_operator(trial_rng(7, k), 4)
+            T = operator_oracle(np.random.default_rng([7, k]), 4)
             back = qft_inverse(sys4, qft_forward(sys4, T))
             assert np.linalg.norm(back - T) <= 1e-11 * max(np.linalg.norm(T), 1.0)
 
@@ -273,7 +269,7 @@ class TestHausdorffYoung:
         # Independent route: |tr(T pi^*)| <= sum of singular values because
         # every pi(xi) has operator norm 1.
         for k in range(30):
-            T = random_operator(trial_rng(9, k), 4)
+            T = operator_oracle(np.random.default_rng([9, k]), 4)
             f = qft_forward(sys4, T)
             nuclear = float(np.sum(np.linalg.svd(T, compute_uv=False)))
             assert np.max(np.abs(f.values)) <= nuclear * (1.0 + 1e-12)
@@ -314,33 +310,32 @@ class TestHausdorffYoung:
             verify_hausdorff_young(sys4, [1.5], "sideways", 10, 0)
 
 
+def read_one(column, rng):
+    """The single sample of a one-trial draw column, read from ``rng``."""
+    column.read(rng, 0)
+    return column.assemble()[0]
+
+
 class TestEnsembles:
     def test_operator_kinds(self):
         rng = np.random.default_rng(1)
         for kind in ("ginibre", "rank_one", "diagonal", "sparse_unitary", "mixed"):
-            T = random_operator(rng, 6, kind)
+            T = read_one(OperatorReads(6, 1, kind), rng)
             assert T.shape == (6, 6)
             assert np.all(np.isfinite(T))
         with pytest.raises(ValueError):
-            random_operator(rng, 6, "bogus")
+            OperatorReads(6, 1, "bogus")
 
     def test_rank_one_is_rank_one(self):
         rng = np.random.default_rng(2)
-        T = random_operator(rng, 5, "rank_one")
+        T = read_one(OperatorReads(5, 1, "rank_one"), rng)
         s = np.linalg.svd(T, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
 
     def test_phase_kinds(self, sys4):
         rng = np.random.default_rng(3)
         for kind in ("gaussian", "delta", "indicator", "mixed"):
-            f = random_phase_function(rng, sys4, kind)
+            f = PhaseFunction(sys4.group, read_one(TableReads(sys4.group.size, 1, kind), rng))
             assert f.values.shape == (16,)
         with pytest.raises(ValueError):
-            random_phase_function(rng, sys4, "bogus")
-
-    def test_trial_rng_deterministic(self):
-        a = trial_rng(5, 7).standard_normal(4)
-        b = trial_rng(5, 7).standard_normal(4)
-        c = trial_rng(5, 8).standard_normal(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+            TableReads(sys4.group.size, 1, "bogus")

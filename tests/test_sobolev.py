@@ -8,7 +8,6 @@ import pytest
 from qsobolev.groups import PhaseFunction, l_q_norm, make_group, symmetric_representative
 from qsobolev.linalg import trace_pairing, schatten_norm
 from qsobolev.qft import qft_forward
-from qsobolev.streams import random_operator, trial_rng
 from qsobolev.sobolev import (
     SobolevSpec,
     Weight,
@@ -24,6 +23,8 @@ from qsobolev.sobolev import (
     verify_norm_axioms,
 )
 from qsobolev.weyl import make_weyl_system, weyl_operator
+
+from draw_oracles import operator_oracle
 
 
 def scalar_representative(residue, order):
@@ -130,7 +131,7 @@ class TestSobolevNorm:
         # s = 0 turns the multiplier into 1, so the norm is the plain L^q norm.
         w = make_weight_constant(sys4.group)
         spec = SobolevSpec(s=0.0, p=4.0 / 3.0, weight=w)
-        T = random_operator(np.random.default_rng(4), 4)
+        T = operator_oracle(np.random.default_rng(4), 4)
         assert sobolev_norm(sys4, T, spec) == pytest.approx(
             l_q_norm(qft_forward(sys4, T), 4.0)
         )

@@ -1,10 +1,11 @@
 """The chunked trial engine against the per-trial loops it replaced.
 
 The oracles below are the harness loops as they were before the engine: one
-``np.random.default_rng([seed, k])`` per trial (:func:`oracle_rng`),
-single-operator kernel calls, and a running worst that is replaced only on a
-strict ``>``.  They look up :func:`oracle_rng` and the draws at call time, so
-a monkeypatched stream or read reaches them and the engine alike.
+``np.random.default_rng([seed, k])`` per trial (:func:`oracle_rng`), one-go
+draws (``operator_oracle``, ``phase_table_oracle``), single-operator kernel
+calls, and a running worst that is replaced only on a strict ``>``.  They look
+up :func:`oracle_rng` and the draws at call time, so a monkeypatched stream or
+draw reaches them as a patched stream or read reaches the engine.
 """
 
 import contextlib
@@ -47,6 +48,8 @@ from qsobolev.sobolev import (
 from qsobolev.streams import CHUNK_BYTES, chunk_length
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
+from draw_oracles import operator_oracle, phase_table_oracle
+
 EXPONENTS = (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0)
 ULPS = 4
 #: A seed of three 32-bit words; the CLI takes any non-negative ``--seed``.
@@ -64,8 +67,8 @@ def oracle_rng(seed, k):
 def plancherel_loop(system, trials, seed):
     worst = 0.0
     for k in range(trials):
-        T = streams.random_operator(oracle_rng(seed, k), system.N)
-        s2 = schatten_norm(T, 2.0)
+        T = operator_oracle(oracle_rng(seed, k), system.N)
+        s2 = np.linalg.norm(T, axis=(-2, -1))
         if s2 == 0.0:
             continue
         l2 = l_q_norm(qft_forward(system, T), 2.0)
@@ -78,12 +81,12 @@ def roundtrips_loop(system, trials, seed):
     worst_fn = 0.0
     for k in range(trials):
         rng = oracle_rng(seed, k)
-        T = streams.random_operator(rng, system.N)
+        T = operator_oracle(rng, system.N)
         norm_T = np.linalg.norm(T)
         if norm_T > 0.0:
             back = qft_inverse(system, qft_forward(system, T))
             worst_op = max(worst_op, np.linalg.norm(back - T) / norm_T)
-        f = streams.random_phase_function(rng, system)
+        f = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
         norm_f = np.linalg.norm(f.values)
         if norm_f > 0.0:
             again = qft_forward(system, qft_inverse(system, f))
@@ -99,14 +102,14 @@ def hausdorff_young_loop(system, p, direction, trials, seed):
     for k in range(trials):
         rng = oracle_rng(seed, k)
         if direction == "forward":
-            T = streams.random_operator(rng, system.N)
+            T = operator_oracle(rng, system.N)
             denom = schatten_norm(T, p)
             if denom == 0.0:
                 skipped += 1
                 continue
             ratio = l_q_norm(qft_forward(system, T), q) / denom
         else:
-            f = streams.random_phase_function(rng, system)
+            f = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
             denom = l_q_norm(f, p)
             if denom == 0.0:
                 skipped += 1
@@ -133,7 +136,7 @@ def phi_isometry_loop(system, spec, trials, seed):
     points = system.group.coordinates.T.tolist()
     worst = 0.0
     for k in range(trials):
-        T = streams.random_operator(oracle_rng(seed, k), system.N)
+        T = operator_oracle(oracle_rng(seed, k), system.N)
         via_fft = sobolev_norm(system, T, spec)
         pairings = np.array([trace_pairing(T, weyl_operator(system, xi)) for xi in points])
         direct = lq_table_norm(multiplier * pairings, spec.q, system.group.dual_mass)
@@ -156,8 +159,8 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
     definite_viol = 0
     for k in range(trials):
         rng = oracle_rng(seed, k)
-        T = streams.random_operator(rng, system.N)
-        S = streams.random_operator(rng, system.N)
+        T = operator_oracle(rng, system.N)
+        S = operator_oracle(rng, system.N)
         c = complex(rng.standard_normal(), rng.standard_normal())
         nT = sobolev_norm(system, T, spec)
         nS = sobolev_norm(system, S, spec)
@@ -215,8 +218,8 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
     skipped = 0
     for k in range(trials):
         rng = oracle_rng(seed, k)
-        T = streams.random_operator(rng, system.N)
-        phi = streams.random_phase_function(rng, system)
+        T = operator_oracle(rng, system.N)
+        phi = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
         W = make_test_element(system, dual_spec, phi, sign)
         denom = schatten_norm(T, p) * l_q_norm(phi, dual_spec.q)
         if denom == 0.0:
@@ -249,7 +252,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
     ratios_corrected = []
     ratios_alternate = [] if exponents.beta_alternate_defined else None
     for k in range(trials):
-        T = streams.random_operator(oracle_rng(seed, k), system.N)
+        T = operator_oracle(oracle_rng(seed, k), system.N)
         snorm = sobolev_norm(system, T, spec)
         if snorm == 0.0:
             out["skipped"] += 1
@@ -443,15 +446,14 @@ class TestOracles:
 
 @pytest.fixture
 def zero_draws(monkeypatch):
-    """Trial indices whose operator reads and dual-table reads become zero.
+    """Trial indices whose operator draws and dual-table draws become zero.
 
     The engine takes trial k's stream from ``streams._trial_streams`` and the
-    oracles take it from :func:`oracle_rng`; both record k.
-    The patch then sits on the reads, which the engine's columns and the
-    oracles' ``random_operator``/``random_phase_function`` both go through:
-    the real read still runs first, so every later read of the trial sees the
-    stream it would see without the patch, and the trial's assembled row is
-    zeroed.
+    oracles take it from :func:`oracle_rng`; both record k.  The patch then
+    sits on the engine's column reads and on the oracles' one-go draws
+    (``operator_oracle``, ``phase_table_oracle``): the real read or draw still
+    runs first, so every later draw of the trial sees the stream it would see
+    without the patch, and the trial's sample is zeroed.
     """
     zeros = set()
     current = {}
@@ -468,6 +470,13 @@ def zero_draws(monkeypatch):
 
     monkeypatch.setattr(streams, "_trial_streams", trial_streams)
     monkeypatch.setitem(globals(), "oracle_rng", stream)
+    for name in ("operator_oracle", "phase_table_oracle"):
+
+        def draw(*args, real_draw=globals()[name]):
+            sample = real_draw(*args)
+            return np.zeros_like(sample) if current["k"] in zeros else sample
+
+        monkeypatch.setitem(globals(), name, draw)
     for reads in (streams.OperatorReads, streams.TableReads):
         real_read, real_assemble = reads.read, reads.assemble
 
@@ -601,18 +610,35 @@ class TestDrawCounts:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda system: verify_plancherel(system, 300, 0),
             lambda system: pairing_bound_estimate(
                 system, 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0
             ),
             lambda system: verify_embedding_chain(system, _spec(system), 4.0, trials=300, seed=0),
         ],
-        ids=["plancherel", "pairing", "embedding"],
+        ids=["pairing", "embedding"],
     )
     def test_one_decomposition_per_chunk(self, run, monkeypatch):
         svds = _count_calls(monkeypatch, linalg, "singular_values")
         run(make_weyl_system(8))
         assert len(svds) == 3  # 300 trials in chunks of 128
+
+    def test_plancherel_transforms_each_operator_once_and_decomposes_none(self, monkeypatch):
+        # ||T||_S2 comes from the entries; one transform of T serves the
+        # deviation and the operator round trip, one more closes the function round trip.
+        svds = _count_calls(monkeypatch, linalg, "singular_values")
+        transforms = _count_calls(monkeypatch, qft, "qft_forward")
+        verify_plancherel(make_weyl_system(8), 300, 0)
+        assert len(svds) == 0
+        assert len(transforms) == 2 * 3  # 300 trials in chunks of 128
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_norm_axioms_take_six_norms_per_chunk(self, homogeneous, monkeypatch):
+        # Orders s, 2s and homogeneous s of T (the spec's norm is one of them),
+        # then the norms of S, c T and T + S.
+        norms = _count_calls(monkeypatch, sobolev, "transform_norm")
+        system = make_weyl_system(8)
+        verify_norm_axioms(system, _spec(system, homogeneous), 300, 0)
+        assert len(norms) == 6 * 3  # 300 trials in chunks of 128
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_embedding_transforms_once_per_chunk(self, homogeneous, monkeypatch):
@@ -626,46 +652,6 @@ class TestDrawCounts:
 # -- stream reads and chunk assembly ------------------------------------------
 
 
-def operator_oracle(rng, n, kind="mixed"):
-    """One random operator drawn and built in one go, with its own QR (the pre-split draw)."""
-    if kind == "mixed":
-        kind = streams.OPERATOR_ENSEMBLES[rng.integers(len(streams.OPERATOR_ENSEMBLES))]
-    if kind == "ginibre":
-        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    if kind == "rank_one":
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return np.outer(u, v.conj())
-    if kind == "diagonal":
-        return np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    S = np.zeros((n, n), dtype=np.complex128)
-    nnz = max(1, n // 2)
-    rows = rng.integers(n, size=nnz)
-    cols = rng.integers(n, size=nnz)
-    S[rows, cols] = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    U = Q * (d / np.abs(d))
-    return U @ S @ U.conj().T
-
-
-def phase_table_oracle(rng, K, kind="mixed"):
-    """One random dual table drawn in one go (the pre-split draw)."""
-    if kind == "mixed":
-        kind = streams.PHASE_ENSEMBLES[rng.integers(len(streams.PHASE_ENSEMBLES))]
-    if kind == "gaussian":
-        return rng.standard_normal(K) + 1j * rng.standard_normal(K)
-    vals = np.zeros(K, dtype=np.complex128)
-    if kind == "delta":
-        vals[rng.integers(K)] = rng.standard_normal() + 1j * rng.standard_normal()
-    else:
-        size = int(rng.integers(1, K + 1))
-        support = rng.choice(K, size=size, replace=False)
-        vals[support] = rng.standard_normal() + 1j * rng.standard_normal()
-    return vals
-
-
 ASSEMBLY_DIMENSIONS = [1, 2, 3, 8, 32, 64]
 
 
@@ -673,8 +659,10 @@ class TestStreamReads:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
     @pytest.mark.parametrize("index", [0, 1, 127, 10**6])
     def test_trial_rng_is_the_default_rng_stream(self, seed, index):
-        ours, reference = streams.trial_rng(seed, index), np.random.default_rng([seed, index])
-        assert ours.bit_generator.state == reference.bit_generator.state
+        (state,) = streams.seed_block(seed, index, 1)
+        ours, reference = np.random.Generator(np.random.PCG64()), np.random.default_rng([seed, index])
+        ours.bit_generator.state = state
+        assert state == reference.bit_generator.state
         assert np.array_equal(ours.standard_normal(64), reference.standard_normal(64))
         assert np.array_equal(ours.integers(2**62, size=8), reference.integers(2**62, size=8))
 
@@ -687,7 +675,9 @@ class TestStreamReads:
             rng, reference = oracle_rng(N, k), oracle_rng(N, k)
             expected = operator_oracle(reference, N, kind)
             assert np.array_equal(chunk[k], expected), k
-            assert np.array_equal(streams.random_operator(rng, N, kind), expected), k
+            reads = streams.OperatorReads(N, 1, kind)
+            reads.read(rng, 0)
+            assert np.array_equal(reads.assemble()[0], expected), k
             # The read leaves the stream where the one-go draw does.
             assert rng.standard_normal() == reference.standard_normal()
 
@@ -695,13 +685,14 @@ class TestStreamReads:
     @pytest.mark.parametrize("kind", ("mixed",) + streams.PHASE_ENSEMBLES)
     def test_phase_tables_equal_one_draw_at_a_time(self, N, kind, chunk_of):
         chunk_of(N, 5)
-        system = make_weyl_system(N)
         (chunk,) = streams.run_trials(N, 12, N, (partial(streams.TableReads, N * N, kind=kind),), lambda f: (f,))
         for k in range(12):
             rng, reference = oracle_rng(N, k), oracle_rng(N, k)
             expected = phase_table_oracle(reference, N * N, kind)
             assert np.array_equal(chunk[k], expected), k
-            assert np.array_equal(streams.random_phase_function(rng, system, kind).values, expected), k
+            reads = streams.TableReads(N * N, 1, kind)
+            reads.read(rng, 0)
+            assert np.array_equal(reads.assemble()[0], expected), k
             assert rng.standard_normal() == reference.standard_normal()
 
     @pytest.mark.parametrize(
@@ -794,7 +785,7 @@ class TestStreamSeeding:
         with pytest.raises(Exception) as expected:
             np.random.default_rng([bad, 0])
         with pytest.raises(expected.type):
-            streams.trial_rng(bad, 0)
+            streams.seed_block(bad, 0, 1)
         with pytest.raises(expected.type):
             streams.run_trials(8, 3, bad, (partial(streams.OperatorReads, 8),), lambda T: (T,))
 
@@ -836,8 +827,8 @@ class TestStackedKernels:
     @pytest.mark.parametrize("N", [1, 2, 3, 8])
     def test_stack_equals_single_calls(self, N):
         system = make_weyl_system(N, "symmetric")
-        Ts = np.stack([streams.random_operator(streams.trial_rng(N, k), N) for k in range(7)])
-        fs = np.stack([streams.random_phase_function(streams.trial_rng(N, k), system).values for k in range(7)])
+        Ts = np.stack([operator_oracle(oracle_rng(N, k), N) for k in range(7)])
+        fs = np.stack([phase_table_oracle(oracle_rng(N, k), N * N) for k in range(7)])
         stacked_f = PhaseFunction(system.group, fs)
         svals = singular_values(Ts)
         forward = qft_forward(system, Ts).values
