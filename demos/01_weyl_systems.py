@@ -1,15 +1,15 @@
 """Build finite Weyl systems and inspect their multiplier identities.
 
 The phase-space group Z_N x Z_N acts on C^N by cyclic shifts and modulations.
-This script shows the operators at small N, extracts the multiplier from
-operator composition, and prints the exhaustive identity report for both
-conventions, including the N-dependent behavior of the two conjugation
-variants on inverses.
+This script shows the operators at small N, reads the multiplier off
+operator composition as the trace pairing tr(pi(x+y)^* pi(x) pi(y)) / N, and
+prints the exhaustive identity report for both conventions, including the
+N-dependent behavior of the two conjugation variants on inverses.
 """
 
 import numpy as np
 
-from qsobolev.weyl import check_axioms, extract_multiplier, make_weyl_system, weyl_operator
+from qsobolev.weyl import check_axioms, make_weyl_system, weyl_operator
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -22,8 +22,9 @@ print(weyl_operator(system, (0, 1)).real)
 print()
 
 system = make_weyl_system(4)
-print("N = 4: composition pi(1,0) pi(0,1) picks up the phase", extract_multiplier(system, (1, 0), (0, 1)))
-print("while pi(0,1) pi(1,0) picks up             ", extract_multiplier(system, (0, 1), (1, 0)))
+shift, modulation, both = (weyl_operator(system, x) for x in ((1, 0), (0, 1), (1, 1)))
+print("N = 4: composition pi(1,0) pi(0,1) picks up the phase", np.vdot(both, shift @ modulation) / 4)
+print("while pi(0,1) pi(1,0) picks up             ", np.vdot(both, modulation @ shift) / 4)
 print()
 
 print("Identity report per convention (worst deviations over all pairs/triples):")

@@ -32,12 +32,13 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import __version__
 from .embedding import (
+    CHAIN_TOLERANCES,
     PreconditionError,
     SET_SELECTORS,
     compute_exponents,
@@ -51,6 +52,9 @@ from .qft import (
 )
 from .sobolev import (
     NONDEGENERACY_MAX_N,
+    PAIRING_SLACK,
+    RANK_TOL,
+    TRIANGLE_TOL,
     SobolevSpec,
     make_weight_constant,
     make_weight_euclidean,
@@ -60,6 +64,7 @@ from .sobolev import (
 )
 from .weyl import (
     AXIOM_CHECK_MAX_N,
+    AXIOM_TOLERANCES,
     CONVENTIONS,
     check_axioms,
     make_weyl_system,
@@ -205,6 +210,9 @@ class Param:
 class Command:
     """A subcommand: its runner, help text, named tolerances and ordered parameters.
 
+    A tolerance that a harness applies takes its default from the constant
+    beside that harness; the CLI applies the others itself.
+
     ``note``, if given, turns the results of a run into a line for stderr,
     printed once the report is written (nothing when it returns ``None``);
     stdout carries only the verdict.
@@ -212,7 +220,7 @@ class Command:
 
     run: Callable[[dict], tuple]
     help: str
-    tolerances: dict[str, float]
+    tolerances: Mapping[str, float]
     params: tuple[Param, ...]
     note: Callable[[dict], str | None] | None = None
 
@@ -310,15 +318,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def run_axioms(config: dict):
     system = make_weyl_system(config["N"], config["convention"])
-    tol = config["tolerances"]
-    report = check_axioms(
-        system,
-        composition_tol=tol["composition"],
-        modulus_tol=tol["modulus"],
-        unitarity_tol=tol["unitarity"],
-        orthogonality_tol=tol["orthogonality"],
-        cocycle_tol=tol["cocycle"],
-    )
+    report = check_axioms(system, config["tolerances"])
     rows = [
         [c.axiom, c.informational, c.passed, c.worst_deviation, json.dumps(c.witness)]
         for c in report.checks
@@ -439,17 +439,9 @@ def run_embed(config: dict):
     system = make_weyl_system(config["N"])
     weight = WEIGHTS[config["weight"]](system.group)
     spec = SobolevSpec(s=config["s"], p=config["p"], weight=weight, homogeneous=config["homogeneous"])
-    tol = config["tolerances"]
     report = verify_embedding_chain(
-        system,
-        spec,
-        config["alpha"],
-        beta_choice=config["beta_choice"],
-        trials=config["trials"],
-        seed=config["seed"],
-        link1_tol=tol["link1"],
-        link2_tol=tol["link2"],
-        composite_tol=tol["composite"],
+        system, spec, config["alpha"], config["beta_choice"], config["trials"], config["seed"],
+        config["tolerances"],
     )
     # The composite bound gates only the corrected exponent; the other
     # candidate is measured and recorded.
@@ -498,9 +490,7 @@ def run_counterexample(config: dict):
 
 COMMANDS: dict[str, Command] = {
     "axioms": Command(
-        run_axioms, "exhaustive Weyl-system identity checks",
-        {"composition": 1e-11, "modulus": 1e-12, "unitarity": 1e-12, "orthogonality": 1e-11,
-         "cocycle": 1e-11},
+        run_axioms, "exhaustive Weyl-system identity checks", AXIOM_TOLERANCES,
         (Param("N", dimension_at_most(AXIOM_CHECK_MAX_N, "the exhaustive axiom check"), 4),
          Param("convention", Choice(CONVENTIONS), "standard")),
     ),
@@ -520,13 +510,13 @@ COMMANDS: dict[str, Command] = {
     ),
     "sobolev-norms": Command(
         run_sobolev_norms, "norm axioms and the weighted-map isometry",
-        {"homogeneity": 1e-12, "triangle": 1e-10, "isometry": 1e-12},
+        {"homogeneity": 1e-12, "triangle": TRIANGLE_TOL, "isometry": 1e-12},
         (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), WEIGHT, Param("trials", parse_positive_int, 200), SEED),
     ),
     "pairing": Command(
         run_pairing, "duality pairing bound and test-family rank",
-        {"pairing_slack": 1e-10, "rank": 1e-10},
+        {"pairing_slack": PAIRING_SLACK, "rank": RANK_TOL},
         (Param("N", parse_dimension, 8),
          Param("p", parse_real, 4.0, "Schatten exponent > 2 for the operator side"),
          Param("s", parse_real, 1.0), WEIGHT, Param("sign", Choice(tuple(SIGNS)), "both"),
@@ -543,8 +533,7 @@ COMMANDS: dict[str, Command] = {
                    f"beta_alternate = {r['beta_alternate']!r}"),
     ),
     "embed": Command(
-        run_embed, "weighted Hoelder + norm-inequality chain",
-        {"link1": 1e-12, "link2": 1e-10, "composite": 1e-10},
+        run_embed, "weighted Hoelder + norm-inequality chain", CHAIN_TOLERANCES,
         (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), Param("alpha", parse_real, 4.0), WEIGHT,
          Param("homogeneous", parse_bool, False),

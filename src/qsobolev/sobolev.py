@@ -31,6 +31,13 @@ NONDEGENERACY_MAX_N = 8
 #: Relative slack of the s-monotonicity and homogeneous-dominance counts.
 MONOTONE_TOL = 1e-12
 
+#: Default relative slack of the triangle-inequality count (``--tol triangle``).
+TRIANGLE_TOL = 1e-10
+#: Default relative slack of the pairing bound (``--tol pairing_slack``).
+PAIRING_SLACK = 1e-10
+#: Default eigenvalue floor of the Gram rank, relative to max(1, top) (``--tol rank``).
+RANK_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Weight:
@@ -188,7 +195,7 @@ def verify_norm_axioms(
     spec: SobolevSpec,
     trials: int,
     seed: int,
-    triangle_tol: float = 1e-10,
+    triangle_tol: float = TRIANGLE_TOL,
 ) -> NormAxiomReport:
     """Measure the norm axioms and order relations on seeded random operator pairs.
 
@@ -298,7 +305,7 @@ def pairing_bound_estimate(
     signs: Sequence[int] = (-1,),
     trials: int = 100,
     seed: int = 0,
-    tolerance: float = 1e-10,
+    tolerance: float = PAIRING_SLACK,
 ) -> tuple[PairingBoundReport, ...]:
     """Sample |tr(T W_phi^*)| / (||T||_Sp * ||phi||_q') against the analytic bound.
 
@@ -367,7 +374,7 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_check(
-    system: WeylSystem, spec: SobolevSpec, sign: int = -1, rank_tol: float = 1e-10
+    system: WeylSystem, spec: SobolevSpec, sign: int = -1, rank_tol: float = RANK_TOL
 ) -> NondegeneracyReport:
     """Verify the trace pairing separates points via the delta-generated family.
 

@@ -190,21 +190,19 @@ def _rows(slots: list[int]) -> slice | list[int]:
 class OperatorReads:
     """The random operators on C^n of a chunk of ``length`` trials, read raw, assembled once.
 
-    ``mixed`` draws the ensemble uniformly per trial; the variety supplies
-    diverse near-extremal candidates for the norm inequalities (rank-one
-    operators in particular saturate the interpolated bounds).  A read writes
-    the trial's normals and integers into this chunk's buffers; :meth:`assemble`
-    then builds every operator at once: the Ginibre ``(re + 1j*im)/sqrt(2)``,
-    the rank-one outer products, the diagonals, and for ``sparse_unitary`` one
-    batched QR of the Ginibre matrices and one stacked ``U S U*``.  The
-    operator stack doubles as the buffer of the square reads, so assembly
-    overwrites the reads and runs once.
+    Each trial draws its ensemble uniformly, and ``by_kind`` lists the slots
+    of each ensemble; the variety supplies diverse near-extremal candidates
+    for the norm inequalities (rank-one operators in particular saturate the
+    interpolated bounds).  A read writes the trial's normals and integers
+    into this chunk's buffers; :meth:`assemble` then builds every operator at
+    once: the Ginibre ``(re + 1j*im)/sqrt(2)``, the rank-one outer products,
+    the diagonals, and for ``sparse_unitary`` one batched QR of the Ginibre
+    matrices and one stacked ``U S U*``.  The operator stack doubles as the
+    buffer of the square reads, so assembly overwrites the reads and runs once.
     """
 
-    def __init__(self, n: int, length: int, kind: str = "mixed"):
-        if kind != "mixed" and kind not in OPERATOR_ENSEMBLES:
-            raise ValueError(f"unknown operator ensemble {kind!r}")
-        self.n, self.kind = n, kind
+    def __init__(self, n: int, length: int):
+        self.n = n
         self.nnz = max(1, n // 2)
         self.operators = np.empty((length, n, n), dtype=np.complex128)
         # Trial i's n x n real and imaginary parts, read into its operator's bytes.
@@ -218,9 +216,7 @@ class OperatorReads:
 
     def read(self, rng: np.random.Generator, i: int) -> None:
         """Read trial ``i``'s operator from ``rng``."""
-        kind = self.kind
-        if kind == "mixed":
-            kind = OPERATOR_ENSEMBLES[rng.integers(len(OPERATOR_ENSEMBLES))]
+        kind = OPERATOR_ENSEMBLES[rng.integers(len(OPERATOR_ENSEMBLES))]
         self.by_kind[kind].append(i)
         if kind == "ginibre":
             rng.standard_normal(out=self.square[i])
@@ -266,16 +262,14 @@ class OperatorReads:
 class TableReads:
     """The random tables on a dual of ``size`` points of a chunk of trials, read raw.
 
-    A table is dense Gaussian, a delta, or an indicator (``mixed`` draws the
-    ensemble uniformly).  :meth:`read` consumes one trial's table in the
+    A table is dense Gaussian, a delta, or an indicator, the ensemble drawn
+    uniformly per trial.  :meth:`read` consumes one trial's table in the
     order a one-go draw does; :meth:`assemble` builds every table of the
     chunk at once.
     """
 
-    def __init__(self, size: int, length: int, kind: str = "mixed"):
-        if kind != "mixed" and kind not in PHASE_ENSEMBLES:
-            raise ValueError(f"unknown phase ensemble {kind!r}")
-        self.size, self.kind = size, kind
+    def __init__(self, size: int, length: int):
+        self.size = size
         self.tables = np.empty((length, size), dtype=np.complex128)
         self.gaussian = self.tables.view(np.float64).reshape(length, 2, size)
         # The single value of a delta or indicator table, and its support.
@@ -285,9 +279,7 @@ class TableReads:
 
     def read(self, rng: np.random.Generator, i: int) -> None:
         """Read trial ``i``'s table from ``rng``."""
-        kind = self.kind
-        if kind == "mixed":
-            kind = PHASE_ENSEMBLES[rng.integers(len(PHASE_ENSEMBLES))]
+        kind = PHASE_ENSEMBLES[rng.integers(len(PHASE_ENSEMBLES))]
         self.by_kind[kind].append(i)
         if kind == "gaussian":
             rng.standard_normal(out=self.gaussian[i])

@@ -11,19 +11,21 @@ and modulations.  Two unitarily equivalent conventions are provided:
 The multiplier ``m(x, y)`` linking ``pi(x) pi(y)`` to ``pi(x + y)`` is
 extracted empirically from operator composition, which makes the composition
 identity hold by construction in either convention and sidesteps the even-N
-wraparound subtleties of the symmetric phase.  Every composition goes
-through one stack-aware routine: the products ``pi(x) pi(y)``, their
+wraparound subtleties of the symmetric phase.  It is computed in one place,
+the table of :func:`check_axioms`: one stack-aware routine gives, for one
+row ``x`` against every ``y`` at once, the products ``pi(x) pi(y)``, their
 multipliers ``tr(pi(x+y)^* pi(x) pi(y)) / N`` from the trace-pairing kernel
-and the Frobenius residuals of the composition identity, for one pair
-(:func:`extract_multiplier`) or one row ``x`` against every ``y`` at once
-(:func:`check_axioms`).  ``check_axioms`` measures all the defining
-identities exhaustively on one stack of the ``N^2`` operators, one table row
-per identity, and reports deviations instead of asserting any contested variant.
+and the Frobenius residuals of the composition identity.  ``check_axioms``
+measures all the defining identities exhaustively on one stack of the
+``N^2`` operators, one table row per identity, and reports deviations
+instead of asserting any contested variant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -32,15 +34,14 @@ from .linalg import trace_pairing
 
 CONVENTIONS = ("standard", "symmetric")
 
-#: Modulus-1 scalar extraction is rejected beyond this deviation.
-MULTIPLIER_MODULUS_GUARD = 1e-8
-
 #: Largest N for :func:`check_axioms`, whose cocycle check visits N^6 triples.
 AXIOM_CHECK_MAX_N = 16
 
-
-class RepresentationError(RuntimeError):
-    """Operator composition did not reduce to a unimodular multiple of a Weyl operator."""
+#: Default tolerance of each gated identity of :func:`check_axioms`, by ``--tol`` name.
+AXIOM_TOLERANCES = MappingProxyType(
+    {"composition": 1e-11, "modulus": 1e-12, "unitarity": 1e-12, "orthogonality": 1e-11,
+     "cocycle": 1e-11}
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,23 +93,6 @@ def _compose(left: np.ndarray, right: np.ndarray, target: np.ndarray) -> tuple:
     return c, np.linalg.norm(products, axis=(-2, -1))
 
 
-def extract_multiplier(system: WeylSystem, x, y) -> complex:
-    """The unimodular scalar c with pi(x) pi(y) = c pi(x + y), from traces.
-
-    Computed as ``tr(pi(x+y)^* pi(x) pi(y)) / N``; deviations of the modulus
-    from 1 beyond a guard threshold raise :class:`RepresentationError`.
-    """
-    N = system.N
-    z = ((x[0] + y[0]) % N, (x[1] + y[1]) % N)
-    c, _ = _compose(weyl_operator(system, x), weyl_operator(system, y), weyl_operator(system, z))
-    c = complex(c)
-    if abs(abs(c) - 1.0) > MULTIPLIER_MODULUS_GUARD:
-        raise RepresentationError(
-            f"composition scalar at x={x}, y={y} has modulus {abs(c)!r}, expected 1"
-        )
-    return c
-
-
 @dataclass(frozen=True)
 class AxiomCheck:
     """Outcome of one measured identity: worst deviation and where it happened."""
@@ -147,13 +131,7 @@ def _worst(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 def check_axioms(
-    system: WeylSystem,
-    *,
-    composition_tol: float = 1e-11,
-    modulus_tol: float = 1e-12,
-    unitarity_tol: float = 1e-12,
-    orthogonality_tol: float = 1e-11,
-    cocycle_tol: float = 1e-11,
+    system: WeylSystem, tolerances: Mapping[str, float] = AXIOM_TOLERANCES
 ) -> AxiomReport:
     """Measure the defining identities of the projective representation exhaustively.
 
@@ -172,7 +150,9 @@ def check_axioms(
     convention satisfies depends on N and on the convention, so no experiment
     downstream assumes either.  Each identity is one table row: tolerance,
     informational flag, witness labels, and the worst deviation with the first
-    point reaching it.  Requires ``N <= AXIOM_CHECK_MAX_N``.
+    point reaching it.  ``tolerances`` holds every key of ``AXIOM_TOLERANCES``;
+    ``composition`` also sets the informational rows.  Requires
+    ``N <= AXIOM_CHECK_MAX_N``.
     """
     if system.N > AXIOM_CHECK_MAX_N:
         raise ValueError(
@@ -198,13 +178,13 @@ def check_axioms(
     V = stack.reshape(K, N * N)
 
     rows = (
-        ("composition", composition_tol, False, "xy", _worst(comp_res)),
-        ("unimodular", modulus_tol, False, "xy", _worst(np.abs(np.abs(m) - 1.0))),
-        ("inverse_conjugation", composition_tol, True, "xy", _worst(np.abs(m - conj_neg))),
-        ("inverse_conjugation_swapped", composition_tol, True, "xy", _worst(np.abs(m - conj_neg.T))),
-        ("cocycle", cocycle_tol, False, "xyz", (cocycle[x][0], (x, *cocycle[x][1]))),
-        ("unitarity", unitarity_tol, False, "x", _worst(unit_dev)),
-        ("trace_orthogonality", orthogonality_tol, False, "xy",
+        ("composition", tolerances["composition"], False, "xy", _worst(comp_res)),
+        ("unimodular", tolerances["modulus"], False, "xy", _worst(np.abs(np.abs(m) - 1.0))),
+        ("inverse_conjugation", tolerances["composition"], True, "xy", _worst(np.abs(m - conj_neg))),
+        ("inverse_conjugation_swapped", tolerances["composition"], True, "xy", _worst(np.abs(m - conj_neg.T))),
+        ("cocycle", tolerances["cocycle"], False, "xyz", (cocycle[x][0], (x, *cocycle[x][1]))),
+        ("unitarity", tolerances["unitarity"], False, "x", _worst(unit_dev)),
+        ("trace_orthogonality", tolerances["orthogonality"], False, "xy",
          _worst(np.abs(V.conj() @ V.T - N * np.eye(K)))),
     )
     checks = tuple(

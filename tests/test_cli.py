@@ -1,14 +1,18 @@
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qsobolev import cli
+from qsobolev.embedding import CHAIN_TOLERANCES
+from qsobolev.weyl import AXIOM_TOLERANCES
 
 
 def run_cli(args, cwd, env=None):
@@ -260,6 +264,13 @@ class TestExitCodes:
         "alpha, key", [("1e308", "beta_corrected"), ("1e-320", "holder_identity_error")]
     )
     def test_nan_result_exits_3_without_report(self, alpha, key, monkeypatch, tmp_path, capsys):
+        # At 1e-320, 1/sigma and 1/alpha overflow and the identity error is
+        # inf - inf.  Every exponent is finite at 1e308, so there a kernel
+        # returning a NaN beta_corrected stands in for a numerical failure.
+        if key == "beta_corrected":
+            real = cli.compute_exponents
+            monkeypatch.setattr(cli, "compute_exponents",
+                                lambda *args: replace(real(*args), beta_corrected=math.nan))
         monkeypatch.chdir(tmp_path)
         assert cli.main(["exponents", "--alpha", alpha]) == 3
         err = capsys.readouterr().err
@@ -273,6 +284,106 @@ class TestExitCodes:
         assert proc.stderr.startswith("numerical kernel failure:") and "overflowed" in proc.stderr
         assert proc.stderr.count("\n") == 1  # no RuntimeWarning lines
         assert not list(tmp_path.iterdir())
+
+
+MAX, TINY = sys.float_info.max, math.ulp(0.0)
+ABOVE_ONE, BELOW_TWO = math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0)
+EMBED = ["embed", "--N", "2", "--trials", "3"]
+
+
+def extreme_cases():
+    """(argv, the parameter given, why exit 3 is right or None) for each extreme input.
+
+    The values are the smallest and largest finite ones, one ulp inside each
+    open bound, and fraction forms; ``--N`` stays at most 4 and ``--trials``
+    at most 3.
+    """
+    overflow = {
+        ("exponents", "alpha", TINY): "1/alpha overflows, so 1/sigma = 1/alpha + 1/q cannot be evaluated",
+        ("exponents", "alpha", "1e-320"): "1/alpha overflows, so 1/sigma = 1/alpha + 1/q cannot be evaluated",
+        ("embed", "s", MAX): "the order-s Sobolev multiplier (1 + gamma^2)^(s/2) overflows",
+    }
+    reals = {"alpha": (TINY, "1e-320", "1/3", "8/2", "1e308", MAX), "s": (TINY, "1/2", MAX)}
+    values = {
+        "exponents": reals | {"q": (ABOVE_ONE, "4/3", "1e308", MAX)},
+        "embed": reals | {"p": (ABOVE_ONE, "5/4", "4/3", BELOW_TWO), "N": (1, 4),
+                          "trials": (1, 3), "seed": (0, 2**128)},
+    }
+    for command, params in values.items():
+        base = EMBED if command == "embed" else [command]
+        for name, choices in params.items():
+            for value in choices:
+                flags = [f"--{name}", str(value)]
+                yield pytest.param(base + flags, name, overflow.get((command, name, value)),
+                                   id=" ".join([command, *flags]))
+    for flags in (["--alpha", "1e300", "--q", "1e300"], ["--alpha", str(MAX), "--q", str(MAX), "--s", str(MAX)]):
+        yield pytest.param(["exponents", *flags], "alpha", None, id=" ".join(["exponents", *flags]))
+
+
+def finite_floats(value) -> bool:
+    if isinstance(value, dict):
+        return all(finite_floats(item) for item in value.values())
+    if isinstance(value, list):
+        return all(finite_floats(item) for item in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("argv, name, unrepresentable", list(extreme_cases()))
+    def test_extreme_value_ends_in_a_documented_exit(self, argv, name, unrepresentable,
+                                                     monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        if code in (0, 1):
+            report = json.loads((tmp_path / f"{argv[0]}_report.json").read_text())
+            assert finite_floats(report["results"]), report["results"]
+        elif code == 2:
+            assert err.startswith("invalid configuration:") and err.count("\n") == 1
+            assert re.search(rf"\b{name}\b", err), err
+        else:
+            assert code == 3 and unrepresentable is not None, err
+            assert err.startswith("numerical kernel failure:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, sigma",
+        [(["--alpha", "1e308"], 4.0), (["--q", "1e308"], 4.0), (["--alpha", "1e300", "--q", "1e300"], 5e299)],
+    )
+    def test_huge_exponents_give_finite_sigma(self, argv, sigma, monkeypatch, tmp_path, capsys):
+        # sigma = alpha q / (alpha + q) is finite although alpha q overflows.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["exponents", *argv]) == 0
+        results = json.loads((tmp_path / "exponents_report.json").read_text())["results"]
+        assert results["sigma"] == pytest.approx(sigma, rel=1e-15)
+        assert finite_floats(results)
+
+    def test_huge_alpha_names_the_finite_sigma(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(EMBED + ["--alpha", "1e308"]) == 2
+        err = capsys.readouterr().err
+        sigma = float(re.search(r"sigma = (\S+) for", err).group(1))
+        assert sigma == pytest.approx(4.0, rel=1e-15)
+
+
+#: A run that passes at the default tolerances and fails at ``value``, per
+#: tolerance a harness applies.
+TOLERANCE_FLIPS = [
+    *((["axioms", "--N", "2"], name, "-1") for name in AXIOM_TOLERANCES),
+    *((EMBED, name, "-1") for name in CHAIN_TOLERANCES),
+    (["sobolev-norms", "--N", "2", "--trials", "3"], "triangle", "-1"),
+    (["pairing", "--N", "2", "--trials", "3"], "pairing_slack", "-1"),
+    (["pairing", "--N", "2", "--trials", "3"], "rank", "2"),
+]
+
+
+class TestToleranceWiring:
+    @pytest.mark.parametrize("argv, name, value", TOLERANCE_FLIPS, ids=[f[1] for f in TOLERANCE_FLIPS])
+    def test_tolerance_reaches_its_gate(self, argv, name, value, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--tol", f"{name}={value}"]) == 1
+        report = json.loads((tmp_path / f"{argv[0].replace('-', '_')}_report.json").read_text())
+        assert report["config"]["tolerances"][name] == float(value)
 
 
 class TestInputValidation:

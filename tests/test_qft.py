@@ -1,5 +1,6 @@
 import math
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -310,32 +311,36 @@ class TestHausdorffYoung:
             verify_hausdorff_young(sys4, [1.5], "sideways", 10, 0)
 
 
-def read_one(column, rng):
-    """The single sample of a one-trial draw column, read from ``rng``."""
-    column.read(rng, 0)
-    return column.assemble()[0]
+def one_of_each(column, rng):
+    """The first sample of each ensemble, read from ``rng`` into one-trial columns.
+
+    Each read draws its ensemble; the column's ``by_kind`` says which one.
+    """
+    samples = {}
+    while True:
+        reads = column(1)
+        reads.read(rng, 0)
+        (kind,) = (kind for kind, slots in reads.by_kind.items() if slots)
+        samples.setdefault(kind, reads.assemble()[0])
+        if len(samples) == len(reads.by_kind):
+            return samples
 
 
 class TestEnsembles:
     def test_operator_kinds(self):
-        rng = np.random.default_rng(1)
-        for kind in ("ginibre", "rank_one", "diagonal", "sparse_unitary", "mixed"):
-            T = read_one(OperatorReads(6, 1, kind), rng)
+        samples = one_of_each(partial(OperatorReads, 6), np.random.default_rng(1))
+        assert sorted(samples) == sorted(OPERATOR_ENSEMBLES)
+        for T in samples.values():
             assert T.shape == (6, 6)
             assert np.all(np.isfinite(T))
-        with pytest.raises(ValueError):
-            OperatorReads(6, 1, "bogus")
 
     def test_rank_one_is_rank_one(self):
-        rng = np.random.default_rng(2)
-        T = read_one(OperatorReads(5, 1, "rank_one"), rng)
+        T = one_of_each(partial(OperatorReads, 5), np.random.default_rng(2))["rank_one"]
         s = np.linalg.svd(T, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
 
     def test_phase_kinds(self, sys4):
-        rng = np.random.default_rng(3)
-        for kind in ("gaussian", "delta", "indicator", "mixed"):
-            f = PhaseFunction(sys4.group, read_one(TableReads(sys4.group.size, 1, kind), rng))
-            assert f.values.shape == (16,)
-        with pytest.raises(ValueError):
-            TableReads(sys4.group.size, 1, "bogus")
+        samples = one_of_each(partial(TableReads, sys4.group.size), np.random.default_rng(3))
+        assert sorted(samples) == sorted(PHASE_ENSEMBLES)
+        for values in samples.values():
+            assert PhaseFunction(sys4.group, values).values.shape == (16,)

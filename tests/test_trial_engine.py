@@ -10,6 +10,7 @@ draw reaches them as a patched stream or read reaches the engine.
 
 import contextlib
 import io
+import itertools
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -655,6 +656,42 @@ class TestDrawCounts:
 ASSEMBLY_DIMENSIONS = [1, 2, 3, 8, 32, 64]
 
 
+def trials_of_kind(column, seed, kind, count):
+    """The first ``count`` trials of ``seed`` whose read draws ensemble ``kind``, by ``by_kind``."""
+    trials = []
+    for k in itertools.count():
+        reads = column(1)
+        reads.read(oracle_rng(seed, k), 0)
+        if reads.by_kind[kind]:
+            trials.append(k)
+            if len(trials) == count:
+                return trials
+
+
+def read_chunk(column, seed, trials):
+    """One chunk's column, slot i read from the stream of trial ``trials[i]``."""
+    reads = column(len(trials))
+    for i, k in enumerate(trials):
+        reads.read(oracle_rng(seed, k), i)
+    return reads
+
+
+def chunk_of_kind(column, N, kind, chunk_of, length):
+    """Twelve trials of seed N and their assembled draws.
+
+    ``"mixed"`` runs trials 0 to 11 through the engine in chunks of ``length``.
+    An ensemble gives one chunk of the first 12 trials drawing it, so its
+    slots form one slice.
+    """
+    if kind == "mixed":
+        chunk_of(N, length)
+        return range(12), streams.run_trials(N, 12, N, (column,), lambda x: (x,))[0]
+    trials = trials_of_kind(column, N, kind, 12)
+    reads = read_chunk(column, N, trials)
+    assert reads.by_kind[kind] == list(range(12))
+    return trials, reads.assemble()
+
+
 class TestStreamReads:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
     @pytest.mark.parametrize("index", [0, 1, 127, 10**6])
@@ -669,13 +706,13 @@ class TestStreamReads:
     @pytest.mark.parametrize("N", ASSEMBLY_DIMENSIONS)
     @pytest.mark.parametrize("kind", ("mixed",) + streams.OPERATOR_ENSEMBLES)
     def test_chunk_assembly_equals_one_draw_at_a_time(self, N, kind, chunk_of):
-        chunk_of(N, 12)
-        (chunk,) = streams.run_trials(N, 12, N, (partial(streams.OperatorReads, N, kind=kind),), lambda T: (T,))
-        for k in range(12):
+        column = partial(streams.OperatorReads, N)
+        trials, chunk = chunk_of_kind(column, N, kind, chunk_of, 12)
+        for slot, k in enumerate(trials):
             rng, reference = oracle_rng(N, k), oracle_rng(N, k)
-            expected = operator_oracle(reference, N, kind)
-            assert np.array_equal(chunk[k], expected), k
-            reads = streams.OperatorReads(N, 1, kind)
+            expected = operator_oracle(reference, N)
+            assert np.array_equal(chunk[slot], expected), k
+            reads = column(1)
             reads.read(rng, 0)
             assert np.array_equal(reads.assemble()[0], expected), k
             # The read leaves the stream where the one-go draw does.
@@ -684,13 +721,13 @@ class TestStreamReads:
     @pytest.mark.parametrize("N", ASSEMBLY_DIMENSIONS)
     @pytest.mark.parametrize("kind", ("mixed",) + streams.PHASE_ENSEMBLES)
     def test_phase_tables_equal_one_draw_at_a_time(self, N, kind, chunk_of):
-        chunk_of(N, 5)
-        (chunk,) = streams.run_trials(N, 12, N, (partial(streams.TableReads, N * N, kind=kind),), lambda f: (f,))
-        for k in range(12):
+        column = partial(streams.TableReads, N * N)
+        trials, chunk = chunk_of_kind(column, N, kind, chunk_of, 5)
+        for slot, k in enumerate(trials):
             rng, reference = oracle_rng(N, k), oracle_rng(N, k)
-            expected = phase_table_oracle(reference, N * N, kind)
-            assert np.array_equal(chunk[k], expected), k
-            reads = streams.TableReads(N * N, 1, kind)
+            expected = phase_table_oracle(reference, N * N)
+            assert np.array_equal(chunk[slot], expected), k
+            reads = column(1)
             reads.read(rng, 0)
             assert np.array_equal(reads.assemble()[0], expected), k
             assert rng.standard_normal() == reference.standard_normal()
@@ -729,9 +766,9 @@ class TestStreamReads:
         # The Ginibre matrices are built in place of their reads, so the QR's
         # copy, Q and R peak at three stacks; a Ginibre stack kept beside the
         # reads through the QR would make it four.
-        reads = streams.OperatorReads(64, length, "sparse_unitary")
-        for k in range(length):
-            reads.read(oracle_rng(0, k), k)
+        column = partial(streams.OperatorReads, 64)
+        reads = read_chunk(column, 0, trials_of_kind(column, 0, "sparse_unitary", length))
+        assert reads.by_kind["sparse_unitary"] == list(range(length))
         tracemalloc.start()
         try:
             reads.assemble()

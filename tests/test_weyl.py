@@ -5,19 +5,41 @@ import numpy as np
 import pytest
 
 from qsobolev import weyl
-from qsobolev.weyl import (
-    RepresentationError,
-    check_axioms,
-    extract_multiplier,
-    make_weyl_system,
-    weyl_operator,
-)
+from qsobolev.weyl import AXIOM_TOLERANCES, check_axioms, make_weyl_system, weyl_operator
 from qsobolev.groups import make_group
 
 
 def grid_points(N):
     # Oracle enumeration: row-major (a, b) tuples, last coordinate fastest.
     return [(a, b) for a in range(N) for b in range(N)]
+
+
+@pytest.fixture
+def captured_rows(monkeypatch):
+    """The multiplier rows ``check_axioms`` gets from the composition routine, in order."""
+    rows = []
+    compose = weyl._compose
+
+    def spy(left, right, target):
+        c, residuals = compose(left, right, target)
+        rows.append(np.array(c))
+        return c, residuals
+
+    monkeypatch.setattr(weyl, "_compose", spy)
+    return rows
+
+
+@pytest.fixture
+def multiplier_table(captured_rows):
+    """For a system, m(x, y) read off the multiplier table that ``check_axioms`` builds."""
+
+    def table(system):
+        captured_rows.clear()
+        check_axioms(system)
+        m = np.stack(captured_rows).reshape((system.N,) * 4)
+        return lambda x, y: complex(m[(*x, *y)])
+
+    return table
 
 
 class TestWeylOperator:
@@ -91,50 +113,51 @@ class TestWeylOperator:
 
 
 class TestMultiplier:
-    def test_identity_factor(self):
-        system = make_weyl_system(6)
+    """The multiplier as ``check_axioms`` tabulates it, the one place it is computed."""
+
+    def test_identity_factor(self, multiplier_table):
+        m = multiplier_table(make_weyl_system(6))
         for y in [(0, 0), (3, 2), (5, 5)]:
-            assert extract_multiplier(system, (0, 0), y) == pytest.approx(1.0)
+            assert m((0, 0), y) == pytest.approx(1.0)
 
-    def test_shift_modulation_n4(self):
-        system = make_weyl_system(4)
-        assert extract_multiplier(system, (1, 0), (0, 1)) == pytest.approx(1j)
+    def test_shift_modulation_n4(self, multiplier_table):
+        m = multiplier_table(make_weyl_system(4))
+        assert m((1, 0), (0, 1)) == pytest.approx(1j)
 
-    def test_diagonal_pair_n2(self):
-        system = make_weyl_system(2)
-        assert extract_multiplier(system, (1, 1), (1, 1)) == pytest.approx(-1.0)
+    def test_diagonal_pair_n2(self, multiplier_table):
+        m = multiplier_table(make_weyl_system(2))
+        assert m((1, 1), (1, 1)) == pytest.approx(-1.0)
 
-    def test_standard_closed_form(self):
+    def test_standard_closed_form(self, multiplier_table):
         # Composition gives m((a,b),(c,d)) = omega^(d a) in the standard convention.
-        system = make_weyl_system(5)
+        m = multiplier_table(make_weyl_system(5))
         omega = np.exp(2j * np.pi / 5)
         for x in [(1, 2), (3, 0), (4, 4)]:
             for y in [(0, 1), (2, 3), (4, 2)]:
-                assert extract_multiplier(system, x, y) == pytest.approx(
-                    omega ** (y[1] * x[0])
-                )
+                assert m(x, y) == pytest.approx(omega ** (y[1] * x[0]))
 
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
-    def test_composition_residual(self, convention):
+    def test_composition_residual(self, convention, multiplier_table):
         system = make_weyl_system(4, convention)
+        m = multiplier_table(system)
         for x in grid_points(4):
             for y in grid_points(4):
-                m = extract_multiplier(system, x, y)
                 z = tuple((a + b) % 4 for a, b in zip(x, y))
-                residual = weyl_operator(system, x) @ weyl_operator(system, y) - m * weyl_operator(system, z)
+                residual = weyl_operator(system, x) @ weyl_operator(system, y) - m(x, y) * weyl_operator(system, z)
                 assert np.linalg.norm(residual) < 1e-12
 
     def test_modulus_guard(self, monkeypatch):
-        import qsobolev.weyl
-
+        # A composition off the unit circle fails the gated unimodular row:
+        # m((0,0),(1,0)) = tr((pi(1,0)/2)^* pi(1,0)/2) / 2 = 1/4.
         def shrunk_shift(system, point):
             op = weyl_operator(system, point)
             return 0.5 * op if tuple(point) == (1, 0) else op
 
-        monkeypatch.setattr(qsobolev.weyl, "weyl_operator", shrunk_shift)
-        system = make_weyl_system(2)
-        with pytest.raises(RepresentationError):
-            extract_multiplier(system, (1, 0), (1, 0))
+        monkeypatch.setattr(weyl, "weyl_operator", shrunk_shift)
+        check = check_axioms(make_weyl_system(2)).check("unimodular")
+        assert not check.passed
+        assert check.worst_deviation == pytest.approx(0.75)
+        assert check.witness == {"x": [0, 0], "y": [1, 0]}
 
 
 class TestCheckAxioms:
@@ -164,14 +187,12 @@ class TestCheckAxioms:
         assert report.check("inverse_conjugation").passed
         assert report.check("inverse_conjugation").worst_deviation < 1e-12
 
-    def test_inverse_conjugation_fails_standard_n4(self):
+    def test_inverse_conjugation_fails_standard_n4(self, multiplier_table):
         report = check_axioms(make_weyl_system(4))
         assert not report.check("inverse_conjugation").passed
         # Direct witness: m((1,0),(0,1)) = i but conj(m((3,0),(0,3))) = -i.
-        system = make_weyl_system(4)
-        lhs = extract_multiplier(system, (1, 0), (0, 1))
-        rhs = np.conj(extract_multiplier(system, (3, 0), (0, 3)))
-        assert abs(lhs - rhs) == pytest.approx(2.0)
+        m = multiplier_table(make_weyl_system(4))
+        assert abs(m((1, 0), (0, 1)) - np.conj(m((3, 0), (0, 3)))) == pytest.approx(2.0)
 
     def test_swapped_variant_symmetric_n2_holds(self):
         report = check_axioms(make_weyl_system(2, "symmetric"))
@@ -180,11 +201,12 @@ class TestCheckAxioms:
 
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     @pytest.mark.parametrize("N", [3, 4])
-    def test_pairwise_deviations_match_tuple_oracle(self, N, convention):
+    def test_pairwise_deviations_match_tuple_oracle(self, N, convention, multiplier_table):
         # Worst deviations recomputed pair by pair with tuple arithmetic mod N.
         system = make_weyl_system(N, convention)
         pts = grid_points(N)
-        m = {(x, y): extract_multiplier(system, x, y) for x in pts for y in pts}
+        table = multiplier_table(system)
+        m = {(x, y): table(x, y) for x in pts for y in pts}
         neg = lambda x: ((-x[0]) % N, (-x[1]) % N)
         worst_inv = max(abs(m[x, y] - np.conj(m[neg(x), neg(y)])) for x in pts for y in pts)
         worst_swap = max(abs(m[x, y] - np.conj(m[neg(y), neg(x)])) for x in pts for y in pts)
@@ -247,7 +269,9 @@ class TestCheckAxioms:
         system = make_weyl_system(N, convention)
         default = {c.axiom: c.passed for c in check_axioms(system).checks}
         assert N != 1 or all(default.values())
-        flipped = {c.axiom: c.passed for c in check_axioms(system, **{keyword: -1.0}).checks}
+        # ``keyword`` is the --tol name with a "_tol" suffix, which keeps the test ids.
+        tolerances = AXIOM_TOLERANCES | {keyword.removesuffix("_tol"): -1.0}
+        flipped = {c.axiom: c.passed for c in check_axioms(system, tolerances).checks}
         assert flipped == {axiom: passed and axiom not in axioms for axiom, passed in default.items()}
 
 
@@ -284,20 +308,6 @@ def first_worst(values):
 class TestStackedComposition:
     """``check_axioms`` on one operator stack against the per-pair loop it replaced."""
 
-    @pytest.fixture
-    def captured_rows(self, monkeypatch):
-        """The multiplier rows ``check_axioms`` gets from the composition routine, in order."""
-        rows = []
-        compose = weyl._compose
-
-        def spy(left, right, target):
-            c, residuals = compose(left, right, target)
-            rows.append(np.array(c))
-            return c, residuals
-
-        monkeypatch.setattr(weyl, "_compose", spy)
-        return rows
-
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8])
     def test_matches_per_pair_loop(self, N, convention, captured_rows):
@@ -329,11 +339,3 @@ class TestStackedComposition:
         # Stacked Frobenius norms sum in another order than one norm per matrix.
         assert abs(report.check("composition").worst_deviation - comp_res.max()) <= 1e-30
         assert abs(report.check("unitarity").worst_deviation - unit_dev.max()) <= 1e-30
-
-    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
-    def test_extract_multiplier_is_the_vdot_scalar(self, convention):
-        system = make_weyl_system(5, convention)
-        m, _, _ = axioms_loop(system)
-        for i, x in enumerate(grid_points(5)):
-            for j, y in enumerate(grid_points(5)):
-                assert extract_multiplier(system, x, y) == complex(m[i, j])
