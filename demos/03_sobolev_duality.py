@@ -38,11 +38,12 @@ for label, op in [
 print(f"weighted-map isometry deviation over 100 draws: {phi_isometry_check(system, spec, 100, 3):.2e}")
 print()
 
+# The dual side at p = 4: p' = 4/3, and the generator's norm is taken at q' = p = 4.
 print("test family: W_phi = inverse transform of the weighted generator")
 phi = PhaseFunction.delta(system.group, (0, 0))
 for sign in (+1, -1):
-    top = make_test_element(system, spec, phi, sign)[0, 0]
-    print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {l_q_norm(phi, spec.q):.4f}")
+    top = make_test_element(system, 1.0, weight, phi, sign)[0, 0]
+    print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {l_q_norm(phi, 4.0):.4f}")
 print()
 
 (bound,) = pairing_bound_estimate(system, p=4.0, s=1.0, weight=weight, signs=(-1,), trials=400, seed=5)
@@ -52,5 +53,5 @@ print(f"pairing ratios over 400 draws (p=4, s=1): max {bound.max_ratio:.4f} "
 for N in (2, 4):
     small = make_weyl_system(N)
     w = make_weight_euclidean(small.group)
-    nd = nondegeneracy_check(small, SobolevSpec(s=1.0, p=4.0 / 3.0, weight=w), sign=-1)
+    (nd,) = nondegeneracy_check(small, 1.0, w, signs=(-1,))
     print(f"delta-family Gram rank at N={N}: {nd.rank}/{nd.dimension} (full rank: {nd.full_rank})")

@@ -31,6 +31,7 @@ import sys as _sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -45,11 +46,7 @@ from .embedding import (
     counterexample_run,
     verify_embedding_chain,
 )
-from .qft import (
-    conjugate_exponent,
-    verify_hausdorff_young,
-    verify_plancherel,
-)
+from .qft import verify_hausdorff_young, verify_plancherel
 from .sobolev import (
     NONDEGENERACY_MAX_N,
     PAIRING_SLACK,
@@ -400,35 +397,31 @@ def run_sobolev_norms(config: dict):
 def run_pairing(config: dict):
     system = make_weyl_system(config["N"])
     weight = WEIGHTS[config["weight"]](system.group)
-    p = config["p"]
     s = config["s"]
-    trials = config["trials"]
-    seed = config["seed"]
-    tol = config["tolerances"]
-    results = {"pairing": [], "nondegeneracy": []}
-    passed = True
-    rows = []
     signs = SIGNS[config["sign"]]
+    tol = config["tolerances"]
     bounds = pairing_bound_estimate(
-        system, p, s, weight, signs=signs, trials=trials, seed=seed, tolerance=tol["pairing_slack"]
+        system, config["p"], s, weight, signs=signs, trials=config["trials"], seed=config["seed"],
+        tolerance=tol["pairing_slack"],
     )
-    for sign, bound in zip(signs, bounds):
-        passed = passed and bound.satisfied
-        results["pairing"].append(asdict(bound))
-        rows.append(["pairing", sign, bound.max_ratio, bound.analytic_bound, bound.satisfied])
-        if system.N <= NONDEGENERACY_MAX_N:
-            dual_spec = SobolevSpec(s=s, p=conjugate_exponent(p), weight=weight)
-            nd = nondegeneracy_check(system, dual_spec, sign=sign, rank_tol=tol["rank"])
-            passed = passed and nd.full_rank
-            results["nondegeneracy"].append(asdict(nd))
-            rows.append(["nondegeneracy", sign, nd.rank, nd.dimension, nd.full_rank])
+    ranks = (nondegeneracy_check(system, s, weight, signs, tol["rank"])
+             if system.N <= NONDEGENERACY_MAX_N else ())
+    results = {"pairing": [asdict(b) for b in bounds], "nondegeneracy": [asdict(nd) for nd in ranks]}
+    passed = all(b.satisfied for b in bounds) and all(nd.full_rank for nd in ranks)
+    rows = []
+    for bound, nd in zip_longest(bounds, ranks):  # per sign: its pairing row, then its rank row
+        rows.append(["pairing", bound.sign, bound.max_ratio, bound.analytic_bound, bound.satisfied])
+        if nd is not None:
+            rows.append(["nondegeneracy", nd.sign, nd.rank, nd.dimension, nd.full_rank])
     return results, passed, ["check", "sign", "value", "reference", "passed"], rows
 
 
 def run_exponents(config: dict):
     alpha, q, s = config["alpha"], config["q"], config["s"]
     report = compute_exponents(alpha, q, s)
-    identity_error = abs(1.0 / report.sigma - (1.0 / alpha + 1.0 / q))
+    # 1/sigma = 1/alpha + 1/q, multiplied through by sigma: relative to its size,
+    # and finite wherever sigma is.
+    identity_error = abs(report.sigma / alpha + report.sigma / q - 1.0)
     passed = identity_error <= config["tolerances"]["identity"]
     results = asdict(report) | {"holder_identity_error": identity_error}
     rows = [[k, v] for k, v in results.items()]

@@ -29,7 +29,7 @@ import numpy as np
 from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from .linalg import schatten_norm, singular_values
 from .qft import conjugate_exponent, qft_forward, qft_inverse
-from .sobolev import SobolevSpec, Weight, bessel_multiplier, transform_norm
+from .sobolev import SobolevSpec, multiplier_norm, transform_norm
 from .streams import OperatorReads, kept_ratios, run_trials, worst_trial
 from .weyl import WeylSystem
 
@@ -90,17 +90,6 @@ def compute_exponents(alpha: float, q: float, s: float) -> ExponentReport:
         sigma_in_range=1.0 < sigma <= 2.0 * (1.0 + 1e-12),
         beta_alternate_defined=beta_alternate_defined,
     )
-
-
-def multiplier_norm(weight: Weight, s: float, alpha: float, homogeneous: bool) -> float:
-    """L^alpha norm of the reciprocal Sobolev multiplier (the chain constant C1).
-
-    The multiplier is ``(1 + gamma^2)^(-s/2)`` (inhomogeneous hypothesis) or
-    ``gamma^(-s)`` (homogeneous hypothesis); on a finite dual the norm is
-    always finite and is simply measured.
-    """
-    m = bessel_multiplier(weight, -s, homogeneous)
-    return lq_table_norm(m, alpha, weight.group.dual_mass)
 
 
 @dataclass(frozen=True)
@@ -169,7 +158,8 @@ def verify_embedding_chain(
         beta_used = exponents.beta_alternate
     else:
         beta_used = beta_corrected
-    m_norm = multiplier_norm(spec.weight, spec.s, alpha, spec.homogeneous)
+    # The chain constant C1: the L^alpha norm of the reciprocal multiplier, order -s.
+    m_norm = multiplier_norm(spec.weight, -spec.s, alpha, spec.homogeneous)
     betas = [beta_corrected]
     if exponents.beta_alternate_defined:
         betas.append(exponents.beta_alternate)
@@ -289,14 +279,16 @@ def counterexample_run(
     systems: Sequence[WeylSystem],
     q: float,
     rho: float,
-    set_selector: str = "lex",
-    set_sizes: Sequence[int] | None = None,
+    set_selector: str,
+    set_sizes: Sequence[int],
 ) -> CounterexampleReport:
     """Sweep generators a = eps^(-1/q) 1_E over shrinking sets E and fit the growth law.
 
-    For each system (paired with a set size) the generator is L^q-normalized
-    by construction (``|E| = eps``), the operator is its inverse transform,
-    and the conjugate Schatten norm ``||T||_{S_rho'}`` is recorded.  Points
+    For each system, paired with its entry of ``set_sizes``, the set E holds
+    that many points chosen by ``SET_SELECTORS[set_selector]``.  The
+    generator is L^q-normalized by construction (``|E| = eps``), the operator
+    is its inverse transform, and the conjugate Schatten norm
+    ``||T||_{S_rho'}`` is recorded.  Points
     are reported sorted by decreasing ``eps`` and an ordinary least-squares
     fit of ``log ||T||`` against ``log eps`` is compared with the predicted
     slope ``1/rho - 1/q`` (negative: the norms diverge as eps -> 0).
@@ -307,8 +299,6 @@ def counterexample_run(
         raise ValueError(f"normalization exponent q must be >= 1, got {q}")
     if len(systems) == 0:
         raise ValueError("need at least one system")
-    if set_sizes is None:
-        set_sizes = [1] * len(systems)
     if len(set_sizes) != len(systems):
         raise ValueError("set_sizes must align with systems")
     if set_selector not in SET_SELECTORS:
@@ -338,7 +328,10 @@ def counterexample_run(
     eps_values = np.array([pt.epsilon for pt in points])
     norms = np.array([pt.schatten_beta_norm for pt in points])
     if len(set(eps_values.tolist())) < 2:
-        raise ValueError("sweep needs at least two distinct measures to fit a slope")
+        raise ValueError(
+            "sweep needs at least two distinct measures eps = sizes / N to fit a slope, "
+            f"got only eps = {eps_values[0]}"
+        )
     slope = float(np.polyfit(np.log(eps_values), np.log(norms), 1)[0])
     return CounterexampleReport(
         q=q,

@@ -96,9 +96,6 @@ class PhaseFunction:
             raise ValueError("phase function values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> "PhaseFunction":
-        return PhaseFunction(self.group, values)
-
     @staticmethod
     def delta(group: PhaseSpaceGrid, point, amplitude: complex = 1.0) -> "PhaseFunction":
         a, b = group.require_point(point)

@@ -35,7 +35,7 @@ MONOTONE_TOL = 1e-12
 TRIANGLE_TOL = 1e-10
 #: Default relative slack of the pairing bound (``--tol pairing_slack``).
 PAIRING_SLACK = 1e-10
-#: Default eigenvalue floor of the Gram rank, relative to max(1, top) (``--tol rank``).
+#: Default eigenvalue floor of the row-scaled Gram rank, relative to max(1, top) (``--tol rank``).
 RANK_TOL = 1e-10
 
 
@@ -86,12 +86,16 @@ class SobolevSpec:
     def __post_init__(self):
         if not 1.0 < self.p < 2.0:
             raise ValueError(f"space exponent p must lie in (1, 2), got {self.p}")
-        if not self.s >= 0.0:
-            raise ValueError(f"smoothness s must be nonnegative, got {self.s}")
+        _require_smoothness(self.s)
 
     @property
     def q(self) -> float:
         return conjugate_exponent(self.p)
+
+
+def _require_smoothness(s: float) -> None:
+    if not s >= 0.0:
+        raise ValueError(f"smoothness s must be nonnegative, got {s}")
 
 
 def bessel_multiplier(weight: Weight, t: float, homogeneous: bool = False) -> np.ndarray:
@@ -111,6 +115,12 @@ def bessel_multiplier(weight: Weight, t: float, homogeneous: bool = False) -> np
     return vals
 
 
+def multiplier_norm(weight: Weight, order: float, exponent: float, homogeneous: bool = False) -> float:
+    """L^exponent norm, under the dual mass 1/N, of the order-``order`` multiplier table."""
+    multiplier = bessel_multiplier(weight, order, homogeneous)
+    return lq_table_norm(multiplier, exponent, weight.group.dual_mass)
+
+
 def transform_norm(f: PhaseFunction, spec: SobolevSpec, order: float, homogeneous: bool):
     """The Sobolev norm, at ``order`` and ``homogeneous``, of the operator whose transform is ``f``.
 
@@ -122,7 +132,7 @@ def transform_norm(f: PhaseFunction, spec: SobolevSpec, order: float, homogeneou
     if spec.weight.group != f.group:
         raise ValueError("weight lives on a different dual group than the system")
     multiplied = bessel_multiplier(spec.weight, order, homogeneous) * f.values
-    return l_q_norm(f.with_values(multiplied), spec.q)
+    return l_q_norm(PhaseFunction(f.group, multiplied), spec.q)
 
 
 def sobolev_norm(system: WeylSystem, T, spec: SobolevSpec) -> float:
@@ -149,24 +159,24 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
 
 
 def make_test_element(
-    system: WeylSystem, spec: SobolevSpec, phi: PhaseFunction, sign: int = -1
+    system: WeylSystem, s: float, weight: Weight, phi: PhaseFunction, sign: int = -1
 ) -> np.ndarray:
     """The test operator W_phi = F^-1((1 + gamma^2)^(sign * s / 2) phi) of the negative-order space.
 
-    A stack of generators gives a stack of operators.  ``spec`` carries the
-    dual-space exponent pair: its ``p`` plays the role of p' in (1, 2) and the
-    defining norm of W_phi is ``l_q_norm(phi, spec.q)``.  The weight sign is an
-    explicit caller choice (+1 or -1); -1 is the default used by the duality
-    harnesses.
+    A stack of generators gives a stack of operators.  The defining norm of
+    W_phi is ``l_q_norm(phi, q')`` at the dual side's Fourier exponent q'.
+    The weight sign is an explicit caller choice (+1 or -1); -1 is the
+    default used by the duality harnesses.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if phi.group != system.group:
         raise ValueError("generator lives on a different dual group than the system")
-    if spec.weight.group != system.group:
+    if weight.group != system.group:
         raise ValueError("weight lives on a different dual group than the system")
-    multiplier = bessel_multiplier(spec.weight, sign * spec.s)
-    return qft_inverse(system, phi.with_values(multiplier * phi.values))
+    _require_smoothness(s)
+    multiplier = bessel_multiplier(weight, sign * s)
+    return qft_inverse(system, PhaseFunction(system.group, multiplier * phi.values))
 
 
 @dataclass(frozen=True)
@@ -292,9 +302,7 @@ def pairing_analytic_bound(
     p_prime = conjugate_exponent(p)
     q_prime = conjugate_exponent(p_prime)
     r = 2.0 * q_prime / (q_prime - 2.0)
-    multiplier = bessel_multiplier(weight, sign * s)
-    mult_norm = lq_table_norm(multiplier, r, system.group.dual_mass)
-    return system.N ** (1.0 / p_prime - 0.5) * mult_norm
+    return system.N ** (1.0 / p_prime - 0.5) * multiplier_norm(weight, sign * s, r)
 
 
 def pairing_bound_estimate(
@@ -321,14 +329,14 @@ def pairing_bound_estimate(
         raise ValueError(f"pairing estimate needs p' = p/(p - 1) > 1, got p' = {p_prime} for p = {p}")
     if weight.group != system.group:
         raise ValueError("weight lives on a different dual group than the system")
+    _require_smoothness(s)
     q_prime = conjugate_exponent(p_prime)
-    dual_spec = SobolevSpec(s=s, p=p_prime, weight=weight)
     bounds = [pairing_analytic_bound(system, p, s, weight, sign) for sign in signs]
 
     def measure(T, values):
         phi = PhaseFunction(system.group, values)
         pairings = np.stack(
-            [trace_pairing(T, make_test_element(system, dual_spec, phi, sign)) for sign in signs],
+            [trace_pairing(T, make_test_element(system, s, weight, phi, sign)) for sign in signs],
             axis=-1,
         )
         # libm's hypot, as abs(complex); np.abs may differ from it in the last bit.
@@ -374,13 +382,15 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_check(
-    system: WeylSystem, spec: SobolevSpec, sign: int = -1, rank_tol: float = RANK_TOL
-) -> NondegeneracyReport:
-    """Verify the trace pairing separates points via the delta-generated family.
+    system: WeylSystem, s: float, weight: Weight, signs: Sequence[int] = (-1,), rank_tol: float = RANK_TOL
+) -> tuple[NondegeneracyReport, ...]:
+    """Verify the trace pairing separates points via the delta-generated family, per sign in ``signs``.
 
-    Builds W_phi for every dual delta generator and checks that their Gram
-    matrix has full rank N^2: then the only operator orthogonal to the whole
-    family is zero.  Limited to ``N <= NONDEGENERACY_MAX_N``.
+    Builds W_phi for every dual delta generator and checks that the family
+    has full rank N^2: then the only operator orthogonal to it is zero.  The
+    rank is decided on the Gram matrix of the rows scaled to largest modulus
+    1, which keeps the rank whatever the multiplier's spread; ``min_eigenvalue``
+    is that of the unscaled Gram matrix.  Limited to ``N <= NONDEGENERACY_MAX_N``.
     """
     if system.N > NONDEGENERACY_MAX_N:
         raise ValueError(
@@ -388,17 +398,24 @@ def nondegeneracy_check(
         )
     K = system.group.size
     deltas = PhaseFunction(system.group, np.eye(K))
-    V = make_test_element(system, spec, deltas, sign).reshape(K, K)
-    gram = V.conj() @ V.T
-    eigs = np.linalg.eigvalsh(gram)
-    top = float(eigs[-1])
-    rank = int(np.sum(eigs > rank_tol * max(top, 1.0)))
-    return NondegeneracyReport(
-        N=system.N,
-        sign=sign,
-        dimension=K,
-        rank=rank,
-        full_rank=rank == K,
-        deficiency=K - rank,
-        min_eigenvalue=float(eigs[0]),
-    )
+    reports = []
+    for sign in signs:
+        V = make_test_element(system, s, weight, deltas, sign).reshape(K, K)
+        top = np.max(np.abs(V), axis=1, keepdims=True)
+        scaled = V / np.where(top > 0.0, top, 1.0)
+        with np.errstate(over="raise", invalid="raise"):
+            min_eigenvalue = float(np.linalg.eigvalsh(V.conj() @ V.T)[0])
+            eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
+        rank = int(np.sum(eigs > rank_tol * max(float(eigs[-1]), 1.0)))
+        reports.append(
+            NondegeneracyReport(
+                N=system.N,
+                sign=sign,
+                dimension=K,
+                rank=rank,
+                full_rank=rank == K,
+                deficiency=K - rank,
+                min_eigenvalue=min_eigenvalue,
+            )
+        )
+    return tuple(reports)

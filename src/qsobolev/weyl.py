@@ -112,12 +112,6 @@ class AxiomReport:
     convention: str
     checks: tuple[AxiomCheck, ...]
 
-    def check(self, axiom: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.axiom == axiom:
-                return c
-        raise KeyError(axiom)
-
     @property
     def core_passed(self) -> bool:
         """All non-informational identities passed (axiom-3 variants are reported only)."""

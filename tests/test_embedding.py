@@ -10,12 +10,11 @@ from qsobolev.embedding import (
     compute_exponents,
     counterexample_run,
     lex_first_points,
-    multiplier_norm,
     subgroup_points,
     verify_embedding_chain,
 )
 from qsobolev.groups import PhaseFunction, l_q_norm, make_group
-from qsobolev.sobolev import SobolevSpec, make_weight_constant, make_weight_euclidean
+from qsobolev.sobolev import SobolevSpec, make_weight_constant, make_weight_euclidean, multiplier_norm
 from qsobolev.weyl import make_weyl_system
 
 
@@ -65,22 +64,22 @@ class TestComputeExponents:
 
 class TestMultiplierNorm:
     def test_constant_weight_l1(self):
-        # gamma = 1 makes the multiplier constant 1/2; total dual mass is 4.
+        # gamma = 1 makes the order -2 multiplier constant 1/2; total dual mass is 4.
         dual = make_group([4, 4])
         weight = make_weight_constant(dual)
-        assert multiplier_norm(weight, 2.0, 1.0, False) == pytest.approx(2.0)
+        assert multiplier_norm(weight, -2.0, 1.0) == pytest.approx(2.0)
 
     def test_sup_norm(self):
         dual = make_group([4, 4])
         weight = make_weight_euclidean(dual)
         expected = (1.0 + float(np.min(weight.values)) ** 2) ** (-1.0)
-        assert multiplier_norm(weight, 2.0, math.inf, False) == pytest.approx(expected)
+        assert multiplier_norm(weight, -2.0, math.inf) == pytest.approx(expected)
 
     def test_homogeneous_brute_force(self):
         dual = make_group([4, 4])
         weight = make_weight_euclidean(dual)
         expected = sum(g ** (-1.0 * 2.0) * 0.25 for g in weight.values) ** 0.5
-        assert multiplier_norm(weight, 1.0, 2.0, True) == pytest.approx(expected, rel=1e-13)
+        assert multiplier_norm(weight, -1.0, 2.0, homogeneous=True) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.fixture(scope="module")
@@ -275,11 +274,11 @@ class TestCounterexample:
     def test_validation(self):
         system = make_weyl_system(4)
         with pytest.raises(ValueError):
-            counterexample_run([system], 4.0, 4.0)
+            counterexample_run([system], 4.0, 4.0, "lex", [1])
         with pytest.raises(ValueError):
-            counterexample_run([system], 4.0, 2.0)
+            counterexample_run([system], 4.0, 2.0, "lex", [1])
         with pytest.raises(ValueError):
-            counterexample_run([], 4.0, 8.0)
+            counterexample_run([], 4.0, 8.0, "lex", [])
         with pytest.raises(ValueError):
             counterexample_run([system], 4.0, 8.0, "lex", [1, 2])
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import asdict
 
@@ -7,6 +8,7 @@ import pytest
 
 from qsobolev.groups import PhaseFunction, l_q_norm, make_group, symmetric_representative
 from qsobolev.linalg import trace_pairing, schatten_norm
+from qsobolev import sobolev
 from qsobolev.qft import qft_forward
 from qsobolev.sobolev import (
     SobolevSpec,
@@ -164,48 +166,60 @@ class TestSobolevNorm:
 
 class TestTestFamily:
     def test_zero_generator(self, sys4, w4):
-        spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
         phi = PhaseFunction(sys4.group, np.zeros(16))
-        assert np.all(make_test_element(sys4, spec, phi) == 0)
-        assert l_q_norm(phi, spec.q) == 0.0
+        assert np.all(make_test_element(sys4, 1.0, w4, phi) == 0)
+        assert l_q_norm(phi, 3.0) == 0.0
 
     def test_delta_generator_positive_sign(self, sys4, w4):
         # Weight 2 at the origin, reconstruction mass 1/N: W = (2/N) I.
-        spec = SobolevSpec(s=2.0, p=4.0 / 3.0, weight=w4)
         phi = PhaseFunction.delta(sys4.group, (0, 0))
-        assert np.allclose(make_test_element(sys4, spec, phi, sign=+1), (2.0 / 4.0) * np.eye(4))
+        assert np.allclose(make_test_element(sys4, 2.0, w4, phi, sign=+1), (2.0 / 4.0) * np.eye(4))
 
     def test_delta_generator_negative_sign(self, sys4, w4):
-        spec = SobolevSpec(s=2.0, p=4.0 / 3.0, weight=w4)
         phi = PhaseFunction.delta(sys4.group, (0, 0))
-        assert np.allclose(make_test_element(sys4, spec, phi, sign=-1), (0.5 / 4.0) * np.eye(4))
+        assert np.allclose(make_test_element(sys4, 2.0, w4, phi, sign=-1), (0.5 / 4.0) * np.eye(4))
 
     def test_injectivity_roundtrip(self, sys4, w4):
-        spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
         rng = np.random.default_rng(13)
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         phi = PhaseFunction(sys4.group, vals)
         for sign in (-1, 1):
-            W = make_test_element(sys4, spec, phi, sign)
+            W = make_test_element(sys4, 1.0, w4, phi, sign)
             # Invert the construction: divide the transform by the order sign*s multiplier.
-            back = qft_forward(sys4, W).values / bessel_multiplier(w4, sign * spec.s)
+            back = qft_forward(sys4, W).values / bessel_multiplier(w4, sign * 1.0)
             assert np.max(np.abs(back - phi.values)) < 1e-11
 
-    def test_disjoint_support_norm_additivity(self, sys4, w4):
+    def test_disjoint_support_norm_additivity(self, sys4):
         # ||phi1 + phi2||_q'^q' splits exactly over disjoint supports.
-        spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=w4)
         v1 = np.zeros(16, dtype=complex)
         v2 = np.zeros(16, dtype=complex)
         v1[[0, 3, 5]] = [1.0, 2.0, -1.0j]
         v2[[7, 9]] = [0.5, 3.0]
-        q = spec.q
+        q = 4.0
         n1, n2, nsum = (l_q_norm(PhaseFunction(sys4.group, v), q) for v in (v1, v2, v1 + v2))
         assert nsum == pytest.approx((n1**q + n2**q) ** (1.0 / q), rel=1e-13)
 
     def test_sign_validation(self, sys4, w4):
-        spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
         with pytest.raises(ValueError):
-            make_test_element(sys4, spec, PhaseFunction(sys4.group, np.zeros(16)), sign=2)
+            make_test_element(sys4, 1.0, w4, PhaseFunction(sys4.group, np.zeros(16)), sign=2)
+
+    @pytest.mark.parametrize("s", [-1.0, -1e308, math.nan])
+    def test_negative_smoothness_rejected_before_any_multiplier(self, sys4, w4, s, monkeypatch):
+        # The message SobolevSpec gives, raised before an order-(sign*s) table is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a multiplier was built for a rejected s")
+
+        monkeypatch.setattr(sobolev, "bessel_multiplier", refuse)
+        phi = PhaseFunction.delta(sys4.group, (0, 0))
+        message = "^" + re.escape(f"smoothness s must be nonnegative, got {s}") + "$"
+        with pytest.raises(ValueError, match=message):
+            make_test_element(sys4, s, w4, phi)
+        with pytest.raises(ValueError, match=message):
+            pairing_bound_estimate(sys4, p=4.0, s=s, weight=w4, signs=(-1, 1), trials=2)
+        with pytest.raises(ValueError, match=message):
+            nondegeneracy_check(sys4, s, w4, signs=(-1, 1))
+        with pytest.raises(ValueError, match=message):
+            SobolevSpec(s=s, p=1.5, weight=w4)
 
 
 class TestPairingBound:
@@ -214,13 +228,12 @@ class TestPairingBound:
         # at xi once both defining norms are divided out.
         s = 1.0
         p = 4.0
-        spec = SobolevSpec(s=s, p=4.0 / 3.0, weight=w4)
         for sign in (-1, 1):
             for xi in [(0, 0), (1, 2), (3, 1)]:
                 phi = PhaseFunction.delta(sys4.group, xi)
-                W = make_test_element(sys4, spec, phi, sign)
+                W = make_test_element(sys4, s, w4, phi, sign)
                 T = (2.0 - 1.0j) * np.asarray(weyl_operator(sys4, xi))
-                ratio = abs(trace_pairing(T, W)) / (schatten_norm(T, p) * l_q_norm(phi, spec.q))
+                ratio = abs(trace_pairing(T, W)) / (schatten_norm(T, p) * l_q_norm(phi, p))
                 expected = (1.0 + w4.values[index(xi, 4)] ** 2) ** (sign * s / 2.0)
                 assert ratio == pytest.approx(expected, rel=1e-12)
 
@@ -248,6 +261,17 @@ class TestPairingBound:
         with pytest.raises(ValueError):
             pairing_bound_estimate(sys4, p=2.0, s=1.0, weight=w4)
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_pairing_bound_is_its_multiplier_norm(self, sys4, w4, sign):
+        # bound = N^(1/p' - 1/2) ||(1 + gamma^2)^(sign s/2)||_r with 1/r = 1/2 - 1/q'; p = q' = 4.
+        r = 4.0
+        direct = sum(((1.0 + g**2) ** (sign * 0.5)) ** r / 4.0 for g in w4.values) ** (1.0 / r)
+        assert pairing_analytic_bound(sys4, 4.0, 1.0, w4, sign) == pytest.approx(
+            4.0 ** (0.75 - 0.5) * direct, rel=1e-13
+        )
+
+
+
 
 class TestNondegeneracy:
     @pytest.mark.parametrize("N", [1, 2, 4])
@@ -255,21 +279,44 @@ class TestNondegeneracy:
     def test_full_rank(self, N, sign):
         system = make_weyl_system(N)
         weight = make_weight_euclidean(system.group)
-        spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
-        report = nondegeneracy_check(system, spec, sign=sign)
+        (report,) = nondegeneracy_check(system, 1.0, weight, signs=(sign,))
+        assert report.sign == sign
         assert report.full_rank
         assert report.rank == N * N
         assert report.deficiency == 0
 
+    def test_one_report_per_sign_in_order(self, sys4, w4):
+        both = nondegeneracy_check(sys4, 1.0, w4, signs=(1, -1))
+        assert both == nondegeneracy_check(sys4, 1.0, w4, signs=(1,)) + nondegeneracy_check(sys4, 1.0, w4)
+
+    @pytest.mark.parametrize("N", [4, 8])
+    @pytest.mark.parametrize("s", [8.0, 20.0, 100.0])
+    def test_rank_does_not_depend_on_the_multiplier_spread(self, N, s):
+        # The Gram of the delta family is diag(N (m_xi / N)^2), full rank at every s;
+        # the eigenvalue floor must not count the small m_xi as missing.
+        system = make_weyl_system(N)
+        weight = make_weight_euclidean(system.group)
+        for report in nondegeneracy_check(system, s, weight, signs=(-1, 1)):
+            assert (report.rank, report.full_rank, report.deficiency) == (N * N, True, 0), report
+
+    def test_zeroed_row_is_one_short(self, sys4):
+        # (1 + gamma^2)^(-1/2) underflows to zero at the one point of weight 1e200.
+        values = np.ones(16)
+        values[5] = 1e200
+        weight = Weight(sys4.group, values)
+        (report,) = nondegeneracy_check(sys4, 1.0, weight, signs=(-1,))
+        assert (report.rank, report.full_rank, report.deficiency) == (15, False, 1)
+        # Every other eigenvalue of the unscaled Gram is 4 (2^(-1/2) / 4)^2 = 1/8.
+        assert abs(report.min_eigenvalue) <= 1e-15
+
     def test_size_limit(self):
         system = make_weyl_system(9)
         weight = make_weight_euclidean(system.group)
-        spec = SobolevSpec(s=1.0, p=1.5, weight=weight)
         with pytest.raises(ValueError):
-            nondegeneracy_check(system, spec)
+            nondegeneracy_check(system, 1.0, weight)
 
     def test_report_dict(self, sys4, w4):
-        spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
-        d = asdict(nondegeneracy_check(sys4, spec))
+        (report,) = nondegeneracy_check(sys4, 1.0, w4)
+        d = asdict(report)
         assert d["dimension"] == 16
         assert d["full_rank"] is True

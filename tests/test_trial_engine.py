@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from qsobolev import cli, embedding, linalg, qft, sobolev, streams
-from qsobolev.embedding import compute_exponents, multiplier_norm, verify_embedding_chain
+from qsobolev.embedding import compute_exponents, verify_embedding_chain
 from qsobolev.groups import PhaseFunction, l_q_norm, lq_table_norm
 from qsobolev.linalg import as_operator, schatten_norm, singular_values, trace_pairing
 from qsobolev.qft import (
@@ -39,6 +39,7 @@ from qsobolev.sobolev import (
     bessel_multiplier,
     make_test_element,
     make_weight_euclidean,
+    multiplier_norm,
     nondegeneracy_check,
     pairing_analytic_bound,
     pairing_bound_estimate,
@@ -176,7 +177,7 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
             if excess > triangle_tol:
                 tri_viol += 1
         f = qft_forward(system, T)
-        weighted = f.with_values(bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f.values)
+        weighted = PhaseFunction(f.group, bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f.values)
         worst_iso = max(worst_iso, abs(l_q_norm(weighted, spec.q) - nT))
         n_base = sobolev_norm(system, T, base)
         n_stronger = sobolev_norm(system, T, stronger)
@@ -213,7 +214,6 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
 def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
     p_prime = conjugate_exponent(p)
     q_prime = conjugate_exponent(p_prime)
-    dual_spec = SobolevSpec(s=s, p=p_prime, weight=weight)
     bound = pairing_analytic_bound(system, p, s, weight, sign)
     worst = 0.0
     skipped = 0
@@ -221,8 +221,8 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
         rng = oracle_rng(seed, k)
         T = operator_oracle(rng, system.N)
         phi = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
-        W = make_test_element(system, dual_spec, phi, sign)
-        denom = schatten_norm(T, p) * l_q_norm(phi, dual_spec.q)
+        W = make_test_element(system, s, weight, phi, sign)
+        denom = schatten_norm(T, p) * l_q_norm(phi, q_prime)
         if denom == 0.0:
             skipped += 1
             continue
@@ -247,7 +247,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
     """The measured fields of ``verify_embedding_chain`` (default tolerances)."""
     exponents = compute_exponents(alpha, spec.q, spec.s)
     sigma = exponents.sigma
-    m_norm = multiplier_norm(spec.weight, spec.s, alpha, spec.homogeneous)
+    m_norm = multiplier_norm(spec.weight, -spec.s, alpha, spec.homogeneous)
     out = dict(skipped=0, violations=0, link1_violations=0, link2_violations=0)
     max_link1 = max_link2 = max_ratio = 0.0
     ratios_corrected = []
@@ -282,12 +282,15 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
     )
 
 
-def nondegeneracy_loop(system, spec, sign):
+def nondegeneracy_loop(system, s, weight, sign):
+    """Rank of the row-scaled delta family and least eigenvalue of its unscaled Gram."""
     K = system.group.size
     deltas = (PhaseFunction(system.group, row) for row in np.eye(K))
-    V = np.stack([make_test_element(system, spec, phi, sign).ravel() for phi in deltas])
-    eigs = np.linalg.eigvalsh(V.conj() @ V.T)
-    return int(np.sum(eigs > 1e-10 * max(float(eigs[-1]), 1.0))), float(eigs[0])
+    V = np.stack([make_test_element(system, s, weight, phi, sign).ravel() for phi in deltas])
+    scaled = np.stack([row / max(abs(x) for x in row) for row in V])
+    eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
+    rank = int(np.sum(eigs > 1e-10 * max(float(eigs[-1]), 1.0)))
+    return rank, float(np.linalg.eigvalsh(V.conj() @ V.T)[0])
 
 
 # -- harness pairs ------------------------------------------------------------
@@ -438,9 +441,9 @@ class TestOracles:
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_nondegeneracy_stacked_deltas(self, N, sign):
         system = make_weyl_system(N)
-        spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=make_weight_euclidean(system.group))
-        report = nondegeneracy_check(system, spec, sign=sign)
-        rank, min_eigenvalue = nondegeneracy_loop(system, spec, sign)
+        weight = make_weight_euclidean(system.group)
+        (report,) = nondegeneracy_check(system, 1.0, weight, signs=(sign,))
+        rank, min_eigenvalue = nondegeneracy_loop(system, 1.0, weight, sign)
         assert report.rank == rank == N * N
         assert_matches(report.min_eigenvalue, min_eigenvalue)
 

@@ -9,6 +9,12 @@ from qsobolev.weyl import AXIOM_TOLERANCES, check_axioms, make_weyl_system, weyl
 from qsobolev.groups import make_group
 
 
+def row(report, axiom):
+    """The row of ``report`` that measures ``axiom``."""
+    (check,) = (c for c in report.checks if c.axiom == axiom)
+    return check
+
+
 def grid_points(N):
     # Oracle enumeration: row-major (a, b) tuples, last coordinate fastest.
     return [(a, b) for a in range(N) for b in range(N)]
@@ -154,7 +160,7 @@ class TestMultiplier:
             return 0.5 * op if tuple(point) == (1, 0) else op
 
         monkeypatch.setattr(weyl, "weyl_operator", shrunk_shift)
-        check = check_axioms(make_weyl_system(2)).check("unimodular")
+        check = row(check_axioms(make_weyl_system(2)), "unimodular")
         assert not check.passed
         assert check.worst_deviation == pytest.approx(0.75)
         assert check.witness == {"x": [0, 0], "y": [1, 0]}
@@ -168,11 +174,11 @@ class TestCheckAxioms:
     def test_standard_core_axioms(self):
         for N in (2, 3, 4, 8):
             report = check_axioms(make_weyl_system(N))
-            assert report.check("composition").passed
-            assert report.check("unimodular").passed
-            assert report.check("cocycle").passed
-            assert report.check("unitarity").passed
-            assert report.check("trace_orthogonality").passed
+            assert row(report, "composition").passed
+            assert row(report, "unimodular").passed
+            assert row(report, "cocycle").passed
+            assert row(report, "unitarity").passed
+            assert row(report, "trace_orthogonality").passed
             assert report.core_passed
 
     def test_symmetric_core_axioms(self):
@@ -184,20 +190,20 @@ class TestCheckAxioms:
         # At N = 2 every multiplier is real (omega = -1), so the conjugation
         # identity on inverses holds; the first N where it fails is 3.
         report = check_axioms(make_weyl_system(2))
-        assert report.check("inverse_conjugation").passed
-        assert report.check("inverse_conjugation").worst_deviation < 1e-12
+        assert row(report, "inverse_conjugation").passed
+        assert row(report, "inverse_conjugation").worst_deviation < 1e-12
 
     def test_inverse_conjugation_fails_standard_n4(self, multiplier_table):
         report = check_axioms(make_weyl_system(4))
-        assert not report.check("inverse_conjugation").passed
+        assert not row(report, "inverse_conjugation").passed
         # Direct witness: m((1,0),(0,1)) = i but conj(m((3,0),(0,3))) = -i.
         m = multiplier_table(make_weyl_system(4))
         assert abs(m((1, 0), (0, 1)) - np.conj(m((3, 0), (0, 3)))) == pytest.approx(2.0)
 
     def test_swapped_variant_symmetric_n2_holds(self):
         report = check_axioms(make_weyl_system(2, "symmetric"))
-        assert report.check("inverse_conjugation_swapped").passed
-        assert not report.check("inverse_conjugation").passed
+        assert row(report, "inverse_conjugation_swapped").passed
+        assert not row(report, "inverse_conjugation").passed
 
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     @pytest.mark.parametrize("N", [3, 4])
@@ -211,23 +217,23 @@ class TestCheckAxioms:
         worst_inv = max(abs(m[x, y] - np.conj(m[neg(x), neg(y)])) for x in pts for y in pts)
         worst_swap = max(abs(m[x, y] - np.conj(m[neg(y), neg(x)])) for x in pts for y in pts)
         report = check_axioms(system)
-        assert report.check("inverse_conjugation").worst_deviation == pytest.approx(worst_inv, abs=1e-12)
-        assert report.check("inverse_conjugation_swapped").worst_deviation == pytest.approx(
+        assert row(report, "inverse_conjugation").worst_deviation == pytest.approx(worst_inv, abs=1e-12)
+        assert row(report, "inverse_conjugation_swapped").worst_deviation == pytest.approx(
             worst_swap, abs=1e-12
         )
-        witness = report.check("inverse_conjugation").witness
+        witness = row(report, "inverse_conjugation").witness
         x, y = tuple(witness["x"]), tuple(witness["y"])
         assert abs(m[x, y] - np.conj(m[neg(x), neg(y)])) == pytest.approx(worst_inv, abs=1e-12)
 
     def test_axiom3_rows_are_informational(self):
         report = check_axioms(make_weyl_system(4))
-        assert report.check("inverse_conjugation").informational
-        assert report.check("inverse_conjugation_swapped").informational
-        assert not report.check("composition").informational
+        assert row(report, "inverse_conjugation").informational
+        assert row(report, "inverse_conjugation_swapped").informational
+        assert not row(report, "composition").informational
 
     def test_cocycle_symmetric_n3(self):
         report = check_axioms(make_weyl_system(3, "symmetric"))
-        assert report.check("cocycle").worst_deviation < 1e-12
+        assert row(report, "cocycle").worst_deviation < 1e-12
 
     def test_report_json_roundtrip(self):
         report = check_axioms(make_weyl_system(2))
@@ -321,7 +327,7 @@ class TestStackedComposition:
 
         def assert_row(axiom, values, names):
             worst, at = first_worst(values)
-            check = report.check(axiom)
+            check = row(report, axiom)
             assert check.worst_deviation == worst, axiom
             assert check.witness == {name: point(i) for name, i in zip(names, at)}, axiom
 
@@ -337,5 +343,5 @@ class TestStackedComposition:
         assert_row("cocycle", np.abs(lhs - rhs), "xyz")
 
         # Stacked Frobenius norms sum in another order than one norm per matrix.
-        assert abs(report.check("composition").worst_deviation - comp_res.max()) <= 1e-30
-        assert abs(report.check("unitarity").worst_deviation - unit_dev.max()) <= 1e-30
+        assert abs(row(report, "composition").worst_deviation - comp_res.max()) <= 1e-30
+        assert abs(row(report, "unitarity").worst_deviation - unit_dev.max()) <= 1e-30
