@@ -8,8 +8,8 @@ a contract CI can consume directly:
 * 0 - every assertion in scope passed,
 * 1 - an assertion failed (the report is still written),
 * 2 - invalid configuration,
-* 3 - numerical failure (LAPACK SVD non-convergence, an overflowing Sobolev
-      multiplier or a NaN result; no report is written),
+* 3 - numerical failure (LAPACK SVD non-convergence, an overflow or invalid
+      operation in a harness, or a NaN result; no report is written),
 * 4 - the report could not be written.
 
 Each subcommand is one :class:`Command` with a table of typed parameters whose
@@ -27,6 +27,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys as _sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -99,7 +100,17 @@ class ConfigError(ValueError):
 
 
 class ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error in one line, like any other invalid input, and exits 2."""
+    """Reports a usage error in one line, like any other invalid input, and exits 2.
+
+    Any argument that starts like a negative number (``-1e308``, ``-.5``,
+    ``-1/2``) is a value, never a flag: no flag of this CLI looks like one,
+    and argparse's own pattern (Python 3.10-3.12) takes only the ``-1`` and
+    ``-1.5`` forms.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(2, f"invalid configuration: {self.prog}: {message}\n")
@@ -604,7 +615,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        results, passed, header, rows = COMMANDS[args.command].run(config)
+        # An overflow or invalid operation anywhere in a harness is a numerical failure.
+        with np.errstate(over="raise", invalid="raise"):
+            results, passed, header, rows = COMMANDS[args.command].run(config)
         if (where := nan_path(results)) is not None:
             raise FloatingPointError(f"results{where} is NaN")
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

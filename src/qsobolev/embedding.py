@@ -26,8 +26,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
-from .linalg import schatten_norm, singular_values
+from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm
+from .linalg import schatten_norm
 from .qft import conjugate_exponent, qft_forward, qft_inverse
 from .sobolev import SobolevSpec, multiplier_norm, transform_norm
 from .streams import OperatorReads, kept_ratios, run_trials, worst_trial
@@ -165,12 +165,11 @@ def verify_embedding_chain(
         betas.append(exponents.beta_alternate)
 
     def measure(T):
-        s = singular_values(T)
         f = qft_forward(system, T)
         return (
             transform_norm(f, spec, spec.s, spec.homogeneous),
             l_q_norm(f, sigma),
-            lq_table_norm(s, betas, 1.0),
+            schatten_norm(T, betas),
         )
 
     draw = (partial(OperatorReads, system.N),)

@@ -14,6 +14,8 @@ small-exponent Schatten norms.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .groups import lq_table_norm
@@ -60,10 +62,12 @@ def singular_values(T) -> np.ndarray:
     return s
 
 
-def schatten_norm(T, p: float):
+def schatten_norm(T, p: float | Sequence[float]):
     """Schatten (quasi-)norm (sum_n s_n(T)^p)^(1/p); the operator norm for p = inf.
 
     Defined for every ``p > 0``; only ``p >= 1`` values are genuine norms.  It
-    is the unweighted ``l^p`` norm of the singular values.
+    is the unweighted ``l^p`` norm of the singular values, so a sequence of
+    exponents adds a trailing axis of norms from one decomposition, as in
+    ``lq_table_norm``.
     """
     return lq_table_norm(singular_values(T), p, 1.0)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .groups import PhaseFunction, l_q_norm, lq_table_norm
 from . import streams
-from .linalg import as_operator, singular_values
+from .linalg import as_operator, schatten_norm
 from .weyl import WeylSystem
 
 
@@ -193,19 +193,18 @@ def verify_hausdorff_young(
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     qs = [conjugate_exponent(p) for p in exponents]
     mass = system.group.dual_mass
-    # Schatten norms are the unweighted l^p norms of the singular values.
     if direction == "forward":
         draw = (partial(streams.OperatorReads, system.N),)
 
         def measure(T):
             transformed = lq_table_norm(qft_forward(system, T).values, qs, mass)
-            return transformed, lq_table_norm(singular_values(T), exponents, 1.0)
+            return transformed, schatten_norm(T, exponents)
     else:
         draw = (partial(streams.TableReads, system.group.size),)
 
         def measure(f):
-            S = singular_values(qft_inverse(system, PhaseFunction(system.group, f)))
-            return lq_table_norm(S, qs, 1.0), lq_table_norm(f, exponents, mass)
+            inverse = qft_inverse(system, PhaseFunction(system.group, f))
+            return schatten_norm(inverse, qs), lq_table_norm(f, exponents, mass)
 
     numerators, denominators = streams.run_trials(system.N, trials, seed, draw, measure)
     reports = []

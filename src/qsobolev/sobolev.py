@@ -132,7 +132,7 @@ def transform_norm(f: PhaseFunction, spec: SobolevSpec, order: float, homogeneou
     if spec.weight.group != f.group:
         raise ValueError("weight lives on a different dual group than the system")
     multiplied = bessel_multiplier(spec.weight, order, homogeneous) * f.values
-    return l_q_norm(PhaseFunction(f.group, multiplied), spec.q)
+    return lq_table_norm(multiplied, spec.q, f.group.dual_mass)
 
 
 def sobolev_norm(system: WeylSystem, T, spec: SobolevSpec) -> float:
@@ -228,22 +228,22 @@ def verify_norm_axioms(
         n_base, n_stronger, n_hom = (transform_norm(fT, spec, *order) for order in orders)
         del fT
         return (
-            n_hom if spec.homogeneous else n_base,
+            n_base,
+            n_stronger,
+            n_hom,
             sobolev_norm(system, S, spec),
             np.any(T != 0.0, axis=(-2, -1)),
             sobolev_norm(system, c[:, None, None] * T, spec),
             # libm's hypot, as abs(complex); np.abs may differ from it in the last bit.
             np.hypot(c.real, c.imag),
             sobolev_norm(system, T + S, spec),
-            n_base,
-            n_stronger,
-            n_hom,
         )
 
     draw = (partial(OperatorReads, system.N), partial(OperatorReads, system.N), ScalarReads)
-    nT, nS, nonzero, scaled, modulus, n_sum, n_base, n_stronger, n_hom = run_trials(
+    n_base, n_stronger, n_hom, nS, nonzero, scaled, modulus, n_sum = run_trials(
         system.N, trials, seed, draw, measure
     )
+    nT = n_hom if spec.homogeneous else n_base
     worst_hom_rel = worst_trial(*kept_ratios(np.abs(scaled - modulus * nT), modulus * nT))[0]
     triangle, kept = kept_ratios(n_sum - (nT + nS), nT + nS)
     monotone, base_kept = kept_ratios(n_base - n_stronger, n_base)
@@ -388,9 +388,13 @@ def nondegeneracy_check(
 
     Builds W_phi for every dual delta generator and checks that the family
     has full rank N^2: then the only operator orthogonal to it is zero.  The
-    rank is decided on the Gram matrix of the rows scaled to largest modulus
-    1, which keeps the rank whatever the multiplier's spread; ``min_eigenvalue``
-    is that of the unscaled Gram matrix.  Limited to ``N <= NONDEGENERACY_MAX_N``.
+    rank is decided on the Gram matrix S of the rows scaled to largest
+    modulus 1, which keeps the rank whatever the multiplier's spread.  The
+    unscaled Gram is D S D with D the diagonal of the row maxima, so
+    ``min_eigenvalue = lambda_min(S) * min(D)^2`` is a lower bound on its
+    least eigenvalue (Ostrowski; Horn & Johnson, *Matrix Analysis*,
+    Thm 4.5.9), equal to ``N (min m / N)^2`` for this family, whose Gram is
+    diagonal.  Limited to ``N <= NONDEGENERACY_MAX_N``.
     """
     if system.N > NONDEGENERACY_MAX_N:
         raise ValueError(
@@ -402,10 +406,10 @@ def nondegeneracy_check(
     for sign in signs:
         V = make_test_element(system, s, weight, deltas, sign).reshape(K, K)
         top = np.max(np.abs(V), axis=1, keepdims=True)
-        scaled = V / np.where(top > 0.0, top, 1.0)
-        with np.errstate(over="raise", invalid="raise"):
-            min_eigenvalue = float(np.linalg.eigvalsh(V.conj() @ V.T)[0])
-            eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
+        # Real and imaginary parts divided as floats: numpy's complex division
+        # overflows for a row maximum that is subnormal or near the float maximum.
+        scaled = (V.view(np.float64) / np.where(top > 0.0, top, 1.0)).view(np.complex128)
+        eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
         rank = int(np.sum(eigs > rank_tol * max(float(eigs[-1]), 1.0)))
         reports.append(
             NondegeneracyReport(
@@ -415,7 +419,7 @@ def nondegeneracy_check(
                 rank=rank,
                 full_rank=rank == K,
                 deficiency=K - rank,
-                min_eigenvalue=min_eigenvalue,
+                min_eigenvalue=float(eigs[0] * np.min(top) ** 2),
             )
         )
     return tuple(reports)

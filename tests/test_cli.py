@@ -281,13 +281,26 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1  # no RuntimeWarning lines
         assert not list(tmp_path.iterdir())
 
-    def test_gram_overflow_is_one_line(self, tmp_path):
-        # At N = 8 the sign +1 Gram entries (34^125 / 8)^2 overflow; the
-        # multiplier itself is finite.
-        proc = run_cli(["pairing", "--trials", "3", "--s", "250"], tmp_path)
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("numerical kernel failure:") and "overflow" in proc.stderr
-        assert proc.stderr.count("\n") == 1  # no RuntimeWarning lines
+    def test_gram_beyond_float_range_is_reported(self, monkeypatch, tmp_path, capsys):
+        # At N = 8 the sign +1 Gram entries (34^125 / 8)^2 would overflow; the
+        # least eigenvalue N (2^125 / N)^2 = 2^247 is read off the row-scaled Gram.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["pairing", "--trials", "3", "--s", "250"]) == 0
+        assert capsys.readouterr().err == ""
+        results = json.loads((tmp_path / "pairing_report.json").read_text())["results"]
+        (plus,) = [nd for nd in results["nondegeneracy"] if nd["sign"] == 1]
+        assert plus["full_rank"] and plus["min_eigenvalue"] == pytest.approx(2.0**247, rel=1e-14)
+
+    @pytest.mark.parametrize("argv", [["embed", "--N", "4", "--s", "616"],
+                                      ["sobolev-norms", "--N", "4", "--s", "308"],
+                                      ["pairing", "--N", "4", "--s", "616"]], ids=" ".join)
+    def test_weighted_table_overflow_is_one_line(self, argv, monkeypatch, tmp_path, capsys):
+        # The multiplier (10^308 at the corner of the N = 4 grid) is finite; its
+        # product with a transform or a generator of modulus above 1.8 is not.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical kernel failure: overflow encountered in multiply\n"
         assert not list(tmp_path.iterdir())
 
 
@@ -315,8 +328,7 @@ def extreme_cases():
 
     The values are the smallest and largest finite ones, one ulp inside each
     open bound, and fraction forms; ``--N`` stays at most 4 and ``--trials``
-    at most 3.  A negative value is passed as ``--name=value``, since
-    argparse reads ``-1e308`` alone as a flag.
+    at most 3, apart from the overflow boundaries listed last.
     """
     overflow = {
         ("embed", "s", MAX): MULTIPLIER_OVERFLOWS,
@@ -342,21 +354,26 @@ def extreme_cases():
     for command, params in values.items():
         for name, choices in params.items():
             for value in choices:
-                text = str(value)
-                flags = [f"--{name}={text}"] if text.startswith("-") else [f"--{name}", text]
+                flags = [f"--{name}", str(value)]
                 yield pytest.param(BASES[command] + flags, name, overflow.get((command, name, value)),
                                    id=" ".join([command, *flags]))
     for flags in (["--alpha", "1e300", "--q", "1e300"], ["--alpha", str(MAX), "--q", str(MAX), "--s", str(MAX)]):
         yield pytest.param(["exponents", *flags], "alpha", None, id=" ".join(["exponents", *flags]))
     for flags in (["--q", "1", "--rho", str(ABOVE_ONE)], ["--q", "1", "--rho", "1e308"]):
         yield pytest.param(BASES["counterexample"] + flags, "rho", None, id=" ".join(["counterexample", *flags]))
-    # The order-2s multiplier of the s-monotonicity check, and the Gram of the
-    # sign +1 test family, overflow although every reported field is a
-    # representable ratio, count or eigenvalue.
-    for command, why in (("sobolev-norms", "the order-2s norm overflows"),
-                         ("pairing", "the unscaled Gram overflows")):
-        flags = ["--N", "4", "--s", "400"]
-        yield pytest.param(BASES[command] + flags, "s", None, id=" ".join([command, *flags]),
+    # The sign +1 Gram of the test family lies beyond the float range here,
+    # its least eigenvalue and rank do not.
+    for flags in (["--N", "8", "--s", "250"], ["--N", "4", "--s", "400"], ["--N", "4", "--s", "612"],
+                  ["--N", "4", "--s", "616"]):
+        yield pytest.param(BASES["pairing"] + flags, "s", None, id=" ".join(["pairing", *flags]))
+    # A multiplier, or its product with a transform, overflows although every
+    # reported field is a representable ratio or count: the order-2s norm of
+    # the s-monotonicity check, and the weighted transform at the default trials.
+    for base, s, why in ((BASES["sobolev-norms"], "400", "the order-2s multiplier overflows"),
+                         (["embed"], "616", "the weighted transform overflows"),
+                         (["sobolev-norms"], "308", "the weighted transform overflows")):
+        flags = ["--N", "4", "--s", s]
+        yield pytest.param(base + flags, "s", None, id=" ".join([base[0], *flags]),
                            marks=pytest.mark.xfail(raises=AssertionError, strict=True, reason=f"exits 3: {why}"))
 
 
@@ -453,6 +470,27 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # no report, so no NaN or false PASS
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (["pairing", "--s", "-1e308"], "smoothness s must be nonnegative, got -1e+308"),
+                (["embed", "--s", "-1e-3"], "smoothness s must be nonnegative, got -0.001"),
+                (["exponents", "--alpha", "-1e-3"], "alpha must be positive, got -0.001"),
+                (["exponents", "--q", "-.5"], "q must exceed 1, got -0.5"),
+                (["pairing", "--s", "-1/2"], "smoothness s must be nonnegative, got -0.5"),
+            ]
+        ],
+    )
+    def test_negative_number_reaches_its_parameter(self, argv, message, monkeypatch, tmp_path, capsys):
+        # argparse's own pattern (Python 3.10-3.12) reads -1e308, -1e-3 and -1/2 as flags.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert message in err, err
 
     def test_non_finite_real_in_config_file_exits_2(self, monkeypatch, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

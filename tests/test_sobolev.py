@@ -299,6 +299,13 @@ class TestNondegeneracy:
         for report in nondegeneracy_check(system, s, weight, signs=(-1, 1)):
             assert (report.rank, report.full_rank, report.deficiency) == (N * N, True, 0), report
 
+    def test_subnormal_row_maximum_keeps_the_rank(self):
+        # At N = 8, s = 410 the smallest row maximum 34^(-205) / 8 is subnormal,
+        # and dividing a complex row by it overflows in its reciprocal.
+        system = make_weyl_system(8)
+        (report,) = nondegeneracy_check(system, 410.0, make_weight_euclidean(system.group))
+        assert (report.rank, report.full_rank, report.min_eigenvalue) == (64, True, 0.0)
+
     def test_zeroed_row_is_one_short(self, sys4):
         # (1 + gamma^2)^(-1/2) underflows to zero at the one point of weight 1e200.
         values = np.ones(16)
@@ -306,8 +313,27 @@ class TestNondegeneracy:
         weight = Weight(sys4.group, values)
         (report,) = nondegeneracy_check(sys4, 1.0, weight, signs=(-1,))
         assert (report.rank, report.full_rank, report.deficiency) == (15, False, 1)
-        # Every other eigenvalue of the unscaled Gram is 4 (2^(-1/2) / 4)^2 = 1/8.
-        assert abs(report.min_eigenvalue) <= 1e-15
+        # The zero row's largest modulus is 0, so the eigenvalue bound is 0.
+        assert report.min_eigenvalue == 0.0
+
+    @pytest.mark.parametrize("N", [2, 4, 8])
+    @pytest.mark.parametrize("s", [1.0, 8.0, 20.0, 400.0])
+    def test_min_eigenvalue_is_its_closed_form(self, N, s):
+        # Weyl orthogonality makes the delta family's Gram diag(N (m_xi / N)^2),
+        # so its least eigenvalue is N (min m / N)^2, 0.0 where that underflows.
+        system = make_weyl_system(N)
+        weight = make_weight_euclidean(system.group)
+        for report in nondegeneracy_check(system, s, weight, signs=(-1, 1)):
+            least = float(np.min(bessel_multiplier(weight, report.sign * s)))
+            closed = N * (least / N) ** 2
+            assert report.min_eigenvalue == pytest.approx(closed, rel=1e-14, abs=0.0), report
+
+    def test_one_eigendecomposition_per_sign(self, sys4, w4, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        nondegeneracy_check(sys4, 1.0, w4, signs=(-1, 1))
+        assert calls == [(16, 16), (16, 16)]
 
     def test_size_limit(self):
         system = make_weyl_system(9)

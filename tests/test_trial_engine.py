@@ -283,14 +283,15 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
 
 
 def nondegeneracy_loop(system, s, weight, sign):
-    """Rank of the row-scaled delta family and least eigenvalue of its unscaled Gram."""
+    """Rank of the row-scaled delta family, and its least eigenvalue times the least squared row maximum."""
     K = system.group.size
     deltas = (PhaseFunction(system.group, row) for row in np.eye(K))
-    V = np.stack([make_test_element(system, s, weight, phi, sign).ravel() for phi in deltas])
-    scaled = np.stack([row / max(abs(x) for x in row) for row in V])
+    V = [make_test_element(system, s, weight, phi, sign).ravel() for phi in deltas]
+    tops = [max(abs(x) for x in row) for row in V]
+    scaled = np.array([[complex(x.real / top, x.imag / top) for x in row] for row, top in zip(V, tops)])
     eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
     rank = int(np.sum(eigs > 1e-10 * max(float(eigs[-1]), 1.0)))
-    return rank, float(np.linalg.eigvalsh(V.conj() @ V.T)[0])
+    return rank, float(eigs[0]) * min(tops) ** 2
 
 
 # -- harness pairs ------------------------------------------------------------
