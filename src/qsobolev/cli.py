@@ -17,7 +17,8 @@ parsers read flags, config-file values and defaults alike.  Every dimension
 ``N`` is capped by its parser, before anything is allocated: at ``MAX_N``, or
 at ``AXIOM_CHECK_MAX_N`` for the exhaustive axiom check.
 Reports are byte-identical across runs with the same config apart from the
-single ``timestamp`` field; CSV output carries no timestamp at all.
+single ``timestamp`` field.  The CSV report is the JSON report flattened: one
+``field,value`` row per scalar, the timestamp left out.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import sys as _sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -90,7 +90,8 @@ DIRECTIONS = {"forward": ("forward",), "inverse": ("inverse",), "both": ("forwar
 #: accepts N > 16, measured at N = 512 and 1024), so N is capped where 16
 #: of them fit: N <= 2048.  The transform's cached wrapped-diagonal index
 #: fits in that room: one N x N int64 table per cached N, half a matrix
-#: (8 MiB at N = 1024, 32 MiB at N = 2048), at most four of them.
+#: (8 MiB at N = 1024, 32 MiB at N = 2048), at most eight of them: four
+#: matrices' worth, inside the five that the cap leaves.
 MEMORY_BUDGET_BYTES = 2**30
 MAX_N = math.isqrt(MEMORY_BUDGET_BYTES // (16 * np.dtype(np.complex128).itemsize))
 
@@ -226,7 +227,7 @@ class Command:
     stdout carries only the verdict.
     """
 
-    run: Callable[[dict], tuple]
+    run: Callable[[dict], tuple[dict, bool]]
     help: str
     tolerances: Mapping[str, float]
     params: tuple[Param, ...]
@@ -309,6 +310,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if flag is not None:
             raw[name] = flag
     resolved = {name: params[name].read(value) for name, value in raw.items()}
+    if resolved["format"] == "both" and Path(resolved["out"]).suffix == ".csv":
+        raise ConfigError(
+            f"out: --format both would write the JSON and the CSV report to one path, {resolved['out']}"
+        )
     tolerances = dict(command.tolerances)
     for item in args.tol or ():
         if "=" not in item:
@@ -327,49 +332,35 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def run_axioms(config: dict):
     system = make_weyl_system(config["N"], config["convention"])
     report = check_axioms(system, config["tolerances"])
-    rows = [
-        [c.axiom, c.informational, c.passed, c.worst_deviation, json.dumps(c.witness)]
-        for c in report.checks
-    ]
-    results = asdict(report) | {"core_passed": report.core_passed}
-    return results, report.core_passed, ["axiom", "informational", "passed", "worst_deviation", "witness"], rows
+    return asdict(report) | {"core_passed": report.core_passed}, report.core_passed
 
 
 def run_plancherel(config: dict):
     system = make_weyl_system(config["N"])
-    trials = config["trials"]
-    seed = config["seed"]
     tol = config["tolerances"]
     # One draw of (T, dual table) per trial serves all three measurements.
-    results = verify_plancherel(system, trials, seed)
+    results = verify_plancherel(system, config["trials"], config["seed"])
     passed = (
         results["worst_relative_deviation"] <= tol["deviation"]
         and results["operator_roundtrip"] <= tol["roundtrip"]
         and results["function_roundtrip"] <= tol["roundtrip"]
     )
-    rows = [[config["N"], trials, seed, *results.values()]]
-    return results, passed, ["N", "trials", "seed", *results], rows
+    return results, passed
 
 
 def run_hausdorff_young(config: dict):
     system = make_weyl_system(config["N"])
-    trials = config["trials"]
-    seed = config["seed"]
     slack = config["tolerances"]["ratio_slack"]
     # Each direction draws its trials once and measures every exponent on them.
     by_direction = [
-        verify_hausdorff_young(system, config["p"], direction, trials, seed)
+        verify_hausdorff_young(system, config["p"], direction, config["trials"], config["seed"])
         for direction in DIRECTIONS[config["direction"]]
     ]
-    runs = []
-    passed = True
-    rows = []
-    for reports in zip(*by_direction):  # exponent-major, as listed in --p
-        for rep in reports:
-            ok = rep.worst_ratio <= 1.0 + slack
-            passed = passed and ok
-            runs.append(asdict(rep) | {"passed": ok})
-            rows.append([rep.p, rep.q, rep.direction, config["N"], trials, seed, rep.worst_ratio, rep.skipped, ok])
+    runs = [  # exponent-major, as listed in --p
+        asdict(rep) | {"passed": rep.worst_ratio <= 1.0 + slack}
+        for reports in zip(*by_direction) for rep in reports
+    ]
+    passed = all(r["passed"] for r in runs)
     results = {"runs": runs}
     # Reported, never asserted: whether the endpoint exponents bound the
     # interior maxima in this sample.
@@ -381,7 +372,7 @@ def run_hausdorff_young(config: dict):
             "interior_max": max(interior),
             "endpoints_bound_interior": max(interior) <= max(endpoint),
         }
-    return results, passed, ["p", "q", "direction", "N", "trials", "seed", "worst_ratio", "skipped", "passed"], rows
+    return results, passed
 
 
 def run_sobolev_norms(config: dict):
@@ -400,9 +391,7 @@ def run_sobolev_norms(config: dict):
         and report.hom_dominance_violations == 0
         and report.definiteness_violations == 0
     )
-    d = asdict(report)
-    rows = [[k, v] for k, v in d.items()]
-    return d, passed, ["field", "value"], rows
+    return asdict(report), passed
 
 
 def run_pairing(config: dict):
@@ -418,13 +407,7 @@ def run_pairing(config: dict):
     ranks = (nondegeneracy_check(system, s, weight, signs, tol["rank"])
              if system.N <= NONDEGENERACY_MAX_N else ())
     results = {"pairing": [asdict(b) for b in bounds], "nondegeneracy": [asdict(nd) for nd in ranks]}
-    passed = all(b.satisfied for b in bounds) and all(nd.full_rank for nd in ranks)
-    rows = []
-    for bound, nd in zip_longest(bounds, ranks):  # per sign: its pairing row, then its rank row
-        rows.append(["pairing", bound.sign, bound.max_ratio, bound.analytic_bound, bound.satisfied])
-        if nd is not None:
-            rows.append(["nondegeneracy", nd.sign, nd.rank, nd.dimension, nd.full_rank])
-    return results, passed, ["check", "sign", "value", "reference", "passed"], rows
+    return results, all(b.satisfied for b in bounds) and all(nd.full_rank for nd in ranks)
 
 
 def run_exponents(config: dict):
@@ -434,9 +417,7 @@ def run_exponents(config: dict):
     # and finite wherever sigma is.
     identity_error = abs(report.sigma / alpha + report.sigma / q - 1.0)
     passed = identity_error <= config["tolerances"]["identity"]
-    results = asdict(report) | {"holder_identity_error": identity_error}
-    rows = [[k, v] for k, v in results.items()]
-    return results, passed, ["field", "value"], rows
+    return asdict(report) | {"holder_identity_error": identity_error}, passed
 
 
 def run_embed(config: dict):
@@ -452,16 +433,7 @@ def run_embed(config: dict):
     passed = report.link1_violations == 0 and report.link2_violations == 0
     if config["beta_choice"] == "corrected":
         passed = passed and report.violations == 0
-    rows = [
-        [k, rc, rp]
-        for k, (rc, rp) in enumerate(
-            zip(
-                report.ratios_corrected,
-                report.ratios_alternate or [""] * len(report.ratios_corrected),
-            )
-        )
-    ]
-    return asdict(report), passed, ["trial", "ratio_corrected", "ratio_alternate"], rows
+    return asdict(report), passed
 
 
 def run_counterexample(config: dict):
@@ -485,11 +457,7 @@ def run_counterexample(config: dict):
         "strictly_increasing": monotone,
         "slope_within_tolerance": slope_ok,
     }
-    rows = [
-        [pt.N, pt.set_size, pt.epsilon, pt.sobolev_norm, pt.schatten_beta_norm]
-        for pt in report.points
-    ]
-    return results, norm_ok and monotone and slope_ok, ["N", "set_size", "epsilon", "generator_lq_norm", "schatten_norm"], rows
+    return results, norm_ok and monotone and slope_ok
 
 
 COMMANDS: dict[str, Command] = {
@@ -557,21 +525,26 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def nan_path(value) -> str | None:
-    """The path of the first NaN in a nested result, as ``.key`` and ``[index]`` steps, or None.
-
-    Infinities are legitimate results (the exponent conjugate to p = 1).  A
-    step is formatted only on the way back from the NaN found.
-    """
+def leaves(value, path: str = ""):
+    """Every scalar of a nested result, in order, with its path of ``.key`` and ``[index]`` steps."""
     if isinstance(value, dict):
-        steps, items = ".{}", value.items()
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}")
     elif isinstance(value, (list, tuple)):
-        steps, items = "[{}]", enumerate(value)
+        for index, item in enumerate(value):
+            yield from leaves(item, f"{path}[{index}]")
     else:
-        return "" if isinstance(value, float) and math.isnan(value) else None
-    for key, item in items:
-        if (below := nan_path(item)) is not None:
-            return steps.format(key) + below
+        yield path, value
+
+
+def nan_path(value) -> str | None:
+    """The path of the first NaN leaf of a nested result, or None.
+
+    Infinities are legitimate results (the exponent conjugate to p = 1).
+    """
+    return next(
+        (path for path, leaf in leaves(value) if isinstance(leaf, float) and math.isnan(leaf)), None
+    )
 
 
 def _format_cell(value) -> str:
@@ -580,7 +553,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_reports(config: dict, results: dict, passed: bool, header, rows) -> list[Path]:
+def write_reports(config: dict, results: dict, passed: bool) -> list[Path]:
+    """Write the JSON report and/or its CSV mirror: one ``field,value`` row per scalar but the timestamp."""
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
     stem = config["command"].replace("-", "_") + "_report"
     out = Path(config.get("out") or (out_dir / f"{stem}.json"))
@@ -593,20 +567,20 @@ def write_reports(config: dict, results: dict, passed: bool, header, rows) -> li
         "results": results,
         "passed": bool(passed),
     }
+    out.parent.mkdir(parents=True, exist_ok=True)
     written = []
     fmt = config["format"]
     if fmt in ("json", "both"):
-        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         written.append(out)
     if fmt in ("csv", "both"):
         csv_path = out.with_suffix(".csv")
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_cell(cell) for cell in row])
+            writer.writerow(["field", "value"])
+            writer.writerows(
+                [path[1:], _format_cell(leaf)] for path, leaf in leaves(report) if path != ".timestamp"
+            )
         written.append(csv_path)
     return written
 
@@ -617,7 +591,7 @@ def main(argv=None) -> int:
         config = resolve_config(args)
         # An overflow or invalid operation anywhere in a harness is a numerical failure.
         with np.errstate(over="raise", invalid="raise"):
-            results, passed, header, rows = COMMANDS[args.command].run(config)
+            results, passed = COMMANDS[args.command].run(config)
         if (where := nan_path(results)) is not None:
             raise FloatingPointError(f"results{where} is NaN")
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
@@ -628,7 +602,7 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=_sys.stderr)
         return 2
     try:
-        paths = write_reports(config, results, passed, header, rows)
+        paths = write_reports(config, results, passed)
     except OSError as exc:
         print(f"report could not be written: {exc}", file=_sys.stderr)
         return 4

@@ -8,12 +8,12 @@ Hilbert-Schmidt operators to L^2 of the dual (Plancherel constant 1), and the
 interpolated norm inequalities hold with constant 1 as well; the harnesses
 below measure both claims on seeded random ensembles.
 
-Both directions run on the wrapped diagonals ``D[a, t] = T[t, t + a mod N]``,
-the support of ``pi(a, b)``: ``tr(T pi(a, b)^*)`` is the length-N DFT in ``t``
-of ``D[a, :]`` at frequency ``b``, times ``exp(i pi (a b mod 2N) / N)`` in the
-symmetric convention.  That phase table is gathered from the 2N roots
-``exp(i pi k / N)`` on each call; the standard convention does no phase
-arithmetic at all.  A transform costs O(N^2 log N) time and O(N^2) memory
+The pair is defined on standard systems only; the symmetric convention
+changes each value by a factor of modulus 1, which no norm sees.  Both
+directions run on the wrapped diagonals ``D[a, t] = T[t, t + a mod N]``, the
+support of ``pi(a, b)``: ``tr(T pi(a, b)^*)`` is the length-N DFT in ``t`` of
+``D[a, :]`` at frequency ``b``, with no phase arithmetic at all.  A
+transform costs O(N^2 log N) time and O(N^2) memory
 (Feichtinger, Kozek & Luef, ACHA 2009; Werner, JMP 1984).  Both take a stack
 of operators or functions as well and transform it with one FFT call, and
 both read the diagonals through one index built once per N.
@@ -37,13 +37,13 @@ from .linalg import as_operator, schatten_norm
 from .weyl import WeylSystem
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def _wrapped_diagonals(N: int) -> np.ndarray:
     """Flat indices ``t*N + (t + a) % N`` at ``[a, t]``: ``D[a, t] = T[t, (t + a) % N]``.
 
     Built once per N and shared read-only by every system of that N; the
-    cache holds the four most recent N, one N^2 int64 table each (32 MiB at
-    N = 2048).
+    cache holds the eight most recent N (a scaling sweep's five, a demo's
+    eight), one N^2 int64 table each (32 MiB at N = 2048).
     """
     t = np.arange(N)
     index = t * N + (t[:, None] + t) % N
@@ -51,16 +51,11 @@ def _wrapped_diagonals(N: int) -> np.ndarray:
     return index
 
 
-def _phase(N: int) -> np.ndarray:
-    """Conjugate of the symmetric-convention factor, ``exp(i pi (a b mod 2N) / N)`` over ``(a, b)``.
-
-    Gathered from the 2N roots ``exp(i pi k / N)`` at the integer phases
-    reduced mod 2N, as in ``weyl_operator``: 2N complex exponentials per
-    call instead of N^2, with the same values.
-    """
-    a = np.arange(N)
-    roots = np.exp(1j * np.pi * np.arange(2 * N) / N)
-    return roots[np.outer(a, a) % (2 * N)]
+def _require_standard(system: WeylSystem) -> None:
+    if system.convention != "standard":
+        raise ValueError(
+            f"the transform pair is defined for the standard convention only, got {system.convention!r}"
+        )
 
 
 def qft_forward(system: WeylSystem, T) -> PhaseFunction:
@@ -69,6 +64,7 @@ def qft_forward(system: WeylSystem, T) -> PhaseFunction:
     A stack of operators (leading axes) gives the stack of their transforms
     from one FFT call.
     """
+    _require_standard(system)
     T = as_operator(T)
     N = system.N
     if T.shape[-1] != N:
@@ -77,8 +73,6 @@ def qft_forward(system: WeylSystem, T) -> PhaseFunction:
     # np.take keeps a stack C-contiguous, so each row reduces as a single table would.
     diagonals = np.take(T.reshape(*lead, N * N), _wrapped_diagonals(N), axis=-1)
     values = np.fft.fft(diagonals, axis=-1)
-    if system.convention == "symmetric":
-        values *= _phase(N)
     return PhaseFunction(system.group, values.reshape(*lead, N * N))
 
 
@@ -87,16 +81,13 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
 
     A stack of functions gives the stack of operators from one FFT call.
     """
+    _require_standard(system)
     N = system.N
     if f.group != system.group:
         raise ValueError(f"phase function lives on the N={f.group.N} grid, system has N={N}")
     lead = f.values.shape[:-1]
-    table = f.values.reshape(*lead, N, N)
-    if system.convention == "symmetric":
-        table = table * np.conj(_phase(N))
-    # norm="forward" leaves the inverse DFT unscaled: sum_b table[a, b] omega^(b t).
-    diagonals = np.fft.ifft(table, axis=-1, norm="forward")
-    del table  # one N^2 table fewer while T is filled
+    # norm="forward" leaves the inverse DFT unscaled: sum_b f[a, b] omega^(b t).
+    diagonals = np.fft.ifft(f.values.reshape(*lead, N, N), axis=-1, norm="forward")
     T = np.empty((*lead, N * N), dtype=np.complex128)
     T[..., _wrapped_diagonals(N)] = diagonals
     del diagonals

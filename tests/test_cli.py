@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -125,10 +126,14 @@ class TestSubcommands:
             tmp_path,
         )
         assert proc.returncode == 0
-        csv_text = (tmp_path / "counterexample_report.csv").read_text()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "N,set_size,epsilon,generator_lq_norm,schatten_norm"
-        assert len(lines) == 4
+        with open(tmp_path / "counterexample_report.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["field", "value"]
+        cells = dict(rows)
+        points = [cells[f"results.points[{k}].N"] for k in range(3)]
+        assert points == ["8", "8", "16"]
+        assert [cells[f"results.points[{k}].set_size"] for k in range(3)] == ["4", "1", "1"]
+        assert not any(field.startswith("results.points[3]") for field in cells)
 
     @pytest.mark.parametrize(
         "argv",
@@ -205,6 +210,17 @@ class TestConfigHandling:
         proc = run_cli(["exponents", "--out", str(target)], tmp_path)
         assert proc.returncode == 0
         assert target.exists()
+
+    def test_both_formats_at_a_csv_path_are_rejected(self, monkeypatch, tmp_path, capsys):
+        # The JSON would go to r.csv and the CSV would then overwrite it.
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "r.csv"
+        assert cli.main(["exponents", "--out", str(target), "--format", "both"]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and str(target) in stderr
+        assert stderr.startswith("invalid configuration: out:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
@@ -616,6 +632,38 @@ SMALL_RUNS = [
     ["embed", "--N", "4", "--trials", "10", "--seed", "9"],
     ["counterexample", "--N", "4,4,8", "--sizes", "4,1,1"],
 ]
+
+
+def flatten(value, path=""):
+    """(path, scalar) pairs of a parsed JSON value, paths of ``.key`` and ``[index]`` steps."""
+    if isinstance(value, dict):
+        return [pair for key, item in value.items() for pair in flatten(item, f"{path}.{key}")]
+    if isinstance(value, list):
+        return [pair for k, item in enumerate(value) for pair in flatten(item, f"{path}[{k}]")]
+    return [(path.removeprefix("."), value)]
+
+
+class TestCsvReport:
+    @pytest.mark.parametrize("args", SMALL_RUNS, ids=[run[0] for run in SMALL_RUNS])
+    def test_csv_is_the_json_report_flattened(self, args, monkeypatch, tmp_path):
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(args + ["--format", "both"]) == 0
+        stem = args[0].replace("-", "_") + "_report"
+        report = json.loads((tmp_path / f"{stem}.json").read_text())
+        with open(tmp_path / f"{stem}.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["field", "value"]
+        cells = dict(rows)
+        assert len(cells) == len(rows)  # no field twice
+        scalars = dict(pair for pair in flatten(report) if pair[0] != "timestamp")
+        # The CSV carries the config and the verdict as well as the results.
+        assert {"command", "version", "passed"} <= set(scalars)
+        assert any(field.startswith("config.tolerances.") for field in scalars)
+        assert cells == {field: cli._format_cell(value) for field, value in scalars.items()}
+        for field, value in scalars.items():
+            if isinstance(value, float):
+                assert float(cells[field]).hex() == value.hex(), field
 
 
 class TestReproducibility:

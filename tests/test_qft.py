@@ -8,7 +8,6 @@ import pytest
 from qsobolev.groups import PhaseFunction, l_q_norm
 from qsobolev.linalg import schatten_norm
 from qsobolev.qft import (
-    _phase,
     _wrapped_diagonals,
     conjugate_exponent,
     qft_forward,
@@ -53,10 +52,9 @@ def assert_close_rel(got, ref, rel=1e-13):
 class TestOperatorSumOracle:
     """The FFT transform pair against the explicit sums over all N^2 Weyl operators."""
 
-    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16])
-    def test_random_inputs(self, N, convention):
-        system = make_weyl_system(N, convention)
+    def test_random_inputs(self, N):
+        system = make_weyl_system(N)
         for k in range(3):
             rng = np.random.default_rng([N, k])
             for kind in OPERATOR_ENSEMBLES:
@@ -66,12 +64,11 @@ class TestOperatorSumOracle:
                 f = PhaseFunction(system.group, phase_table_oracle(rng, N * N, kind))
                 assert_close_rel(qft_inverse(system, f), oracle_inverse(system, f.values))
 
-    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16])
-    def test_every_weyl_operator_and_delta(self, N, convention):
+    def test_every_weyl_operator_and_delta(self, N):
         # Oracle for a delta at xi: the inverse is pi(xi) * mass, and the
         # forward transform of pi(xi) is N at xi and 0 elsewhere.
-        system = make_weyl_system(N, convention)
+        system = make_weyl_system(N)
         for i, xi in enumerate(grid_points(N)):
             W = weyl_operator(system, xi)
             delta = PhaseFunction.delta(system.group, xi, amplitude=1.0 - 2.0j)
@@ -87,39 +84,30 @@ def per_call_index(N):
     return t * N + (t[:, None] + t) % N
 
 
-def per_call_phase(system):
-    """The symmetric phase table from N^2 complex exponentials (1 if standard)."""
-    if system.convention == "standard":
-        return 1.0
-    a = np.arange(system.N)
-    return np.exp(1j * np.pi * (np.outer(a, a) % (2 * system.N)) / system.N)
-
-
 def per_call_forward(system, T):
-    """The forward transform with a freshly built index and phase: the cached path's oracle."""
+    """The forward transform with a freshly built index: the cached path's oracle."""
     N = system.N
     lead = T.shape[:-2]
     diagonals = np.take(T.reshape(*lead, N * N), per_call_index(N), axis=-1)
-    return (np.fft.fft(diagonals, axis=-1) * per_call_phase(system)).reshape(*lead, N * N)
+    return np.fft.fft(diagonals, axis=-1).reshape(*lead, N * N)
 
 
 def per_call_inverse(system, values):
-    """The inverse transform with a freshly built index and phase: the cached path's oracle."""
+    """The inverse transform with a freshly built index: the cached path's oracle."""
     N = system.N
     lead = values.shape[:-1]
-    table = values.reshape(*lead, N, N) * np.conj(per_call_phase(system))
     T = np.empty((*lead, N * N), dtype=np.complex128)
-    T[..., per_call_index(N)] = np.fft.ifft(table, axis=-1, norm="forward")
+    T[..., per_call_index(N)] = np.fft.ifft(values.reshape(*lead, N, N), axis=-1, norm="forward")
     return T.reshape(*lead, N, N) * system.group.dual_mass
 
 
 class TestCachedIndex:
-    """The per-N cached index and the gathered phase give the per-call transforms bit for bit."""
+    """The per-N cached index gives the per-call transforms bit for bit."""
 
     SIZES = (1, 2, 3, 5, 8, 64, 127, 128)
 
-    def assert_bitwise_oracle(self, N, convention):
-        system = make_weyl_system(N, convention)
+    def assert_bitwise_oracle(self, N):
+        system = make_weyl_system(N)
         rng = np.random.default_rng(N)
         T = rng.standard_normal((3, N, N)) + 1j * rng.standard_normal((3, N, N))
         f = rng.standard_normal((3, N * N)) + 1j * rng.standard_normal((3, N * N))
@@ -129,10 +117,9 @@ class TestCachedIndex:
             np.testing.assert_array_equal(forward, per_call_forward(system, ops))
             np.testing.assert_array_equal(inverse, per_call_inverse(system, values))
 
-    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     @pytest.mark.parametrize("N", SIZES)
-    def test_bitwise_equal_to_per_call_index(self, N, convention):
-        self.assert_bitwise_oracle(N, convention)
+    def test_bitwise_equal_to_per_call_index(self, N):
+        self.assert_bitwise_oracle(N)
 
     def test_bitwise_equal_after_cache_evictions(self):
         bound = _wrapped_diagonals.cache_info().maxsize
@@ -140,14 +127,7 @@ class TestCachedIndex:
             qft_forward(make_weyl_system(N), np.eye(N))
         assert _wrapped_diagonals.cache_info().currsize == bound
         for N in self.SIZES:
-            for convention in ("standard", "symmetric"):
-                self.assert_bitwise_oracle(N, convention)
-
-    @pytest.mark.parametrize("N", SIZES + (1024,))
-    def test_gathered_phase_equals_per_call_exp(self, N):
-        expected = per_call_phase(make_weyl_system(N, "symmetric"))
-        # Compare the bits, so a signed zero or a last-bit difference both show.
-        np.testing.assert_array_equal(_phase(N).view(np.float64), expected.view(np.float64))
+            self.assert_bitwise_oracle(N)
 
     def test_index_is_read_only(self):
         index = _wrapped_diagonals(8)
@@ -157,12 +137,35 @@ class TestCachedIndex:
             index[0, 0] = 1
 
     def test_systems_of_equal_n_share_the_index(self):
-        first, second = make_weyl_system(6), make_weyl_system(6, "symmetric")
+        first, second = make_weyl_system(6), make_weyl_system(6)
         qft_forward(first, np.eye(6))
         hits = _wrapped_diagonals.cache_info().hits
         qft_inverse(second, PhaseFunction(second.group, np.ones(36)))
         assert _wrapped_diagonals.cache_info().hits == hits + 1
         assert _wrapped_diagonals(6) is _wrapped_diagonals(6)
+
+    def test_a_warm_sweep_rebuilds_no_index(self):
+        # The five N of a scaling sweep, two of them met twice, fit the cache.
+        sweep = (64, 128, 8, 16, 32, 64, 128)
+
+        def transform_all():
+            for N in sweep:
+                system = make_weyl_system(N)
+                qft_inverse(system, qft_forward(system, np.eye(N)))
+
+        transform_all()
+        misses = _wrapped_diagonals.cache_info().misses
+        transform_all()
+        assert _wrapped_diagonals.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("N", [1, 4])
+def test_transform_pair_rejects_a_symmetric_system(N):
+    system = make_weyl_system(N, "symmetric")
+    with pytest.raises(ValueError, match="standard convention only, got 'symmetric'"):
+        qft_forward(system, np.eye(N))
+    with pytest.raises(ValueError, match="standard convention only, got 'symmetric'"):
+        qft_inverse(system, PhaseFunction(system.group, np.ones(N * N)))
 
 
 class TestForward:

@@ -867,7 +867,7 @@ class TestReplay:
 class TestStackedKernels:
     @pytest.mark.parametrize("N", [1, 2, 3, 8])
     def test_stack_equals_single_calls(self, N):
-        system = make_weyl_system(N, "symmetric")
+        system = make_weyl_system(N)
         Ts = np.stack([operator_oracle(oracle_rng(N, k), N) for k in range(7)])
         fs = np.stack([phase_table_oracle(oracle_rng(N, k), N * N) for k in range(7)])
         stacked_f = PhaseFunction(system.group, fs)
