@@ -222,6 +222,23 @@ class TestConfigHandling:
         assert stderr.startswith("invalid configuration: out:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "out, fmt, written",
+        [
+            ("r.json", "both", ["r.csv", "r.json"]),
+            ("r", "both", ["r", "r.csv"]),
+            ("r.csv", "csv", ["r.csv"]),
+            ("r.csv", "json", ["r.csv"]),
+        ],
+    )
+    def test_distinct_report_paths_are_accepted(self, out, fmt, written, monkeypatch, tmp_path, capsys):
+        # Only --format both at a .csv path puts two reports on one path.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["exponents", "--out", out, "--format", fmt]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == written
+        if fmt != "csv":
+            assert json.loads((tmp_path / out).read_text())["command"] == "exponents"
+
 
 class TestExitCodes:
     def test_assertion_failure_exits_1_with_report(self, tmp_path):
@@ -664,6 +681,43 @@ class TestCsvReport:
         for field, value in scalars.items():
             if isinstance(value, float):
                 assert float(cells[field]).hex() == value.hex(), field
+
+
+class TestLeaves:
+    """The one walker behind the NaN check and the CSV report."""
+
+    def test_paths_of_a_nested_result(self):
+        result = {"worst": 0.5, "points": [{"N": 4, "x": 1.0}, {"N": 8, "x": 2.0}], "pair": (1, "a")}
+        assert list(cli.leaves(result)) == [
+            (".worst", 0.5),
+            (".points[0].N", 4),
+            (".points[0].x", 1.0),
+            (".points[1].N", 8),
+            (".points[1].x", 2.0),
+            (".pair[0]", 1),
+            (".pair[1]", "a"),
+        ]
+
+    def test_scalar_is_its_own_leaf(self):
+        assert list(cli.leaves(3.0)) == [("", 3.0)]
+        assert list(cli.leaves(None, ".skipped")) == [(".skipped", None)]
+
+    def test_empty_containers_have_no_leaves(self):
+        assert list(cli.leaves({"a": {}, "b": [], "c": ()})) == []
+
+    @pytest.mark.parametrize(
+        "result, expected",
+        [
+            ({"ratios": [1.0, math.nan, math.nan]}, ".ratios[1]"),
+            ({"points": [{"x": 1.0}, {"x": np.float64("nan")}]}, ".points[1].x"),
+            ({"first": math.nan, "second": [math.nan]}, ".first"),
+            ({"q": math.inf, "worst": -math.inf}, None),
+            ({"label": "nan", "count": 0, "passed": True, "skipped": None}, None),
+        ],
+        ids=["list", "numpy-scalar-in-nested-dict", "first-of-two", "infinities", "no-floats"],
+    )
+    def test_nan_path_is_the_first_nan_leaf(self, result, expected):
+        assert cli.nan_path(result) == expected
 
 
 class TestReproducibility:

@@ -77,6 +77,45 @@ class TestOperatorSumOracle:
             expected[i] = N
             assert_close_rel(qft_forward(system, W).values, expected)
 
+    # The symmetric operators are pi_sym(xi) = p(xi) pi(xi) with |p| = 1, so
+    # their operator sums are the standard pair with p folded in.
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16])
+    def test_symmetric_sums_on_random_inputs(self, N):
+        standard, symmetric = make_weyl_system(N), make_weyl_system(N, "symmetric")
+        p = symmetric_phase(N)
+        for k in range(3):
+            rng = np.random.default_rng([N, k])
+            for kind in OPERATOR_ENSEMBLES:
+                T = operator_oracle(rng, N, kind)
+                forward = qft_forward(standard, T).values
+                assert_close_rel(np.conj(p) * forward, oracle_forward(symmetric, T))
+                # So every norm of the transform is the same under both conventions.
+                np.testing.assert_allclose(
+                    np.abs(forward), np.abs(oracle_forward(symmetric, T)), rtol=1e-12, atol=1e-12 * N
+                )
+            for kind in PHASE_ENSEMBLES:
+                values = phase_table_oracle(rng, N * N, kind)
+                f = PhaseFunction(standard.group, values * p)
+                assert_close_rel(qft_inverse(standard, f), oracle_inverse(symmetric, values))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 16])
+    def test_symmetric_weyl_operators_and_deltas(self, N):
+        standard, symmetric = make_weyl_system(N), make_weyl_system(N, "symmetric")
+        p = symmetric_phase(N)
+        for i, xi in enumerate(grid_points(N)):
+            W = weyl_operator(symmetric, xi)
+            delta = PhaseFunction.delta(standard.group, xi, amplitude=(1.0 - 2.0j) * p[i])
+            assert_close_rel(qft_inverse(standard, delta), (1.0 - 2.0j) / N * W)
+            expected = np.zeros(N * N, dtype=np.complex128)
+            expected[i] = N * p[i]
+            assert_close_rel(qft_forward(standard, W).values, expected)
+
+
+def symmetric_phase(N):
+    """The factor p(a, b) = exp(-i pi ab / N) of pi_sym(a, b) = p(a, b) pi(a, b), row-major."""
+    a = np.arange(N)
+    return np.exp(-1j * np.pi * (np.outer(a, a) % (2 * N)) / N).ravel()
+
 
 def per_call_index(N):
     """The wrapped-diagonal index as the transforms once rebuilt it on every call."""
