@@ -23,7 +23,7 @@ system = make_weyl_system(8)
 reads = OperatorReads(8, 1)
 reads.read(np.random.default_rng(1), 0)
 T = reads.assemble()[0]
-back = qft_inverse(system, qft_forward(system, T))
+back = qft_inverse(system, qft_forward(T))
 print(f"reconstruction residual on a random operator: {np.linalg.norm(back - T):.2e}")
 
 print(f"worst Plancherel deviation over 300 draws:    {verify_plancherel(system, 300, 7)['worst_relative_deviation']:.2e}")

@@ -34,7 +34,7 @@ for label, op in [
     ("shift pi(1,0)", np.asarray(weyl_operator(system, (1, 0)))),
     ("corner unit E_00", np.eye(8, dtype=complex)[:, [0]] @ np.eye(8)[[0], :]),
 ]:
-    print(f"  {label:18s} {sobolev_norm(system, op, spec):10.6f}")
+    print(f"  {label:18s} {sobolev_norm(op, spec):10.6f}")
 print(f"weighted-map isometry deviation over 100 draws: {phi_isometry_check(system, spec, 100, 3):.2e}")
 print()
 

@@ -15,7 +15,8 @@ a contract CI can consume directly:
 Each subcommand is one :class:`Command` with a table of typed parameters whose
 parsers read flags, config-file values and defaults alike.  Every dimension
 ``N`` is capped by its parser, before anything is allocated: at ``MAX_N``, or
-at ``AXIOM_CHECK_MAX_N`` for the exhaustive axiom check.
+at ``EXHAUSTIVE_MAX_N`` for the exhaustive axiom check.  ``pairing`` runs its
+exhaustive rank check only up to that same cap.
 Reports are byte-identical across runs with the same config apart from the
 single ``timestamp`` field.  The CSV report is the JSON report flattened: one
 ``field,value`` row per scalar, the timestamp left out.
@@ -49,7 +50,6 @@ from .embedding import (
 )
 from .qft import verify_hausdorff_young, verify_plancherel
 from .sobolev import (
-    NONDEGENERACY_MAX_N,
     PAIRING_SLACK,
     RANK_TOL,
     TRIANGLE_TOL,
@@ -61,9 +61,9 @@ from .sobolev import (
     verify_norm_axioms,
 )
 from .weyl import (
-    AXIOM_CHECK_MAX_N,
     AXIOM_TOLERANCES,
     CONVENTIONS,
+    EXHAUSTIVE_MAX_N,
     check_axioms,
     make_weyl_system,
 )
@@ -405,7 +405,7 @@ def run_pairing(config: dict):
         tolerance=tol["pairing_slack"],
     )
     ranks = (nondegeneracy_check(system, s, weight, signs, tol["rank"])
-             if system.N <= NONDEGENERACY_MAX_N else ())
+             if system.N <= EXHAUSTIVE_MAX_N else ())
     results = {"pairing": [asdict(b) for b in bounds], "nondegeneracy": [asdict(nd) for nd in ranks]}
     return results, all(b.satisfied for b in bounds) and all(nd.full_rank for nd in ranks)
 
@@ -463,7 +463,7 @@ def run_counterexample(config: dict):
 COMMANDS: dict[str, Command] = {
     "axioms": Command(
         run_axioms, "exhaustive Weyl-system identity checks", AXIOM_TOLERANCES,
-        (Param("N", dimension_at_most(AXIOM_CHECK_MAX_N, "the exhaustive axiom check"), 4),
+        (Param("N", dimension_at_most(EXHAUSTIVE_MAX_N, "the exhaustive axiom check"), 4),
          Param("convention", Choice(CONVENTIONS), "standard")),
     ),
     "plancherel": Command(
@@ -494,7 +494,7 @@ COMMANDS: dict[str, Command] = {
          Param("s", parse_real, 1.0), WEIGHT, Param("sign", Choice(tuple(SIGNS)), "both"),
          Param("trials", parse_positive_int, 200), SEED),
         lambda r: None if r["nondegeneracy"] else (
-            f"nondegeneracy rank check skipped: it runs only at N <= {NONDEGENERACY_MAX_N}, "
+            f"nondegeneracy rank check skipped: it runs only at N <= {EXHAUSTIVE_MAX_N}, "
             f"got N = {r['pairing'][0]['N']}"),
     ),
     "exponents": Command(

@@ -165,7 +165,7 @@ def verify_embedding_chain(
         betas.append(exponents.beta_alternate)
 
     def measure(T):
-        f = qft_forward(system, T)
+        f = qft_forward(T)
         return (
             transform_norm(f, spec, spec.s, spec.homogeneous),
             l_q_norm(f, sigma),

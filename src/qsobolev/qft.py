@@ -8,8 +8,10 @@ Hilbert-Schmidt operators to L^2 of the dual (Plancherel constant 1), and the
 interpolated norm inequalities hold with constant 1 as well; the harnesses
 below measure both claims on seeded random ensembles.
 
-The pair is defined on standard systems only; the symmetric convention
-changes each value by a factor of modulus 1, which no norm sees.  Both
+The forward transform reads N off the operator and uses the standard
+system: the symmetric convention changes each value by a factor of modulus 1,
+which no norm sees.  The inverse builds a different operator under each
+convention, so it takes a system and accepts only a standard one.  Both
 directions run on the wrapped diagonals ``D[a, t] = T[t, t + a mod N]``, the
 support of ``pi(a, b)``: ``tr(T pi(a, b)^*)`` is the length-N DFT in ``t`` of
 ``D[a, :]`` at frequency ``b``, with no phase arithmetic at all.  A
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import PhaseFunction, l_q_norm, lq_table_norm
+from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from . import streams
 from .linalg import as_operator, schatten_norm
 from .weyl import WeylSystem
@@ -51,37 +53,30 @@ def _wrapped_diagonals(N: int) -> np.ndarray:
     return index
 
 
-def _require_standard(system: WeylSystem) -> None:
-    if system.convention != "standard":
-        raise ValueError(
-            f"the transform pair is defined for the standard convention only, got {system.convention!r}"
-        )
+def qft_forward(T) -> PhaseFunction:
+    """Transform an N x N ``T`` to ``xi -> tr(T pi(xi)^*)`` on the N x N grid; linear in T.
 
-
-def qft_forward(system: WeylSystem, T) -> PhaseFunction:
-    """Transform ``T`` to the phase function ``xi -> tr(T pi(xi)^*)``; linear in T.
-
-    A stack of operators (leading axes) gives the stack of their transforms
-    from one FFT call.
+    ``pi`` is the standard system; the symmetric one changes each value by a
+    factor of modulus 1.  A stack of operators (leading axes) gives the stack
+    of their transforms from one FFT call.
     """
-    _require_standard(system)
     T = as_operator(T)
-    N = system.N
-    if T.shape[-1] != N:
-        raise ValueError(f"operator dimension {T.shape[-1]} does not match system N={N}")
+    N = T.shape[-1]
     lead = T.shape[:-2]
     # np.take keeps a stack C-contiguous, so each row reduces as a single table would.
     diagonals = np.take(T.reshape(*lead, N * N), _wrapped_diagonals(N), axis=-1)
     values = np.fft.fft(diagonals, axis=-1)
-    return PhaseFunction(system.group, values.reshape(*lead, N * N))
+    return PhaseFunction(PhaseSpaceGrid(N), values.reshape(*lead, N * N))
 
 
 def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     """Reconstruct the operator ``sum_xi f(xi) pi(xi) * mass_per_dual_point``.
 
+    The operator depends on the convention, so ``system`` must be standard.
     A stack of functions gives the stack of operators from one FFT call.
     """
-    _require_standard(system)
+    if system.convention != "standard":
+        raise ValueError(f"inverse transform: standard convention only, got {system.convention!r}")
     N = system.N
     if f.group != system.group:
         raise ValueError(f"phase function lives on the N={f.group.N} grid, system has N={N}")
@@ -98,7 +93,7 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
 def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, transformed: PhaseFunction, values) -> tuple:
     """Residuals and norms of ``F^-1 F T`` against T and ``F F^-1 f`` against f, per trial, given ``F T``."""
     # The caller holds F T, so F^-1 F T is built last: no chunk of it lives through F F^-1 f.
-    again = qft_forward(system, qft_inverse(system, PhaseFunction(system.group, values)))
+    again = qft_forward(qft_inverse(system, PhaseFunction(system.group, values)))
     return (
         np.linalg.norm(qft_inverse(system, transformed) - T, axis=(-2, -1)),
         np.linalg.norm(T, axis=(-2, -1)),
@@ -124,7 +119,7 @@ def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> dict:
     """
 
     def measure(T, values):
-        transformed = qft_forward(system, T)
+        transformed = qft_forward(T)
         residuals = _roundtrip_residuals(system, T, transformed, values)
         return np.abs(l_q_norm(transformed, 2.0) - residuals[1]), *residuals
 
@@ -137,7 +132,7 @@ def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> dict:
 def verify_roundtrips(system: WeylSystem, trials: int, seed: int) -> dict:
     """Worst relative residuals of both transform compositions on random inputs."""
     draw = (partial(streams.OperatorReads, system.N), partial(streams.TableReads, system.group.size))
-    measure = lambda T, values: _roundtrip_residuals(system, T, qft_forward(system, T), values)  # noqa: E731
+    measure = lambda T, values: _roundtrip_residuals(system, T, qft_forward(T), values)  # noqa: E731
     return _roundtrip_report(*streams.run_trials(system.N, trials, seed, draw, measure))
 
 
@@ -188,7 +183,7 @@ def verify_hausdorff_young(
         draw = (partial(streams.OperatorReads, system.N),)
 
         def measure(T):
-            transformed = lq_table_norm(qft_forward(system, T).values, qs, mass)
+            transformed = lq_table_norm(qft_forward(T).values, qs, mass)
             return transformed, schatten_norm(T, exponents)
     else:
         draw = (partial(streams.TableReads, system.group.size),)

@@ -23,10 +23,7 @@ from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from .linalg import schatten_norm, trace_pairing
 from .qft import conjugate_exponent, qft_forward, qft_inverse
 from .streams import OperatorReads, ScalarReads, TableReads, kept_ratios, run_trials, worst_trial
-from .weyl import WeylSystem, weyl_operator
-
-#: Largest N of :func:`nondegeneracy_check`, whose Gram matrix has N^4 entries.
-NONDEGENERACY_MAX_N = 8
+from .weyl import EXHAUSTIVE_MAX_N, WeylSystem, weyl_operator
 
 #: Relative slack of the s-monotonicity and homogeneous-dominance counts.
 MONOTONE_TOL = 1e-12
@@ -130,14 +127,14 @@ def transform_norm(f: PhaseFunction, spec: SobolevSpec, order: float, homogeneou
     the peak of every chunk, 8 MiB at N = 1024.
     """
     if spec.weight.group != f.group:
-        raise ValueError("weight lives on a different dual group than the system")
+        raise ValueError("weight lives on a different dual group than the transform")
     multiplied = bessel_multiplier(spec.weight, order, homogeneous) * f.values
     return lq_table_norm(multiplied, spec.q, f.group.dual_mass)
 
 
-def sobolev_norm(system: WeylSystem, T, spec: SobolevSpec) -> float:
+def sobolev_norm(T, spec: SobolevSpec) -> float:
     """Weighted L^q norm of the phase-space transform of ``T``; zero iff T = 0."""
-    return transform_norm(qft_forward(system, T), spec, spec.s, spec.homogeneous)
+    return transform_norm(qft_forward(T), spec, spec.s, spec.homogeneous)
 
 
 def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed: int) -> float:
@@ -150,7 +147,7 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
     weyl = np.stack([weyl_operator(system, xi) for xi in system.group.coordinates.T.tolist()])
 
     def measure(T):
-        via_fft = sobolev_norm(system, T, spec)
+        via_fft = sobolev_norm(T, spec)
         pairings = PhaseFunction(system.group, trace_pairing(T[:, None], weyl))
         return (np.abs(transform_norm(pairings, spec, spec.s, spec.homogeneous) - via_fft),)
 
@@ -223,7 +220,7 @@ def verify_norm_axioms(
     def measure(T, S, c):
         # One transform of T for the inhomogeneous norms at s and 2s and the
         # homogeneous one at s; the spec's norm is one of them.
-        fT = qft_forward(system, T)
+        fT = qft_forward(T)
         orders = ((spec.s, False), (2.0 * spec.s, False), (spec.s, True))
         n_base, n_stronger, n_hom = (transform_norm(fT, spec, *order) for order in orders)
         del fT
@@ -231,12 +228,12 @@ def verify_norm_axioms(
             n_base,
             n_stronger,
             n_hom,
-            sobolev_norm(system, S, spec),
+            sobolev_norm(S, spec),
             np.any(T != 0.0, axis=(-2, -1)),
-            sobolev_norm(system, c[:, None, None] * T, spec),
+            sobolev_norm(c[:, None, None] * T, spec),
             # libm's hypot, as abs(complex); np.abs may differ from it in the last bit.
             np.hypot(c.real, c.imag),
-            sobolev_norm(system, T + S, spec),
+            sobolev_norm(T + S, spec),
         )
 
     draw = (partial(OperatorReads, system.N), partial(OperatorReads, system.N), ScalarReads)
@@ -286,9 +283,7 @@ class PairingBoundReport:
     satisfied: bool
 
 
-def pairing_analytic_bound(
-    system: WeylSystem, p: float, s: float, weight: Weight, sign: int
-) -> float:
+def pairing_analytic_bound(p: float, s: float, weight: Weight, sign: int) -> float:
     """Provable constant bounding |tr(T W_phi^*)| / (||T||_Sp * ||phi||_q').
 
     Chained from exact finite-model inequalities: the Schatten Hoelder pairing
@@ -297,12 +292,14 @@ def pairing_analytic_bound(
     L^2 Hoelder split of the weighted generator:
 
         bound = N^(1/p' - 1/2) * || (1 + gamma^2)^(sign*s/2) ||_{L^r},
-        1/r = 1/2 - 1/q'.
+        1/r = 1/2 - 1/q',
+
+    with N the size of the weight's grid.
     """
     p_prime = conjugate_exponent(p)
     q_prime = conjugate_exponent(p_prime)
     r = 2.0 * q_prime / (q_prime - 2.0)
-    return system.N ** (1.0 / p_prime - 0.5) * multiplier_norm(weight, sign * s, r)
+    return weight.group.N ** (1.0 / p_prime - 0.5) * multiplier_norm(weight, sign * s, r)
 
 
 def pairing_bound_estimate(
@@ -331,7 +328,7 @@ def pairing_bound_estimate(
         raise ValueError("weight lives on a different dual group than the system")
     _require_smoothness(s)
     q_prime = conjugate_exponent(p_prime)
-    bounds = [pairing_analytic_bound(system, p, s, weight, sign) for sign in signs]
+    bounds = [pairing_analytic_bound(p, s, weight, sign) for sign in signs]
 
     def measure(T, values):
         phi = PhaseFunction(system.group, values)
@@ -394,11 +391,11 @@ def nondegeneracy_check(
     ``min_eigenvalue = lambda_min(S) * min(D)^2`` is a lower bound on its
     least eigenvalue (Ostrowski; Horn & Johnson, *Matrix Analysis*,
     Thm 4.5.9), equal to ``N (min m / N)^2`` for this family, whose Gram is
-    diagonal.  Limited to ``N <= NONDEGENERACY_MAX_N``.
+    diagonal.  Limited to ``N <= EXHAUSTIVE_MAX_N``.
     """
-    if system.N > NONDEGENERACY_MAX_N:
+    if system.N > EXHAUSTIVE_MAX_N:
         raise ValueError(
-            f"nondegeneracy check is limited to N <= {NONDEGENERACY_MAX_N}, got {system.N}"
+            f"nondegeneracy check is limited to N <= {EXHAUSTIVE_MAX_N}, got {system.N}"
         )
     K = system.group.size
     deltas = PhaseFunction(system.group, np.eye(K))

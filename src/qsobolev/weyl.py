@@ -34,8 +34,10 @@ from .linalg import trace_pairing
 
 CONVENTIONS = ("standard", "symmetric")
 
-#: Largest N for :func:`check_axioms`, whose cocycle check visits N^6 triples.
-AXIOM_CHECK_MAX_N = 16
+#: Largest N of the two checks that visit every pair of the N^2 phase-space
+#: points: :func:`check_axioms` (its cocycle row visits N^6 triples) and
+#: :func:`qsobolev.sobolev.nondegeneracy_check` (its Gram matrix has N^4 entries).
+EXHAUSTIVE_MAX_N = 16
 
 #: Default tolerance of each gated identity of :func:`check_axioms`, by ``--tol`` name.
 AXIOM_TOLERANCES = MappingProxyType(
@@ -53,12 +55,10 @@ class WeylSystem:
     group: PhaseSpaceGrid = field(init=False)
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"Hilbert dimension must be a positive integer, got {self.N}")
+        object.__setattr__(self, "group", PhaseSpaceGrid(self.N))  # checks N
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "group", PhaseSpaceGrid(self.N))
+        object.__setattr__(self, "N", self.group.N)
 
 
 def make_weyl_system(N: int, convention: str = "standard") -> WeylSystem:
@@ -146,11 +146,11 @@ def check_axioms(
     informational flag, witness labels, and the worst deviation with the first
     point reaching it.  ``tolerances`` holds every key of ``AXIOM_TOLERANCES``;
     ``composition`` also sets the informational rows.  Requires
-    ``N <= AXIOM_CHECK_MAX_N``.
+    ``N <= EXHAUSTIVE_MAX_N``.
     """
-    if system.N > AXIOM_CHECK_MAX_N:
+    if system.N > EXHAUSTIVE_MAX_N:
         raise ValueError(
-            f"exhaustive axiom check is limited to N <= {AXIOM_CHECK_MAX_N}, got {system.N}"
+            f"exhaustive axiom check is limited to N <= {EXHAUSTIVE_MAX_N}, got {system.N}"
         )
     group = system.group
     K = group.size

@@ -79,7 +79,7 @@ def test_criterion_2_hausdorff_young():
             for k in range(N):
                 E = np.zeros((N, N), dtype=complex)
                 E[j, k] = 1.0
-                ratio = l_q_norm(qft_forward(system, E), math.inf) / schatten_norm(E, 1.0)
+                ratio = l_q_norm(qft_forward(E), math.inf) / schatten_norm(E, 1.0)
                 worst = max(worst, ratio)
     report(
         2,

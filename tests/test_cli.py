@@ -91,10 +91,10 @@ class TestSubcommands:
 
     def test_pairing_notes_the_skipped_rank_check(self, tmp_path, capsys):
         out = tmp_path / "pairing_report.json"
-        assert cli.main(["pairing", "--N", "9", "--trials", "5", "--out", str(out)]) == 0
+        assert cli.main(["pairing", "--N", "17", "--trials", "5", "--out", str(out)]) == 0
         stdout, stderr = capsys.readouterr()
         assert stderr.splitlines() == [
-            "nondegeneracy rank check skipped: it runs only at N <= 8, got N = 9"
+            "nondegeneracy rank check skipped: it runs only at N <= 16, got N = 17"
         ]
         assert stdout.splitlines() == [f"pairing: PASS ({out})"]
         results = json.loads(out.read_text())["results"]
@@ -102,6 +102,13 @@ class TestSubcommands:
         assert cli.main(["pairing", "--N", "8", "--trials", "5", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert len(json.loads(out.read_text())["results"]["nondegeneracy"]) == 2
+
+    def test_pairing_checks_the_rank_up_to_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "pairing_report.json"
+        assert cli.main(["pairing", "--N", "16", "--trials", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        ranks = json.loads(out.read_text())["results"]["nondegeneracy"]
+        assert [(nd["sign"], nd["rank"], nd["full_rank"]) for nd in ranks] == [(-1, 256, True), (1, 256, True)]
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

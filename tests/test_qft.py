@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qsobolev.groups import PhaseFunction, l_q_norm
+from qsobolev.groups import PhaseFunction, PhaseSpaceGrid, l_q_norm
 from qsobolev.linalg import schatten_norm
 from qsobolev.qft import (
     _wrapped_diagonals,
@@ -59,7 +59,7 @@ class TestOperatorSumOracle:
             rng = np.random.default_rng([N, k])
             for kind in OPERATOR_ENSEMBLES:
                 T = operator_oracle(rng, N, kind)
-                assert_close_rel(qft_forward(system, T).values, oracle_forward(system, T))
+                assert_close_rel(qft_forward(T).values, oracle_forward(system, T))
             for kind in PHASE_ENSEMBLES:
                 f = PhaseFunction(system.group, phase_table_oracle(rng, N * N, kind))
                 assert_close_rel(qft_inverse(system, f), oracle_inverse(system, f.values))
@@ -75,7 +75,7 @@ class TestOperatorSumOracle:
             assert_close_rel(qft_inverse(system, delta), (1.0 - 2.0j) / N * W)
             expected = np.zeros(N * N, dtype=np.complex128)
             expected[i] = N
-            assert_close_rel(qft_forward(system, W).values, expected)
+            assert_close_rel(qft_forward(W).values, expected)
 
     # The symmetric operators are pi_sym(xi) = p(xi) pi(xi) with |p| = 1, so
     # their operator sums are the standard pair with p folded in.
@@ -87,7 +87,7 @@ class TestOperatorSumOracle:
             rng = np.random.default_rng([N, k])
             for kind in OPERATOR_ENSEMBLES:
                 T = operator_oracle(rng, N, kind)
-                forward = qft_forward(standard, T).values
+                forward = qft_forward(T).values
                 assert_close_rel(np.conj(p) * forward, oracle_forward(symmetric, T))
                 # So every norm of the transform is the same under both conventions.
                 np.testing.assert_allclose(
@@ -108,7 +108,7 @@ class TestOperatorSumOracle:
             assert_close_rel(qft_inverse(standard, delta), (1.0 - 2.0j) / N * W)
             expected = np.zeros(N * N, dtype=np.complex128)
             expected[i] = N * p[i]
-            assert_close_rel(qft_forward(standard, W).values, expected)
+            assert_close_rel(qft_forward(W).values, expected)
 
 
 def symmetric_phase(N):
@@ -151,7 +151,7 @@ class TestCachedIndex:
         T = rng.standard_normal((3, N, N)) + 1j * rng.standard_normal((3, N, N))
         f = rng.standard_normal((3, N * N)) + 1j * rng.standard_normal((3, N * N))
         for ops, values in ((T, f), (T[0], f[0])):
-            forward = qft_forward(system, ops).values
+            forward = qft_forward(ops).values
             inverse = qft_inverse(system, PhaseFunction(system.group, values))
             np.testing.assert_array_equal(forward, per_call_forward(system, ops))
             np.testing.assert_array_equal(inverse, per_call_inverse(system, values))
@@ -163,7 +163,7 @@ class TestCachedIndex:
     def test_bitwise_equal_after_cache_evictions(self):
         bound = _wrapped_diagonals.cache_info().maxsize
         for N in range(9, 10 + 2 * bound):
-            qft_forward(make_weyl_system(N), np.eye(N))
+            qft_forward(np.eye(N))
         assert _wrapped_diagonals.cache_info().currsize == bound
         for N in self.SIZES:
             self.assert_bitwise_oracle(N)
@@ -177,10 +177,11 @@ class TestCachedIndex:
 
     def test_systems_of_equal_n_share_the_index(self):
         first, second = make_weyl_system(6), make_weyl_system(6)
-        qft_forward(first, np.eye(6))
+        qft_inverse(first, PhaseFunction(first.group, np.ones(36)))
         hits = _wrapped_diagonals.cache_info().hits
         qft_inverse(second, PhaseFunction(second.group, np.ones(36)))
-        assert _wrapped_diagonals.cache_info().hits == hits + 1
+        qft_forward(np.eye(6))
+        assert _wrapped_diagonals.cache_info().hits == hits + 2
         assert _wrapped_diagonals(6) is _wrapped_diagonals(6)
 
     def test_a_warm_sweep_rebuilds_no_index(self):
@@ -190,7 +191,7 @@ class TestCachedIndex:
         def transform_all():
             for N in sweep:
                 system = make_weyl_system(N)
-                qft_inverse(system, qft_forward(system, np.eye(N)))
+                qft_inverse(system, qft_forward(np.eye(N)))
 
         transform_all()
         misses = _wrapped_diagonals.cache_info().misses
@@ -199,29 +200,27 @@ class TestCachedIndex:
 
 
 @pytest.mark.parametrize("N", [1, 4])
-def test_transform_pair_rejects_a_symmetric_system(N):
+def test_inverse_transform_rejects_a_symmetric_system(N):
     system = make_weyl_system(N, "symmetric")
-    with pytest.raises(ValueError, match="standard convention only, got 'symmetric'"):
-        qft_forward(system, np.eye(N))
     with pytest.raises(ValueError, match="standard convention only, got 'symmetric'"):
         qft_inverse(system, PhaseFunction(system.group, np.ones(N * N)))
 
 
 class TestForward:
-    def test_identity_transform(self, sys4):
-        f = qft_forward(sys4, np.eye(4))
+    def test_identity_transform(self):
+        f = qft_forward(np.eye(4))
         assert f.values[0] == pytest.approx(4.0)  # the origin (0, 0)
         assert np.max(np.abs(f.values[1:])) < 1e-13
 
-    def test_zero(self, sys4):
-        f = qft_forward(sys4, np.zeros((4, 4)))
+    def test_zero(self):
+        f = qft_forward(np.zeros((4, 4)))
         assert np.all(f.values == 0)
 
-    def test_matrix_unit_pattern(self, sys4):
+    def test_matrix_unit_pattern(self):
         # E_00 picks out the pure modulations: value 1 at (0, b), 0 otherwise.
         E00 = np.zeros((4, 4), dtype=complex)
         E00[0, 0] = 1.0
-        f = qft_forward(sys4, E00)
+        f = qft_forward(E00)
         for i, (a, b) in enumerate(grid_points(4)):
             expected = 1.0 if a == 0 else 0.0
             assert abs(f.values[i] - expected) < 1e-13
@@ -229,26 +228,29 @@ class TestForward:
     def test_matches_trace_definition(self, sys4):
         rng = np.random.default_rng(0)
         T = operator_oracle(rng, 4)
-        f = qft_forward(sys4, T)
+        f = qft_forward(T)
         for xi in [(0, 0), (1, 2), (3, 3)]:
             direct = np.trace(T @ weyl_operator(sys4, xi).conj().T)
             assert f.values[xi[0] * 4 + xi[1]] == pytest.approx(direct)
 
-    def test_linearity(self, sys4):
+    def test_linearity(self):
         for k in range(30):
             rng = np.random.default_rng([101, k])
             T = operator_oracle(rng, 4)
             S = operator_oracle(rng, 4)
             a = complex(rng.standard_normal(), rng.standard_normal())
             b = complex(rng.standard_normal(), rng.standard_normal())
-            lhs = qft_forward(sys4, a * T + b * S).values
-            rhs = a * qft_forward(sys4, T).values + b * qft_forward(sys4, S).values
+            lhs = qft_forward(a * T + b * S).values
+            rhs = a * qft_forward(T).values + b * qft_forward(S).values
             scale = max(np.max(np.abs(rhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
-    def test_dimension_mismatch(self, sys4):
-        with pytest.raises(ValueError):
-            qft_forward(sys4, np.eye(5))
+    @pytest.mark.parametrize("N", [1, 5])
+    def test_grid_is_read_off_the_operator(self, N):
+        T = operator_oracle(np.random.default_rng(N), N)
+        f = qft_forward(T)
+        assert f.group == PhaseSpaceGrid(N) and f.values.shape == (N * N,)
+        assert_close_rel(qft_inverse(make_weyl_system(N), f), T)
 
 
 class TestInverse:
@@ -263,7 +265,7 @@ class TestInverse:
     def test_roundtrip_random(self, sys4):
         for k in range(50):
             T = operator_oracle(np.random.default_rng([7, k]), 4)
-            back = qft_inverse(sys4, qft_forward(sys4, T))
+            back = qft_inverse(sys4, qft_forward(T))
             assert np.linalg.norm(back - T) <= 1e-11 * max(np.linalg.norm(T), 1.0)
 
     def test_group_mismatch(self, sys4):
@@ -274,17 +276,16 @@ class TestInverse:
 
 
 class TestPlancherel:
-    def test_identity_example(self, sys4):
-        f = qft_forward(sys4, np.eye(4))
+    def test_identity_example(self):
+        f = qft_forward(np.eye(4))
         assert l_q_norm(f, 2.0) ** 2 == pytest.approx(4.0)
         assert schatten_norm(np.eye(4), 2.0) ** 2 == pytest.approx(4.0)
 
     def test_matrix_unit_example(self):
         for N in (2, 4, 8):
-            system = make_weyl_system(N)
             E00 = np.zeros((N, N), dtype=complex)
             E00[0, 0] = 1.0
-            f = qft_forward(system, E00)
+            f = qft_forward(E00)
             assert l_q_norm(f, 2.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("N", [2, 4, 8])
@@ -308,23 +309,22 @@ class TestHausdorffYoung:
         (rep,) = verify_hausdorff_young(sys4, [2.0], "forward", 50, 3)
         assert rep.worst_ratio == pytest.approx(1.0, abs=1e-12)
 
-    def test_p1_forward_operator_norm_bound(self, sys4):
+    def test_p1_forward_operator_norm_bound(self):
         # Independent route: |tr(T pi^*)| <= sum of singular values because
         # every pi(xi) has operator norm 1.
         for k in range(30):
             T = operator_oracle(np.random.default_rng([9, k]), 4)
-            f = qft_forward(sys4, T)
+            f = qft_forward(T)
             nuclear = float(np.sum(np.linalg.svd(T, compute_uv=False)))
             assert np.max(np.abs(f.values)) <= nuclear * (1.0 + 1e-12)
 
     def test_p1_forward_matrix_units(self):
         for N in (4, 8):
-            system = make_weyl_system(N)
             for j in range(N):
                 for k in range(N):
                     E = np.zeros((N, N), dtype=complex)
                     E[j, k] = 1.0
-                    f = qft_forward(system, E)
+                    f = qft_forward(E)
                     ratio = l_q_norm(f, math.inf) / schatten_norm(E, 1.0)
                     assert ratio <= 1.0 + 1e-10
 

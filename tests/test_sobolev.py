@@ -125,29 +125,34 @@ class TestSobolevSpec:
 
 
 class TestSobolevNorm:
-    def test_zero_operator(self, sys4, w4):
+    def test_zero_operator(self, w4):
         spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
-        assert sobolev_norm(sys4, np.zeros((4, 4)), spec) == 0.0
+        assert sobolev_norm(np.zeros((4, 4)), spec) == 0.0
 
     def test_degenerate_smoothness_reduces_to_lq(self, sys4):
         # s = 0 turns the multiplier into 1, so the norm is the plain L^q norm.
         w = make_weight_constant(sys4.group)
         spec = SobolevSpec(s=0.0, p=4.0 / 3.0, weight=w)
         T = operator_oracle(np.random.default_rng(4), 4)
-        assert sobolev_norm(sys4, T, spec) == pytest.approx(
-            l_q_norm(qft_forward(sys4, T), 4.0)
+        assert sobolev_norm(T, spec) == pytest.approx(
+            l_q_norm(qft_forward(T), 4.0)
         )
 
-    def test_identity_closed_form(self, sys4, w4):
+    def test_identity_closed_form(self, w4):
         # F(I) is supported at the origin where gamma = 1: single-term sum.
         spec = SobolevSpec(s=2.0, p=4.0 / 3.0, weight=w4)
         expected = 8.0 * 0.25**0.25
-        assert sobolev_norm(sys4, np.eye(4), spec) == pytest.approx(expected, rel=1e-12)
+        assert sobolev_norm(np.eye(4), spec) == pytest.approx(expected, rel=1e-12)
+
+    def test_weight_on_another_grid_is_rejected(self, w4):
+        spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
+        with pytest.raises(ValueError, match="different dual group than the transform"):
+            sobolev_norm(np.eye(5), spec)
 
     def test_definite_on_weyl_operators(self, sys4, w4):
         spec = SobolevSpec(s=1.0, p=1.5, weight=w4)
         for x in [(0, 1), (2, 3)]:
-            assert sobolev_norm(sys4, np.asarray(weyl_operator(sys4, x)), spec) > 0.1
+            assert sobolev_norm(np.asarray(weyl_operator(sys4, x)), spec) > 0.1
 
     def test_norm_axiom_harness(self, sys4, w4):
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=w4)
@@ -186,7 +191,7 @@ class TestTestFamily:
         for sign in (-1, 1):
             W = make_test_element(sys4, 1.0, w4, phi, sign)
             # Invert the construction: divide the transform by the order sign*s multiplier.
-            back = qft_forward(sys4, W).values / bessel_multiplier(w4, sign * 1.0)
+            back = qft_forward(W).values / bessel_multiplier(w4, sign * 1.0)
             assert np.max(np.abs(back - phi.values)) < 1e-11
 
     def test_disjoint_support_norm_additivity(self, sys4):
@@ -250,23 +255,31 @@ class TestPairingBound:
             assert rep.q_prime == pytest.approx(4.0)
             assert rep.p_prime == pytest.approx(4.0 / 3.0)
 
-    def test_bound_is_attained_by_concentrated_generators(self, sys4, w4):
+    def test_bound_is_attained_by_concentrated_generators(self, w4):
         # The chain loses nothing when the generator sits on a single point
         # maximizing the multiplier, so the measured max approaches the bound
         # within the power-mean slack N^(1/p' - 1/2).
-        bound = pairing_analytic_bound(sys4, 4.0, 1.0, w4, -1)
+        bound = pairing_analytic_bound(4.0, 1.0, w4, -1)
         assert bound > 0.0
+
+    def test_bound_is_a_function_of_the_weight(self):
+        # N is read off the weight's grid, so no second N can disagree with it.
+        bounds = [
+            pairing_analytic_bound(4.0, 1.0, make_weight_euclidean(make_group([N, N])), -1)
+            for N in (4, 8)
+        ]
+        assert bounds == [1.0221605829453764, 1.0925542455436243]
 
     def test_p_validation(self, sys4, w4):
         with pytest.raises(ValueError):
             pairing_bound_estimate(sys4, p=2.0, s=1.0, weight=w4)
 
     @pytest.mark.parametrize("sign", [-1, 1])
-    def test_pairing_bound_is_its_multiplier_norm(self, sys4, w4, sign):
+    def test_pairing_bound_is_its_multiplier_norm(self, w4, sign):
         # bound = N^(1/p' - 1/2) ||(1 + gamma^2)^(sign s/2)||_r with 1/r = 1/2 - 1/q'; p = q' = 4.
         r = 4.0
         direct = sum(((1.0 + g**2) ** (sign * 0.5)) ** r / 4.0 for g in w4.values) ** (1.0 / r)
-        assert pairing_analytic_bound(sys4, 4.0, 1.0, w4, sign) == pytest.approx(
+        assert pairing_analytic_bound(4.0, 1.0, w4, sign) == pytest.approx(
             4.0 ** (0.75 - 0.5) * direct, rel=1e-13
         )
 
@@ -336,9 +349,9 @@ class TestNondegeneracy:
         assert calls == [(16, 16), (16, 16)]
 
     def test_size_limit(self):
-        system = make_weyl_system(9)
+        system = make_weyl_system(17)
         weight = make_weight_euclidean(system.group)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="limited to N <= 16, got 17"):
             nondegeneracy_check(system, 1.0, weight)
 
     def test_report_dict(self, sys4, w4):

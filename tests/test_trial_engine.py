@@ -73,7 +73,7 @@ def plancherel_loop(system, trials, seed):
         s2 = np.linalg.norm(T, axis=(-2, -1))
         if s2 == 0.0:
             continue
-        l2 = l_q_norm(qft_forward(system, T), 2.0)
+        l2 = l_q_norm(qft_forward(T), 2.0)
         worst = max(worst, abs(l2 - s2) / s2)
     return worst
 
@@ -86,12 +86,12 @@ def roundtrips_loop(system, trials, seed):
         T = operator_oracle(rng, system.N)
         norm_T = np.linalg.norm(T)
         if norm_T > 0.0:
-            back = qft_inverse(system, qft_forward(system, T))
+            back = qft_inverse(system, qft_forward(T))
             worst_op = max(worst_op, np.linalg.norm(back - T) / norm_T)
         f = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
         norm_f = np.linalg.norm(f.values)
         if norm_f > 0.0:
-            again = qft_forward(system, qft_inverse(system, f))
+            again = qft_forward(qft_inverse(system, f))
             worst_fn = max(worst_fn, np.linalg.norm(again.values - f.values) / norm_f)
     return {"operator_roundtrip": worst_op, "function_roundtrip": worst_fn}
 
@@ -109,7 +109,7 @@ def hausdorff_young_loop(system, p, direction, trials, seed):
             if denom == 0.0:
                 skipped += 1
                 continue
-            ratio = l_q_norm(qft_forward(system, T), q) / denom
+            ratio = l_q_norm(qft_forward(T), q) / denom
         else:
             f = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
             denom = l_q_norm(f, p)
@@ -139,7 +139,7 @@ def phi_isometry_loop(system, spec, trials, seed):
     worst = 0.0
     for k in range(trials):
         T = operator_oracle(oracle_rng(seed, k), system.N)
-        via_fft = sobolev_norm(system, T, spec)
+        via_fft = sobolev_norm(T, spec)
         pairings = np.array([trace_pairing(T, weyl_operator(system, xi)) for xi in points])
         direct = lq_table_norm(multiplier * pairings, spec.q, system.group.dual_mass)
         worst = max(worst, abs(direct - via_fft))
@@ -164,29 +164,29 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
         T = operator_oracle(rng, system.N)
         S = operator_oracle(rng, system.N)
         c = complex(rng.standard_normal(), rng.standard_normal())
-        nT = sobolev_norm(system, T, spec)
-        nS = sobolev_norm(system, S, spec)
+        nT = sobolev_norm(T, spec)
+        nS = sobolev_norm(S, spec)
         if nT == 0.0 and np.any(T != 0.0):
             definite_viol += 1
         if nT > 0.0:
-            scaled = sobolev_norm(system, c * T, spec)
+            scaled = sobolev_norm(c * T, spec)
             worst_hom_rel = max(worst_hom_rel, abs(scaled - abs(c) * nT) / (abs(c) * nT))
         if nT + nS > 0.0:
-            excess = (sobolev_norm(system, T + S, spec) - (nT + nS)) / (nT + nS)
+            excess = (sobolev_norm(T + S, spec) - (nT + nS)) / (nT + nS)
             worst_tri = max(worst_tri, excess)
             if excess > triangle_tol:
                 tri_viol += 1
-        f = qft_forward(system, T)
+        f = qft_forward(T)
         weighted = PhaseFunction(f.group, bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f.values)
         worst_iso = max(worst_iso, abs(l_q_norm(weighted, spec.q) - nT))
-        n_base = sobolev_norm(system, T, base)
-        n_stronger = sobolev_norm(system, T, stronger)
+        n_base = sobolev_norm(T, base)
+        n_stronger = sobolev_norm(T, stronger)
         if n_base > 0.0:
             excess = (n_base - n_stronger) / n_base
             worst_mono = max(worst_mono, excess)
             if excess > monotone_tol:
                 mono_viol += 1
-        n_hom = sobolev_norm(system, T, hom)
+        n_hom = sobolev_norm(T, hom)
         if n_base > 0.0:
             excess = (n_hom - n_base) / n_base
             worst_dom = max(worst_dom, excess)
@@ -214,7 +214,7 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
 def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
     p_prime = conjugate_exponent(p)
     q_prime = conjugate_exponent(p_prime)
-    bound = pairing_analytic_bound(system, p, s, weight, sign)
+    bound = pairing_analytic_bound(p, s, weight, sign)
     worst = 0.0
     skipped = 0
     for k in range(trials):
@@ -254,11 +254,11 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
     ratios_alternate = [] if exponents.beta_alternate_defined else None
     for k in range(trials):
         T = operator_oracle(oracle_rng(seed, k), system.N)
-        snorm = sobolev_norm(system, T, spec)
+        snorm = sobolev_norm(T, spec)
         if snorm == 0.0:
             out["skipped"] += 1
             continue
-        f_sigma = l_q_norm(qft_forward(system, T), sigma)
+        f_sigma = l_q_norm(qft_forward(T), sigma)
         link1 = f_sigma / (m_norm * snorm)
         max_link1 = max(max_link1, link1)
         out["link1_violations"] += bool(link1 > 1.0 + 1e-12)
@@ -856,7 +856,7 @@ class TestReplay:
         system = make_weyl_system(8)
         for rep in verify_hausdorff_young(system, EXPONENTS, "forward", 100, 0):
             (T,) = streams.replay((partial(streams.OperatorReads, 8),), 0, rep.witness_index)
-            transformed = lq_table_norm(qft_forward(system, T).values, rep.q, system.group.dual_mass)
+            transformed = lq_table_norm(qft_forward(T).values, rep.q, system.group.dual_mass)
             ratio = transformed / lq_table_norm(singular_values(T), rep.p, 1.0)
             assert ratio[0] == rep.worst_ratio, rep.p
 
@@ -872,13 +872,13 @@ class TestStackedKernels:
         fs = np.stack([phase_table_oracle(oracle_rng(N, k), N * N) for k in range(7)])
         stacked_f = PhaseFunction(system.group, fs)
         svals = singular_values(Ts)
-        forward = qft_forward(system, Ts).values
+        forward = qft_forward(Ts).values
         inverse = qft_inverse(system, stacked_f)
         norms = lq_table_norm(fs, 4.0 / 3.0, 0.5)
         pairings = trace_pairing(Ts[:, None], Ts)
         for k in range(7):
             assert np.array_equal(svals[k], singular_values(Ts[k]))
-            assert np.array_equal(forward[k], qft_forward(system, Ts[k]).values)
+            assert np.array_equal(forward[k], qft_forward(Ts[k]).values)
             assert np.array_equal(inverse[k], qft_inverse(system, PhaseFunction(system.group, fs[k])))
             assert norms[k] == lq_table_norm(fs[k], 4.0 / 3.0, 0.5)
             for j in range(7):
