@@ -16,7 +16,6 @@ from qsobolev.sobolev import (
     make_weight_euclidean,
     nondegeneracy_check,
     pairing_bound_estimate,
-    phi_isometry_check,
     sobolev_norm,
 )
 from qsobolev.weyl import make_weyl_system, weyl_operator
@@ -35,7 +34,6 @@ for label, op in [
     ("corner unit E_00", np.eye(8, dtype=complex)[:, [0]] @ np.eye(8)[[0], :]),
 ]:
     print(f"  {label:18s} {sobolev_norm(op, spec):10.6f}")
-print(f"weighted-map isometry deviation over 100 draws: {phi_isometry_check(system, spec, 100, 3):.2e}")
 print()
 
 # The dual side at p = 4: p' = 4/3, and the generator's norm is taken at q' = p = 4.

@@ -1,4 +1,4 @@
-"""Quantum Sobolev norms, the weighted-transform isometry, and the duality side.
+"""Quantum Sobolev norms and their duality side.
 
 A weight is a strictly positive table on the N^2-point dual; the Sobolev norm
 of an operator is the weighted L^q norm of its phase-space transform, with
@@ -23,7 +23,7 @@ from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
 from .linalg import schatten_norm, trace_pairing
 from .qft import conjugate_exponent, qft_forward, qft_inverse
 from .streams import OperatorReads, ScalarReads, TableReads, kept_ratios, run_trials, worst_trial
-from .weyl import EXHAUSTIVE_MAX_N, WeylSystem, weyl_operator
+from .weyl import EXHAUSTIVE_MAX_N, WeylSystem
 
 #: Relative slack of the s-monotonicity and homogeneous-dominance counts.
 MONOTONE_TOL = 1e-12
@@ -135,24 +135,6 @@ def transform_norm(f: PhaseFunction, spec: SobolevSpec, order: float, homogeneou
 def sobolev_norm(T, spec: SobolevSpec) -> float:
     """Weighted L^q norm of the phase-space transform of ``T``; zero iff T = 0."""
     return transform_norm(qft_forward(T), spec, spec.s, spec.homogeneous)
-
-
-def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed: int) -> float:
-    """Worst | ||Phi(T)||_Lq - ||gamma_s * tr(T pi(.)^*)||_Lq | over random operators.
-
-    Two independent routes to the same norm: ``sobolev_norm`` through the FFT
-    transform, and the weighted per-point trace pairings against explicitly
-    built Weyl operators.  Costs O(trials * N^4); meant for small N.
-    """
-    weyl = np.stack([weyl_operator(system, xi) for xi in system.group.coordinates.T.tolist()])
-
-    def measure(T):
-        via_fft = sobolev_norm(T, spec)
-        pairings = PhaseFunction(system.group, trace_pairing(T[:, None], weyl))
-        return (np.abs(transform_norm(pairings, spec, spec.s, spec.homogeneous) - via_fft),)
-
-    (deviations,) = run_trials(system.N, trials, seed, (partial(OperatorReads, system.N),), measure)
-    return worst_trial(deviations)[0]
 
 
 def make_test_element(

@@ -32,12 +32,12 @@ from qsobolev.sobolev import (
     make_weight_euclidean,
     nondegeneracy_check,
     pairing_bound_estimate,
-    phi_isometry_check,
     verify_norm_axioms,
 )
 from qsobolev.weyl import check_axioms, make_weyl_system, weyl_operator
 
 from draw_oracles import operator_oracle
+from transform_oracles import phi_isometry_check
 
 SEED = 20240901
 

@@ -465,6 +465,17 @@ class TestExtremeInputs:
             results = json.loads((tmp_path / "exponents_report.json").read_text())["results"]
             assert results["holder_identity_error"] <= 1e-15 and finite_floats(results), alpha
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="the order -s multiplier underflows to 0 on part of the grid, so the rank "
+                              "reads short; ROADMAP item 4")
+    @pytest.mark.parametrize("N, s", [("8", "616"), ("16", "400")])
+    def test_underflowing_multiplier_keeps_full_rank(self, N, s, monkeypatch, tmp_path, capsys):
+        # The delta family's Gram is diag(N (m/N)^2), full rank in exact arithmetic.
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["pairing", "--N", N, "--s", s, "--sign", "-1", "--trials", "3"])
+        (nondegeneracy,) = json.loads((tmp_path / "pairing_report.json").read_text())["results"]["nondegeneracy"]
+        assert code == 0 and nondegeneracy["full_rank"]
+
     def test_huge_alpha_names_the_finite_sigma(self, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli.main(EMBED + ["--alpha", "1e308"]) == 2

@@ -22,10 +22,11 @@ from qsobolev.sobolev import (
     make_weight_euclidean,
     nondegeneracy_check,
     pairing_bound_estimate,
-    phi_isometry_check,
     verify_norm_axioms,
 )
 from qsobolev.weyl import make_weyl_system
+
+from transform_oracles import phi_isometry_check
 
 
 def _spec(system):

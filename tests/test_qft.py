@@ -20,6 +20,7 @@ from qsobolev.streams import OPERATOR_ENSEMBLES, PHASE_ENSEMBLES, OperatorReads,
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
 from draw_oracles import operator_oracle, phase_table_oracle
+from transform_oracles import oracle_forward, oracle_inverse
 
 
 @pytest.fixture(scope="module")
@@ -30,19 +31,6 @@ def sys4():
 def grid_points(N):
     """Row-major (a, b) tuples: the point at flat index a*N + b."""
     return [(a, b) for a in range(N) for b in range(N)]
-
-
-def oracle_forward(system, T):
-    """Operator-sum form of the forward transform: tr(T pi(xi)^*) point by point."""
-    return np.array([np.vdot(weyl_operator(system, xi), T) for xi in grid_points(system.N)])
-
-
-def oracle_inverse(system, values):
-    """Operator-sum form of the inverse transform: sum_xi f(xi) pi(xi) / N."""
-    T = np.zeros((system.N, system.N), dtype=np.complex128)
-    for v, xi in zip(values, grid_points(system.N)):
-        T += v * weyl_operator(system, xi)
-    return T / system.N
 
 
 def assert_close_rel(got, ref, rel=1e-13):

@@ -20,13 +20,13 @@ from qsobolev.sobolev import (
     nondegeneracy_check,
     pairing_analytic_bound,
     pairing_bound_estimate,
-    phi_isometry_check,
     sobolev_norm,
     verify_norm_axioms,
 )
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
 from draw_oracles import operator_oracle
+from transform_oracles import phi_isometry_check
 
 
 def scalar_representative(residue, order):

@@ -43,7 +43,6 @@ from qsobolev.sobolev import (
     nondegeneracy_check,
     pairing_analytic_bound,
     pairing_bound_estimate,
-    phi_isometry_check,
     sobolev_norm,
     verify_norm_axioms,
 )
@@ -51,6 +50,7 @@ from qsobolev.streams import CHUNK_BYTES, chunk_length
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
 from draw_oracles import operator_oracle, phase_table_oracle
+from transform_oracles import phi_isometry_check
 
 EXPONENTS = (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0)
 ULPS = 4

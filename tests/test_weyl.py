@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from qsobolev import weyl
+from qsobolev.linalg import trace_pairing
 from qsobolev.weyl import AXIOM_TOLERANCES, check_axioms, make_weyl_system, weyl_operator
 from qsobolev.groups import make_group
 
@@ -22,16 +24,16 @@ def grid_points(N):
 
 @pytest.fixture
 def captured_rows(monkeypatch):
-    """The multiplier rows ``check_axioms`` gets from the composition routine, in order."""
+    """The (multipliers, residuals) rows ``check_axioms`` gets from the composition routine, in order."""
     rows = []
-    compose = weyl._compose
+    compose_row = weyl._compose_row
 
-    def spy(left, right, target):
-        c, residuals = compose(left, right, target)
-        rows.append(np.array(c))
+    def spy(*args):
+        c, residuals = compose_row(*args)
+        rows.append((np.array(c), np.array(residuals)))
         return c, residuals
 
-    monkeypatch.setattr(weyl, "_compose", spy)
+    monkeypatch.setattr(weyl, "_compose_row", spy)
     return rows
 
 
@@ -42,7 +44,7 @@ def multiplier_table(captured_rows):
     def table(system):
         captured_rows.clear()
         check_axioms(system)
-        m = np.stack(captured_rows).reshape((system.N,) * 4)
+        m = np.stack([c for c, _ in captured_rows]).reshape((system.N,) * 4)
         return lambda x, y: complex(m[(*x, *y)])
 
     return table
@@ -281,28 +283,24 @@ class TestCheckAxioms:
         assert flipped == {axiom: passed and axiom not in axioms for axiom, passed in default.items()}
 
 
-def axioms_loop(system):
-    """The multiplier table and residuals as ``check_axioms`` once built them, pair by pair.
+def dense_compose(left, right, target):
+    """Multipliers and residuals of ``left @ right = c * target`` from the dense products.
 
-    One ``np.vdot`` and one ``np.linalg.norm`` per pair, one norm per operator:
-    the oracle of the stacked composition routine.
+    ``c = tr(target^* left right) / N`` is the trace pairing of the product
+    with the target, and the residual is the Frobenius norm of ``left @ right
+    - c * target``; leading axes broadcast.  For Weyl operators with ``target
+    = pi(x + y)`` these are ``m(x, y)`` and the deviation of the composition
+    identity: N^3 work per pair, the oracle of ``weyl._compose_row``.
     """
-    N = system.N
-    group = system.group
-    K = group.size
-    ops = [weyl_operator(system, p) for p in group.coordinates.T.tolist()]
-    sum_idx = group.sum_index()
-    m = np.empty((K, K), dtype=np.complex128)
-    comp_res = np.empty((K, K))
-    for i in range(K):
-        for j in range(K):
-            prod = ops[i] @ ops[j]
-            target = ops[sum_idx[i, j]]
-            c = np.vdot(target, prod) / N
-            m[i, j] = c
-            comp_res[i, j] = np.linalg.norm(prod - c * target)
-    unit_dev = np.array([np.linalg.norm(op.conj().T @ op - np.eye(N)) for op in ops])
-    return m, comp_res, unit_dev
+    products = left @ right
+    c = trace_pairing(products, target) / target.shape[-1]
+    products -= c[..., None, None] * target
+    return c, np.linalg.norm(products, axis=(-2, -1))
+
+
+def operator_stack(system):
+    """All N^2 operators of ``system``, in the flat order of its grid."""
+    return np.stack([weyl_operator(system, p) for p in system.group.coordinates.T.tolist()])
 
 
 def first_worst(values):
@@ -311,16 +309,39 @@ def first_worst(values):
     return values.flat[flat], np.unravel_index(flat, values.shape)
 
 
-class TestStackedComposition:
-    """``check_axioms`` on one operator stack against the per-pair loop it replaced."""
+class TestFormComposition:
+    """The multiplier table composed on the operators' forms, against the dense products."""
+
+    @pytest.mark.parametrize("convention", ["standard", "symmetric"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 16])
+    def test_matches_dense_oracle(self, N, convention, captured_rows, monkeypatch):
+        system = make_weyl_system(N, convention)
+        report = check_axioms(system)
+        m = np.stack([c for c, _ in captured_rows])
+        residuals = np.stack([r for _, r in captured_rows])
+
+        # The same report with every row of the table from the dense products.
+        stack = operator_stack(system)
+        monkeypatch.setattr(weyl, "_compose_row",
+                            lambda columns, phases, off, i, targets: dense_compose(stack[i], stack, stack[targets]))
+        oracle = check_axioms(system)
+        dense = [dense_compose(stack[i], stack, stack[targets]) for i, targets in enumerate(system.group.sum_index())]
+        np.testing.assert_allclose(m, np.stack([c for c, _ in dense]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(residuals, np.stack([r for _, r in dense]), rtol=0, atol=1e-15)
+        assert [c.axiom for c in report.checks] == [c.axiom for c in oracle.checks]
+        for got, want in zip(report.checks, oracle.checks):
+            assert got.passed == want.passed, got.axiom
+            assert got.worst_deviation == pytest.approx(want.worst_deviation, rel=0, abs=1e-15), got.axiom
 
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8])
-    def test_matches_per_pair_loop(self, N, convention, captured_rows):
+    def test_rows_read_the_table(self, N, convention, captured_rows):
+        # Each row recomputed from the captured table and residuals, pair by
+        # pair in numpy, and the unitarity row one operator at a time.
         system = make_weyl_system(N, convention)
-        m, comp_res, unit_dev = axioms_loop(system)
         report = check_axioms(system)
-        np.testing.assert_array_equal(np.stack(captured_rows).view(np.float64), m.view(np.float64))
+        m = np.stack([c for c, _ in captured_rows])
+        residuals = np.stack([r for _, r in captured_rows])
 
         def point(i):
             return list(divmod(int(i), N))
@@ -334,6 +355,7 @@ class TestStackedComposition:
         group = system.group
         neg = group.neg_index()
         sum_idx = group.sum_index()
+        assert_row("composition", residuals, "xy")
         assert_row("unimodular", np.abs(np.abs(m) - 1.0), "xy")
         assert_row("inverse_conjugation", np.abs(m - np.conj(m[np.ix_(neg, neg)])), "xy")
         assert_row("inverse_conjugation_swapped", np.abs(m - np.conj(m[np.ix_(neg, neg)].T)), "xy")
@@ -343,5 +365,58 @@ class TestStackedComposition:
         assert_row("cocycle", np.abs(lhs - rhs), "xyz")
 
         # Stacked Frobenius norms sum in another order than one norm per matrix.
-        assert abs(row(report, "composition").worst_deviation - comp_res.max()) <= 1e-30
-        assert abs(row(report, "unitarity").worst_deviation - unit_dev.max()) <= 1e-30
+        unit_dev = [np.linalg.norm(op.conj().T @ op - np.eye(N)) for op in operator_stack(system)]
+        assert abs(row(report, "unitarity").worst_deviation - max(unit_dev)) <= 1e-30
+
+
+class TestFormGuards:
+    """An operator that is not one shift and one phase per row fails a named row there."""
+
+    N = 4
+    POINT = (1, 2)
+
+    def report_with(self, monkeypatch, corrupt):
+        def corrupted(system, point):
+            op = weyl_operator(system, point)
+            return corrupt(np.array(op)) if tuple(point) == self.POINT else op
+
+        monkeypatch.setattr(weyl, "weyl_operator", corrupted)
+        return check_axioms(make_weyl_system(self.N))
+
+    def test_off_form_entry_fails_composition_at_its_point(self, monkeypatch):
+        # One extra entry beside the nonzero of row 0, of modulus 1e-6.
+        def extra_entry(op):
+            column = int(np.argmax(np.abs(op[0])))
+            op[0, (column + 1) % self.N] = 1e-6
+            return op
+
+        check = row(self.report_with(monkeypatch, extra_entry), "composition")
+        assert not check.passed
+        assert list(self.POINT) in check.witness.values()
+        # The extra entry's norm enters twice: as the operator on either side, or as the target.
+        assert check.worst_deviation == pytest.approx(2e-6, rel=1e-9)
+
+    def test_phase_error_fails_composition_at_its_point(self, monkeypatch):
+        # The nonzero of row 0 turned by 1e-6 rad: still one unit-modulus entry per row.
+        def turned(op):
+            op[0] *= np.exp(1e-6j)
+            return op
+
+        report = self.report_with(monkeypatch, turned)
+        check = row(report, "composition")
+        assert not check.passed
+        assert list(self.POINT) in check.witness.values()
+        assert row(report, "unimodular").passed
+
+
+def test_memory_peak_at_the_largest_n():
+    # The table's rows are composed one at a time on the forms: no K x K x N
+    # table, which would be 16 MiB of complex values alone at N = 16.
+    system = make_weyl_system(weyl.EXHAUSTIVE_MAX_N)
+    tracemalloc.start()
+    try:
+        check_axioms(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
