@@ -20,17 +20,12 @@ from qsobolev.streams import OPERATOR_ENSEMBLES, PHASE_ENSEMBLES, OperatorReads,
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
 from draw_oracles import operator_oracle, phase_table_oracle
-from transform_oracles import oracle_forward, oracle_inverse
+from transform_oracles import grid_points, oracle_forward, oracle_inverse
 
 
 @pytest.fixture(scope="module")
 def sys4():
     return make_weyl_system(4)
-
-
-def grid_points(N):
-    """Row-major (a, b) tuples: the point at flat index a*N + b."""
-    return [(a, b) for a in range(N) for b in range(N)]
 
 
 def assert_close_rel(got, ref, rel=1e-13):

@@ -322,10 +322,14 @@ class TestFormComposition:
 
         # The same report with every row of the table from the dense products.
         stack = operator_stack(system)
-        monkeypatch.setattr(weyl, "_compose_row",
-                            lambda columns, phases, off, i, targets: dense_compose(stack[i], stack, stack[targets]))
+        dense = []
+
+        def dense_row(columns, phases, off, i, targets):
+            dense.append(dense_compose(stack[i], stack, stack[targets]))
+            return dense[-1]
+
+        monkeypatch.setattr(weyl, "_compose_row", dense_row)
         oracle = check_axioms(system)
-        dense = [dense_compose(stack[i], stack, stack[targets]) for i, targets in enumerate(system.group.sum_index())]
         np.testing.assert_allclose(m, np.stack([c for c, _ in dense]), rtol=0, atol=1e-15)
         np.testing.assert_allclose(residuals, np.stack([r for _, r in dense]), rtol=0, atol=1e-15)
         assert [c.axiom for c in report.checks] == [c.axiom for c in oracle.checks]
@@ -336,8 +340,8 @@ class TestFormComposition:
     @pytest.mark.parametrize("convention", ["standard", "symmetric"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8])
     def test_rows_read_the_table(self, N, convention, captured_rows):
-        # Each row recomputed from the captured table and residuals, pair by
-        # pair in numpy, and the unitarity row one operator at a time.
+        # Each row recomputed in numpy from the captured table and residuals,
+        # and the unitarity row one operator at a time.
         system = make_weyl_system(N, convention)
         report = check_axioms(system)
         m = np.stack([c for c, _ in captured_rows])
