@@ -18,8 +18,12 @@ parsers read flags, config-file values and defaults alike.  Every dimension
 at ``EXHAUSTIVE_MAX_N`` for the exhaustive axiom check.  ``pairing`` runs its
 exhaustive rank check only up to that same cap.
 Reports are byte-identical across runs with the same config apart from the
-single ``timestamp`` field.  The CSV report is the JSON report flattened: one
-``field,value`` row per scalar, the timestamp left out.
+single ``timestamp`` field, at a fixed BLAS thread count: the eight defaults
+read the same with one thread and with two, but at N = 128 the last bits
+move with the count (``embed --N 128 --trials 6``: ``max_link1_ratio``
+0.15051011061446543 with one thread, 0.1505101106144654 with two).  The CSV
+report is the JSON report flattened: one ``field,value`` row per scalar, the
+timestamp left out.
 """
 
 from __future__ import annotations

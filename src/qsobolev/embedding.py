@@ -29,7 +29,7 @@ import numpy as np
 from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm
 from .linalg import schatten_norm
 from .qft import conjugate_exponent, qft_forward, qft_inverse
-from .sobolev import SobolevSpec, multiplier_norm, transform_norm
+from .sobolev import SobolevSpec, weighted_norm
 from .streams import OperatorReads, kept_ratios, run_trials, worst_trial
 from .weyl import WeylSystem
 
@@ -159,7 +159,7 @@ def verify_embedding_chain(
     else:
         beta_used = beta_corrected
     # The chain constant C1: the L^alpha norm of the reciprocal multiplier, order -s.
-    m_norm = multiplier_norm(spec.weight, -spec.s, alpha, spec.homogeneous)
+    m_norm = weighted_norm(1.0, spec.weight, -spec.s, alpha, spec.homogeneous)
     betas = [beta_corrected]
     if exponents.beta_alternate_defined:
         betas.append(exponents.beta_alternate)
@@ -167,7 +167,7 @@ def verify_embedding_chain(
     def measure(T):
         f = qft_forward(T)
         return (
-            transform_norm(f, spec, spec.s, spec.homogeneous),
+            weighted_norm(f.values, spec.weight, spec.s, spec.q, spec.homogeneous),
             l_q_norm(f, sigma),
             schatten_norm(T, betas),
         )

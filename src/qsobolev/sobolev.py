@@ -112,29 +112,23 @@ def bessel_multiplier(weight: Weight, t: float, homogeneous: bool = False) -> np
     return vals
 
 
-def multiplier_norm(weight: Weight, order: float, exponent: float, homogeneous: bool = False) -> float:
-    """L^exponent norm, under the dual mass 1/N, of the order-``order`` multiplier table."""
-    multiplier = bessel_multiplier(weight, order, homogeneous)
-    return lq_table_norm(multiplier, exponent, weight.group.dual_mass)
+def weighted_norm(values, weight: Weight, order: float, q: float, homogeneous: bool = False):
+    """``||bessel_multiplier(weight, order, homogeneous) * values||_{L^q}`` under the dual mass 1/N.
 
-
-def transform_norm(f: PhaseFunction, spec: SobolevSpec, order: float, homogeneous: bool):
-    """The Sobolev norm, at ``order`` and ``homogeneous``, of the operator whose transform is ``f``.
-
-    ``||bessel_multiplier(order) * f||_{L^q}`` with the spec's weight and
-    ``q``; a stack of transforms gives a stack of norms.  The multiplier is
-    built per call: a table kept across transforms would add N^2 floats to
-    the peak of every chunk, 8 MiB at N = 1024.
+    ``values`` is a table on the weight's grid (a transform's ``.values``), a
+    stack of them (a stack of norms), or ``1.0`` for the multiplier alone.
+    The multiplier is built per call: a table kept across transforms would
+    add N^2 floats to the peak of every chunk, 8 MiB at N = 1024.
     """
-    if spec.weight.group != f.group:
+    if np.shape(values)[-1:] not in ((), (weight.group.size,)):
         raise ValueError("weight lives on a different dual group than the transform")
-    multiplied = bessel_multiplier(spec.weight, order, homogeneous) * f.values
-    return lq_table_norm(multiplied, spec.q, f.group.dual_mass)
+    multiplied = bessel_multiplier(weight, order, homogeneous) * values
+    return lq_table_norm(multiplied, q, weight.group.dual_mass)
 
 
 def sobolev_norm(T, spec: SobolevSpec) -> float:
     """Weighted L^q norm of the phase-space transform of ``T``; zero iff T = 0."""
-    return transform_norm(qft_forward(T), spec, spec.s, spec.homogeneous)
+    return weighted_norm(qft_forward(T).values, spec.weight, spec.s, spec.q, spec.homogeneous)
 
 
 def make_test_element(
@@ -202,9 +196,9 @@ def verify_norm_axioms(
     def measure(T, S, c):
         # One transform of T for the inhomogeneous norms at s and 2s and the
         # homogeneous one at s; the spec's norm is one of them.
-        fT = qft_forward(T)
+        fT = qft_forward(T).values
         orders = ((spec.s, False), (2.0 * spec.s, False), (spec.s, True))
-        n_base, n_stronger, n_hom = (transform_norm(fT, spec, *order) for order in orders)
+        n_base, n_stronger, n_hom = (weighted_norm(fT, spec.weight, t, spec.q, h) for t, h in orders)
         del fT
         return (
             n_base,
@@ -281,7 +275,7 @@ def pairing_analytic_bound(p: float, s: float, weight: Weight, sign: int) -> flo
     p_prime = conjugate_exponent(p)
     q_prime = conjugate_exponent(p_prime)
     r = 2.0 * q_prime / (q_prime - 2.0)
-    return weight.group.N ** (1.0 / p_prime - 0.5) * multiplier_norm(weight, sign * s, r)
+    return weight.group.N ** (1.0 / p_prime - 0.5) * weighted_norm(1.0, weight, sign * s, r)
 
 
 def pairing_bound_estimate(

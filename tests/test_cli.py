@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -17,8 +18,6 @@ from qsobolev.weyl import AXIOM_TOLERANCES
 
 
 def run_cli(args, cwd, env=None):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -754,6 +753,41 @@ class TestReproducibility:
         assert first_json != second_json  # the timestamp moved
         assert strip_timestamp(first_json.decode()) == strip_timestamp(second_json.decode())
         assert first_csv == second_csv
+
+    def test_defaults_do_not_depend_on_blas_threads(self, tmp_path):
+        # The eight commands at their defaults, all in one interpreter per
+        # BLAS thread count; the count must be set before numpy loads.
+        script = (
+            "import contextlib, io\n"
+            "from qsobolev import cli\n"
+            "for name in cli.COMMANDS:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main([name, '--format', 'both', '--out', name + '.json'])\n"
+            "    assert code == 0, name\n"
+        )
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=out,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(
+                {
+                    name: (
+                        strip_timestamp((out / f"{name}.json").read_text()),
+                        (out / f"{name}.csv").read_bytes(),
+                    )
+                    for name in cli.COMMANDS
+                }
+            )
+        assert len(reports[0]) == 8
+        assert reports[0] == reports[1]
 
     def test_multi_word_seed_reports_are_byte_identical(self, tmp_path):
         # 2**64 + 5 takes three 32-bit words of seed entropy.

@@ -14,7 +14,7 @@ from qsobolev.embedding import (
     verify_embedding_chain,
 )
 from qsobolev.groups import PhaseFunction, l_q_norm, make_group
-from qsobolev.sobolev import SobolevSpec, make_weight_constant, make_weight_euclidean, multiplier_norm
+from qsobolev.sobolev import SobolevSpec, make_weight_constant, make_weight_euclidean, weighted_norm
 from qsobolev.weyl import make_weyl_system
 
 
@@ -67,19 +67,19 @@ class TestMultiplierNorm:
         # gamma = 1 makes the order -2 multiplier constant 1/2; total dual mass is 4.
         dual = make_group([4, 4])
         weight = make_weight_constant(dual)
-        assert multiplier_norm(weight, -2.0, 1.0) == pytest.approx(2.0)
+        assert weighted_norm(1.0, weight, -2.0, 1.0) == pytest.approx(2.0)
 
     def test_sup_norm(self):
         dual = make_group([4, 4])
         weight = make_weight_euclidean(dual)
         expected = (1.0 + float(np.min(weight.values)) ** 2) ** (-1.0)
-        assert multiplier_norm(weight, -2.0, math.inf) == pytest.approx(expected)
+        assert weighted_norm(1.0, weight, -2.0, math.inf) == pytest.approx(expected)
 
     def test_homogeneous_brute_force(self):
         dual = make_group([4, 4])
         weight = make_weight_euclidean(dual)
         expected = sum(g ** (-1.0 * 2.0) * 0.25 for g in weight.values) ** 0.5
-        assert multiplier_norm(weight, -1.0, 2.0, homogeneous=True) == pytest.approx(expected, rel=1e-13)
+        assert weighted_norm(1.0, weight, -1.0, 2.0, homogeneous=True) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from qsobolev.groups import PhaseFunction, l_q_norm, make_group, symmetric_representative
+from qsobolev.groups import PhaseFunction, l_q_norm, lq_table_norm, make_group, symmetric_representative
 from qsobolev.linalg import trace_pairing, schatten_norm
 from qsobolev import sobolev
 from qsobolev.qft import qft_forward
@@ -22,6 +22,7 @@ from qsobolev.sobolev import (
     pairing_bound_estimate,
     sobolev_norm,
     verify_norm_axioms,
+    weighted_norm,
 )
 from qsobolev.weyl import make_weyl_system, weyl_operator
 
@@ -167,6 +168,38 @@ class TestSobolevNorm:
     def test_isometry_check(self, sys4, w4):
         spec = SobolevSpec(s=1.5, p=1.25, weight=w4)
         assert phi_isometry_check(sys4, spec, 50, 21) <= 1e-12
+
+
+class TestWeightedNorm:
+    S = 1.5
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        # Three transforms on the N = 4 dual; the first alone is the single table.
+        rng = np.random.default_rng(24)
+        return np.stack([qft_forward(operator_oracle(rng, 4)).values for _ in range(3)])
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize("q", [4.0 / 3.0, 4.0, math.inf])
+    @pytest.mark.parametrize("order", [S, 2.0 * S, -S])
+    def test_is_the_norm_of_the_multiplied_table(self, w4, tables, order, q, homogeneous):
+        multiplier = bessel_multiplier(w4, order, homogeneous)
+        for table in (tables[0], tables):
+            got = weighted_norm(table, w4, order, q, homogeneous)
+            expected = lq_table_norm(multiplier * table, q, 1.0 / 4.0)
+            assert np.shape(got) == np.shape(expected) and np.all(got == expected)
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize("q", [1.0, 4.0, math.inf])
+    @pytest.mark.parametrize("order", [S, -S])
+    def test_multiplier_alone(self, w4, order, q, homogeneous):
+        expected = lq_table_norm(bessel_multiplier(w4, order, homogeneous), q, w4.group.dual_mass)
+        assert weighted_norm(1.0, w4, order, q, homogeneous) == expected
+
+    @pytest.mark.parametrize("shape", [(25,), (3, 25), (16, 1)])
+    def test_table_on_another_grid_is_rejected(self, w4, shape):
+        with pytest.raises(ValueError, match="different dual group than the transform"):
+            weighted_norm(np.ones(shape), w4, self.S, 4.0)
 
 
 class TestTestFamily:

@@ -39,12 +39,12 @@ from qsobolev.sobolev import (
     bessel_multiplier,
     make_test_element,
     make_weight_euclidean,
-    multiplier_norm,
     nondegeneracy_check,
     pairing_analytic_bound,
     pairing_bound_estimate,
     sobolev_norm,
     verify_norm_axioms,
+    weighted_norm,
 )
 from qsobolev.streams import CHUNK_BYTES, chunk_length
 from qsobolev.weyl import make_weyl_system, weyl_operator
@@ -247,7 +247,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
     """The measured fields of ``verify_embedding_chain`` (default tolerances)."""
     exponents = compute_exponents(alpha, spec.q, spec.s)
     sigma = exponents.sigma
-    m_norm = multiplier_norm(spec.weight, -spec.s, alpha, spec.homogeneous)
+    m_norm = weighted_norm(1.0, spec.weight, -spec.s, alpha, spec.homogeneous)
     out = dict(skipped=0, violations=0, link1_violations=0, link2_violations=0)
     max_link1 = max_link2 = max_ratio = 0.0
     ratios_corrected = []
@@ -640,7 +640,7 @@ class TestDrawCounts:
     def test_norm_axioms_take_six_norms_per_chunk(self, homogeneous, monkeypatch):
         # Orders s, 2s and homogeneous s of T (the spec's norm is one of them),
         # then the norms of S, c T and T + S.
-        norms = _count_calls(monkeypatch, sobolev, "transform_norm")
+        norms = _count_calls(monkeypatch, sobolev, "weighted_norm")
         system = make_weyl_system(8)
         verify_norm_axioms(system, _spec(system, homogeneous), 300, 0)
         assert len(norms) == 6 * 3  # 300 trials in chunks of 128

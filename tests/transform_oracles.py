@@ -11,9 +11,8 @@ from functools import partial
 
 import numpy as np
 
-from qsobolev.groups import PhaseFunction
 from qsobolev.linalg import trace_pairing
-from qsobolev.sobolev import SobolevSpec, sobolev_norm, transform_norm
+from qsobolev.sobolev import SobolevSpec, sobolev_norm, weighted_norm
 from qsobolev.streams import OperatorReads, run_trials, worst_trial
 from qsobolev.weyl import WeylSystem, weyl_operator
 
@@ -47,8 +46,8 @@ def phi_isometry_check(system: WeylSystem, spec: SobolevSpec, trials: int, seed:
 
     def measure(T):
         via_fft = sobolev_norm(T, spec)
-        pairings = PhaseFunction(system.group, trace_pairing(T[:, None], weyl))
-        return (np.abs(transform_norm(pairings, spec, spec.s, spec.homogeneous) - via_fft),)
+        pairings = trace_pairing(T[:, None], weyl)
+        return (np.abs(weighted_norm(pairings, spec.weight, spec.s, spec.q, spec.homogeneous) - via_fft),)
 
     (deviations,) = run_trials(system.N, trials, seed, (partial(OperatorReads, system.N),), measure)
     return worst_trial(deviations)[0]
