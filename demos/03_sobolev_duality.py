@@ -9,7 +9,7 @@ family has full rank, so the pairing separates points.
 
 import numpy as np
 
-from qsobolev.groups import PhaseFunction, l_q_norm
+from qsobolev.groups import l_q_norm
 from qsobolev.sobolev import (
     SobolevSpec,
     make_test_element,
@@ -38,7 +38,7 @@ print()
 
 # The dual side at p = 4: p' = 4/3, and the generator's norm is taken at q' = p = 4.
 print("test family: W_phi = inverse transform of the weighted generator")
-phi = PhaseFunction.delta(system.group, (0, 0))
+phi = np.eye(64)[0]  # the delta at the origin (0, 0), index 0 of the 64-point dual table
 for sign in (+1, -1):
     top = make_test_element(system, 1.0, weight, phi, sign)[0, 0]
     print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {l_q_norm(phi, 4.0):.4f}")

@@ -485,7 +485,7 @@ COMMANDS: dict[str, Command] = {
          Param("trials", parse_positive_int, 100), SEED),
     ),
     "sobolev-norms": Command(
-        run_sobolev_norms, "norm axioms and the weighted-map isometry",
+        run_sobolev_norms, "norm axioms and order relations (worst_isometry_abs is 0 by construction)",
         {"homogeneity": 1e-12, "triangle": TRIANGLE_TOL, "isometry": 1e-12},
         (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), WEIGHT, Param("trials", parse_positive_int, 200), SEED),

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm
+from .groups import PhaseSpaceGrid, lq_table_norm
 from .linalg import schatten_norm
 from .qft import conjugate_exponent, qft_forward, qft_inverse
 from .sobolev import SobolevSpec, weighted_norm
@@ -167,8 +167,8 @@ def verify_embedding_chain(
     def measure(T):
         f = qft_forward(T)
         return (
-            weighted_norm(f.values, spec.weight, spec.s, spec.q, spec.homogeneous),
-            l_q_norm(f, sigma),
+            weighted_norm(f, spec.weight, spec.s, spec.q, spec.homogeneous),
+            lq_table_norm(f, sigma, system.group.dual_mass),
             schatten_norm(T, betas),
         )
 
@@ -312,14 +312,13 @@ def counterexample_run(
         eps = len(support) * system.group.dual_mass
         vals = np.zeros(system.group.size, dtype=np.complex128)
         vals[support] = eps ** (-1.0 / q)
-        a = PhaseFunction(system.group, vals)
-        T = qft_inverse(system, a)
+        T = qft_inverse(system, vals)
         points.append(
             CounterexamplePoint(
                 N=system.N,
                 set_size=len(support),
                 epsilon=eps,
-                sobolev_norm=l_q_norm(a, q),
+                sobolev_norm=lq_table_norm(vals, q, system.group.dual_mass),
                 schatten_beta_norm=schatten_norm(T, rho_prime),
             )
         )

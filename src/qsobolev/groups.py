@@ -4,9 +4,11 @@ Every Weyl system of this package lives on ``Z_N x Z_N``, whose dual is again
 an ``N x N`` grid.  Its ``N^2`` points are stored flat in row-major order,
 point ``(a, b)`` at index ``a*N + b``, and each carries the dual Haar mass
 ``1/N``, which pins the Plancherel constant of the transform to 1.  A function
-on the dual is a length-``N^2`` table in that order, so norms reduce to
-weighted vector arithmetic, and sums, negatives and distances of points are
-integer array arithmetic on the coordinates.
+on the dual is a plain complex array whose last axis is the length-``N^2``
+table in that order (leading axes hold a stack), checked by :func:`as_table`
+where it enters a kernel, as :func:`qsobolev.linalg.as_operator` checks
+operators.  So norms reduce to weighted vector arithmetic, and sums, negatives
+and distances of points are integer array arithmetic on the coordinates.
 """
 
 from __future__ import annotations
@@ -78,30 +80,14 @@ def make_group(orders: Sequence[int]) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(orders[0])
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseFunction:
-    """Complex-valued function on the dual grid, stored as a row-major table.
-
-    Leading axes of ``values`` hold a stack of functions, one table per row.
-    """
-
-    group: PhaseSpaceGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape[-1:] != (self.group.size,):
-            raise ValueError(f"value table has shape {vals.shape}, expected (..., {self.group.size})")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("phase function values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def delta(group: PhaseSpaceGrid, point, amplitude: complex = 1.0) -> "PhaseFunction":
-        a, b = group.require_point(point)
-        vals = np.zeros(group.size, dtype=np.complex128)
-        vals[a * group.N + b] = amplitude
-        return PhaseFunction(group, vals)
+def as_table(values, N: int) -> np.ndarray:
+    """Validate a table of the N x N dual grid, or a stack of them (leading axes): finite, as complex128."""
+    f = np.asarray(values, dtype=np.complex128)
+    if f.shape[-1:] != (N * N,):
+        raise ValueError(f"value table has shape {f.shape}, expected (..., {N * N})")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("table values must be finite")
+    return f
 
 
 def lq_table_norm(values: np.ndarray, q: float | Sequence[float], mass_per_point: float):
@@ -137,6 +123,13 @@ def lq_table_norm(values: np.ndarray, q: float | Sequence[float], mass_per_point
     return norms[0] if single else np.stack(norms, axis=-1)
 
 
-def l_q_norm(f: PhaseFunction, q: float):
-    """L^q norm of a phase function (or of each in a stack) under the dual mass 1/N."""
-    return lq_table_norm(f.values, q, f.group.dual_mass)
+def l_q_norm(f, q: float):
+    """L^q norm of a table on the N x N dual (or of each in a stack) under the dual mass 1/N.
+
+    N is read off the table's length N^2; a length that is not a square raises ``ValueError``.
+    """
+    size = np.shape(f)[-1] if np.ndim(f) else 0
+    N = math.isqrt(size)
+    if size == 0 or N * N != size:
+        raise ValueError(f"table length {size} is not the N^2 points of an N x N grid")
+    return lq_table_norm(as_table(f, N), q, 1.0 / N)

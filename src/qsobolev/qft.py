@@ -1,7 +1,9 @@
 """Phase-space Fourier transform of operators and its verification harnesses.
 
 The forward transform sends an operator ``T`` on C^N to the function
-``xi -> tr(T pi(xi)^*)`` on the N^2-point dual; the inverse reconstructs
+``xi -> tr(T pi(xi)^*)`` on the N^2-point dual, returned as a plain complex
+table of length N^2 (see :mod:`qsobolev.groups`); the inverse checks such a
+table with :func:`~qsobolev.groups.as_table` and reconstructs
 ``T = sum_xi f(xi) pi(xi) * mass`` with the module's dual mass ``1/N``.
 Under that normalization the transform is exactly unitary from
 Hilbert-Schmidt operators to L^2 of the dual (Plancherel constant 1), and the
@@ -17,7 +19,7 @@ support of ``pi(a, b)``: ``tr(T pi(a, b)^*)`` is the length-N DFT in ``t`` of
 ``D[a, :]`` at frequency ``b``, with no phase arithmetic at all.  A
 transform costs O(N^2 log N) time and O(N^2) memory
 (Feichtinger, Kozek & Luef, ACHA 2009; Werner, JMP 1984).  Both take a stack
-of operators or functions as well and transform it with one FFT call, and
+of operators or tables as well and transform it with one FFT call, and
 both read the diagonals through one index built once per N.
 
 The harnesses run on the trial engine of :mod:`qsobolev.streams`, which
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import PhaseFunction, PhaseSpaceGrid, l_q_norm, lq_table_norm
+from .groups import as_table, lq_table_norm
 from . import streams
 from .linalg import as_operator, schatten_norm
 from .weyl import WeylSystem
@@ -53,8 +55,8 @@ def _wrapped_diagonals(N: int) -> np.ndarray:
     return index
 
 
-def qft_forward(T) -> PhaseFunction:
-    """Transform an N x N ``T`` to ``xi -> tr(T pi(xi)^*)`` on the N x N grid; linear in T.
+def qft_forward(T) -> np.ndarray:
+    """Transform an N x N ``T`` to the table ``xi -> tr(T pi(xi)^*)`` of length N^2; linear in T.
 
     ``pi`` is the standard system; the symmetric one changes each value by a
     factor of modulus 1.  A stack of operators (leading axes) gives the stack
@@ -65,24 +67,23 @@ def qft_forward(T) -> PhaseFunction:
     lead = T.shape[:-2]
     # np.take keeps a stack C-contiguous, so each row reduces as a single table would.
     diagonals = np.take(T.reshape(*lead, N * N), _wrapped_diagonals(N), axis=-1)
-    values = np.fft.fft(diagonals, axis=-1)
-    return PhaseFunction(PhaseSpaceGrid(N), values.reshape(*lead, N * N))
+    return np.fft.fft(diagonals, axis=-1).reshape(*lead, N * N)
 
 
-def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
+def qft_inverse(system: WeylSystem, f) -> np.ndarray:
     """Reconstruct the operator ``sum_xi f(xi) pi(xi) * mass_per_dual_point``.
 
-    The operator depends on the convention, so ``system`` must be standard.
-    A stack of functions gives the stack of operators from one FFT call.
+    ``f`` is a table of length N^2 on the system's dual grid.  The operator
+    depends on the convention, so ``system`` must be standard.  A stack of
+    tables gives the stack of operators from one FFT call.
     """
     if system.convention != "standard":
         raise ValueError(f"inverse transform: standard convention only, got {system.convention!r}")
     N = system.N
-    if f.group != system.group:
-        raise ValueError(f"phase function lives on the N={f.group.N} grid, system has N={N}")
-    lead = f.values.shape[:-1]
+    f = as_table(f, N)
+    lead = f.shape[:-1]
     # norm="forward" leaves the inverse DFT unscaled: sum_b f[a, b] omega^(b t).
-    diagonals = np.fft.ifft(f.values.reshape(*lead, N, N), axis=-1, norm="forward")
+    diagonals = np.fft.ifft(f.reshape(*lead, N, N), axis=-1, norm="forward")
     T = np.empty((*lead, N * N), dtype=np.complex128)
     T[..., _wrapped_diagonals(N)] = diagonals
     del diagonals
@@ -90,14 +91,14 @@ def qft_inverse(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     return T.reshape(*lead, N, N)
 
 
-def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, transformed: PhaseFunction, values) -> tuple:
+def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, transformed: np.ndarray, values) -> tuple:
     """Residuals and norms of ``F^-1 F T`` against T and ``F F^-1 f`` against f, per trial, given ``F T``."""
     # The caller holds F T, so F^-1 F T is built last: no chunk of it lives through F F^-1 f.
-    again = qft_forward(qft_inverse(system, PhaseFunction(system.group, values)))
+    again = qft_forward(qft_inverse(system, values))
     return (
         np.linalg.norm(qft_inverse(system, transformed) - T, axis=(-2, -1)),
         np.linalg.norm(T, axis=(-2, -1)),
-        np.linalg.norm(again.values - values, axis=-1),
+        np.linalg.norm(again - values, axis=-1),
         np.linalg.norm(values, axis=-1),
     )
 
@@ -121,7 +122,7 @@ def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> dict:
     def measure(T, values):
         transformed = qft_forward(T)
         residuals = _roundtrip_residuals(system, T, transformed, values)
-        return np.abs(l_q_norm(transformed, 2.0) - residuals[1]), *residuals
+        return np.abs(lq_table_norm(transformed, 2.0, system.group.dual_mass) - residuals[1]), *residuals
 
     draw = (partial(streams.OperatorReads, system.N), partial(streams.TableReads, system.group.size))
     deviations, *residuals = streams.run_trials(system.N, trials, seed, draw, measure)
@@ -183,13 +184,13 @@ def verify_hausdorff_young(
         draw = (partial(streams.OperatorReads, system.N),)
 
         def measure(T):
-            transformed = lq_table_norm(qft_forward(T).values, qs, mass)
+            transformed = lq_table_norm(qft_forward(T), qs, mass)
             return transformed, schatten_norm(T, exponents)
     else:
         draw = (partial(streams.TableReads, system.group.size),)
 
         def measure(f):
-            inverse = qft_inverse(system, PhaseFunction(system.group, f))
+            inverse = qft_inverse(system, f)
             return schatten_norm(inverse, qs), lq_table_norm(f, exponents, mass)
 
     numerators, denominators = streams.run_trials(system.N, trials, seed, draw, measure)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from qsobolev.embedding import counterexample_run, verify_embedding_chain
-from qsobolev.groups import PhaseFunction
 from qsobolev.qft import qft_inverse, verify_hausdorff_young, verify_plancherel, verify_roundtrips
 from qsobolev.sobolev import (
     SobolevSpec,
@@ -34,7 +33,7 @@ def _spec(system):
 
 
 def _ones(system):
-    return PhaseFunction(system.group, np.ones(system.group.size))
+    return np.ones(system.group.size)
 
 
 #: The harnesses that read norms of F(T) only, each giving an ``asdict`` report.

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsobolev.groups import (
-    PhaseFunction,
     PhaseSpaceGrid,
+    as_table,
     l_q_norm,
     lq_table_norm,
     make_group,
 )
+from qsobolev.qft import qft_inverse
+from qsobolev.sobolev import make_test_element, make_weight_euclidean
+from qsobolev.weyl import make_weyl_system
 
 
 def brute_lq(values, q, mass):
@@ -116,35 +119,34 @@ class TestGroupArithmetic:
 
 
 class TestLqNorm:
-    def dual16(self):
-        # The N = 4 grid has 16 dual points of mass 1/4.
-        return make_group([4, 4])
+    # Tables of length 16 live on the N = 4 grid: 16 dual points of mass 1/4.
 
     def test_constant_one_total_mass(self):
-        g = self.dual16()
-        f = PhaseFunction(g, np.ones(16))
-        assert l_q_norm(f, 1.0) == pytest.approx(4.0)
+        assert l_q_norm(np.ones(16), 1.0) == pytest.approx(4.0)
 
     def test_constant_sup(self):
-        g = self.dual16()
-        f = PhaseFunction(g, np.ones(16))
-        assert l_q_norm(f, math.inf) == pytest.approx(1.0)
+        assert l_q_norm(np.ones(16), math.inf) == pytest.approx(1.0)
 
     def test_indicator_l2(self):
-        g = self.dual16()
         vals = np.zeros(16)
         vals[[1, 5, 11]] = 1.0
-        f = PhaseFunction(g, vals)
-        assert l_q_norm(f, 2.0) == pytest.approx(brute_lq(vals, 2.0, 0.25))
-        assert l_q_norm(f, 2.0) == pytest.approx(math.sqrt(3 * 0.25))
+        assert l_q_norm(vals, 2.0) == pytest.approx(brute_lq(vals, 2.0, 0.25))
+        assert l_q_norm(vals, 2.0) == pytest.approx(math.sqrt(3 * 0.25))
 
     def test_matches_brute_force(self):
-        g = self.dual16()
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        f = PhaseFunction(g, vals)
         for q in (0.5, 1.0, 1.7, 2.0, 4.0, math.inf):
-            assert l_q_norm(f, q) == pytest.approx(brute_lq(vals, q, 0.25), rel=1e-13)
+            assert l_q_norm(vals, q) == pytest.approx(brute_lq(vals, q, 0.25), rel=1e-13)
+
+    @pytest.mark.parametrize("N", [1, 3, 8])
+    def test_mass_is_read_off_the_length(self, N):
+        # The length N^2 gives the grid, so the mass 1/N: one table and a stack.
+        rng = np.random.default_rng(N)
+        stack = rng.standard_normal((2, N * N)) + 1j * rng.standard_normal((2, N * N))
+        for table in (stack, stack[0]):
+            for q in (1.0, 4.0 / 3.0, math.inf):
+                assert np.array_equal(l_q_norm(table, q), lq_table_norm(table, q, 1.0 / N))
 
     @pytest.mark.parametrize("q", [1.0, 8 / 7, 4 / 3, 2.0, 4.0, 8.0])
     def test_zero_skip_equals_unmasked_sum(self, q):
@@ -190,18 +192,14 @@ class TestLqNorm:
             lq_table_norm(np.ones((3, 16)), qs, 0.25)
 
     def test_rejects_bad_exponent(self):
-        g = self.dual16()
-        f = PhaseFunction(g, np.ones(16))
         with pytest.raises(ValueError):
-            l_q_norm(f, 0.0)
+            l_q_norm(np.ones(16), 0.0)
         with pytest.raises(ValueError):
-            l_q_norm(f, -1.0)
+            l_q_norm(np.ones(16), -1.0)
 
     def test_zero_function(self):
-        g = self.dual16()
-        f = PhaseFunction(g, np.zeros(16))
-        assert l_q_norm(f, 2.0) == 0.0
-        assert l_q_norm(f, math.inf) == 0.0
+        assert l_q_norm(np.zeros(16), 2.0) == 0.0
+        assert l_q_norm(np.zeros(16), math.inf) == 0.0
 
     def test_pointwise_monotone(self):
         rng = np.random.default_rng(11)
@@ -217,11 +215,8 @@ class TestLqNorm:
         st.floats(1.0, 20.0),
     )
     def test_triangle_inequality(self, u, v, q):
-        g = self.dual16()
-        fu = PhaseFunction(g, np.array(u))
-        fv = PhaseFunction(g, np.array(v))
-        fsum = PhaseFunction(g, fu.values + fv.values)
-        lhs = l_q_norm(fsum, q)
+        fu, fv = np.array(u), np.array(v)
+        lhs = l_q_norm(fu + fv, q)
         rhs = l_q_norm(fu, q) + l_q_norm(fv, q)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
@@ -239,28 +234,74 @@ class TestLqNorm:
             assert lhs <= rhs * (1.0 + 1e-12)
 
 
-class TestPhaseFunction:
+class TestAsTable:
     def test_shape_validation(self):
-        g = make_group([4, 4])
-        with pytest.raises(ValueError):
-            PhaseFunction(g, np.ones(5))
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 16\)"):
+            as_table(np.ones(5), 4)
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 16\)"):
+            as_table(np.ones((16, 1)), 4)
 
     def test_finiteness_validation(self):
-        g = make_group([2, 2])
-        with pytest.raises(ValueError):
-            PhaseFunction(g, np.array([1.0, np.nan, 0.0, 0.0]))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                as_table(np.array([1.0, bad, 0.0, 0.0]), 2)
 
-    def test_delta_and_value_at(self):
-        # The value at (a, b) sits at the row-major index a*N + b.
-        g = make_group([4, 4])
-        f = PhaseFunction.delta(g, (1, 2), amplitude=2j)
-        expected = np.zeros(16, dtype=complex)
-        expected[1 * 4 + 2] = 2j
-        assert np.array_equal(f.values, expected)
-        with pytest.raises(ValueError):
-            PhaseFunction.delta(g, (4, 0))
+    def test_returns_complex128_and_keeps_the_stack(self):
+        real = np.arange(32.0).reshape(2, 16)
+        table = as_table(real, 4)
+        assert table.dtype == np.complex128 and table.shape == (2, 16)
+        assert np.array_equal(table, real)
+        # A complex128 table comes back as the same array, not a copy.
+        assert as_table(table, 4) is table
 
     def test_haar_positivity(self):
         # The dual Haar mass is 1/N > 0 on every grid.
         for N in (1, 2, 8, 1024):
             assert make_group([N, N]).dual_mass == 1.0 / N > 0.0
+
+
+@pytest.fixture(scope="module")
+def incoming_kernels():
+    # Each kernel that takes a table from its caller, on the N = 4 grid (length 16).
+    system = make_weyl_system(4)
+    weight = make_weight_euclidean(system.group)
+    return {
+        "qft_inverse": lambda f: qft_inverse(system, f),
+        "make_test_element": lambda f: make_test_element(system, 1.0, weight, f),
+        "l_q_norm": lambda f: l_q_norm(f, 4.0),
+    }
+
+
+def _nan_table(length):
+    table = np.ones(length, dtype=np.complex128)
+    table[5] = complex(1.0, np.nan)
+    return table
+
+
+def _shape_message(length):
+    return rf"shape \((3, )?{length},?\), expected \(\.\.\., 16\)"
+
+
+#: (kernel, defect, table, message); every table is checked alone and in a stack of three.
+INCOMING_DEFECTS = [
+    *((kernel, "other-grid", np.ones(25), _shape_message(25)) for kernel in ("qft_inverse", "make_test_element")),
+    ("l_q_norm", "empty", np.ones(0), r"table length 0 is not the N\^2 points"),
+    *((kernel, "nan", _nan_table(16), "finite") for kernel in ("qft_inverse", "make_test_element", "l_q_norm")),
+    *((kernel, "not-square", np.ones(15), _shape_message(15)) for kernel in ("qft_inverse", "make_test_element")),
+    ("l_q_norm", "not-square", np.ones(15), r"table length 15 is not the N\^2 points"),
+]
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize(
+    "kernel, table, message",
+    [case[:1] + case[2:] for case in INCOMING_DEFECTS],
+    ids=[f"{case[0]}-{case[1]}" for case in INCOMING_DEFECTS],
+)
+def test_kernels_check_incoming_tables(incoming_kernels, kernel, table, message, stack):
+    if stack:
+        table = np.stack([np.ones_like(table), table, np.ones_like(table)])
+    with pytest.raises(ValueError, match=message):
+        incoming_kernels[kernel](table)
+    # The same kernel takes a valid table of the same rank.
+    assert np.all(np.isfinite(incoming_kernels[kernel](np.ones(table.shape[:-1] + (16,)))))

@@ -21,7 +21,7 @@ import pytest
 
 from qsobolev import cli, embedding, linalg, qft, sobolev, streams
 from qsobolev.embedding import compute_exponents, verify_embedding_chain
-from qsobolev.groups import PhaseFunction, l_q_norm, lq_table_norm
+from qsobolev.groups import l_q_norm, lq_table_norm
 from qsobolev.linalg import as_operator, schatten_norm, singular_values, trace_pairing
 from qsobolev.qft import (
     HausdorffYoungReport,
@@ -88,11 +88,11 @@ def roundtrips_loop(system, trials, seed):
         if norm_T > 0.0:
             back = qft_inverse(system, qft_forward(T))
             worst_op = max(worst_op, np.linalg.norm(back - T) / norm_T)
-        f = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
-        norm_f = np.linalg.norm(f.values)
+        f = phase_table_oracle(rng, system.group.size)
+        norm_f = np.linalg.norm(f)
         if norm_f > 0.0:
             again = qft_forward(qft_inverse(system, f))
-            worst_fn = max(worst_fn, np.linalg.norm(again.values - f.values) / norm_f)
+            worst_fn = max(worst_fn, np.linalg.norm(again - f) / norm_f)
     return {"operator_roundtrip": worst_op, "function_roundtrip": worst_fn}
 
 
@@ -111,7 +111,7 @@ def hausdorff_young_loop(system, p, direction, trials, seed):
                 continue
             ratio = l_q_norm(qft_forward(T), q) / denom
         else:
-            f = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
+            f = phase_table_oracle(rng, system.group.size)
             denom = l_q_norm(f, p)
             if denom == 0.0:
                 skipped += 1
@@ -177,7 +177,7 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
             if excess > triangle_tol:
                 tri_viol += 1
         f = qft_forward(T)
-        weighted = PhaseFunction(f.group, bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f.values)
+        weighted = bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f
         worst_iso = max(worst_iso, abs(l_q_norm(weighted, spec.q) - nT))
         n_base = sobolev_norm(T, base)
         n_stronger = sobolev_norm(T, stronger)
@@ -220,7 +220,7 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
     for k in range(trials):
         rng = oracle_rng(seed, k)
         T = operator_oracle(rng, system.N)
-        phi = PhaseFunction(system.group, phase_table_oracle(rng, system.group.size))
+        phi = phase_table_oracle(rng, system.group.size)
         W = make_test_element(system, s, weight, phi, sign)
         denom = schatten_norm(T, p) * l_q_norm(phi, q_prime)
         if denom == 0.0:
@@ -285,8 +285,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
 def nondegeneracy_loop(system, s, weight, sign):
     """Rank of the row-scaled delta family, and its least eigenvalue times the least squared row maximum."""
     K = system.group.size
-    deltas = (PhaseFunction(system.group, row) for row in np.eye(K))
-    V = [make_test_element(system, s, weight, phi, sign).ravel() for phi in deltas]
+    V = [make_test_element(system, s, weight, phi, sign).ravel() for phi in np.eye(K)]
     tops = [max(abs(x) for x in row) for row in V]
     scaled = np.array([[complex(x.real / top, x.imag / top) for x in row] for row, top in zip(V, tops)])
     eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
@@ -856,7 +855,7 @@ class TestReplay:
         system = make_weyl_system(8)
         for rep in verify_hausdorff_young(system, EXPONENTS, "forward", 100, 0):
             (T,) = streams.replay((partial(streams.OperatorReads, 8),), 0, rep.witness_index)
-            transformed = lq_table_norm(qft_forward(T).values, rep.q, system.group.dual_mass)
+            transformed = lq_table_norm(qft_forward(T), rep.q, system.group.dual_mass)
             ratio = transformed / lq_table_norm(singular_values(T), rep.p, 1.0)
             assert ratio[0] == rep.worst_ratio, rep.p
 
@@ -870,16 +869,15 @@ class TestStackedKernels:
         system = make_weyl_system(N)
         Ts = np.stack([operator_oracle(oracle_rng(N, k), N) for k in range(7)])
         fs = np.stack([phase_table_oracle(oracle_rng(N, k), N * N) for k in range(7)])
-        stacked_f = PhaseFunction(system.group, fs)
         svals = singular_values(Ts)
-        forward = qft_forward(Ts).values
-        inverse = qft_inverse(system, stacked_f)
+        forward = qft_forward(Ts)
+        inverse = qft_inverse(system, fs)
         norms = lq_table_norm(fs, 4.0 / 3.0, 0.5)
         pairings = trace_pairing(Ts[:, None], Ts)
         for k in range(7):
             assert np.array_equal(svals[k], singular_values(Ts[k]))
-            assert np.array_equal(forward[k], qft_forward(Ts[k]).values)
-            assert np.array_equal(inverse[k], qft_inverse(system, PhaseFunction(system.group, fs[k])))
+            assert np.array_equal(forward[k], qft_forward(Ts[k]))
+            assert np.array_equal(inverse[k], qft_inverse(system, fs[k]))
             assert norms[k] == lq_table_norm(fs[k], 4.0 / 3.0, 0.5)
             for j in range(7):
                 assert pairings[k, j] == np.vdot(Ts[j], Ts[k])
