@@ -60,7 +60,9 @@ def qft_forward(T) -> np.ndarray:
 
     ``pi`` is the standard system; the symmetric one changes each value by a
     factor of modulus 1.  A stack of operators (leading axes) gives the stack
-    of their transforms from one FFT call.
+    of their transforms from one FFT call.  The output is not checked: an
+    operator whose transform overflows gives inf/NaN entries with numpy's
+    overflow warning, or ``FloatingPointError`` under ``errstate(over="raise")``.
     """
     T = as_operator(T)
     N = T.shape[-1]

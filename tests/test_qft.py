@@ -234,6 +234,15 @@ class TestForward:
         assert f.shape == (N * N,) and f.dtype == np.complex128
         assert_close_rel(qft_inverse(make_weyl_system(N), f), T)
 
+    def test_overflow_is_left_to_numpy(self):
+        # A finite operator whose trace, the value at the origin, overflows.
+        T = np.diag([1e308, 1e308])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in fft"):
+            f = qft_forward(T)
+        assert np.isinf(f[0]) and np.all(np.isfinite(f[1:]))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            qft_forward(T)
+
 
 class TestInverse:
     def test_delta_reconstructs_identity(self, sys4):

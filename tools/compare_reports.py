@@ -1,16 +1,16 @@
 """Compare the CLI reports and demo output of two checkouts of this repository.
 
-    python tools/compare_reports.py PARENT CHANGE [--threads N]
+    python tools/compare_reports.py PARENT CHANGE
 
 PARENT and CHANGE are repository roots, for example a ``git archive`` of the
 parent commit and the working tree.  Each run below is made once per checkout
 with ``PYTHONPATH=<checkout>/src``, in a fresh temporary directory, and with
-every BLAS thread count set to N (default 1): reports repeat byte for byte
-only at a fixed thread count (README, "BLAS threads").  A CLI run writes its
-JSON and CSV reports there; a demo run only prints.  The tool compares the
-JSON report with its ``timestamp`` line left out, the CSV report, stdout,
-stderr and the exit code.  It prints one line per run and exits 1 if any of
-them differs, 0 if every run is identical.
+one BLAS thread: reports repeat byte for byte only at a fixed thread count
+(README, "BLAS threads").  A CLI run writes its JSON and CSV reports there; a
+demo run only prints.  The tool compares the JSON report with its
+``timestamp`` line left out, the CSV report, stdout, stderr and the exit
+code.  It prints one line per run and exits 1 if any of them differs, 0 if
+every run is identical.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 TIMESTAMP_LINE = re.compile(rb'^  "timestamp": "[^"]*",?\n', re.MULTILINE)
 
 
-def run(checkout: Path, argv: list[str], threads: int) -> dict[str, bytes | int | None]:
+def run(checkout: Path, argv: list[str]) -> dict[str, bytes | int | None]:
     """One run in a fresh directory: exit code, stdout, stderr, and the reports if any."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "QSOBOLEV_OUTPUT_DIR")}
-    env |= {name: str(threads) for name in BLAS_THREAD_VARIABLES}
+    env |= {name: "1" for name in BLAS_THREAD_VARIABLES}
     env |= {"PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0].endswith(".py"):
@@ -89,12 +89,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="repository root of the parent checkout")
     parser.add_argument("change", type=Path, help="repository root of the changed checkout")
-    parser.add_argument("--threads", type=int, default=1, help="BLAS thread count of every run (default 1)")
     args = parser.parse_args(argv)
     cases = DEFAULTS + NON_DEFAULTS + [[demo] for demo in DEMOS]
     differing = 0
     for case in cases:
-        parent, change = (run(root.resolve(), case, args.threads) for root in (args.parent, args.change))
+        parent, change = (run(root.resolve(), case) for root in (args.parent, args.change))
         parts = [part for part in parent if parent[part] != change[part]]
         label = " ".join(case)
         print(f"{'same' if not parts else 'DIFFERS':8s} exit {parent['exit code']}  {label}")
