@@ -9,7 +9,7 @@ family has full rank, so the pairing separates points.
 
 import numpy as np
 
-from qsobolev.groups import l_q_norm
+from qsobolev.groups import lq_table_norm
 from qsobolev.sobolev import (
     SobolevSpec,
     make_test_element,
@@ -41,7 +41,8 @@ print("test family: W_phi = inverse transform of the weighted generator")
 phi = np.eye(64)[0]  # the delta at the origin (0, 0), index 0 of the 64-point dual table
 for sign in (+1, -1):
     top = make_test_element(system, 1.0, weight, phi, sign)[0, 0]
-    print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {l_q_norm(phi, 4.0):.4f}")
+    norm = lq_table_norm(phi, 4.0, system.group.dual_mass)
+    print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {norm:.4f}")
 print()
 
 (bound,) = pairing_bound_estimate(system, p=4.0, s=1.0, weight=weight, signs=(-1,), trials=400, seed=5)

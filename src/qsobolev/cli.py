@@ -7,7 +7,7 @@ a contract CI can consume directly:
 
 * 0 - every assertion in scope passed,
 * 1 - an assertion failed (the report is still written),
-* 2 - invalid configuration,
+* 2 - invalid input (any ``ValueError``: a flag, a config-file entry, a precondition),
 * 3 - numerical failure (LAPACK SVD non-convergence, an overflow or invalid
       operation in a harness, or a NaN result; no report is written),
 * 4 - the report could not be written.
@@ -46,7 +46,6 @@ import numpy as np
 from . import __version__
 from .embedding import (
     CHAIN_TOLERANCES,
-    PreconditionError,
     SET_SELECTORS,
     compute_exponents,
     counterexample_run,
@@ -100,10 +99,6 @@ MEMORY_BUDGET_BYTES = 2**30
 MAX_N = math.isqrt(MEMORY_BUDGET_BYTES // (16 * np.dtype(np.complex128).itemsize))
 
 
-class ConfigError(ValueError):
-    """The resolved configuration is invalid."""
-
-
 class ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error in one line, like any other invalid input, and exits 2.
 
@@ -127,11 +122,11 @@ def parse_real(text) -> float:
     try:
         value = float(num) / (float(den) if sep else 1.0)
     except ZeroDivisionError:
-        raise ConfigError(f"zero denominator in {str(text).strip()!r}") from None
+        raise ValueError(f"zero denominator in {str(text).strip()!r}") from None
     except ValueError:
-        raise ConfigError(f"expected a real number, got {str(text).strip()!r}") from None
+        raise ValueError(f"expected a real number, got {str(text).strip()!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"expected a finite real number, got {str(text).strip()!r}")
+        raise ValueError(f"expected a finite real number, got {str(text).strip()!r}")
     return value
 
 
@@ -139,9 +134,9 @@ def _parse_int(text, minimum: int) -> int:
     try:
         value = int(str(text).strip())
     except ValueError:
-        raise ConfigError(f"expected an integer, got {str(text).strip()!r}") from None
+        raise ValueError(f"expected an integer, got {str(text).strip()!r}") from None
     if value < minimum:
-        raise ConfigError(f"expected an integer >= {minimum}, got {value}")
+        raise ValueError(f"expected an integer >= {minimum}, got {value}")
     return value
 
 
@@ -155,7 +150,7 @@ def dimension_at_most(limit: int, reason: str) -> Callable[[object], int]:
     def parse(text) -> int:
         N = parse_positive_int(text)
         if N > limit:
-            raise ConfigError(f"expected at most {limit} ({reason}), got {N}")
+            raise ValueError(f"expected at most {limit} ({reason}), got {N}")
         return N
 
     return parse
@@ -173,7 +168,7 @@ def parse_bool(text) -> bool:
         return True
     if val in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean from {text!r}")
+    raise ValueError(f"cannot parse boolean from {text!r}")
 
 
 def list_of(parse_item: Callable[[object], object]) -> Callable[[object], tuple]:
@@ -183,7 +178,7 @@ def list_of(parse_item: Callable[[object], object]) -> Callable[[object], tuple]
         items = text if isinstance(text, (list, tuple)) else str(text).split(",")
         values = tuple(parse_item(item) for item in items if str(item).strip())
         if not values:
-            raise ConfigError("expected a non-empty comma-separated list")
+            raise ValueError("expected a non-empty comma-separated list")
         return values
 
     return parse
@@ -198,7 +193,7 @@ class Choice:
     def __call__(self, text) -> str:
         word = str(text).strip()
         if word not in self.options:
-            raise ConfigError(f"expected one of {', '.join(self.options)}, got {word!r}")
+            raise ValueError(f"expected one of {', '.join(self.options)}, got {word!r}")
         return word
 
 
@@ -215,8 +210,8 @@ class Param:
         """The typed value of a flag, a config-file entry or the default."""
         try:
             return self.parse(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{self.name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -253,13 +248,13 @@ def load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         entries[key.strip().replace("-", "_")] = value.strip()
     return entries
@@ -305,9 +300,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.config:
         for key, value in load_config_file(args.config).items():
             if key in ("tol", "config"):
-                raise ConfigError(f"config key {key!r} is only available as a flag")
+                raise ValueError(f"config key {key!r} is only available as a flag")
             if key not in params:
-                raise ConfigError(f"unknown config key {key!r} for command {args.command}")
+                raise ValueError(f"unknown config key {key!r} for command {args.command}")
             raw[key] = value
     for name in params:
         flag = getattr(args, name)
@@ -315,16 +310,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raw[name] = flag
     resolved = {name: params[name].read(value) for name, value in raw.items()}
     if resolved["format"] == "both" and Path(resolved["out"]).suffix == ".csv":
-        raise ConfigError(
+        raise ValueError(
             f"out: --format both would write the JSON and the CSV report to one path, {resolved['out']}"
         )
     tolerances = dict(command.tolerances)
     for item in args.tol or ():
         if "=" not in item:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
+            raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         if name not in tolerances:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown tolerance {name!r} for {args.command}; available: {sorted(tolerances)}"
             )
         tolerances[name] = parse_real(value)
@@ -444,7 +439,7 @@ def run_counterexample(config: dict):
     dims = config["N"]
     sizes = config["sizes"]
     if len(sizes) != len(dims):
-        raise ConfigError("--sizes must list one set size per entry of --N")
+        raise ValueError("--sizes must list one set size per entry of --N")
     tol = config["tolerances"]
     report = counterexample_run(
         [make_weyl_system(n) for n in dims], config["q"], config["rho"], config["selector"], sizes
@@ -524,7 +519,8 @@ COMMANDS: dict[str, Command] = {
          Param("sizes", list_of(parse_positive_int), (8, 4, 2, 1, 1, 1),
                "comma list of set sizes, aligned with --N"),
          Param("q", parse_real, 4.0), Param("rho", parse_real, 8.0),
-         Param("selector", Choice(tuple(SET_SELECTORS)), "subgroup")),
+         Param("selector", Choice(tuple(SET_SELECTORS)), "subgroup",
+               "lex and ball leave the scaling law at the default sizes: exit 1 by design")),
     ),
 }
 
@@ -602,7 +598,7 @@ def main(argv=None) -> int:
         # Ahead of the ValueError clause: LinAlgError subclasses ValueError.
         print(f"numerical kernel failure: {exc}", file=_sys.stderr)
         return 3
-    except (ConfigError, PreconditionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=_sys.stderr)
         return 2
     try:

@@ -9,7 +9,8 @@ Schatten exponent ``beta`` are carried side by side: ``beta_corrected``,
 forced by the Hoelder identity ``1/sigma = 1/alpha + 1/q``, and
 ``beta_alternate = alpha q / (alpha (q - 1) - s)``, the closed form obtained
 by substituting ``sigma = alpha q / (alpha + s)`` instead; assertions gate
-only the corrected choice while both ratio distributions are recorded.
+only the corrected choice while both ratio distributions are recorded.  A
+failed hypothesis raises ``ValueError``, like any other invalid input.
 
 ``counterexample_run`` builds normalized indicator generators on shrinking
 dual sets and tracks the growth of the conjugate Schatten norm of their
@@ -32,10 +33,6 @@ from .qft import conjugate_exponent, qft_forward, qft_inverse
 from .sobolev import SobolevSpec, weighted_norm
 from .streams import OperatorReads, kept_ratios, run_trials, worst_trial
 from .weyl import WeylSystem
-
-
-class PreconditionError(ValueError):
-    """A stated hypothesis of the embedding chain fails for the requested exponents."""
 
 
 #: Default relative slack of each link and of the composite bound, by ``--tol`` name.
@@ -144,7 +141,7 @@ def verify_embedding_chain(
         raise ValueError(f"beta_choice must be 'corrected' or 'alternate', got {beta_choice!r}")
     exponents = compute_exponents(alpha, spec.q, spec.s)
     if not exponents.sigma_in_range:
-        raise PreconditionError(
+        raise ValueError(
             f"hypothesis 1 < sigma <= 2 fails: sigma = {exponents.sigma} "
             f"for alpha={alpha}, q={spec.q} (p={spec.p})"
         )
@@ -152,7 +149,7 @@ def verify_embedding_chain(
     beta_corrected = exponents.beta_corrected
     if beta_choice == "alternate":
         if not exponents.beta_alternate_defined:
-            raise PreconditionError(
+            raise ValueError(
                 f"hypothesis alpha (q - 1) > s fails: alpha={alpha}, q={spec.q}, s={spec.s}"
             )
         beta_used = exponents.beta_alternate

@@ -7,8 +7,9 @@ point ``(a, b)`` at index ``a*N + b``, and each carries the dual Haar mass
 on the dual is a plain complex array whose last axis is the length-``N^2``
 table in that order (leading axes hold a stack), checked by :func:`as_table`
 where it enters a kernel, as :func:`qsobolev.linalg.as_operator` checks
-operators.  So norms reduce to weighted vector arithmetic, and sums, negatives
-and distances of points are integer array arithmetic on the coordinates.
+operators.  So norms reduce to weighted vector arithmetic, each through
+:func:`lq_table_norm` at the grid's ``dual_mass``, and sums, negatives and
+distances of points are integer array arithmetic on the coordinates.
 """
 
 from __future__ import annotations
@@ -122,14 +123,3 @@ def lq_table_norm(values: np.ndarray, q: float | Sequence[float], mass_per_point
         norms.append(top if math.isinf(e) else top * root)
     return norms[0] if single else np.stack(norms, axis=-1)
 
-
-def l_q_norm(f, q: float):
-    """L^q norm of a table on the N x N dual (or of each in a stack) under the dual mass 1/N.
-
-    N is read off the table's length N^2; a length that is not a square raises ``ValueError``.
-    """
-    size = np.shape(f)[-1] if np.ndim(f) else 0
-    N = math.isqrt(size)
-    if size == 0 or N * N != size:
-        raise ValueError(f"table length {size} is not the N^2 points of an N x N grid")
-    return lq_table_norm(as_table(f, N), q, 1.0 / N)

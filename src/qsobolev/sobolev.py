@@ -136,9 +136,9 @@ def make_test_element(system: WeylSystem, s: float, weight: Weight, phi, sign: i
 
     ``phi`` is a table on the system's N x N dual grid, checked by
     :func:`~qsobolev.groups.as_table`; a stack of them gives a stack of
-    operators.  The defining norm of W_phi is ``l_q_norm(phi, q')`` at the
-    dual side's Fourier exponent q'.  The weight sign is an explicit caller
-    choice (+1 or -1); -1 is the default used by the duality harnesses.
+    operators.  W_phi's defining norm is ``lq_table_norm(phi, q', dual_mass)``
+    at the dual side's Fourier exponent q'.  The weight sign is an explicit
+    caller choice (+1 or -1); -1 is the default used by the duality harnesses.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qsobolev.embedding import compute_exponents, counterexample_run, verify_embedding_chain
-from qsobolev.groups import l_q_norm
+from qsobolev.groups import lq_table_norm
 from qsobolev.linalg import schatten_norm, singular_values
 from qsobolev.qft import (
     conjugate_exponent,
@@ -79,7 +79,7 @@ def test_criterion_2_hausdorff_young():
             for k in range(N):
                 E = np.zeros((N, N), dtype=complex)
                 E[j, k] = 1.0
-                ratio = l_q_norm(qft_forward(E), math.inf) / schatten_norm(E, 1.0)
+                ratio = lq_table_norm(qft_forward(E), math.inf, 1.0 / N) / schatten_norm(E, 1.0)
                 worst = max(worst, ratio)
     report(
         2,

@@ -542,6 +542,23 @@ class TestInputValidation:
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
         assert message in err, err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["embed", "--beta-choice", "alternate", "--s", "5", "--alpha", "1.5"],
+             "hypothesis alpha (q - 1) > s fails: alpha=1.5, q=4.000000000000001, s=5.0"),
+            (["counterexample", "--N", "8,16", "--sizes", "8"],
+             "--sizes must list one set size per entry of --N"),
+        ],
+        ids=["alternate-beta-hypothesis", "sizes-per-N"],
+    )
+    def test_rejection_after_parsing_is_one_exact_line(self, argv, message, monkeypatch, tmp_path, capsys):
+        # Raised once every value has parsed: by the harness, or by the command across two values.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"invalid configuration: {message}\n")
+        assert not list(tmp_path.iterdir())
+
     def test_non_finite_real_in_config_file_exits_2(self, monkeypatch, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q = inf\n")
@@ -641,17 +658,17 @@ class TestDimensionCap:
             N.read(N.default)
             if name == "counterexample":
                 assert N.read("8,8,8,8,16,32,64,128,256,512,1024")[-1] == 1024
-                with pytest.raises(cli.ConfigError, match="^N:"):
+                with pytest.raises(ValueError, match="^N:"):
                     N.read(f"8,{cli.MAX_N + 1}")
             elif name == "axioms":
                 # The exhaustive check has its own, smaller cap.
                 assert N.read("16") == 16
-                with pytest.raises(cli.ConfigError, match="^N: expected at most 16 "):
+                with pytest.raises(ValueError, match="^N: expected at most 16 "):
                     N.read("17")
             else:
                 assert N.read("128") == 128 and N.read("1024") == 1024
                 assert N.read(str(cli.MAX_N)) == cli.MAX_N
-                with pytest.raises(cli.ConfigError, match="^N:"):
+                with pytest.raises(ValueError, match="^N:"):
                     N.read(str(cli.MAX_N + 1))
 
 

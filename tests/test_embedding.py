@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsobolev.embedding import (
-    PreconditionError,
     SET_SELECTORS,
     ball_points,
     compute_exponents,
@@ -13,7 +12,7 @@ from qsobolev.embedding import (
     subgroup_points,
     verify_embedding_chain,
 )
-from qsobolev.groups import l_q_norm, make_group
+from qsobolev.groups import lq_table_norm, make_group
 from qsobolev.sobolev import SobolevSpec, make_weight_constant, make_weight_euclidean, weighted_norm
 from qsobolev.weyl import make_weyl_system
 
@@ -129,13 +128,13 @@ class TestEmbeddingChain:
     def test_sigma_precondition(self, setup):
         system, weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
-        with pytest.raises(PreconditionError, match="sigma"):
+        with pytest.raises(ValueError, match="sigma"):
             verify_embedding_chain(system, spec, alpha=1e9, trials=5, seed=0)
 
     def test_alternate_beta_precondition(self, setup):
         system, weight = setup
         spec = SobolevSpec(s=5.0, p=4.0 / 3.0, weight=weight)
-        with pytest.raises(PreconditionError, match="alpha"):
+        with pytest.raises(ValueError, match="alpha"):
             verify_embedding_chain(
                 system, spec, alpha=1.5, beta_choice="alternate", trials=5, seed=0
             )
@@ -214,15 +213,15 @@ class TestCounterexample:
 
         vals = np.zeros(256, dtype=complex)
         vals[0] = (1.0 / 16.0) ** (-0.25)
-        assert l_q_norm(vals, 8.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert lq_table_norm(vals, 8.0, 1.0 / 16.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_full_support_flat_case(self):
         # E = whole dual: eps = N and ||a||_rho = eps^(1/rho - 1/q) is the
         # smallest generator norm in any sweep.
         eps = 4.0
         vals = np.full(16, eps ** (-0.25), dtype=complex)
-        assert l_q_norm(vals, 4.0) == pytest.approx(1.0, abs=1e-13)
-        assert l_q_norm(vals, 8.0) == pytest.approx(eps ** (1.0 / 8.0 - 1.0 / 4.0), rel=1e-13)
+        assert lq_table_norm(vals, 4.0, 0.25) == pytest.approx(1.0, abs=1e-13)
+        assert lq_table_norm(vals, 8.0, 0.25) == pytest.approx(eps ** (1.0 / 8.0 - 1.0 / 4.0), rel=1e-13)
 
     def test_single_point_exact_law(self):
         # A one-point set gives a scalar multiple of a Weyl unitary: flat

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qsobolev.groups import (
     PhaseSpaceGrid,
     as_table,
-    l_q_norm,
     lq_table_norm,
     make_group,
 )
@@ -122,31 +121,22 @@ class TestLqNorm:
     # Tables of length 16 live on the N = 4 grid: 16 dual points of mass 1/4.
 
     def test_constant_one_total_mass(self):
-        assert l_q_norm(np.ones(16), 1.0) == pytest.approx(4.0)
+        assert lq_table_norm(np.ones(16), 1.0, 0.25) == pytest.approx(4.0)
 
     def test_constant_sup(self):
-        assert l_q_norm(np.ones(16), math.inf) == pytest.approx(1.0)
+        assert lq_table_norm(np.ones(16), math.inf, 0.25) == pytest.approx(1.0)
 
     def test_indicator_l2(self):
         vals = np.zeros(16)
         vals[[1, 5, 11]] = 1.0
-        assert l_q_norm(vals, 2.0) == pytest.approx(brute_lq(vals, 2.0, 0.25))
-        assert l_q_norm(vals, 2.0) == pytest.approx(math.sqrt(3 * 0.25))
+        assert lq_table_norm(vals, 2.0, 0.25) == pytest.approx(brute_lq(vals, 2.0, 0.25))
+        assert lq_table_norm(vals, 2.0, 0.25) == pytest.approx(math.sqrt(3 * 0.25))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         for q in (0.5, 1.0, 1.7, 2.0, 4.0, math.inf):
-            assert l_q_norm(vals, q) == pytest.approx(brute_lq(vals, q, 0.25), rel=1e-13)
-
-    @pytest.mark.parametrize("N", [1, 3, 8])
-    def test_mass_is_read_off_the_length(self, N):
-        # The length N^2 gives the grid, so the mass 1/N: one table and a stack.
-        rng = np.random.default_rng(N)
-        stack = rng.standard_normal((2, N * N)) + 1j * rng.standard_normal((2, N * N))
-        for table in (stack, stack[0]):
-            for q in (1.0, 4.0 / 3.0, math.inf):
-                assert np.array_equal(l_q_norm(table, q), lq_table_norm(table, q, 1.0 / N))
+            assert lq_table_norm(vals, q, 0.25) == pytest.approx(brute_lq(vals, q, 0.25), rel=1e-13)
 
     @pytest.mark.parametrize("q", [1.0, 8 / 7, 4 / 3, 2.0, 4.0, 8.0])
     def test_zero_skip_equals_unmasked_sum(self, q):
@@ -193,13 +183,13 @@ class TestLqNorm:
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
-            l_q_norm(np.ones(16), 0.0)
+            lq_table_norm(np.ones(16), 0.0, 0.25)
         with pytest.raises(ValueError):
-            l_q_norm(np.ones(16), -1.0)
+            lq_table_norm(np.ones(16), -1.0, 0.25)
 
     def test_zero_function(self):
-        assert l_q_norm(np.zeros(16), 2.0) == 0.0
-        assert l_q_norm(np.zeros(16), math.inf) == 0.0
+        assert lq_table_norm(np.zeros(16), 2.0, 0.25) == 0.0
+        assert lq_table_norm(np.zeros(16), math.inf, 0.25) == 0.0
 
     def test_pointwise_monotone(self):
         rng = np.random.default_rng(11)
@@ -216,8 +206,8 @@ class TestLqNorm:
     )
     def test_triangle_inequality(self, u, v, q):
         fu, fv = np.array(u), np.array(v)
-        lhs = l_q_norm(fu + fv, q)
-        rhs = l_q_norm(fu, q) + l_q_norm(fv, q)
+        lhs = lq_table_norm(fu + fv, q, 0.25)
+        rhs = lq_table_norm(fu, q, 0.25) + lq_table_norm(fv, q, 0.25)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
     def test_holder_on_dual(self):
@@ -268,7 +258,6 @@ def incoming_kernels():
     return {
         "qft_inverse": lambda f: qft_inverse(system, f),
         "make_test_element": lambda f: make_test_element(system, 1.0, weight, f),
-        "l_q_norm": lambda f: l_q_norm(f, 4.0),
     }
 
 
@@ -284,11 +273,13 @@ def _shape_message(length):
 
 #: (kernel, defect, table, message); every table is checked alone and in a stack of three.
 INCOMING_DEFECTS = [
-    *((kernel, "other-grid", np.ones(25), _shape_message(25)) for kernel in ("qft_inverse", "make_test_element")),
-    ("l_q_norm", "empty", np.ones(0), r"table length 0 is not the N\^2 points"),
-    *((kernel, "nan", _nan_table(16), "finite") for kernel in ("qft_inverse", "make_test_element", "l_q_norm")),
-    *((kernel, "not-square", np.ones(15), _shape_message(15)) for kernel in ("qft_inverse", "make_test_element")),
-    ("l_q_norm", "not-square", np.ones(15), r"table length 15 is not the N\^2 points"),
+    (kernel, defect, table, message)
+    for defect, table, message in (
+        ("other-grid", np.ones(25), _shape_message(25)),
+        ("nan", _nan_table(16), "finite"),
+        ("not-square", np.ones(15), _shape_message(15)),
+    )
+    for kernel in ("qft_inverse", "make_test_element")
 ]
 
 

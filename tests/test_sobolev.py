@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from qsobolev.groups import l_q_norm, lq_table_norm, make_group, symmetric_representative
+from qsobolev.groups import lq_table_norm, make_group, symmetric_representative
 from qsobolev.linalg import trace_pairing, schatten_norm
 from qsobolev import sobolev
 from qsobolev.qft import qft_forward
@@ -136,7 +136,7 @@ class TestSobolevNorm:
         spec = SobolevSpec(s=0.0, p=4.0 / 3.0, weight=w)
         T = operator_oracle(np.random.default_rng(4), 4)
         assert sobolev_norm(T, spec) == pytest.approx(
-            l_q_norm(qft_forward(T), 4.0)
+            lq_table_norm(qft_forward(T), 4.0, 0.25)
         )
 
     def test_identity_closed_form(self, w4):
@@ -206,7 +206,7 @@ class TestTestFamily:
     def test_zero_generator(self, sys4, w4):
         phi = np.zeros(16)
         assert np.all(make_test_element(sys4, 1.0, w4, phi) == 0)
-        assert l_q_norm(phi, 3.0) == 0.0
+        assert lq_table_norm(phi, 3.0, 0.25) == 0.0
 
     def test_delta_generator_positive_sign(self, sys4, w4):
         # Weight 2 at the origin, reconstruction mass 1/N: W = (2/N) I.
@@ -233,8 +233,21 @@ class TestTestFamily:
         v1[[0, 3, 5]] = [1.0, 2.0, -1.0j]
         v2[[7, 9]] = [0.5, 3.0]
         q = 4.0
-        n1, n2, nsum = (l_q_norm(v, q) for v in (v1, v2, v1 + v2))
+        n1, n2, nsum = (lq_table_norm(v, q, 0.25) for v in (v1, v2, v1 + v2))
         assert nsum == pytest.approx((n1**q + n2**q) ** (1.0 / q), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda system, w: make_test_element(system, 1.0, w, np.zeros(system.group.size)),
+            lambda system, w: pairing_bound_estimate(system, p=4.0, s=1.0, weight=w, trials=2),
+            lambda system, w: nondegeneracy_check(system, 1.0, w),
+        ],
+        ids=["make_test_element", "pairing_bound_estimate", "nondegeneracy_check"],
+    )
+    def test_weight_of_another_grid_is_rejected(self, w4, call):
+        with pytest.raises(ValueError, match="different dual group than the system"):
+            call(make_weyl_system(8), w4)
 
     def test_sign_validation(self, sys4, w4):
         with pytest.raises(ValueError):
@@ -270,7 +283,7 @@ class TestPairingBound:
                 phi = np.eye(16)[index(xi, 4)]
                 W = make_test_element(sys4, s, w4, phi, sign)
                 T = (2.0 - 1.0j) * np.asarray(weyl_operator(sys4, xi))
-                ratio = abs(trace_pairing(T, W)) / (schatten_norm(T, p) * l_q_norm(phi, p))
+                ratio = abs(trace_pairing(T, W)) / (schatten_norm(T, p) * lq_table_norm(phi, p, 0.25))
                 expected = (1.0 + w4.values[index(xi, 4)] ** 2) ** (sign * s / 2.0)
                 assert ratio == pytest.approx(expected, rel=1e-12)
 

@@ -21,7 +21,7 @@ import pytest
 
 from qsobolev import cli, embedding, linalg, qft, sobolev, streams
 from qsobolev.embedding import compute_exponents, verify_embedding_chain
-from qsobolev.groups import l_q_norm, lq_table_norm
+from qsobolev.groups import lq_table_norm
 from qsobolev.linalg import as_operator, schatten_norm, singular_values, trace_pairing
 from qsobolev.qft import (
     HausdorffYoungReport,
@@ -73,7 +73,7 @@ def plancherel_loop(system, trials, seed):
         s2 = np.linalg.norm(T, axis=(-2, -1))
         if s2 == 0.0:
             continue
-        l2 = l_q_norm(qft_forward(T), 2.0)
+        l2 = lq_table_norm(qft_forward(T), 2.0, system.group.dual_mass)
         worst = max(worst, abs(l2 - s2) / s2)
     return worst
 
@@ -109,10 +109,10 @@ def hausdorff_young_loop(system, p, direction, trials, seed):
             if denom == 0.0:
                 skipped += 1
                 continue
-            ratio = l_q_norm(qft_forward(T), q) / denom
+            ratio = lq_table_norm(qft_forward(T), q, system.group.dual_mass) / denom
         else:
             f = phase_table_oracle(rng, system.group.size)
-            denom = l_q_norm(f, p)
+            denom = lq_table_norm(f, p, system.group.dual_mass)
             if denom == 0.0:
                 skipped += 1
                 continue
@@ -178,7 +178,7 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
                 tri_viol += 1
         f = qft_forward(T)
         weighted = bessel_multiplier(spec.weight, spec.s, spec.homogeneous) * f
-        worst_iso = max(worst_iso, abs(l_q_norm(weighted, spec.q) - nT))
+        worst_iso = max(worst_iso, abs(lq_table_norm(weighted, spec.q, system.group.dual_mass) - nT))
         n_base = sobolev_norm(T, base)
         n_stronger = sobolev_norm(T, stronger)
         if n_base > 0.0:
@@ -222,7 +222,7 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
         T = operator_oracle(rng, system.N)
         phi = phase_table_oracle(rng, system.group.size)
         W = make_test_element(system, s, weight, phi, sign)
-        denom = schatten_norm(T, p) * l_q_norm(phi, q_prime)
+        denom = schatten_norm(T, p) * lq_table_norm(phi, q_prime, system.group.dual_mass)
         if denom == 0.0:
             skipped += 1
             continue
@@ -258,7 +258,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
         if snorm == 0.0:
             out["skipped"] += 1
             continue
-        f_sigma = l_q_norm(qft_forward(T), sigma)
+        f_sigma = lq_table_norm(qft_forward(T), sigma, system.group.dual_mass)
         link1 = f_sigma / (m_norm * snorm)
         max_link1 = max(max_link1, link1)
         out["link1_violations"] += bool(link1 > 1.0 + 1e-12)
