@@ -138,6 +138,19 @@ class TestLqNorm:
         for q in (0.5, 1.0, 1.7, 2.0, 4.0, math.inf):
             assert lq_table_norm(vals, q, 0.25) == pytest.approx(brute_lq(vals, q, 0.25), rel=1e-13)
 
+    @pytest.mark.parametrize("N", [1, 3, 8])
+    def test_dual_mass_gives_the_grid_norm(self, N):
+        # At the grid's dual mass 1/N the norm is the defining sum: one table and a stack.
+        mass = make_group([N, N]).dual_mass
+        rng = np.random.default_rng(N)
+        stack = rng.standard_normal((2, N * N)) + 1j * rng.standard_normal((2, N * N))
+        for q in (1.0, 4.0 / 3.0, math.inf):
+            norms = lq_table_norm(stack, q, mass)
+            assert norms.shape == (2,)
+            for table, norm in zip(stack, norms):
+                assert lq_table_norm(table, q, mass) == norm
+                assert norm == pytest.approx(brute_lq(table.tolist(), q, 1.0 / N), rel=1e-13)
+
     @pytest.mark.parametrize("q", [1.0, 8 / 7, 4 / 3, 2.0, 4.0, 8.0])
     def test_zero_skip_equals_unmasked_sum(self, q):
         # A delta, an indicator, an all-zero row and a dense row whose moduli
@@ -275,6 +288,7 @@ def _shape_message(length):
 INCOMING_DEFECTS = [
     (kernel, defect, table, message)
     for defect, table, message in (
+        ("empty", np.ones(0), _shape_message(0)),
         ("other-grid", np.ones(25), _shape_message(25)),
         ("nan", _nan_table(16), "finite"),
         ("not-square", np.ones(15), _shape_message(15)),
