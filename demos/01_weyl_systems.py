@@ -32,9 +32,9 @@ for N in (2, 3, 4):
     for convention in ("standard", "symmetric"):
         rep = check_axioms(make_weyl_system(N, convention))
         cells = []
-        for check in rep.checks:
-            flag = "ok" if check.passed else "VIOLATED"
-            cells.append(f"{check.axiom}={flag}({check.worst_deviation:.1e})")
+        for check in rep["checks"]:
+            flag = "ok" if check["passed"] else "VIOLATED"
+            cells.append(f"{check['axiom']}={flag}({check['worst_deviation']:.1e})")
         print(f"  N={N} {convention:9s}: " + " ".join(cells))
 print()
 print("The conjugation identity on inverses m(x,y) = conj(m(-x,-y)) holds at")

@@ -39,8 +39,8 @@ exponents = (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0)
 forward = verify_hausdorff_young(system, exponents, "forward", 300, 11)
 inverse = verify_hausdorff_young(system, exponents, "inverse", 300, 11)
 for p, fwd, inv in zip(exponents, forward, inverse):
-    rows.append((p, fwd.q, fwd.worst_ratio, inv.worst_ratio))
-    print(f"  {p:8.4f} {fwd.q:8.4f} {fwd.worst_ratio:12.8f} {inv.worst_ratio:12.8f}")
+    rows.append((p, fwd["q"], fwd["worst_ratio"], inv["worst_ratio"]))
+    print(f"  {p:8.4f} {fwd['q']:8.4f} {fwd['worst_ratio']:12.8f} {inv['worst_ratio']:12.8f}")
 
 interior = max(r[2] for r in rows[1:-1])
 endpoints = max(rows[0][2], rows[-1][2])

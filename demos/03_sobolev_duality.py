@@ -46,11 +46,11 @@ for sign in (+1, -1):
 print()
 
 (bound,) = pairing_bound_estimate(system, p=4.0, s=1.0, weight=weight, signs=(-1,), trials=400, seed=5)
-print(f"pairing ratios over 400 draws (p=4, s=1): max {bound.max_ratio:.4f} "
-      f"vs analytic bound {bound.analytic_bound:.4f} -> satisfied: {bound.satisfied}")
+print(f"pairing ratios over 400 draws (p=4, s=1): max {bound['max_ratio']:.4f} "
+      f"vs analytic bound {bound['analytic_bound']:.4f} -> satisfied: {bound['satisfied']}")
 
 for N in (2, 4):
     small = make_weyl_system(N)
     w = make_weight_euclidean(small.group)
     (nd,) = nondegeneracy_check(small, 1.0, w, signs=(-1,))
-    print(f"delta-family Gram rank at N={N}: {nd.rank}/{nd.dimension} (full rank: {nd.full_rank})")
+    print(f"delta-family Gram rank at N={N}: {nd['rank']}/{nd['dimension']} (full rank: {nd['full_rank']})")

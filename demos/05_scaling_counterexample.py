@@ -17,12 +17,13 @@ q, rho = 4.0, 8.0
 dims = [8, 8, 8, 8, 16, 32, 64, 128, 256, 512, 1024]
 sizes = [8, 4, 2, 1, 1, 1, 1, 1, 1, 1, 1]
 report = counterexample_run([make_weyl_system(n) for n in dims], q, rho, "subgroup", sizes)
-print(f"subgroup-shaped sweep, q={q:.0f}, rho={rho:.0f} (predicted slope {report.predicted_slope:+.4f}):")
+print(f"subgroup-shaped sweep, q={q:.0f}, rho={rho:.0f} (predicted slope {report['predicted_slope']:+.4f}):")
 schatten_header = "||T||_S_rho'"
 print(f"  {'N':>4s} {'|E|':>4s} {'eps':>9s} {'||a||_q':>9s} {schatten_header:>12s}")
-for pt in report.points:
-    print(f"  {pt.N:4d} {pt.set_size:4d} {pt.epsilon:9.6f} {pt.sobolev_norm:9.6f} {pt.schatten_beta_norm:12.8f}")
-print(f"  fitted slope {report.fitted_slope:+.12f} over {report.decades_spanned:.2f} decades of measure")
+for pt in report["points"]:
+    print(f"  {pt['N']:4d} {pt['set_size']:4d} {pt['epsilon']:9.6f} {pt['sobolev_norm']:9.6f} "
+          f"{pt['schatten_beta_norm']:12.8f}")
+print(f"  fitted slope {report['fitted_slope']:+.12f} over {report['decades_spanned']:.2f} decades of measure")
 print()
 
 print("shape dependence at N=32 (same measures, different sets):")
@@ -30,8 +31,8 @@ for selector in ("subgroup", "lex", "ball"):
     systems = [make_weyl_system(32)] * 5
     sizes32 = [16, 8, 4, 2, 1]
     rep = counterexample_run(systems, q, rho, selector, sizes32)
-    print(f"  {selector:9s}: fitted slope {rep.fitted_slope:+.6f} "
-          f"(norms {', '.join(f'{p.schatten_beta_norm:.4f}' for p in rep.points)})")
+    norms = ", ".join(f"{pt['schatten_beta_norm']:.4f}" for pt in rep["points"])
+    print(f"  {selector:9s}: fitted slope {rep['fitted_slope']:+.6f} (norms {norms})")
 print()
 print("the fit is exact for the subgroup shape; segments and balls carry")
 print("shape-dependent constants that drag the fitted slope off the prediction.")

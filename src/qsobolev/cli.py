@@ -35,7 +35,7 @@ import math
 import os
 import re
 import sys as _sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
@@ -331,7 +331,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def run_axioms(config: dict):
     system = make_weyl_system(config["N"], config["convention"])
     report = check_axioms(system, config["tolerances"])
-    return asdict(report) | {"core_passed": report.core_passed}, report.core_passed
+    return report, report["core_passed"]
 
 
 def run_plancherel(config: dict):
@@ -356,7 +356,7 @@ def run_hausdorff_young(config: dict):
         for direction in DIRECTIONS[config["direction"]]
     ]
     runs = [  # exponent-major, as listed in --p
-        asdict(rep) | {"passed": rep.worst_ratio <= 1.0 + slack}
+        rep | {"passed": rep["worst_ratio"] <= 1.0 + slack}
         for reports in zip(*by_direction) for rep in reports
     ]
     passed = all(r["passed"] for r in runs)
@@ -383,14 +383,14 @@ def run_sobolev_norms(config: dict):
         system, spec, config["trials"], config["seed"], triangle_tol=tol["triangle"]
     )
     passed = (
-        report.worst_homogeneity_rel <= tol["homogeneity"]
-        and report.triangle_violations == 0
-        and report.worst_isometry_abs <= tol["isometry"]
-        and report.s_monotonicity_violations == 0
-        and report.hom_dominance_violations == 0
-        and report.definiteness_violations == 0
+        report["worst_homogeneity_rel"] <= tol["homogeneity"]
+        and report["triangle_violations"] == 0
+        and report["worst_isometry_abs"] <= tol["isometry"]
+        and report["s_monotonicity_violations"] == 0
+        and report["hom_dominance_violations"] == 0
+        and report["definiteness_violations"] == 0
     )
-    return asdict(report), passed
+    return report, passed
 
 
 def run_pairing(config: dict):
@@ -405,8 +405,8 @@ def run_pairing(config: dict):
     )
     ranks = (nondegeneracy_check(system, s, weight, signs, tol["rank"])
              if system.N <= EXHAUSTIVE_MAX_N else ())
-    results = {"pairing": [asdict(b) for b in bounds], "nondegeneracy": [asdict(nd) for nd in ranks]}
-    return results, all(b.satisfied for b in bounds) and all(nd.full_rank for nd in ranks)
+    results = {"pairing": list(bounds), "nondegeneracy": list(ranks)}
+    return results, all(b["satisfied"] for b in bounds) and all(nd["full_rank"] for nd in ranks)
 
 
 def run_exponents(config: dict):
@@ -414,9 +414,9 @@ def run_exponents(config: dict):
     report = compute_exponents(alpha, q, s)
     # 1/sigma = 1/alpha + 1/q, multiplied through by sigma: relative to its size,
     # and finite wherever sigma is.
-    identity_error = abs(report.sigma / alpha + report.sigma / q - 1.0)
+    identity_error = abs(report["sigma"] / alpha + report["sigma"] / q - 1.0)
     passed = identity_error <= config["tolerances"]["identity"]
-    return asdict(report) | {"holder_identity_error": identity_error}, passed
+    return report | {"holder_identity_error": identity_error}, passed
 
 
 def run_embed(config: dict):
@@ -429,10 +429,10 @@ def run_embed(config: dict):
     )
     # The composite bound gates only the corrected exponent; the other
     # candidate is measured and recorded.
-    passed = report.link1_violations == 0 and report.link2_violations == 0
+    passed = report["link1_violations"] == 0 and report["link2_violations"] == 0
     if config["beta_choice"] == "corrected":
-        passed = passed and report.violations == 0
-    return asdict(report), passed
+        passed = passed and report["violations"] == 0
+    return report, passed
 
 
 def run_counterexample(config: dict):
@@ -444,14 +444,14 @@ def run_counterexample(config: dict):
     report = counterexample_run(
         [make_weyl_system(n) for n in dims], config["q"], config["rho"], config["selector"], sizes
     )
-    norm_ok = all(abs(pt.sobolev_norm - 1.0) <= tol["normalization"] for pt in report.points)
-    norms = [pt.schatten_beta_norm for pt in report.points]
+    norm_ok = all(abs(pt["sobolev_norm"] - 1.0) <= tol["normalization"] for pt in report["points"])
+    norms = [pt["schatten_beta_norm"] for pt in report["points"]]
     monotone = all(b > a for a, b in zip(norms, norms[1:]))
     slope_ok = (
-        abs(report.fitted_slope - report.predicted_slope)
-        <= tol["slope_rel"] * abs(report.predicted_slope)
+        abs(report["fitted_slope"] - report["predicted_slope"])
+        <= tol["slope_rel"] * abs(report["predicted_slope"])
     )
-    results = asdict(report) | {
+    results = report | {
         "normalization_ok": norm_ok,
         "strictly_increasing": monotone,
         "slope_within_tolerance": slope_ok,

@@ -11,6 +11,7 @@ forced by the Hoelder identity ``1/sigma = 1/alpha + 1/q``, and
 by substituting ``sigma = alpha q / (alpha + s)`` instead; assertions gate
 only the corrected choice while both ratio distributions are recorded.  A
 failed hypothesis raises ``ValueError``, like any other invalid input.
+Each harness returns the dict its report holds, keys in report order.
 
 ``counterexample_run`` builds normalized indicator generators on shrinking
 dual sets and tracks the growth of the conjugate Schatten norm of their
@@ -20,7 +21,6 @@ inverse transforms; the predicted log-log slope is ``1/rho - 1/q``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -39,21 +39,7 @@ from .weyl import WeylSystem
 CHAIN_TOLERANCES = MappingProxyType({"link1": 1e-12, "link2": 1e-10, "composite": 1e-10})
 
 
-@dataclass(frozen=True)
-class ExponentReport:
-    """The exponent bookkeeping (sigma, both beta candidates, validity flags)."""
-
-    alpha: float
-    q: float
-    s: float
-    sigma: float
-    beta_corrected: float | None
-    beta_alternate: float | None
-    sigma_in_range: bool
-    beta_alternate_defined: bool
-
-
-def compute_exponents(alpha: float, q: float, s: float) -> ExponentReport:
+def compute_exponents(alpha: float, q: float, s: float) -> dict:
     """sigma = alpha q/(alpha + q) and both beta candidates, with validity flags.
 
     sigma is evaluated as ``alpha / (1 + alpha/q)`` and ``beta_alternate`` as
@@ -73,49 +59,18 @@ def compute_exponents(alpha: float, q: float, s: float) -> ExponentReport:
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     sigma = alpha / (1.0 + alpha / q)
-    beta_corrected = sigma / (sigma - 1.0) if sigma > 1.0 else None
     alternate_denominator = (q - 1.0) - s / alpha
     beta_alternate_defined = alternate_denominator > 0.0
-    beta_alternate = q / alternate_denominator if beta_alternate_defined else None
-    return ExponentReport(
-        alpha=alpha,
-        q=q,
-        s=s,
-        sigma=sigma,
-        beta_corrected=beta_corrected,
-        beta_alternate=beta_alternate,
-        sigma_in_range=1.0 < sigma <= 2.0 * (1.0 + 1e-12),
-        beta_alternate_defined=beta_alternate_defined,
-    )
-
-
-@dataclass(frozen=True)
-class EmbeddingRunReport:
-    """Measured link and composite ratios for one embedding-chain configuration."""
-
-    N: int
-    s: float
-    p: float
-    q: float
-    alpha: float
-    homogeneous: bool
-    sigma: float
-    beta_choice: str
-    beta_used: float
-    beta_corrected: float
-    beta_alternate: float | None
-    multiplier_norm: float
-    trials: int
-    seed: int
-    skipped: int
-    violations: int
-    link1_violations: int
-    link2_violations: int
-    max_ratio: float
-    max_link1_ratio: float
-    max_link2_ratio: float
-    ratios_corrected: tuple[float, ...] = field(repr=False)
-    ratios_alternate: tuple[float, ...] | None = field(repr=False)
+    return {
+        "alpha": alpha,
+        "q": q,
+        "s": s,
+        "sigma": sigma,
+        "beta_corrected": conjugate_exponent(sigma) if sigma > 1.0 else None,
+        "beta_alternate": q / alternate_denominator if beta_alternate_defined else None,
+        "sigma_in_range": 1.0 < sigma <= 2.0 * (1.0 + 1e-12),
+        "beta_alternate_defined": beta_alternate_defined,
+    }
 
 
 def verify_embedding_chain(
@@ -126,7 +81,7 @@ def verify_embedding_chain(
     trials: int = 100,
     seed: int = 0,
     tolerances: Mapping[str, float] = CHAIN_TOLERANCES,
-) -> EmbeddingRunReport:
+) -> dict:
     """Check both links of the embedding chain separately on random operators.
 
     Link 1 (exact weighted Hoelder):   ||F(T)||_sigma <= ||m||_alpha * sobolev_norm(T);
@@ -140,26 +95,26 @@ def verify_embedding_chain(
     if beta_choice not in ("corrected", "alternate"):
         raise ValueError(f"beta_choice must be 'corrected' or 'alternate', got {beta_choice!r}")
     exponents = compute_exponents(alpha, spec.q, spec.s)
-    if not exponents.sigma_in_range:
+    sigma = exponents["sigma"]
+    if not exponents["sigma_in_range"]:
         raise ValueError(
-            f"hypothesis 1 < sigma <= 2 fails: sigma = {exponents.sigma} "
+            f"hypothesis 1 < sigma <= 2 fails: sigma = {sigma} "
             f"for alpha={alpha}, q={spec.q} (p={spec.p})"
         )
-    sigma = exponents.sigma
-    beta_corrected = exponents.beta_corrected
+    beta_corrected = exponents["beta_corrected"]
     if beta_choice == "alternate":
-        if not exponents.beta_alternate_defined:
+        if not exponents["beta_alternate_defined"]:
             raise ValueError(
                 f"hypothesis alpha (q - 1) > s fails: alpha={alpha}, q={spec.q}, s={spec.s}"
             )
-        beta_used = exponents.beta_alternate
+        beta_used = exponents["beta_alternate"]
     else:
         beta_used = beta_corrected
     # The chain constant C1: the L^alpha norm of the reciprocal multiplier, order -s.
     m_norm = weighted_norm(1.0, spec.weight, -spec.s, alpha, spec.homogeneous)
     betas = [beta_corrected]
-    if exponents.beta_alternate_defined:
-        betas.append(exponents.beta_alternate)
+    if exponents["beta_alternate_defined"]:
+        betas.append(exponents["beta_alternate"])
 
     def measure(T):
         f = qft_forward(T)
@@ -175,31 +130,31 @@ def verify_embedding_chain(
     link2, link2_kept = kept_ratios(schatten[:, 0], f_sigma)
     ratios = [kept_ratios(schatten[:, j], snorm)[0] for j in range(len(betas))]
     used = ratios[0] if beta_choice == "corrected" else ratios[1]
-    return EmbeddingRunReport(
-        N=system.N,
-        s=spec.s,
-        p=spec.p,
-        q=spec.q,
-        alpha=alpha,
-        homogeneous=spec.homogeneous,
-        sigma=sigma,
-        beta_choice=beta_choice,
-        beta_used=beta_used,
-        beta_corrected=beta_corrected,
-        beta_alternate=exponents.beta_alternate,
-        multiplier_norm=m_norm,
-        trials=trials,
-        seed=seed,
-        skipped=int(np.count_nonzero(~kept)),
-        violations=int(np.count_nonzero(kept & (used > m_norm * (1.0 + tolerances["composite"])))),
-        link1_violations=int(np.count_nonzero(kept & (link1 > 1.0 + tolerances["link1"]))),
-        link2_violations=int(np.count_nonzero(link2_kept & (link2 > 1.0 + tolerances["link2"]))),
-        max_ratio=worst_trial(used, kept)[0],
-        max_link1_ratio=worst_trial(link1, kept)[0],
-        max_link2_ratio=worst_trial(link2, link2_kept)[0],
-        ratios_corrected=tuple(ratios[0][kept].tolist()),
-        ratios_alternate=tuple(ratios[1][kept].tolist()) if len(ratios) > 1 else None,
-    )
+    return {
+        "N": system.N,
+        "s": spec.s,
+        "p": spec.p,
+        "q": spec.q,
+        "alpha": alpha,
+        "homogeneous": spec.homogeneous,
+        "sigma": sigma,
+        "beta_choice": beta_choice,
+        "beta_used": beta_used,
+        "beta_corrected": beta_corrected,
+        "beta_alternate": exponents["beta_alternate"],
+        "multiplier_norm": m_norm,
+        "trials": trials,
+        "seed": seed,
+        "skipped": int(np.count_nonzero(~kept)),
+        "violations": int(np.count_nonzero(kept & (used > m_norm * (1.0 + tolerances["composite"])))),
+        "link1_violations": int(np.count_nonzero(kept & (link1 > 1.0 + tolerances["link1"]))),
+        "link2_violations": int(np.count_nonzero(link2_kept & (link2 > 1.0 + tolerances["link2"]))),
+        "max_ratio": worst_trial(used, kept)[0],
+        "max_link1_ratio": worst_trial(link1, kept)[0],
+        "max_link2_ratio": worst_trial(link2, link2_kept)[0],
+        "ratios_corrected": tuple(ratios[0][kept].tolist()),
+        "ratios_alternate": tuple(ratios[1][kept].tolist()) if len(ratios) > 1 else None,
+    }
 
 
 def _require_set_size(group: PhaseSpaceGrid, k: int) -> None:
@@ -247,37 +202,13 @@ SET_SELECTORS: dict[str, Callable[[PhaseSpaceGrid, int], np.ndarray]] = {
 }
 
 
-@dataclass(frozen=True)
-class CounterexamplePoint:
-    """One sweep point: a normalized indicator generator and its transform's norm."""
-
-    N: int
-    set_size: int
-    epsilon: float
-    sobolev_norm: float
-    schatten_beta_norm: float
-
-
-@dataclass(frozen=True)
-class CounterexampleReport:
-    """Scaling sweep of the conjugate Schatten norm against shrinking support."""
-
-    q: float
-    rho: float
-    selector: str
-    points: tuple[CounterexamplePoint, ...]
-    fitted_slope: float
-    predicted_slope: float
-    decades_spanned: float
-
-
 def counterexample_run(
     systems: Sequence[WeylSystem],
     q: float,
     rho: float,
     set_selector: str,
     set_sizes: Sequence[int],
-) -> CounterexampleReport:
+) -> dict:
     """Sweep generators a = eps^(-1/q) 1_E over shrinking sets E and fit the growth law.
 
     For each system, paired with its entry of ``set_sizes``, the set E holds
@@ -310,30 +241,28 @@ def counterexample_run(
         vals = np.zeros(system.group.size, dtype=np.complex128)
         vals[support] = eps ** (-1.0 / q)
         T = qft_inverse(system, vals)
-        points.append(
-            CounterexamplePoint(
-                N=system.N,
-                set_size=len(support),
-                epsilon=eps,
-                sobolev_norm=lq_table_norm(vals, q, system.group.dual_mass),
-                schatten_beta_norm=schatten_norm(T, rho_prime),
-            )
-        )
-    points.sort(key=lambda pt: -pt.epsilon)
-    eps_values = np.array([pt.epsilon for pt in points])
-    norms = np.array([pt.schatten_beta_norm for pt in points])
+        points.append({
+            "N": system.N,
+            "set_size": len(support),
+            "epsilon": eps,
+            "sobolev_norm": lq_table_norm(vals, q, system.group.dual_mass),
+            "schatten_beta_norm": schatten_norm(T, rho_prime),
+        })
+    points.sort(key=lambda pt: -pt["epsilon"])
+    eps_values = np.array([pt["epsilon"] for pt in points])
+    norms = np.array([pt["schatten_beta_norm"] for pt in points])
     if len(set(eps_values.tolist())) < 2:
         raise ValueError(
             "sweep needs at least two distinct measures eps = sizes / N to fit a slope, "
             f"got only eps = {eps_values[0]}"
         )
     slope = float(np.polyfit(np.log(eps_values), np.log(norms), 1)[0])
-    return CounterexampleReport(
-        q=q,
-        rho=rho,
-        selector=set_selector,
-        points=tuple(points),
-        fitted_slope=slope,
-        predicted_slope=1.0 / rho - 1.0 / q,
-        decades_spanned=float(math.log10(eps_values.max() / eps_values.min())),
-    )
+    return {
+        "q": q,
+        "rho": rho,
+        "selector": set_selector,
+        "points": tuple(points),
+        "fitted_slope": slope,
+        "predicted_slope": 1.0 / rho - 1.0 / q,
+        "decades_spanned": float(math.log10(eps_values.max() / eps_values.min())),
+    }

@@ -23,13 +23,13 @@ of operators or tables as well and transform it with one FFT call, and
 both read the diagonals through one index built once per N.
 
 The harnesses run on the trial engine of :mod:`qsobolev.streams`, which
-also owns the seeded streams and the random ensembles read from them.
+also owns the seeded streams and the random ensembles read from them.  Each
+returns the dict its report holds, keys in report order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -139,21 +139,6 @@ def verify_roundtrips(system: WeylSystem, trials: int, seed: int) -> dict:
     return _roundtrip_report(*streams.run_trials(system.N, trials, seed, draw, measure))
 
 
-@dataclass(frozen=True)
-class HausdorffYoungReport:
-    """Worst measured ratio for one exponent and direction of the norm inequality."""
-
-    p: float
-    q: float
-    direction: str
-    trials: int
-    seed: int
-    worst_ratio: float
-    witness_available: bool
-    witness_index: int | None = None
-    skipped: int = 0
-
-
 def conjugate_exponent(p: float) -> float:
     if math.isinf(p):
         return 1.0
@@ -164,7 +149,7 @@ def conjugate_exponent(p: float) -> float:
 
 def verify_hausdorff_young(
     system: WeylSystem, exponents: Sequence[float], direction: str, trials: int, seed: int
-) -> tuple[HausdorffYoungReport, ...]:
+) -> tuple[dict, ...]:
     """Worst ratios of the two-sided norm inequality, one report per exponent.
 
     ``forward`` measures ``||F(T)||_Lq / ||T||_Sp`` over random operators and
@@ -200,17 +185,15 @@ def verify_hausdorff_young(
     for j, (p, q) in enumerate(zip(exponents, qs)):
         ratios, kept = streams.kept_ratios(numerators[:, j], denominators[:, j])
         worst, witness = streams.worst_trial(ratios, kept)
-        reports.append(
-            HausdorffYoungReport(
-                p=p,
-                q=q,
-                direction=direction,
-                trials=trials,
-                seed=seed,
-                worst_ratio=worst,
-                witness_available=witness is not None,
-                witness_index=witness,
-                skipped=int(np.count_nonzero(~kept)),
-            )
-        )
+        reports.append({
+            "p": p,
+            "q": q,
+            "direction": direction,
+            "trials": trials,
+            "seed": seed,
+            "worst_ratio": worst,
+            "witness_available": witness is not None,
+            "witness_index": witness,
+            "skipped": int(np.count_nonzero(~kept)),
+        })
     return tuple(reports)

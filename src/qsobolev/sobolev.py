@@ -8,6 +8,7 @@ Bessel-style weight ``(1 + gamma^2)^(s/2)`` in the inhomogeneous case and
 operators built by inverse-transforming weighted generators; the weight-sign
 of that construction is a mandatory explicit parameter because both natural
 choices are useful, and the default ``-1`` keeps the duality chain sharp.
+Each harness returns the dict its report holds, keys in report order.
 """
 
 from __future__ import annotations
@@ -149,34 +150,13 @@ def make_test_element(system: WeylSystem, s: float, weight: Weight, phi, sign: i
     return qft_inverse(system, bessel_multiplier(weight, sign * s) * phi)
 
 
-@dataclass(frozen=True)
-class NormAxiomReport:
-    """Measured norm-axiom deviations for one Sobolev parameter set."""
-
-    N: int
-    s: float
-    p: float
-    homogeneous: bool
-    trials: int
-    seed: int
-    worst_homogeneity_rel: float
-    worst_triangle_excess: float
-    triangle_violations: int
-    worst_isometry_abs: float
-    s_monotonicity_violations: int
-    worst_s_monotonicity_excess: float
-    hom_dominance_violations: int
-    worst_hom_dominance_excess: float
-    definiteness_violations: int
-
-
 def verify_norm_axioms(
     system: WeylSystem,
     spec: SobolevSpec,
     trials: int,
     seed: int,
     triangle_tol: float = TRIANGLE_TOL,
-) -> NormAxiomReport:
+) -> dict:
     """Measure the norm axioms and order relations on seeded random operator pairs.
 
     Per trial: absolute homogeneity of the norm under a random complex scalar,
@@ -219,42 +199,24 @@ def verify_norm_axioms(
     triangle, kept = kept_ratios(n_sum - (nT + nS), nT + nS)
     monotone, base_kept = kept_ratios(n_base - n_stronger, n_base)
     dominance = kept_ratios(n_hom - n_base, n_base)[0]
-    return NormAxiomReport(
-        N=system.N,
-        s=spec.s,
-        p=spec.p,
-        homogeneous=spec.homogeneous,
-        trials=trials,
-        seed=seed,
-        worst_homogeneity_rel=worst_hom_rel,
-        worst_triangle_excess=worst_trial(triangle, kept, -math.inf)[0],
-        triangle_violations=int(np.count_nonzero(kept & (triangle > triangle_tol))),
+    return {
+        "N": system.N,
+        "s": spec.s,
+        "p": spec.p,
+        "homogeneous": spec.homogeneous,
+        "trials": trials,
+        "seed": seed,
+        "worst_homogeneity_rel": worst_hom_rel,
+        "worst_triangle_excess": worst_trial(triangle, kept, -math.inf)[0],
+        "triangle_violations": int(np.count_nonzero(kept & (triangle > triangle_tol))),
         # The weighted map's L^q norm is sobolev_norm itself, so this reads 0.0 by construction.
-        worst_isometry_abs=worst_trial(np.abs(nT - nT))[0],
-        s_monotonicity_violations=int(np.count_nonzero(base_kept & (monotone > MONOTONE_TOL))),
-        worst_s_monotonicity_excess=worst_trial(monotone, base_kept, -math.inf)[0],
-        hom_dominance_violations=int(np.count_nonzero(base_kept & (dominance > MONOTONE_TOL))),
-        worst_hom_dominance_excess=worst_trial(dominance, base_kept, -math.inf)[0],
-        definiteness_violations=int(np.count_nonzero((nT == 0.0) & nonzero)),
-    )
-
-
-@dataclass(frozen=True)
-class PairingBoundReport:
-    """Measured pairing ratios against the chained analytic constant."""
-
-    N: int
-    p: float
-    p_prime: float
-    q_prime: float
-    s: float
-    sign: int
-    trials: int
-    seed: int
-    skipped: int
-    max_ratio: float
-    analytic_bound: float
-    satisfied: bool
+        "worst_isometry_abs": worst_trial(np.abs(nT - nT))[0],
+        "s_monotonicity_violations": int(np.count_nonzero(base_kept & (monotone > MONOTONE_TOL))),
+        "worst_s_monotonicity_excess": worst_trial(monotone, base_kept, -math.inf)[0],
+        "hom_dominance_violations": int(np.count_nonzero(base_kept & (dominance > MONOTONE_TOL))),
+        "worst_hom_dominance_excess": worst_trial(dominance, base_kept, -math.inf)[0],
+        "definiteness_violations": int(np.count_nonzero((nT == 0.0) & nonzero)),
+    }
 
 
 def pairing_analytic_bound(p: float, s: float, weight: Weight, sign: int) -> float:
@@ -285,7 +247,7 @@ def pairing_bound_estimate(
     trials: int = 100,
     seed: int = 0,
     tolerance: float = PAIRING_SLACK,
-) -> tuple[PairingBoundReport, ...]:
+) -> tuple[dict, ...]:
     """Sample |tr(T W_phi^*)| / (||T||_Sp * ||phi||_q') against the analytic bound.
 
     Requires ``p > 2`` so the test elements live on the conjugate side
@@ -319,41 +281,26 @@ def pairing_bound_estimate(
     for j, (sign, bound) in enumerate(zip(signs, bounds)):
         ratios, kept = kept_ratios(moduli[:, j], denominators)
         worst = worst_trial(ratios, kept)[0]
-        reports.append(
-            PairingBoundReport(
-                N=system.N,
-                p=p,
-                p_prime=p_prime,
-                q_prime=q_prime,
-                s=s,
-                sign=sign,
-                trials=trials,
-                seed=seed,
-                skipped=int(np.count_nonzero(~kept)),
-                max_ratio=worst,
-                analytic_bound=bound,
-                satisfied=bool(worst <= bound * (1.0 + tolerance)),
-            )
-        )
+        reports.append({
+            "N": system.N,
+            "p": p,
+            "p_prime": p_prime,
+            "q_prime": q_prime,
+            "s": s,
+            "sign": sign,
+            "trials": trials,
+            "seed": seed,
+            "skipped": int(np.count_nonzero(~kept)),
+            "max_ratio": worst,
+            "analytic_bound": bound,
+            "satisfied": bool(worst <= bound * (1.0 + tolerance)),
+        })
     return tuple(reports)
-
-
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    """Rank of the Gram matrix of the delta-generated test family."""
-
-    N: int
-    sign: int
-    dimension: int
-    rank: int
-    full_rank: bool
-    deficiency: int
-    min_eigenvalue: float
 
 
 def nondegeneracy_check(
     system: WeylSystem, s: float, weight: Weight, signs: Sequence[int] = (-1,), rank_tol: float = RANK_TOL
-) -> tuple[NondegeneracyReport, ...]:
+) -> tuple[dict, ...]:
     """Verify the trace pairing separates points via the delta-generated family, per sign in ``signs``.
 
     Builds W_phi for every dual delta generator and checks that the family
@@ -381,15 +328,13 @@ def nondegeneracy_check(
         scaled = (V.view(np.float64) / np.where(top > 0.0, top, 1.0)).view(np.complex128)
         eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
         rank = int(np.sum(eigs > rank_tol * max(float(eigs[-1]), 1.0)))
-        reports.append(
-            NondegeneracyReport(
-                N=system.N,
-                sign=sign,
-                dimension=K,
-                rank=rank,
-                full_rank=rank == K,
-                deficiency=K - rank,
-                min_eigenvalue=float(eigs[0] * np.min(top) ** 2),
-            )
-        )
+        reports.append({
+            "N": system.N,
+            "sign": sign,
+            "dimension": K,
+            "rank": rank,
+            "full_rank": rank == K,
+            "deficiency": K - rank,
+            "min_eigenvalue": float(eigs[0] * np.min(top) ** 2),
+        })
     return tuple(reports)

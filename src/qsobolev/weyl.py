@@ -18,8 +18,8 @@ forms by index arithmetic: one routine gives, for one row ``x`` against
 every ``y`` at once, the multipliers ``tr(pi(x+y)^* pi(x) pi(y)) / N`` and
 the residuals of the composition identity, with no matrix product.
 ``check_axioms`` measures all the defining identities exhaustively on one
-stack of the ``N^2`` operators, one table row per identity, and reports
-deviations instead of asserting any contested variant.
+stack of the ``N^2`` operators, one table row per identity, and returns the
+dict its report holds: deviations, not assertions on any contested variant.
 """
 
 from __future__ import annotations
@@ -79,31 +79,6 @@ def weyl_operator(system: WeylSystem, point) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    """Outcome of one measured identity: worst deviation and where it happened."""
-
-    axiom: str
-    passed: bool
-    worst_deviation: float
-    witness: dict
-    informational: bool = False
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Per-axiom deviations for one Weyl system; JSON-serializable."""
-
-    N: int
-    convention: str
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def core_passed(self) -> bool:
-        """All non-informational identities passed (axiom-3 variants are reported only)."""
-        return all(c.passed for c in self.checks if not c.informational)
-
-
 def _worst(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """The largest value and the indices of its first occurrence."""
     flat = int(np.argmax(values))
@@ -156,7 +131,7 @@ def _compose_row(columns, phases, off, i, targets) -> tuple:
 
 def check_axioms(
     system: WeylSystem, tolerances: Mapping[str, float] = AXIOM_TOLERANCES
-) -> AxiomReport:
+) -> dict:
     """Measure the defining identities of the projective representation exhaustively.
 
     Checks, over every phase-space pair (and every triple for the cocycle
@@ -175,9 +150,10 @@ def check_axioms(
     convention satisfies depends on N and on the convention, so no experiment
     downstream assumes either.  Each identity is one table row: tolerance,
     informational flag, witness labels, and the worst deviation with the first
-    point reaching it.  ``tolerances`` holds every key of ``AXIOM_TOLERANCES``;
-    ``composition`` also sets the informational rows.  Requires
-    ``N <= EXHAUSTIVE_MAX_N``.
+    point reaching it.  The report lists one check per row and, last,
+    ``core_passed``: whether every non-informational row passed.
+    ``tolerances`` holds every key of ``AXIOM_TOLERANCES``; ``composition``
+    also sets the informational rows.  Requires ``N <= EXHAUSTIVE_MAX_N``.
     """
     if system.N > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive axiom check is limited to N <= {EXHAUSTIVE_MAX_N}, got {system.N}")
@@ -207,8 +183,10 @@ def check_axioms(
         ("trace_orthogonality", tolerances["orthogonality"], False, "xy", orthogonality),
     )
     checks = tuple(
-        AxiomCheck(name, worst <= tol, worst,
-                   {label: list(divmod(int(i), N)) for label, i in zip(labels, at)}, informational)
+        {"axiom": name, "passed": worst <= tol, "worst_deviation": worst,
+         "witness": {label: list(divmod(int(i), N)) for label, i in zip(labels, at)},
+         "informational": informational}
         for name, tol, informational, labels, (worst, at) in rows
     )
-    return AxiomReport(N=N, convention=system.convention, checks=checks)
+    core_passed = all(c["passed"] for c in checks if not c["informational"])
+    return {"N": N, "convention": system.convention, "checks": checks, "core_passed": core_passed}

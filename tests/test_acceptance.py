@@ -12,7 +12,6 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -73,7 +72,7 @@ def test_criterion_2_hausdorff_young():
             reps = verify_hausdorff_young(
                 system, (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0), direction, 500, SEED
             )
-            worst = max([worst] + [rep.worst_ratio for rep in reps])
+            worst = max([worst] + [rep["worst_ratio"] for rep in reps])
         # Endpoint p = 1: exhaustive matrix-unit basis.
         for j in range(N):
             for k in range(N):
@@ -96,15 +95,15 @@ def test_criterion_3_weyl_system():
     for N in range(1, 9):
         for convention in ("standard", "symmetric"):
             system = make_weyl_system(N, convention)
-            rows = {c.axiom: c for c in check_axioms(system).checks}
-            worst_ortho = max(worst_ortho, rows["trace_orthogonality"].worst_deviation)
-            worst_comp = max(worst_comp, rows["composition"].worst_deviation)
+            rows = {c["axiom"]: c for c in check_axioms(system)["checks"]}
+            worst_ortho = max(worst_ortho, rows["trace_orthogonality"]["worst_deviation"])
+            worst_comp = max(worst_comp, rows["composition"]["worst_deviation"])
             axiom3_rows.append(
                 (
                     N,
                     convention,
-                    rows["inverse_conjugation"].passed,
-                    rows["inverse_conjugation_swapped"].passed,
+                    rows["inverse_conjugation"]["passed"],
+                    rows["inverse_conjugation_swapped"]["passed"],
                 )
             )
     # The inverse-conjugation report must exist for both conventions; which
@@ -128,20 +127,20 @@ def test_criterion_4_sobolev_norm_axioms():
     rep = verify_norm_axioms(system, spec, trials=1000, seed=SEED)
     iso = phi_isometry_check(system, spec, trials=200, seed=SEED)
     ok = (
-        rep.worst_homogeneity_rel <= 1e-12
-        and rep.triangle_violations == 0
+        rep["worst_homogeneity_rel"] <= 1e-12
+        and rep["triangle_violations"] == 0
         and iso <= 1e-12
-        and rep.worst_isometry_abs <= 1e-12
-        and rep.s_monotonicity_violations == 0
-        and rep.hom_dominance_violations == 0
-        and rep.definiteness_violations == 0
+        and rep["worst_isometry_abs"] <= 1e-12
+        and rep["s_monotonicity_violations"] == 0
+        and rep["hom_dominance_violations"] == 0
+        and rep["definiteness_violations"] == 0
     )
     report(
         4,
         "norm axioms, weighted-map isometry, and order relations",
         ok,
-        f"homogeneity {rep.worst_homogeneity_rel:.2e}, triangle excess "
-        f"{rep.worst_triangle_excess:.2e}, isometry {max(iso, rep.worst_isometry_abs):.2e}",
+        f"homogeneity {rep['worst_homogeneity_rel']:.2e}, triangle excess "
+        f"{rep['worst_triangle_excess']:.2e}, isometry {max(iso, rep['worst_isometry_abs']):.2e}",
     )
 
 
@@ -153,13 +152,13 @@ def test_criterion_5_duality():
     (pair,) = pairing_bound_estimate(
         system, p=4.0, s=1.0, weight=weight, signs=(-1,), trials=500, seed=SEED
     )
-    ok = ok and pair.satisfied
-    details.append(f"max ratio {pair.max_ratio:.4f} vs bound {pair.analytic_bound:.4f}")
+    ok = ok and pair["satisfied"]
+    details.append(f"max ratio {pair['max_ratio']:.4f} vs bound {pair['analytic_bound']:.4f}")
     for N in (2, 4):
         small = make_weyl_system(N)
         w = make_weight_euclidean(small.group)
         for nd in nondegeneracy_check(small, 1.0, w, signs=(-1, 1)):
-            ok = ok and nd.full_rank
+            ok = ok and nd["full_rank"]
     report(5, "pairing bound and full-rank delta test family", ok, "; ".join(details))
 
 
@@ -173,14 +172,14 @@ def test_criterion_6_embedding_chain():
         rep = verify_embedding_chain(system, spec, alpha=4.0, trials=500, seed=SEED)
         ok = (
             ok
-            and rep.link1_violations == 0
-            and rep.link2_violations == 0
-            and rep.violations == 0
-            and rep.max_ratio <= rep.multiplier_norm * (1.0 + 1e-10)
+            and rep["link1_violations"] == 0
+            and rep["link2_violations"] == 0
+            and rep["violations"] == 0
+            and rep["max_ratio"] <= rep["multiplier_norm"] * (1.0 + 1e-10)
         )
         details.append(
-            f"{'hom' if homogeneous else 'inhom'}: links ({rep.max_link1_ratio:.4f}, "
-            f"{rep.max_link2_ratio:.6f}), composite {rep.max_ratio:.4f} <= {rep.multiplier_norm:.4f}"
+            f"{'hom' if homogeneous else 'inhom'}: links ({rep['max_link1_ratio']:.4f}, "
+            f"{rep['max_link2_ratio']:.6f}), composite {rep['max_ratio']:.4f} <= {rep['multiplier_norm']:.4f}"
         )
     report(6, "weighted Hoelder and norm-inequality chain with corrected exponent", ok, "; ".join(details))
 
@@ -190,18 +189,18 @@ def test_criterion_7_exponent_adjudication(tmp_path):
     weight = make_weight_euclidean(system.group)
     spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
     exponents = compute_exponents(4.0, spec.q, spec.s)
-    assert exponents.beta_alternate != exponents.beta_corrected
+    assert exponents["beta_alternate"] != exponents["beta_corrected"]
     rep = verify_embedding_chain(
         system, spec, alpha=4.0, beta_choice="alternate", trials=500, seed=SEED
     )
     out = tmp_path / "beta_adjudication.json"
-    out.write_text(json.dumps(asdict(rep), indent=2, sort_keys=True))
+    out.write_text(json.dumps(rep, indent=2, sort_keys=True))
     stored = json.loads(out.read_text())
-    identity_error = abs(1.0 / rep.sigma - (1.0 / 4.0 + 1.0 / spec.q))
+    identity_error = abs(1.0 / rep["sigma"] - (1.0 / 4.0 + 1.0 / spec.q))
     ok = (
         out.exists()
         and identity_error <= 1e-15
-        and len(stored["ratios_corrected"]) == 500 - rep.skipped
+        and len(stored["ratios_corrected"]) == 500 - rep["skipped"]
         and len(stored["ratios_alternate"]) == len(stored["ratios_corrected"])
         and stored["beta_used"] == pytest.approx(16.0 / 11.0)
     )
@@ -209,7 +208,7 @@ def test_criterion_7_exponent_adjudication(tmp_path):
         7,
         "both beta candidates measured and stored on a distinguishing configuration",
         ok,
-        f"holder identity error {identity_error:.1e}, alternate-beta max ratio {rep.max_ratio:.4f} "
+        f"holder identity error {identity_error:.1e}, alternate-beta max ratio {rep['max_ratio']:.4f} "
         f"vs corrected {max(stored['ratios_corrected']):.4f}",
     )
 
@@ -231,17 +230,17 @@ def _acceptance_sweep():
 
 def test_criterion_8_counterexample_scaling():
     rep = _acceptance_sweep()
-    norm_ok = all(abs(pt.sobolev_norm - 1.0) <= 1e-12 for pt in rep.points)
-    norms = [pt.schatten_beta_norm for pt in rep.points]
+    norm_ok = all(abs(pt["sobolev_norm"] - 1.0) <= 1e-12 for pt in rep["points"])
+    norms = [pt["schatten_beta_norm"] for pt in rep["points"]]
     monotone = all(b > a for a, b in zip(norms, norms[1:]))
-    slope_ok = abs(rep.fitted_slope - rep.predicted_slope) <= 0.10 * abs(rep.predicted_slope)
-    ok = norm_ok and monotone and slope_ok and len(rep.points) >= 4
+    slope_ok = abs(rep["fitted_slope"] - rep["predicted_slope"]) <= 0.10 * abs(rep["predicted_slope"])
+    ok = norm_ok and monotone and slope_ok and len(rep["points"]) >= 4
     report(
         8,
         "normalized generators, divergent conjugate Schatten norms, fitted slope",
         ok,
-        f"slope {rep.fitted_slope:.6f} vs {rep.predicted_slope:.6f}, "
-        f"{len(rep.points)} points over {rep.decades_spanned:.2f} decades",
+        f"slope {rep['fitted_slope']:.6f} vs {rep['predicted_slope']:.6f}, "
+        f"{len(rep['points'])} points over {rep['decades_spanned']:.2f} decades",
     )
 
 
@@ -258,10 +257,10 @@ def test_criterion_8_counterexample_scaling():
 def test_criterion_8_two_decade_span():
     rep = _acceptance_sweep()
     print(
-        f"[criterion 8] span sub-check: {rep.decades_spanned:.2f} decades "
+        f"[criterion 8] span sub-check: {rep['decades_spanned']:.2f} decades "
         f"(infeasible at these dimensions; two decades need N >= 100)"
     )
-    assert rep.decades_spanned >= 2.0
+    assert rep["decades_spanned"] >= 2.0
 
 
 def test_criterion_9_kernel_oracle():

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,7 +304,7 @@ class TestExitCodes:
         # beta_corrected stands in for a numerical failure.
         real = cli.compute_exponents
         monkeypatch.setattr(cli, "compute_exponents",
-                            lambda *args: replace(real(*args), beta_corrected=math.nan))
+                            lambda *args: real(*args) | {"beta_corrected": math.nan})
         monkeypatch.chdir(tmp_path)
         assert cli.main(["exponents", "--alpha", alpha]) == 3
         err = capsys.readouterr().err

@@ -20,28 +20,28 @@ from qsobolev.weyl import make_weyl_system
 class TestComputeExponents:
     def test_reference_config(self):
         rep = compute_exponents(4.0, 4.0, 1.0)
-        assert rep.sigma == pytest.approx(2.0)
-        assert rep.beta_corrected == pytest.approx(2.0)
-        assert rep.beta_alternate == pytest.approx(16.0 / 11.0)
-        assert rep.sigma_in_range
-        assert rep.beta_alternate_defined
+        assert rep["sigma"] == pytest.approx(2.0)
+        assert rep["beta_corrected"] == pytest.approx(2.0)
+        assert rep["beta_alternate"] == pytest.approx(16.0 / 11.0)
+        assert rep["sigma_in_range"]
+        assert rep["beta_alternate_defined"]
 
     def test_larger_smoothness(self):
         rep = compute_exponents(4.0, 4.0, 2.0)
-        assert rep.beta_alternate == pytest.approx(1.6)
+        assert rep["beta_alternate"] == pytest.approx(1.6)
 
     def test_large_alpha_leaves_range(self):
         rep = compute_exponents(1e9, 4.0, 1.0)
-        assert rep.sigma == pytest.approx(4.0, rel=1e-6)
-        assert not rep.sigma_in_range
+        assert rep["sigma"] == pytest.approx(4.0, rel=1e-6)
+        assert not rep["sigma_in_range"]
 
     def test_alternate_beta_hypothesis_boundary(self):
         # alpha (q - 1) <= s makes the alternate formula's denominator nonpositive:
         # reported as a flag, not an error.
         rep = compute_exponents(1.5, 4.0, 5.0)
-        assert rep.sigma_in_range
-        assert not rep.beta_alternate_defined
-        assert rep.beta_alternate is None
+        assert rep["sigma_in_range"]
+        assert not rep["beta_alternate_defined"]
+        assert rep["beta_alternate"] is None
 
     def test_holder_identity(self):
         rng = np.random.default_rng(0)
@@ -49,8 +49,8 @@ class TestComputeExponents:
             alpha = float(rng.uniform(0.2, 50.0))
             q = float(rng.uniform(1.01, 50.0))
             rep = compute_exponents(alpha, q, 1.0)
-            assert abs(1.0 / rep.sigma - (1.0 / alpha + 1.0 / q)) <= 1e-15
-            assert rep.sigma <= min(alpha, q) + 1e-12
+            assert abs(1.0 / rep["sigma"] - (1.0 / alpha + 1.0 / q)) <= 1e-15
+            assert rep["sigma"] <= min(alpha, q) + 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,19 +95,19 @@ class TestEmbeddingChain:
         system, weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight, homogeneous=homogeneous)
         rep = verify_embedding_chain(system, spec, alpha=4.0, trials=80, seed=17)
-        assert rep.link1_violations == 0
-        assert rep.link2_violations == 0
-        assert rep.violations == 0
-        assert rep.max_ratio <= rep.multiplier_norm * (1.0 + 1e-10)
-        assert rep.sigma == pytest.approx(2.0)
-        assert rep.beta_used == pytest.approx(2.0)
+        assert rep["link1_violations"] == 0
+        assert rep["link2_violations"] == 0
+        assert rep["violations"] == 0
+        assert rep["max_ratio"] <= rep["multiplier_norm"] * (1.0 + 1e-10)
+        assert rep["sigma"] == pytest.approx(2.0)
+        assert rep["beta_used"] == pytest.approx(2.0)
 
     def test_link2_is_tight_at_sigma_two(self, setup):
         # sigma = 2 makes link 2 the unitary case: ratios reach 1 exactly.
         system, weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
         rep = verify_embedding_chain(system, spec, alpha=4.0, trials=40, seed=2)
-        assert rep.max_link2_ratio == pytest.approx(1.0, abs=1e-11)
+        assert rep["max_link2_ratio"] == pytest.approx(1.0, abs=1e-11)
 
     def test_alternate_choice_records_both_distributions(self, setup):
         system, weight = setup
@@ -115,14 +115,14 @@ class TestEmbeddingChain:
         rep = verify_embedding_chain(
             system, spec, alpha=4.0, beta_choice="alternate", trials=50, seed=17
         )
-        assert rep.beta_used == pytest.approx(16.0 / 11.0)
-        assert rep.beta_alternate != rep.beta_corrected
-        assert len(rep.ratios_corrected) == 50 - rep.skipped
-        assert rep.ratios_alternate is not None
-        assert len(rep.ratios_alternate) == len(rep.ratios_corrected)
+        assert rep["beta_used"] == pytest.approx(16.0 / 11.0)
+        assert rep["beta_alternate"] != rep["beta_corrected"]
+        assert len(rep["ratios_corrected"]) == 50 - rep["skipped"]
+        assert rep["ratios_alternate"] is not None
+        assert len(rep["ratios_alternate"]) == len(rep["ratios_corrected"])
         # The alternate exponent is smaller, so its Schatten norms are larger.
         assert all(
-            rp >= rc - 1e-12 for rc, rp in zip(rep.ratios_corrected, rep.ratios_alternate)
+            rp >= rc - 1e-12 for rc, rp in zip(rep["ratios_corrected"], rep["ratios_alternate"])
         )
 
     def test_sigma_precondition(self, setup):
@@ -206,10 +206,10 @@ class TestCounterexample:
         report = counterexample_run(
             [make_weyl_system(8), make_weyl_system(16)], 4.0, 8.0, "lex", [1, 1]
         )
-        pt = report.points[-1]
-        assert pt.N == 16
-        assert pt.sobolev_norm == pytest.approx(1.0, abs=1e-12)
-        assert pt.epsilon == pytest.approx(1.0 / 16.0)
+        pt = report["points"][-1]
+        assert pt["N"] == 16
+        assert pt["sobolev_norm"] == pytest.approx(1.0, abs=1e-12)
+        assert pt["epsilon"] == pytest.approx(1.0 / 16.0)
 
         vals = np.zeros(256, dtype=complex)
         vals[0] = (1.0 / 16.0) ** (-0.25)
@@ -228,43 +228,43 @@ class TestCounterexample:
         # singular values, so ||T||_{S_rho'} = eps^(1/rho - 1/q) exactly.
         systems = [make_weyl_system(n) for n in (4, 8, 16)]
         report = counterexample_run(systems, 4.0, 8.0, "lex", [1, 1, 1])
-        for pt in report.points:
-            assert pt.schatten_beta_norm == pytest.approx(
-                pt.epsilon ** (-1.0 / 8.0), rel=1e-12
+        for pt in report["points"]:
+            assert pt["schatten_beta_norm"] == pytest.approx(
+                pt["epsilon"] ** (-1.0 / 8.0), rel=1e-12
             )
-        assert report.fitted_slope == pytest.approx(-1.0 / 8.0, abs=1e-10)
+        assert report["fitted_slope"] == pytest.approx(-1.0 / 8.0, abs=1e-10)
 
     def test_subgroup_sweep_to_1024(self):
         # The flat-spectrum sweep run out to N = 1024: three decades of measure.
         dims = [8, 8, 8, 8] + [2**j for j in range(4, 11)]
         sizes = [8, 4, 2, 1] + [1] * 7
         report = counterexample_run([make_weyl_system(n) for n in dims], 4.0, 8.0, "subgroup", sizes)
-        assert abs(report.fitted_slope - (-0.125)) <= 1e-9
-        assert report.decades_spanned >= 3.0
-        norms = [pt.schatten_beta_norm for pt in report.points]
+        assert abs(report["fitted_slope"] - (-0.125)) <= 1e-9
+        assert report["decades_spanned"] >= 3.0
+        norms = [pt["schatten_beta_norm"] for pt in report["points"]]
         assert all(b > a for a, b in zip(norms, norms[1:]))
 
     def test_subgroup_sweep_exact_slope(self):
         systems = [make_weyl_system(n) for n in (8, 8, 8, 8, 16, 32)]
         sizes = [8, 4, 2, 1, 1, 1]
         report = counterexample_run(systems, 4.0, 8.0, "subgroup", sizes)
-        assert report.predicted_slope == pytest.approx(-0.125)
-        assert report.fitted_slope == pytest.approx(-0.125, rel=1e-10)
-        norms = [pt.schatten_beta_norm for pt in report.points]
+        assert report["predicted_slope"] == pytest.approx(-0.125)
+        assert report["fitted_slope"] == pytest.approx(-0.125, rel=1e-10)
+        norms = [pt["schatten_beta_norm"] for pt in report["points"]]
         assert all(b > a for a, b in zip(norms, norms[1:]))
-        for pt in report.points:
-            assert abs(pt.sobolev_norm - 1.0) <= 1e-12
+        for pt in report["points"]:
+            assert abs(pt["sobolev_norm"] - 1.0) <= 1e-12
 
     def test_points_sorted_by_decreasing_measure(self):
         systems = [make_weyl_system(8), make_weyl_system(4)]
         report = counterexample_run(systems, 4.0, 8.0, "lex", [1, 1])
-        eps = [pt.epsilon for pt in report.points]
+        eps = [pt["epsilon"] for pt in report["points"]]
         assert eps == sorted(eps, reverse=True)
 
     def test_decades_spanned(self):
         systems = [make_weyl_system(8), make_weyl_system(8)]
         report = counterexample_run(systems, 4.0, 8.0, "subgroup", [8, 1])
-        assert report.decades_spanned == pytest.approx(math.log10(8.0))
+        assert report["decades_spanned"] == pytest.approx(math.log10(8.0))
 
     def test_validation(self):
         system = make_weyl_system(4)

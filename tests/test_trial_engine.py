@@ -13,7 +13,6 @@ import io
 import itertools
 import math
 import tracemalloc
-from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -24,7 +23,6 @@ from qsobolev.embedding import compute_exponents, verify_embedding_chain
 from qsobolev.groups import lq_table_norm
 from qsobolev.linalg import as_operator, schatten_norm, singular_values, trace_pairing
 from qsobolev.qft import (
-    HausdorffYoungReport,
     conjugate_exponent,
     qft_forward,
     qft_inverse,
@@ -33,8 +31,6 @@ from qsobolev.qft import (
     verify_roundtrips,
 )
 from qsobolev.sobolev import (
-    NormAxiomReport,
-    PairingBoundReport,
     SobolevSpec,
     bessel_multiplier,
     make_test_element,
@@ -120,17 +116,17 @@ def hausdorff_young_loop(system, p, direction, trials, seed):
         if ratio > worst:
             worst = ratio
             witness = k
-    return HausdorffYoungReport(
-        p=p,
-        q=q,
-        direction=direction,
-        trials=trials,
-        seed=seed,
-        worst_ratio=worst,
-        witness_available=witness is not None,
-        witness_index=witness,
-        skipped=skipped,
-    )
+    return {
+        "p": p,
+        "q": q,
+        "direction": direction,
+        "trials": trials,
+        "seed": seed,
+        "worst_ratio": worst,
+        "witness_available": witness is not None,
+        "witness_index": witness,
+        "skipped": skipped,
+    }
 
 
 def phi_isometry_loop(system, spec, trials, seed):
@@ -192,23 +188,23 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
             worst_dom = max(worst_dom, excess)
             if excess > monotone_tol:
                 dom_viol += 1
-    return NormAxiomReport(
-        N=system.N,
-        s=spec.s,
-        p=spec.p,
-        homogeneous=spec.homogeneous,
-        trials=trials,
-        seed=seed,
-        worst_homogeneity_rel=worst_hom_rel,
-        worst_triangle_excess=worst_tri,
-        triangle_violations=tri_viol,
-        worst_isometry_abs=worst_iso,
-        s_monotonicity_violations=mono_viol,
-        worst_s_monotonicity_excess=worst_mono,
-        hom_dominance_violations=dom_viol,
-        worst_hom_dominance_excess=worst_dom,
-        definiteness_violations=definite_viol,
-    )
+    return {
+        "N": system.N,
+        "s": spec.s,
+        "p": spec.p,
+        "homogeneous": spec.homogeneous,
+        "trials": trials,
+        "seed": seed,
+        "worst_homogeneity_rel": worst_hom_rel,
+        "worst_triangle_excess": worst_tri,
+        "triangle_violations": tri_viol,
+        "worst_isometry_abs": worst_iso,
+        "s_monotonicity_violations": mono_viol,
+        "worst_s_monotonicity_excess": worst_mono,
+        "hom_dominance_violations": dom_viol,
+        "worst_hom_dominance_excess": worst_dom,
+        "definiteness_violations": definite_viol,
+    }
 
 
 def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
@@ -227,31 +223,31 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
             skipped += 1
             continue
         worst = max(worst, abs(complex(trace_pairing(T, W))) / denom)
-    return PairingBoundReport(
-        N=system.N,
-        p=p,
-        p_prime=p_prime,
-        q_prime=q_prime,
-        s=s,
-        sign=sign,
-        trials=trials,
-        seed=seed,
-        skipped=skipped,
-        max_ratio=worst,
-        analytic_bound=bound,
-        satisfied=bool(worst <= bound * (1.0 + tolerance)),
-    )
+    return {
+        "N": system.N,
+        "p": p,
+        "p_prime": p_prime,
+        "q_prime": q_prime,
+        "s": s,
+        "sign": sign,
+        "trials": trials,
+        "seed": seed,
+        "skipped": skipped,
+        "max_ratio": worst,
+        "analytic_bound": bound,
+        "satisfied": bool(worst <= bound * (1.0 + tolerance)),
+    }
 
 
 def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
     """The measured fields of ``verify_embedding_chain`` (default tolerances)."""
     exponents = compute_exponents(alpha, spec.q, spec.s)
-    sigma = exponents.sigma
+    sigma = exponents["sigma"]
     m_norm = weighted_norm(1.0, spec.weight, -spec.s, alpha, spec.homogeneous)
     out = dict(skipped=0, violations=0, link1_violations=0, link2_violations=0)
     max_link1 = max_link2 = max_ratio = 0.0
     ratios_corrected = []
-    ratios_alternate = [] if exponents.beta_alternate_defined else None
+    ratios_alternate = [] if exponents["beta_alternate_defined"] else None
     for k in range(trials):
         T = operator_oracle(oracle_rng(seed, k), system.N)
         snorm = sobolev_norm(T, spec)
@@ -262,14 +258,14 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
         link1 = f_sigma / (m_norm * snorm)
         max_link1 = max(max_link1, link1)
         out["link1_violations"] += bool(link1 > 1.0 + 1e-12)
-        s_sigma_prime = schatten_norm(T, exponents.beta_corrected)
+        s_sigma_prime = schatten_norm(T, exponents["beta_corrected"])
         if f_sigma > 0.0:
             link2 = s_sigma_prime / f_sigma
             max_link2 = max(max_link2, link2)
             out["link2_violations"] += bool(link2 > 1.0 + 1e-10)
         ratios_corrected.append(s_sigma_prime / snorm)
         if ratios_alternate is not None:
-            ratios_alternate.append(schatten_norm(T, exponents.beta_alternate) / snorm)
+            ratios_alternate.append(schatten_norm(T, exponents["beta_alternate"]) / snorm)
         used = ratios_corrected[-1] if beta_choice == "corrected" else ratios_alternate[-1]
         max_ratio = max(max_ratio, used)
         out["violations"] += bool(used > m_norm * (1.0 + 1e-10))
@@ -303,9 +299,8 @@ def _spec(system, homogeneous=False):
 
 def _embedding_fields(report):
     """The fields of an embedding report that :func:`embedding_loop` measures."""
-    d = asdict(report)
     return {
-        key: d[key]
+        key: report[key]
         for key in (
             "skipped",
             "violations",
@@ -322,22 +317,19 @@ def _embedding_fields(report):
 
 def _hy(direction):
     return (
-        lambda system, t, s: [asdict(r) for r in verify_hausdorff_young(system, EXPONENTS, direction, t, s)],
-        lambda system, t, s: [
-            asdict(hausdorff_young_loop(system, p, direction, t, s)) for p in EXPONENTS
-        ],
+        lambda system, t, s: list(verify_hausdorff_young(system, EXPONENTS, direction, t, s)),
+        lambda system, t, s: [hausdorff_young_loop(system, p, direction, t, s) for p in EXPONENTS],
     )
 
 
 def _pairing_pair():
     def batch(system, t, s):
         weight = make_weight_euclidean(system.group)
-        reps = pairing_bound_estimate(system, 4.0, 1.0, weight, signs=(-1, 1), trials=t, seed=s)
-        return [asdict(r) for r in reps]
+        return list(pairing_bound_estimate(system, 4.0, 1.0, weight, signs=(-1, 1), trials=t, seed=s))
 
     def oracle(system, t, s):
         weight = make_weight_euclidean(system.group)
-        return [asdict(pairing_loop(system, 4.0, 1.0, weight, sign, t, s)) for sign in (-1, 1)]
+        return [pairing_loop(system, 4.0, 1.0, weight, sign, t, s) for sign in (-1, 1)]
 
     return batch, oracle
 
@@ -364,12 +356,12 @@ HARNESSES = {
     "hausdorff-young-forward": _hy("forward"),
     "hausdorff-young-inverse": _hy("inverse"),
     "norm-axioms": (
-        lambda system, t, s: asdict(verify_norm_axioms(system, _spec(system), t, s)),
-        lambda system, t, s: asdict(norm_axioms_loop(system, _spec(system), t, s)),
+        lambda system, t, s: verify_norm_axioms(system, _spec(system), t, s),
+        lambda system, t, s: norm_axioms_loop(system, _spec(system), t, s),
     ),
     "norm-axioms-homogeneous": (
-        lambda system, t, s: asdict(verify_norm_axioms(system, _spec(system, True), t, s)),
-        lambda system, t, s: asdict(norm_axioms_loop(system, _spec(system, True), t, s)),
+        lambda system, t, s: verify_norm_axioms(system, _spec(system, True), t, s),
+        lambda system, t, s: norm_axioms_loop(system, _spec(system, True), t, s),
     ),
     "phi-isometry": (
         lambda system, t, s: {"phi_isometry": phi_isometry_check(system, _spec(system), t, s)},
@@ -444,8 +436,8 @@ class TestOracles:
         weight = make_weight_euclidean(system.group)
         (report,) = nondegeneracy_check(system, 1.0, weight, signs=(sign,))
         rank, min_eigenvalue = nondegeneracy_loop(system, 1.0, weight, sign)
-        assert report.rank == rank == N * N
-        assert_matches(report.min_eigenvalue, min_eigenvalue)
+        assert report["rank"] == rank == N * N
+        assert_matches(report["min_eigenvalue"], min_eigenvalue)
 
 
 @pytest.fixture
@@ -514,20 +506,20 @@ class TestSkippedTrials:
         system = make_weyl_system(3)
         zero_draws.update({1, 4})
         for rep in verify_hausdorff_young(system, EXPONENTS, "forward", 10, 1):
-            assert rep.skipped == 2
-            assert rep.witness_available and rep.witness_index not in (1, 4)
+            assert rep["skipped"] == 2
+            assert rep["witness_available"] and rep["witness_index"] not in (1, 4)
         zero_draws.update(range(10))
         for direction in ("forward", "inverse"):
             for rep in verify_hausdorff_young(system, EXPONENTS, direction, 10, 1):
-                assert rep.skipped == 10 and rep.worst_ratio == 0.0
-                assert not rep.witness_available and rep.witness_index is None
+                assert rep["skipped"] == 10 and rep["worst_ratio"] == 0.0
+                assert not rep["witness_available"] and rep["witness_index"] is None
         spec = _spec(system)
         chain = verify_embedding_chain(system, spec, 4.0, trials=10, seed=1)
-        assert chain.skipped == 10 and chain.ratios_corrected == () and chain.max_ratio == 0.0
+        assert chain["skipped"] == 10 and chain["ratios_corrected"] == () and chain["max_ratio"] == 0.0
         axioms = verify_norm_axioms(system, spec, 10, 1)
-        assert axioms.worst_triangle_excess == -math.inf and axioms.triangle_violations == 0
+        assert axioms["worst_triangle_excess"] == -math.inf and axioms["triangle_violations"] == 0
         (pair,) = pairing_bound_estimate(system, 4.0, 1.0, spec.weight, trials=10, seed=1)
-        assert pair.skipped == 10 and pair.max_ratio == 0.0 and pair.satisfied
+        assert pair["skipped"] == 10 and pair["max_ratio"] == 0.0 and pair["satisfied"]
 
 
 # -- chunking -----------------------------------------------------------------
@@ -854,10 +846,10 @@ class TestReplay:
     def test_forward_witness_replays_its_worst_ratio(self):
         system = make_weyl_system(8)
         for rep in verify_hausdorff_young(system, EXPONENTS, "forward", 100, 0):
-            (T,) = streams.replay((partial(streams.OperatorReads, 8),), 0, rep.witness_index)
-            transformed = lq_table_norm(qft_forward(T), rep.q, system.group.dual_mass)
-            ratio = transformed / lq_table_norm(singular_values(T), rep.p, 1.0)
-            assert ratio[0] == rep.worst_ratio, rep.p
+            (T,) = streams.replay((partial(streams.OperatorReads, 8),), 0, rep["witness_index"])
+            transformed = lq_table_norm(qft_forward(T), rep["q"], system.group.dual_mass)
+            ratio = transformed / lq_table_norm(singular_values(T), rep["p"], 1.0)
+            assert ratio[0] == rep["worst_ratio"], rep["p"]
 
 
 # -- stacked kernels ----------------------------------------------------------
