@@ -37,7 +37,7 @@ import re
 import sys as _sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -45,6 +45,7 @@ import numpy as np
 
 from . import __version__
 from .embedding import (
+    BETA_CHOICES,
     CHAIN_TOLERANCES,
     SET_SELECTORS,
     compute_exponents,
@@ -130,34 +131,27 @@ def parse_real(text) -> float:
     return value
 
 
-def _parse_int(text, minimum: int) -> int:
-    try:
-        value = int(str(text).strip())
-    except ValueError:
-        raise ValueError(f"expected an integer, got {str(text).strip()!r}") from None
-    if value < minimum:
-        raise ValueError(f"expected an integer >= {minimum}, got {value}")
-    return value
-
-
-parse_positive_int = partial(_parse_int, minimum=1)
-parse_nonnegative_int = partial(_parse_int, minimum=0)
-
-
-def dimension_at_most(limit: int, reason: str) -> Callable[[object], int]:
-    """Parser for a Hilbert dimension N in [1, limit]; ``reason`` names what sets the cap."""
+def integer(minimum: int, limit: int | None = None, reason: str = "") -> Callable[[object], int]:
+    """Parser for an integer >= ``minimum``, and <= ``limit`` if given; ``reason`` names what sets the cap."""
 
     def parse(text) -> int:
-        N = parse_positive_int(text)
-        if N > limit:
-            raise ValueError(f"expected at most {limit} ({reason}), got {N}")
-        return N
+        try:
+            value = int(str(text).strip())
+        except ValueError:
+            raise ValueError(f"expected an integer, got {str(text).strip()!r}") from None
+        if value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value}")
+        if limit is not None and value > limit:
+            raise ValueError(f"expected at most {limit} ({reason}), got {value}")
+        return value
 
     return parse
 
 
+parse_positive_int = integer(1)
+parse_nonnegative_int = integer(0)
 #: A dimension N in [1, MAX_N], the cap set by the memory budget.
-parse_dimension = dimension_at_most(MAX_N, f"the {MEMORY_BUDGET_BYTES >> 30} GiB memory budget")
+parse_dimension = integer(1, MAX_N, f"the {MEMORY_BUDGET_BYTES >> 30} GiB memory budget")
 
 
 def parse_bool(text) -> bool:
@@ -430,7 +424,7 @@ def run_embed(config: dict):
     # The composite bound gates only the corrected exponent; the other
     # candidate is measured and recorded.
     passed = report["link1_violations"] == 0 and report["link2_violations"] == 0
-    if config["beta_choice"] == "corrected":
+    if config["beta_choice"] == BETA_CHOICES[0]:
         passed = passed and report["violations"] == 0
     return report, passed
 
@@ -462,7 +456,7 @@ def run_counterexample(config: dict):
 COMMANDS: dict[str, Command] = {
     "axioms": Command(
         run_axioms, "exhaustive Weyl-system identity checks", AXIOM_TOLERANCES,
-        (Param("N", dimension_at_most(EXHAUSTIVE_MAX_N, "the exhaustive axiom check"), 4),
+        (Param("N", integer(1, EXHAUSTIVE_MAX_N, "the exhaustive axiom check"), 4),
          Param("convention", Choice(CONVENTIONS), "standard")),
     ),
     "plancherel": Command(
@@ -508,7 +502,7 @@ COMMANDS: dict[str, Command] = {
         (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), Param("alpha", parse_real, 4.0), WEIGHT,
          Param("homogeneous", parse_bool, False),
-         Param("beta_choice", Choice(("corrected", "alternate")), "corrected"),
+         Param("beta_choice", Choice(BETA_CHOICES), BETA_CHOICES[0]),
          Param("trials", parse_positive_int, 200), SEED),
     ),
     "counterexample": Command(
@@ -613,7 +607,3 @@ def main(argv=None) -> int:
     status = "PASS" if passed else "FAIL"
     print(f"{config['command']}: {status} ({', '.join(str(p) for p in paths)})")
     return 0 if passed else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -37,6 +37,9 @@ from .weyl import WeylSystem
 
 #: Default relative slack of each link and of the composite bound, by ``--tol`` name.
 CHAIN_TOLERANCES = MappingProxyType({"link1": 1e-12, "link2": 1e-10, "composite": 1e-10})
+#: The candidates for the final Schatten exponent beta, by ``--beta-choice``
+#: word: the one forced by the Hoelder identity, then the alternate closed form.
+BETA_CHOICES = ("corrected", "alternate")
 
 
 def compute_exponents(alpha: float, q: float, s: float) -> dict:
@@ -77,7 +80,7 @@ def verify_embedding_chain(
     system: WeylSystem,
     spec: SobolevSpec,
     alpha: float,
-    beta_choice: str = "corrected",
+    beta_choice: str = BETA_CHOICES[0],
     trials: int = 100,
     seed: int = 0,
     tolerances: Mapping[str, float] = CHAIN_TOLERANCES,
@@ -92,8 +95,8 @@ def verify_embedding_chain(
     counts as a violation beyond ``1 + tolerances[name]`` times its bound, with
     every key of ``CHAIN_TOLERANCES`` given.
     """
-    if beta_choice not in ("corrected", "alternate"):
-        raise ValueError(f"beta_choice must be 'corrected' or 'alternate', got {beta_choice!r}")
+    if beta_choice not in BETA_CHOICES:
+        raise ValueError(f"beta_choice must be {' or '.join(map(repr, BETA_CHOICES))}, got {beta_choice!r}")
     exponents = compute_exponents(alpha, spec.q, spec.s)
     sigma = exponents["sigma"]
     if not exponents["sigma_in_range"]:
@@ -101,20 +104,14 @@ def verify_embedding_chain(
             f"hypothesis 1 < sigma <= 2 fails: sigma = {sigma} "
             f"for alpha={alpha}, q={spec.q} (p={spec.p})"
         )
-    beta_corrected = exponents["beta_corrected"]
-    if beta_choice == "alternate":
-        if not exponents["beta_alternate_defined"]:
-            raise ValueError(
-                f"hypothesis alpha (q - 1) > s fails: alpha={alpha}, q={spec.q}, s={spec.s}"
-            )
-        beta_used = exponents["beta_alternate"]
-    else:
-        beta_used = beta_corrected
+    # The Schatten exponents measured, indexed like BETA_CHOICES: the corrected
+    # beta (defined once sigma > 1), then the alternate one where it is defined.
+    betas = [beta for beta in (exponents[f"beta_{word}"] for word in BETA_CHOICES) if beta is not None]
+    used = BETA_CHOICES.index(beta_choice)
+    if used >= len(betas):
+        raise ValueError(f"hypothesis alpha (q - 1) > s fails: alpha={alpha}, q={spec.q}, s={spec.s}")
     # The chain constant C1: the L^alpha norm of the reciprocal multiplier, order -s.
     m_norm = weighted_norm(1.0, spec.weight, -spec.s, alpha, spec.homogeneous)
-    betas = [beta_corrected]
-    if exponents["beta_alternate_defined"]:
-        betas.append(exponents["beta_alternate"])
 
     def measure(T):
         f = qft_forward(T)
@@ -129,7 +126,6 @@ def verify_embedding_chain(
     link1, kept = kept_ratios(f_sigma, m_norm * snorm)
     link2, link2_kept = kept_ratios(schatten[:, 0], f_sigma)
     ratios = [kept_ratios(schatten[:, j], snorm)[0] for j in range(len(betas))]
-    used = ratios[0] if beta_choice == "corrected" else ratios[1]
     return {
         "N": system.N,
         "s": spec.s,
@@ -139,17 +135,17 @@ def verify_embedding_chain(
         "homogeneous": spec.homogeneous,
         "sigma": sigma,
         "beta_choice": beta_choice,
-        "beta_used": beta_used,
-        "beta_corrected": beta_corrected,
+        "beta_used": betas[used],
+        "beta_corrected": exponents["beta_corrected"],
         "beta_alternate": exponents["beta_alternate"],
         "multiplier_norm": m_norm,
         "trials": trials,
         "seed": seed,
         "skipped": int(np.count_nonzero(~kept)),
-        "violations": int(np.count_nonzero(kept & (used > m_norm * (1.0 + tolerances["composite"])))),
+        "violations": int(np.count_nonzero(kept & (ratios[used] > m_norm * (1.0 + tolerances["composite"])))),
         "link1_violations": int(np.count_nonzero(kept & (link1 > 1.0 + tolerances["link1"]))),
         "link2_violations": int(np.count_nonzero(link2_kept & (link2 > 1.0 + tolerances["link2"]))),
-        "max_ratio": worst_trial(used, kept)[0],
+        "max_ratio": worst_trial(ratios[used], kept)[0],
         "max_link1_ratio": worst_trial(link1, kept)[0],
         "max_link2_ratio": worst_trial(link2, link2_kept)[0],
         "ratios_corrected": tuple(ratios[0][kept].tolist()),

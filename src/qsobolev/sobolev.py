@@ -168,7 +168,7 @@ def verify_norm_axioms(
     for the triangle inequality and beyond ``MONOTONE_TOL`` for the two order
     relations.  No isometry is checked: ``worst_isometry_abs`` is 0 by
     construction, since the weighted map's L^q norm is ``sobolev_norm``
-    itself, until a second route to that norm gates it (ROADMAP item 2).
+    itself, until a second route to that norm gates it (ROADMAP item 1).
     """
 
     def measure(T, S, c):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,7 +467,7 @@ class TestExtremeInputs:
 
     @pytest.mark.xfail(raises=AssertionError, strict=True,
                        reason="the order -s multiplier underflows to 0 on part of the grid, so the rank "
-                              "reads short; ROADMAP item 4")
+                              "reads short; ROADMAP item 3")
     @pytest.mark.parametrize("N, s", [("8", "616"), ("16", "400")])
     def test_underflowing_multiplier_keeps_full_rank(self, N, s, monkeypatch, tmp_path, capsys):
         # The delta family's Gram is diag(N (m/N)^2), full rank in exact arithmetic.
@@ -483,13 +485,23 @@ class TestExtremeInputs:
 
 
 #: A run that passes at the default tolerances and fails at ``value``, per
-#: tolerance a harness applies.
+#: tolerance of every command: those a harness applies, then those the CLI
+#: applies itself.  ``isometry`` flips only below 0: its field is 0 by
+#: construction (ROADMAP item 1).
 TOLERANCE_FLIPS = [
     *((["axioms", "--N", "2"], name, "-1") for name in AXIOM_TOLERANCES),
     *((EMBED, name, "-1") for name in CHAIN_TOLERANCES),
     (["sobolev-norms", "--N", "2", "--trials", "3"], "triangle", "-1"),
     (["pairing", "--N", "2", "--trials", "3"], "pairing_slack", "-1"),
     (["pairing", "--N", "2", "--trials", "3"], "rank", "2"),
+    (["plancherel", *SMALL], "deviation", "-1"),
+    (["plancherel", *SMALL], "roundtrip", "-1"),
+    (["hausdorff-young", *SMALL], "ratio_slack", "-1"),
+    (["sobolev-norms", *SMALL], "homogeneity", "-1"),
+    (["sobolev-norms", *SMALL], "isometry", "-1"),
+    (["exponents"], "identity", "-1"),
+    (["counterexample"], "normalization", "-1"),
+    (["counterexample"], "slope_rel", "-1"),
 ]
 
 
@@ -501,6 +513,12 @@ class TestToleranceWiring:
         assert cli.main(argv + ["--tol", f"{name}={value}"]) == 1
         report = json.loads((tmp_path / f"{argv[0].replace('-', '_')}_report.json").read_text())
         assert report["config"]["tolerances"][name] == float(value)
+
+    def test_every_tolerance_has_a_flip(self):
+        flipped = [(argv[0], name) for argv, name, _ in TOLERANCE_FLIPS]
+        assert sorted(flipped) == sorted(
+            (command, name) for command, spec in cli.COMMANDS.items() for name in spec.tolerances
+        )
 
 
 class TestInputValidation:
@@ -671,6 +689,52 @@ class TestDimensionCap:
                     N.read(str(cli.MAX_N + 1))
 
 
+#: The least value of each integer parameter.
+INTEGER_MINIMA = {"N": 1, "sizes": 1, "trials": 1, "seed": 0}
+
+
+def integer_cases():
+    """(argv, exact stderr line) per integer parameter: a non-integer, one below its minimum, N above its cap."""
+    for command, spec in cli.COMMANDS.items():
+        for param in spec.params:
+            if param.name not in INTEGER_MINIMA:
+                continue
+            least = INTEGER_MINIMA[param.name]
+            values = [("2.5", "expected an integer, got '2.5'"),
+                      (str(least - 1), f"expected an integer >= {least}, got {least - 1}")]
+            if param.name == "N" and command == "axioms":
+                values.append(("17", "expected at most 16 (the exhaustive axiom check), got 17"))
+            elif param.name == "N":
+                values.append(("2049", "expected at most 2048 (the 1 GiB memory budget), got 2049"))
+            # A list parameter reads each entry alike: the bad value goes second.
+            lead = "8," if isinstance(param.default, tuple) else ""
+            for value, message in values:
+                line = f"invalid configuration: {param.name}: {message}\n"
+                yield pytest.param([command, f"--{param.name}", lead + value], line,
+                                   id=f"{command}-{param.name}={value}")
+
+
+class TestIntegerMessages:
+    @pytest.mark.parametrize("argv, line", list(integer_cases()))
+    def test_rejected_integer_is_one_exact_line(self, argv, line, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", line)
+        assert not list(tmp_path.iterdir())
+
+    def test_every_integer_parameter_is_listed(self):
+        def reads_integers(param):
+            try:
+                param.read("2.5")
+            except ValueError as exc:
+                return "expected an integer" in str(exc)
+            return False
+
+        integers = {(command, param.name) for command, spec in cli.COMMANDS.items()
+                    for param in spec.params + cli.OUTPUT_PARAMS if reads_integers(param)}
+        assert {(case.values[0][0], case.values[0][1][2:]) for case in integer_cases()} == integers
+
+
 #: A small run of each command that passes.
 SMALL_RUNS = [
     ["axioms", "--N", "3"],
@@ -838,3 +902,22 @@ class TestReproducibility:
         ra = [r["worst_ratio"] for r in a["results"]["runs"]]
         rb = [r["worst_ratio"] for r in b["results"]["runs"]]
         assert ra != rb
+
+
+class TestCompareReportsRuns:
+    def test_every_choice_word_is_run(self):
+        # A run reaches a word through its flag, or through the default when the
+        # flag is left out.  The output parameters choose no result: exempt.
+        path = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+        spec = importlib.util.spec_from_file_location("compare_reports", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        reached = set()
+        for argv in tool.DEFAULTS + tool.NON_DEFAULTS:
+            args = cli.build_parser().parse_args(argv)
+            for param in cli.COMMANDS[args.command].params:
+                reached.add((args.command, param.name, getattr(args, param.name) or param.default))
+        words = {(command, param.name, word) for command, spec in cli.COMMANDS.items()
+                 for param in spec.params if isinstance(param.parse, cli.Choice)
+                 for word in param.parse.options}
+        assert words - reached == set()

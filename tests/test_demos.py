@@ -9,16 +9,7 @@ import pytest
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "01_weyl_systems.py",
-        "02_transform_plancherel.py",
-        "03_sobolev_duality.py",
-        "04_embedding_chain.py",
-        "05_scaling_counterexample.py",
-    ],
-)
+@pytest.mark.parametrize("name", sorted(path.name for path in DEMOS.glob("*.py")))
 def test_demo_runs(name, tmp_path):
     # A RuntimeWarning (overflow, invalid value) is an error, and nothing else
     # may reach stderr either.

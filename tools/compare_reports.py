@@ -6,11 +6,12 @@ PARENT and CHANGE are repository roots, for example a ``git archive`` of the
 parent commit and the working tree.  Each run below is made once per checkout
 with ``PYTHONPATH=<checkout>/src``, in a fresh temporary directory, and with
 one BLAS thread: reports repeat byte for byte only at a fixed thread count
-(README, "BLAS threads").  A CLI run writes its JSON and CSV reports there; a
-demo run only prints.  The tool compares the JSON report with its
-``timestamp`` line left out, the CSV report, stdout, stderr and the exit
-code.  It prints one line per run and exits 1 if any of them differs, 0 if
-every run is identical.
+(README, "BLAS threads").  The runs are the eight subcommands at their
+defaults, the non-default runs below and every script in ``demos/``.  A CLI
+run writes its JSON and CSV reports there; a demo run only prints.  The
+tool compares the JSON report with its ``timestamp`` line left out, the CSV
+report, stdout, stderr and the exit code.  It prints one line per run and
+exits 1 if any of them differs, 0 if every run is identical.
 """
 
 from __future__ import annotations
@@ -32,26 +33,24 @@ DEFAULTS = [
         "pairing", "exponents", "embed", "counterexample",
     )
 ]
-#: Non-default runs that reach the weight choices, other exponents and orders,
-#: the homogeneous norm, the alternate beta, one weight sign and the sweep shapes.
+#: Non-default runs that reach every other choice word, other exponents and
+#: orders, the homogeneous norm and a sweep to N = 1024.
 NON_DEFAULTS = [
+    ["axioms", "--convention", "symmetric"],
+    ["hausdorff-young", "--direction", "forward"],
+    ["hausdorff-young", "--direction", "inverse"],
     ["sobolev-norms", "--weight", "constant"],
     ["sobolev-norms", "--s", "2.5", "--p", "1.2", "--trials", "50"],
     ["embed", "--homogeneous"],
     ["embed", "--beta-choice", "alternate"],
     ["embed", "--alpha", "3", "--weight", "constant"],
+    ["pairing", "--sign", "-1"],
     ["pairing", "--sign", "1", "--s", "8"],
+    ["pairing", "--weight", "constant"],
     ["pairing", "--N", "4", "--s", "20", "--p", "6"],
     ["counterexample", "--selector", "ball"],
     ["counterexample", "--selector", "lex"],
     ["counterexample", "--N", "8,8,8,8,16,32,64,128,256,512,1024", "--sizes", "8,4,2,1,1,1,1,1,1,1,1"],
-]
-DEMOS = [
-    "01_weyl_systems.py",
-    "02_transform_plancherel.py",
-    "03_sobolev_duality.py",
-    "04_embedding_chain.py",
-    "05_scaling_counterexample.py",
 ]
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIMESTAMP_LINE = re.compile(rb'^  "timestamp": "[^"]*",?\n', re.MULTILINE)
@@ -90,7 +89,9 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="repository root of the parent checkout")
     parser.add_argument("change", type=Path, help="repository root of the changed checkout")
     args = parser.parse_args(argv)
-    cases = DEFAULTS + NON_DEFAULTS + [[demo] for demo in DEMOS]
+    # Every demo of either checkout: one that only one of them has differs.
+    demos = sorted({path.name for root in (args.parent, args.change) for path in root.glob("demos/*.py")})
+    cases = DEFAULTS + NON_DEFAULTS + [[demo] for demo in demos]
     differing = 0
     for case in cases:
         parent, change = (run(root.resolve(), case) for root in (args.parent, args.change))
