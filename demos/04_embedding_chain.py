@@ -25,7 +25,7 @@ weight = make_weight_euclidean(system.group)
 print("chain measurements at N=8, s=1, p=4/3 (q=4), alpha=4, 400 draws:")
 for homogeneous in (False, True):
     spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight, homogeneous=homogeneous)
-    rep = verify_embedding_chain(system, spec, alpha=4.0, trials=400, seed=23)
+    rep = verify_embedding_chain(system, spec, alpha=4.0, beta_choice="corrected", trials=400, seed=23)
     kind = "homogeneous " if homogeneous else "inhomogeneous"
     print(f"  {kind}: multiplier constant ||m||_alpha = {rep['multiplier_norm']:.6f}")
     print(f"    link 1 (exact Hoelder)   max ratio {rep['max_link1_ratio']:.6f}, violations {rep['link1_violations']}")

@@ -54,9 +54,8 @@ from .embedding import (
 )
 from .qft import verify_hausdorff_young, verify_plancherel
 from .sobolev import (
-    PAIRING_SLACK,
-    RANK_TOL,
-    TRIANGLE_TOL,
+    DUALITY_TOLERANCES,
+    NORM_TOLERANCES,
     SobolevSpec,
     make_weight_constant,
     make_weight_euclidean,
@@ -373,9 +372,7 @@ def run_sobolev_norms(config: dict):
     weight = WEIGHTS[config["weight"]](system.group)
     spec = SobolevSpec(s=config["s"], p=config["p"], weight=weight)
     tol = config["tolerances"]
-    report = verify_norm_axioms(
-        system, spec, config["trials"], config["seed"], triangle_tol=tol["triangle"]
-    )
+    report = verify_norm_axioms(system, spec, config["trials"], config["seed"], tol)
     passed = (
         report["worst_homogeneity_rel"] <= tol["homogeneity"]
         and report["triangle_violations"] == 0
@@ -394,11 +391,9 @@ def run_pairing(config: dict):
     signs = SIGNS[config["sign"]]
     tol = config["tolerances"]
     bounds = pairing_bound_estimate(
-        system, config["p"], s, weight, signs=signs, trials=config["trials"], seed=config["seed"],
-        tolerance=tol["pairing_slack"],
+        system, config["p"], s, weight, signs, config["trials"], config["seed"], tol
     )
-    ranks = (nondegeneracy_check(system, s, weight, signs, tol["rank"])
-             if system.N <= EXHAUSTIVE_MAX_N else ())
+    ranks = nondegeneracy_check(system, s, weight, signs, tol) if system.N <= EXHAUSTIVE_MAX_N else ()
     results = {"pairing": list(bounds), "nondegeneracy": list(ranks)}
     return results, all(b["satisfied"] for b in bounds) and all(nd["full_rank"] for nd in ranks)
 
@@ -475,13 +470,13 @@ COMMANDS: dict[str, Command] = {
     ),
     "sobolev-norms": Command(
         run_sobolev_norms, "norm axioms and order relations (worst_isometry_abs is 0 by construction)",
-        {"homogeneity": 1e-12, "triangle": TRIANGLE_TOL, "isometry": 1e-12},
+        {"homogeneity": 1e-12, **NORM_TOLERANCES, "isometry": 1e-12},
         (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), WEIGHT, Param("trials", parse_positive_int, 200), SEED),
     ),
     "pairing": Command(
         run_pairing, "duality pairing bound and test-family rank",
-        {"pairing_slack": PAIRING_SLACK, "rank": RANK_TOL},
+        DUALITY_TOLERANCES,
         (Param("N", parse_dimension, 8),
          Param("p", parse_real, 4.0, "Schatten exponent > 2 for the operator side"),
          Param("s", parse_real, 1.0), WEIGHT, Param("sign", Choice(tuple(SIGNS)), "both"),

@@ -30,7 +30,7 @@ import numpy as np
 from .groups import PhaseSpaceGrid, lq_table_norm
 from .linalg import schatten_norm
 from .qft import conjugate_exponent, qft_forward, qft_inverse
-from .sobolev import SobolevSpec, weighted_norm
+from .sobolev import SobolevSpec, _require_same_grid, weighted_norm
 from .streams import OperatorReads, kept_ratios, run_trials, worst_trial
 from .weyl import WeylSystem
 
@@ -80,9 +80,9 @@ def verify_embedding_chain(
     system: WeylSystem,
     spec: SobolevSpec,
     alpha: float,
-    beta_choice: str = BETA_CHOICES[0],
-    trials: int = 100,
-    seed: int = 0,
+    beta_choice: str,
+    trials: int,
+    seed: int,
     tolerances: Mapping[str, float] = CHAIN_TOLERANCES,
 ) -> dict:
     """Check both links of the embedding chain separately on random operators.
@@ -95,15 +95,14 @@ def verify_embedding_chain(
     counts as a violation beyond ``1 + tolerances[name]`` times its bound, with
     every key of ``CHAIN_TOLERANCES`` given.
     """
+    _require_same_grid(system, spec.weight)
     if beta_choice not in BETA_CHOICES:
         raise ValueError(f"beta_choice must be {' or '.join(map(repr, BETA_CHOICES))}, got {beta_choice!r}")
     exponents = compute_exponents(alpha, spec.q, spec.s)
     sigma = exponents["sigma"]
     if not exponents["sigma_in_range"]:
-        raise ValueError(
-            f"hypothesis 1 < sigma <= 2 fails: sigma = {sigma} "
-            f"for alpha={alpha}, q={spec.q} (p={spec.p})"
-        )
+        raise ValueError(f"hypothesis 1 < sigma <= 2 fails: sigma = {sigma} "
+                         f"for alpha={alpha}, q={spec.q} (p={spec.p})")
     # The Schatten exponents measured, indexed like BETA_CHOICES: the corrected
     # beta (defined once sigma > 1), then the alternate one where it is defined.
     betas = [beta for beta in (exponents[f"beta_{word}"] for word in BETA_CHOICES) if beta is not None]
@@ -236,13 +235,12 @@ def counterexample_run(
         eps = len(support) * system.group.dual_mass
         vals = np.zeros(system.group.size, dtype=np.complex128)
         vals[support] = eps ** (-1.0 / q)
-        T = qft_inverse(system, vals)
         points.append({
             "N": system.N,
             "set_size": len(support),
             "epsilon": eps,
             "sobolev_norm": lq_table_norm(vals, q, system.group.dual_mass),
-            "schatten_beta_norm": schatten_norm(T, rho_prime),
+            "schatten_beta_norm": schatten_norm(qft_inverse(system, vals), rho_prime),
         })
     points.sort(key=lambda pt: -pt["epsilon"])
     eps_values = np.array([pt["epsilon"] for pt in points])

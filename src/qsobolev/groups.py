@@ -113,11 +113,12 @@ def lq_table_norm(values: np.ndarray, q: float | Sequence[float], mass_per_point
     ratios = np.abs(np.asarray(values)).astype(float, copy=False)
     top = np.max(ratios, axis=-1)
     ratios /= np.where(top > 0.0, top, 1.0)[..., None]  # the moduli, rescaled in place
+    nonzero = ratios != 0.0  # the same for every exponent
     powers = ratios if single else np.zeros_like(ratios)
     norms = []
     for e in exponents:
         if not math.isinf(e):
-            np.power(ratios, e, out=powers, where=ratios != 0.0)
+            np.power(ratios, e, out=powers, where=nonzero)
             total = np.sum(powers, axis=-1) * mass_per_point
             root = np.array([t ** (1.0 / e) for t in total.ravel().tolist()]).reshape(total.shape)
         norms.append(top if math.isinf(e) else top * root)

@@ -6,8 +6,9 @@ Bessel-style weight ``(1 + gamma^2)^(s/2)`` in the inhomogeneous case and
 ``gamma^s`` in the homogeneous one (``q`` conjugate to the space exponent
 ``p in (1, 2)``).  The negative-order side is generated by a test family of
 operators built by inverse-transforming weighted generators; the weight-sign
-of that construction is a mandatory explicit parameter because both natural
-choices are useful, and the default ``-1`` keeps the duality chain sharp.
+of that construction is a parameter because both natural choices are useful:
+``pairing_bound_estimate`` requires it, and the other calls default to
+``-1``, which keeps the duality chain sharp.
 Each harness returns the dict its report holds, keys in report order.
 """
 
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,13 +30,10 @@ from .weyl import EXHAUSTIVE_MAX_N, WeylSystem
 
 #: Relative slack of the s-monotonicity and homogeneous-dominance counts.
 MONOTONE_TOL = 1e-12
-
-#: Default relative slack of the triangle-inequality count (``--tol triangle``).
-TRIANGLE_TOL = 1e-10
-#: Default relative slack of the pairing bound (``--tol pairing_slack``).
-PAIRING_SLACK = 1e-10
-#: Default eigenvalue floor of the row-scaled Gram rank, relative to max(1, top) (``--tol rank``).
-RANK_TOL = 1e-10
+#: Default tolerance of :func:`verify_norm_axioms`, by ``--tol`` name.
+NORM_TOLERANCES = MappingProxyType({"triangle": 1e-10})
+#: Default tolerances of the duality harnesses, by ``--tol`` name.
+DUALITY_TOLERANCES = MappingProxyType({"pairing_slack": 1e-10, "rank": 1e-10})
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +95,20 @@ def _require_smoothness(s: float) -> None:
         raise ValueError(f"smoothness s must be nonnegative, got {s}")
 
 
+def _require_same_grid(system: WeylSystem, weight: Weight) -> None:
+    if weight.group != system.group:
+        raise ValueError("weight lives on a different dual group than the system")
+
+
+def _require_test_family(system: WeylSystem, s: float, weight: Weight, signs: Sequence[int]) -> None:
+    if len(signs) == 0:
+        raise ValueError("signs must hold at least one weight sign, got none")
+    if bad := [sign for sign in signs if sign not in (-1, 1)]:
+        raise ValueError(f"sign must be +1 or -1, got {bad[0]}")
+    _require_same_grid(system, weight)
+    _require_smoothness(s)
+
+
 def bessel_multiplier(weight: Weight, t: float, homogeneous: bool = False) -> np.ndarray:
     """The order-t multiplier table (1 + gamma^2)^(t/2), or gamma^t if homogeneous.
 
@@ -138,15 +151,11 @@ def make_test_element(system: WeylSystem, s: float, weight: Weight, phi, sign: i
     ``phi`` is a table on the system's N x N dual grid, checked by
     :func:`~qsobolev.groups.as_table`; a stack of them gives a stack of
     operators.  W_phi's defining norm is ``lq_table_norm(phi, q', dual_mass)``
-    at the dual side's Fourier exponent q'.  The weight sign is an explicit
-    caller choice (+1 or -1); -1 is the default used by the duality harnesses.
+    at the dual side's Fourier exponent q'.  The weight sign is +1 or -1;
+    -1 is the default.
     """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _require_test_family(system, s, weight, (sign,))
     phi = as_table(phi, system.N)
-    if weight.group != system.group:
-        raise ValueError("weight lives on a different dual group than the system")
-    _require_smoothness(s)
     return qft_inverse(system, bessel_multiplier(weight, sign * s) * phi)
 
 
@@ -155,7 +164,7 @@ def verify_norm_axioms(
     spec: SobolevSpec,
     trials: int,
     seed: int,
-    triangle_tol: float = TRIANGLE_TOL,
+    tolerances: Mapping[str, float] = NORM_TOLERANCES,
 ) -> dict:
     """Measure the norm axioms and order relations on seeded random operator pairs.
 
@@ -164,12 +173,13 @@ def verify_norm_axioms(
     inhomogeneous norm in the smoothness parameter (the Bessel multiplier is
     >= 1 and increases with s), pointwise dominance of the homogeneous norm by
     the inhomogeneous one, and definiteness (no vanishing norm on a nonzero
-    operator).  Violation counts use relative excess beyond ``triangle_tol``
+    operator).  Violation counts use relative excess beyond ``tolerances["triangle"]``
     for the triangle inequality and beyond ``MONOTONE_TOL`` for the two order
     relations.  No isometry is checked: ``worst_isometry_abs`` is 0 by
     construction, since the weighted map's L^q norm is ``sobolev_norm``
     itself, until a second route to that norm gates it (ROADMAP item 1).
     """
+    _require_same_grid(system, spec.weight)
 
     def measure(T, S, c):
         # One transform of T for the inhomogeneous norms at s and 2s and the
@@ -208,7 +218,7 @@ def verify_norm_axioms(
         "seed": seed,
         "worst_homogeneity_rel": worst_hom_rel,
         "worst_triangle_excess": worst_trial(triangle, kept, -math.inf)[0],
-        "triangle_violations": int(np.count_nonzero(kept & (triangle > triangle_tol))),
+        "triangle_violations": int(np.count_nonzero(kept & (triangle > tolerances["triangle"]))),
         # The weighted map's L^q norm is sobolev_norm itself, so this reads 0.0 by construction.
         "worst_isometry_abs": worst_trial(np.abs(nT - nT))[0],
         "s_monotonicity_violations": int(np.count_nonzero(base_kept & (monotone > MONOTONE_TOL))),
@@ -243,26 +253,25 @@ def pairing_bound_estimate(
     p: float,
     s: float,
     weight: Weight,
-    signs: Sequence[int] = (-1,),
-    trials: int = 100,
-    seed: int = 0,
-    tolerance: float = PAIRING_SLACK,
+    signs: Sequence[int],
+    trials: int,
+    seed: int,
+    tolerances: Mapping[str, float] = DUALITY_TOLERANCES,
 ) -> tuple[dict, ...]:
     """Sample |tr(T W_phi^*)| / (||T||_Sp * ||phi||_q') against the analytic bound.
 
     Requires ``p > 2`` so the test elements live on the conjugate side
     (p' < 2, q' = p).  Returns one report per weight sign in ``signs``, all
     measured on the same draws of ``(T, phi)``.  Trials with a vanishing
-    denominator are skipped and counted.
+    denominator are skipped and counted.  ``tolerances["pairing_slack"]`` is
+    the bound's relative slack.
     """
     if not p > 2.0:
         raise ValueError(f"pairing estimate needs p > 2, got {p}")
     p_prime = conjugate_exponent(p)
     if not p_prime > 1.0:
         raise ValueError(f"pairing estimate needs p' = p/(p - 1) > 1, got p' = {p_prime} for p = {p}")
-    if weight.group != system.group:
-        raise ValueError("weight lives on a different dual group than the system")
-    _require_smoothness(s)
+    _require_test_family(system, s, weight, signs)
     q_prime = conjugate_exponent(p_prime)
     bounds = [pairing_analytic_bound(p, s, weight, sign) for sign in signs]
 
@@ -293,13 +302,14 @@ def pairing_bound_estimate(
             "skipped": int(np.count_nonzero(~kept)),
             "max_ratio": worst,
             "analytic_bound": bound,
-            "satisfied": bool(worst <= bound * (1.0 + tolerance)),
+            "satisfied": bool(worst <= bound * (1.0 + tolerances["pairing_slack"])),
         })
     return tuple(reports)
 
 
 def nondegeneracy_check(
-    system: WeylSystem, s: float, weight: Weight, signs: Sequence[int] = (-1,), rank_tol: float = RANK_TOL
+    system: WeylSystem, s: float, weight: Weight, signs: Sequence[int] = (-1,),
+    tolerances: Mapping[str, float] = DUALITY_TOLERANCES,
 ) -> tuple[dict, ...]:
     """Verify the trace pairing separates points via the delta-generated family, per sign in ``signs``.
 
@@ -311,12 +321,12 @@ def nondegeneracy_check(
     ``min_eigenvalue = lambda_min(S) * min(D)^2`` is a lower bound on its
     least eigenvalue (Ostrowski; Horn & Johnson, *Matrix Analysis*,
     Thm 4.5.9), equal to ``N (min m / N)^2`` for this family, whose Gram is
-    diagonal.  Limited to ``N <= EXHAUSTIVE_MAX_N``.
+    diagonal.  The rank counts the eigenvalues of S above ``tolerances["rank"]``
+    times max(1, largest).  Limited to ``N <= EXHAUSTIVE_MAX_N``.
     """
+    _require_test_family(system, s, weight, signs)
     if system.N > EXHAUSTIVE_MAX_N:
-        raise ValueError(
-            f"nondegeneracy check is limited to N <= {EXHAUSTIVE_MAX_N}, got {system.N}"
-        )
+        raise ValueError(f"nondegeneracy check is limited to N <= {EXHAUSTIVE_MAX_N}, got {system.N}")
     K = system.group.size
     deltas = np.eye(K, dtype=np.complex128)
     reports = []
@@ -327,7 +337,7 @@ def nondegeneracy_check(
         # overflows for a row maximum that is subnormal or near the float maximum.
         scaled = (V.view(np.float64) / np.where(top > 0.0, top, 1.0)).view(np.complex128)
         eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
-        rank = int(np.sum(eigs > rank_tol * max(float(eigs[-1]), 1.0)))
+        rank = int(np.sum(eigs > tolerances["rank"] * max(float(eigs[-1]), 1.0)))
         reports.append({
             "N": system.N,
             "sign": sign,

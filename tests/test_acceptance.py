@@ -169,7 +169,7 @@ def test_criterion_6_embedding_chain():
     details = []
     for homogeneous in (False, True):
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight, homogeneous=homogeneous)
-        rep = verify_embedding_chain(system, spec, alpha=4.0, trials=500, seed=SEED)
+        rep = verify_embedding_chain(system, spec, alpha=4.0, beta_choice="corrected", trials=500, seed=SEED)
         ok = (
             ok
             and rep["link1_violations"] == 0

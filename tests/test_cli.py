@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -9,11 +10,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from qsobolev import cli
+import qsobolev
+from qsobolev import cli, embedding, qft, sobolev, weyl
 from qsobolev.embedding import CHAIN_TOLERANCES
 from qsobolev.weyl import AXIOM_TOLERANCES
 
@@ -519,6 +522,69 @@ class TestToleranceWiring:
         assert sorted(flipped) == sorted(
             (command, name) for command, spec in cli.COMMANDS.items() for name in spec.tolerances
         )
+
+
+#: Each harness that applies a ``--tol`` name, with the command whose table holds it.
+TOLERANCE_HARNESSES = [
+    (weyl.check_axioms, "axioms"),
+    (sobolev.verify_norm_axioms, "sobolev-norms"),
+    (sobolev.pairing_bound_estimate, "pairing"),
+    (sobolev.nondegeneracy_check, "pairing"),
+    (embedding.verify_embedding_chain, "embed"),
+]
+SEEDED_HARNESSES = [
+    qft.verify_plancherel,
+    qft.verify_roundtrips,
+    qft.verify_hausdorff_young,
+    sobolev.verify_norm_axioms,
+    sobolev.pairing_bound_estimate,
+    embedding.verify_embedding_chain,
+]
+
+
+def public_functions():
+    """Every public function of every module of the package, and every public method of its classes."""
+    path = Path(qsobolev.__file__).parent
+    for module_path in sorted(path.glob("[!_]*.py")):
+        module = importlib.import_module(f"qsobolev.{module_path.stem}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(value):
+                yield from (
+                    (f"{name}.{attr}", method) for attr, method in vars(value).items()
+                    if inspect.isfunction(method) and not attr.startswith("_")
+                )
+            elif inspect.isfunction(value):
+                yield name, value
+
+
+class TestHarnessInterface:
+    """One way into every harness: one tolerance mapping each, and no hidden trial count or seed."""
+
+    @pytest.mark.parametrize("harness, command", TOLERANCE_HARNESSES,
+                             ids=[h.__name__ for h, _ in TOLERANCE_HARNESSES])
+    def test_gated_harness_takes_one_mapping_of_its_commands_names(self, harness, command):
+        default = inspect.signature(harness).parameters["tolerances"].default
+        assert isinstance(default, MappingProxyType)
+        assert set(default) <= set(cli.COMMANDS[command].tolerances)
+
+    def test_no_public_function_takes_a_scalar_tolerance(self):
+        functions = dict(public_functions())
+        assert {h.__name__ for h, _ in TOLERANCE_HARNESSES} <= set(functions)  # the walk reaches them
+        found = [
+            f"{name}({parameter})" for name, function in functions.items()
+            for parameter in inspect.signature(function).parameters
+            if parameter == "tolerance" or parameter.endswith("_tol")
+        ]
+        assert found == []
+
+    @pytest.mark.parametrize("harness", SEEDED_HARNESSES, ids=[h.__name__ for h in SEEDED_HARNESSES])
+    def test_seeded_harness_has_no_default_before_its_tolerances(self, harness):
+        parameters = list(inspect.signature(harness).parameters.values())
+        names = [parameter.name for parameter in parameters]
+        required = parameters[: names.index("tolerances")] if "tolerances" in names else parameters
+        assert [p.name for p in required if p.default is not inspect.Parameter.empty] == []
 
 
 class TestInputValidation:

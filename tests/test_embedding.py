@@ -94,7 +94,7 @@ class TestEmbeddingChain:
     def test_chain_holds(self, setup, homogeneous):
         system, weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight, homogeneous=homogeneous)
-        rep = verify_embedding_chain(system, spec, alpha=4.0, trials=80, seed=17)
+        rep = verify_embedding_chain(system, spec, alpha=4.0, beta_choice="corrected", trials=80, seed=17)
         assert rep["link1_violations"] == 0
         assert rep["link2_violations"] == 0
         assert rep["violations"] == 0
@@ -106,7 +106,7 @@ class TestEmbeddingChain:
         # sigma = 2 makes link 2 the unitary case: ratios reach 1 exactly.
         system, weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
-        rep = verify_embedding_chain(system, spec, alpha=4.0, trials=40, seed=2)
+        rep = verify_embedding_chain(system, spec, alpha=4.0, beta_choice="corrected", trials=40, seed=2)
         assert rep["max_link2_ratio"] == pytest.approx(1.0, abs=1e-11)
 
     def test_alternate_choice_records_both_distributions(self, setup):
@@ -129,7 +129,7 @@ class TestEmbeddingChain:
         system, weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
         with pytest.raises(ValueError, match="sigma"):
-            verify_embedding_chain(system, spec, alpha=1e9, trials=5, seed=0)
+            verify_embedding_chain(system, spec, alpha=1e9, beta_choice="corrected", trials=5, seed=0)
 
     def test_alternate_beta_precondition(self, setup):
         system, weight = setup
@@ -143,7 +143,7 @@ class TestEmbeddingChain:
         system, weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
         with pytest.raises(ValueError):
-            verify_embedding_chain(system, spec, alpha=4.0, beta_choice="guess")
+            verify_embedding_chain(system, spec, alpha=4.0, beta_choice="guess", trials=100, seed=0)
 
 
 def as_points(indices, N):

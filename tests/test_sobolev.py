@@ -7,7 +7,8 @@ import pytest
 
 from qsobolev.groups import lq_table_norm, make_group, symmetric_representative
 from qsobolev.linalg import trace_pairing, schatten_norm
-from qsobolev import sobolev
+from qsobolev import embedding, sobolev
+from qsobolev.embedding import verify_embedding_chain
 from qsobolev.qft import qft_forward
 from qsobolev.sobolev import (
     SobolevSpec,
@@ -239,7 +240,9 @@ class TestTestFamily:
         "call",
         [
             lambda system, w: make_test_element(system, 1.0, w, np.zeros(system.group.size)),
-            lambda system, w: pairing_bound_estimate(system, p=4.0, s=1.0, weight=w, trials=2),
+            lambda system, w: pairing_bound_estimate(
+                system, p=4.0, s=1.0, weight=w, signs=(-1,), trials=2, seed=0
+            ),
             lambda system, w: nondegeneracy_check(system, 1.0, w),
         ],
         ids=["make_test_element", "pairing_bound_estimate", "nondegeneracy_check"],
@@ -264,11 +267,59 @@ class TestTestFamily:
         with pytest.raises(ValueError, match=message):
             make_test_element(sys4, s, w4, phi)
         with pytest.raises(ValueError, match=message):
-            pairing_bound_estimate(sys4, p=4.0, s=s, weight=w4, signs=(-1, 1), trials=2)
+            pairing_bound_estimate(sys4, p=4.0, s=s, weight=w4, signs=(-1, 1), trials=2, seed=0)
         with pytest.raises(ValueError, match=message):
             nondegeneracy_check(sys4, s, w4, signs=(-1, 1))
         with pytest.raises(ValueError, match=message):
             SobolevSpec(s=s, p=1.5, weight=w4)
+
+
+class TestEarlyRejection:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda system, w: verify_norm_axioms(make_weyl_system(8), SobolevSpec(1.0, 1.5, w), 200, 0),
+                "weight lives on a different dual group than the system",
+                id="norm axioms, weight of another grid",
+            ),
+            pytest.param(
+                lambda system, w: verify_embedding_chain(
+                    make_weyl_system(8), SobolevSpec(1.0, 4.0 / 3.0, w), 4.0, "corrected", 200, 0
+                ),
+                "weight lives on a different dual group than the system",
+                id="embedding chain, weight of another grid",
+            ),
+            pytest.param(
+                lambda system, w: pairing_bound_estimate(system, 4.0, 1.0, w, (), 200, 0),
+                "signs must hold at least one weight sign, got none",
+                id="pairing, no sign",
+            ),
+            pytest.param(
+                lambda system, w: pairing_bound_estimate(system, 4.0, 1.0, w, (-1, 2), 200, 0),
+                "sign must be +1 or -1, got 2",
+                id="pairing, sign 2",
+            ),
+            pytest.param(
+                lambda system, w: nondegeneracy_check(system, 1.0, w, ()),
+                "signs must hold at least one weight sign, got none",
+                id="rank check, no sign",
+            ),
+            pytest.param(
+                lambda system, w: nondegeneracy_check(system, 1.0, w, (-1, 2)),
+                "sign must be +1 or -1, got 2",
+                id="rank check, sign 2",
+            ),
+        ],
+    )
+    def test_bad_input_is_rejected_before_the_first_draw(self, sys4, w4, call, message, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial was drawn or a test element built for a rejected input")
+
+        for module, name in ((sobolev, "run_trials"), (embedding, "run_trials"), (sobolev, "qft_inverse")):
+            monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(sys4, w4)
 
 
 class TestPairingBound:
@@ -316,7 +367,7 @@ class TestPairingBound:
 
     def test_p_validation(self, sys4, w4):
         with pytest.raises(ValueError):
-            pairing_bound_estimate(sys4, p=2.0, s=1.0, weight=w4)
+            pairing_bound_estimate(sys4, p=2.0, s=1.0, weight=w4, signs=(-1,), trials=100, seed=0)
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_pairing_bound_is_its_multiplier_norm(self, w4, sign):

@@ -514,11 +514,11 @@ class TestSkippedTrials:
                 assert rep["skipped"] == 10 and rep["worst_ratio"] == 0.0
                 assert not rep["witness_available"] and rep["witness_index"] is None
         spec = _spec(system)
-        chain = verify_embedding_chain(system, spec, 4.0, trials=10, seed=1)
+        chain = verify_embedding_chain(system, spec, 4.0, "corrected", trials=10, seed=1)
         assert chain["skipped"] == 10 and chain["ratios_corrected"] == () and chain["max_ratio"] == 0.0
         axioms = verify_norm_axioms(system, spec, 10, 1)
         assert axioms["worst_triangle_excess"] == -math.inf and axioms["triangle_violations"] == 0
-        (pair,) = pairing_bound_estimate(system, 4.0, 1.0, spec.weight, trials=10, seed=1)
+        (pair,) = pairing_bound_estimate(system, 4.0, 1.0, spec.weight, signs=(-1,), trials=10, seed=1)
         assert pair["skipped"] == 10 and pair["max_ratio"] == 0.0 and pair["satisfied"]
 
 
@@ -609,7 +609,7 @@ class TestDrawCounts:
             lambda system: pairing_bound_estimate(
                 system, 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0
             ),
-            lambda system: verify_embedding_chain(system, _spec(system), 4.0, trials=300, seed=0),
+            lambda system: verify_embedding_chain(system, _spec(system), 4.0, "corrected", 300, 0),
         ],
         ids=["pairing", "embedding"],
     )
@@ -641,7 +641,7 @@ class TestDrawCounts:
         # One transform serves both the Sobolev norm and ||F(T)||_sigma.
         transforms = _count_calls(monkeypatch, qft, "qft_forward")
         system = make_weyl_system(8)
-        verify_embedding_chain(system, _spec(system, homogeneous), 4.0, trials=300, seed=0)
+        verify_embedding_chain(system, _spec(system, homogeneous), 4.0, "corrected", trials=300, seed=0)
         assert len(transforms) == 3  # 300 trials in chunks of 128
 
 
@@ -735,7 +735,7 @@ class TestStreamReads:
             (lambda system: verify_hausdorff_young(system, EXPONENTS, "inverse", 300, 0), 0),
             (lambda system: pairing_bound_estimate(
                 system, 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0), 1),
-            (lambda system: verify_embedding_chain(system, _spec(system), 4.0, trials=300, seed=0), 1),
+            (lambda system: verify_embedding_chain(system, _spec(system), 4.0, "corrected", 300, 0), 1),
             (lambda system: verify_norm_axioms(system, _spec(system), 300, 0), 2),
         ],
         ids=["plancherel", "hausdorff-young-forward", "hausdorff-young-inverse", "pairing",

@@ -7,7 +7,8 @@ parent commit and the working tree.  Each run below is made once per checkout
 with ``PYTHONPATH=<checkout>/src``, in a fresh temporary directory, and with
 one BLAS thread: reports repeat byte for byte only at a fixed thread count
 (README, "BLAS threads").  The runs are the eight subcommands at their
-defaults, the non-default runs below and every script in ``demos/``.  A CLI
+defaults, the seventeen non-default runs below and every script in
+``demos/``: 30 runs with the five demos of this tree.  A CLI
 run writes its JSON and CSV reports there; a demo run only prints.  The
 tool compares the JSON report with its ``timestamp`` line left out, the CSV
 report, stdout, stderr and the exit code.  It prints one line per run and
@@ -34,7 +35,8 @@ DEFAULTS = [
     )
 ]
 #: Non-default runs that reach every other choice word, other exponents and
-#: orders, the homogeneous norm and a sweep to N = 1024.
+#: orders, the homogeneous norm, a sweep to N = 1024, and the tolerance
+#: mappings of the norm and duality harnesses, set where they must fail.
 NON_DEFAULTS = [
     ["axioms", "--convention", "symmetric"],
     ["hausdorff-young", "--direction", "forward"],
@@ -51,6 +53,8 @@ NON_DEFAULTS = [
     ["counterexample", "--selector", "ball"],
     ["counterexample", "--selector", "lex"],
     ["counterexample", "--N", "8,8,8,8,16,32,64,128,256,512,1024", "--sizes", "8,4,2,1,1,1,1,1,1,1,1"],
+    ["sobolev-norms", "--tol", "triangle=-1"],
+    ["pairing", "--tol", "pairing_slack=-1", "--tol", "rank=2"],
 ]
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIMESTAMP_LINE = re.compile(rb'^  "timestamp": "[^"]*",?\n', re.MULTILINE)
