@@ -9,7 +9,7 @@ family has full rank, so the pairing separates points.
 
 import numpy as np
 
-from qsobolev.groups import lq_table_norm
+from qsobolev.groups import PhaseSpaceGrid, lq_table_norm
 from qsobolev.sobolev import (
     SobolevSpec,
     make_test_element,
@@ -40,17 +40,15 @@ print()
 print("test family: W_phi = inverse transform of the weighted generator")
 phi = np.eye(64)[0]  # the delta at the origin (0, 0), index 0 of the 64-point dual table
 for sign in (+1, -1):
-    top = make_test_element(system, 1.0, weight, phi, sign)[0, 0]
+    top = make_test_element(1.0, weight, phi, sign)[0, 0]
     norm = lq_table_norm(phi, 4.0, system.group.dual_mass)
     print(f"  sign {sign:+d}: delta at the origin gives W = {top:.4f} * I, defining norm {norm:.4f}")
 print()
 
-(bound,) = pairing_bound_estimate(system, p=4.0, s=1.0, weight=weight, signs=(-1,), trials=400, seed=5)
+(bound,) = pairing_bound_estimate(p=4.0, s=1.0, weight=weight, signs=(-1,), trials=400, seed=5)
 print(f"pairing ratios over 400 draws (p=4, s=1): max {bound['max_ratio']:.4f} "
       f"vs analytic bound {bound['analytic_bound']:.4f} -> satisfied: {bound['satisfied']}")
 
 for N in (2, 4):
-    small = make_weyl_system(N)
-    w = make_weight_euclidean(small.group)
-    (nd,) = nondegeneracy_check(small, 1.0, w, signs=(-1,))
+    (nd,) = nondegeneracy_check(1.0, make_weight_euclidean(PhaseSpaceGrid(N)), signs=(-1,))
     print(f"delta-family Gram rank at N={N}: {nd['rank']}/{nd['dimension']} (full rank: {nd['full_rank']})")

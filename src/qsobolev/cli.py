@@ -52,6 +52,7 @@ from .embedding import (
     counterexample_run,
     verify_embedding_chain,
 )
+from .groups import PhaseSpaceGrid
 from .qft import verify_hausdorff_young, verify_plancherel
 from .sobolev import (
     DUALITY_TOLERANCES,
@@ -385,15 +386,12 @@ def run_sobolev_norms(config: dict):
 
 
 def run_pairing(config: dict):
-    system = make_weyl_system(config["N"])
-    weight = WEIGHTS[config["weight"]](system.group)
+    weight = WEIGHTS[config["weight"]](PhaseSpaceGrid(config["N"]))
     s = config["s"]
     signs = SIGNS[config["sign"]]
     tol = config["tolerances"]
-    bounds = pairing_bound_estimate(
-        system, config["p"], s, weight, signs, config["trials"], config["seed"], tol
-    )
-    ranks = nondegeneracy_check(system, s, weight, signs, tol) if system.N <= EXHAUSTIVE_MAX_N else ()
+    bounds = pairing_bound_estimate(config["p"], s, weight, signs, config["trials"], config["seed"], tol)
+    ranks = nondegeneracy_check(s, weight, signs, tol) if config["N"] <= EXHAUSTIVE_MAX_N else ()
     results = {"pairing": list(bounds), "nondegeneracy": list(ranks)}
     return results, all(b["satisfied"] for b in bounds) and all(nd["full_rank"] for nd in ranks)
 
@@ -409,12 +407,10 @@ def run_exponents(config: dict):
 
 
 def run_embed(config: dict):
-    system = make_weyl_system(config["N"])
-    weight = WEIGHTS[config["weight"]](system.group)
+    weight = WEIGHTS[config["weight"]](PhaseSpaceGrid(config["N"]))
     spec = SobolevSpec(s=config["s"], p=config["p"], weight=weight, homogeneous=config["homogeneous"])
     report = verify_embedding_chain(
-        system, spec, config["alpha"], config["beta_choice"], config["trials"], config["seed"],
-        config["tolerances"],
+        spec, config["alpha"], config["beta_choice"], config["trials"], config["seed"], config["tolerances"]
     )
     # The composite bound gates only the corrected exponent; the other
     # candidate is measured and recorded.

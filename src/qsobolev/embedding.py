@@ -30,7 +30,7 @@ import numpy as np
 from .groups import PhaseSpaceGrid, lq_table_norm
 from .linalg import schatten_norm
 from .qft import conjugate_exponent, qft_forward, qft_inverse
-from .sobolev import SobolevSpec, _require_same_grid, weighted_norm
+from .sobolev import SobolevSpec, weighted_norm
 from .streams import OperatorReads, kept_ratios, run_trials, worst_trial
 from .weyl import WeylSystem
 
@@ -77,7 +77,6 @@ def compute_exponents(alpha: float, q: float, s: float) -> dict:
 
 
 def verify_embedding_chain(
-    system: WeylSystem,
     spec: SobolevSpec,
     alpha: float,
     beta_choice: str,
@@ -93,9 +92,9 @@ def verify_embedding_chain(
     ||m||_alpha for the requested ``beta_choice``; the distribution for the
     other candidate is recorded alongside whenever it is defined.  A ratio
     counts as a violation beyond ``1 + tolerances[name]`` times its bound, with
-    every key of ``CHAIN_TOLERANCES`` given.
+    every key of ``CHAIN_TOLERANCES`` given.  The operators are N x N with N
+    that of the spec's weight grid.
     """
-    _require_same_grid(system, spec.weight)
     if beta_choice not in BETA_CHOICES:
         raise ValueError(f"beta_choice must be {' or '.join(map(repr, BETA_CHOICES))}, got {beta_choice!r}")
     exponents = compute_exponents(alpha, spec.q, spec.s)
@@ -111,22 +110,23 @@ def verify_embedding_chain(
         raise ValueError(f"hypothesis alpha (q - 1) > s fails: alpha={alpha}, q={spec.q}, s={spec.s}")
     # The chain constant C1: the L^alpha norm of the reciprocal multiplier, order -s.
     m_norm = weighted_norm(1.0, spec.weight, -spec.s, alpha, spec.homogeneous)
+    grid = spec.weight.group
 
     def measure(T):
         f = qft_forward(T)
         return (
             weighted_norm(f, spec.weight, spec.s, spec.q, spec.homogeneous),
-            lq_table_norm(f, sigma, system.group.dual_mass),
+            lq_table_norm(f, sigma, grid.dual_mass),
             schatten_norm(T, betas),
         )
 
-    draw = (partial(OperatorReads, system.N),)
-    snorm, f_sigma, schatten = run_trials(system.N, trials, seed, draw, measure)
+    draw = (partial(OperatorReads, grid.N),)
+    snorm, f_sigma, schatten = run_trials(grid.N, trials, seed, draw, measure)
     link1, kept = kept_ratios(f_sigma, m_norm * snorm)
     link2, link2_kept = kept_ratios(schatten[:, 0], f_sigma)
     ratios = [kept_ratios(schatten[:, j], snorm)[0] for j in range(len(betas))]
     return {
-        "N": system.N,
+        "N": grid.N,
         "s": spec.s,
         "p": spec.p,
         "q": spec.q,

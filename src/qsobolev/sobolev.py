@@ -6,9 +6,10 @@ Bessel-style weight ``(1 + gamma^2)^(s/2)`` in the inhomogeneous case and
 ``gamma^s`` in the homogeneous one (``q`` conjugate to the space exponent
 ``p in (1, 2)``).  The negative-order side is generated by a test family of
 operators built by inverse-transforming weighted generators; the weight-sign
-of that construction is a parameter because both natural choices are useful:
-``pairing_bound_estimate`` requires it, and the other calls default to
-``-1``, which keeps the duality chain sharp.
+of that construction is a parameter because both natural choices are useful,
+and every call requires it (``-1`` keeps the duality chain sharp).  The test
+family depends only on s, the weight and the generator, so the duality calls
+read their N x N grid off the weight and take no Weyl system.
 Each harness returns the dict its report holds, keys in report order.
 """
 
@@ -95,17 +96,11 @@ def _require_smoothness(s: float) -> None:
         raise ValueError(f"smoothness s must be nonnegative, got {s}")
 
 
-def _require_same_grid(system: WeylSystem, weight: Weight) -> None:
-    if weight.group != system.group:
-        raise ValueError("weight lives on a different dual group than the system")
-
-
-def _require_test_family(system: WeylSystem, s: float, weight: Weight, signs: Sequence[int]) -> None:
+def _require_test_family(s: float, signs: Sequence[int]) -> None:
     if len(signs) == 0:
         raise ValueError("signs must hold at least one weight sign, got none")
     if bad := [sign for sign in signs if sign not in (-1, 1)]:
         raise ValueError(f"sign must be +1 or -1, got {bad[0]}")
-    _require_same_grid(system, weight)
     _require_smoothness(s)
 
 
@@ -145,18 +140,19 @@ def sobolev_norm(T, spec: SobolevSpec) -> float:
     return weighted_norm(qft_forward(T), spec.weight, spec.s, spec.q, spec.homogeneous)
 
 
-def make_test_element(system: WeylSystem, s: float, weight: Weight, phi, sign: int = -1) -> np.ndarray:
+def make_test_element(s: float, weight: Weight, phi, sign: int) -> np.ndarray:
     """The test operator W_phi = F^-1((1 + gamma^2)^(sign * s / 2) phi) of the negative-order space.
 
-    ``phi`` is a table on the system's N x N dual grid, checked by
+    ``phi`` is a table on the weight's N x N dual grid, checked by
     :func:`~qsobolev.groups.as_table`; a stack of them gives a stack of
-    operators.  W_phi's defining norm is ``lq_table_norm(phi, q', dual_mass)``
-    at the dual side's Fourier exponent q'.  The weight sign is +1 or -1;
-    -1 is the default.
+    operators, each N x N, inverse-transformed by the standard system.
+    W_phi's defining norm is ``lq_table_norm(phi, q', dual_mass)`` at the
+    dual side's Fourier exponent q'.  The weight sign is +1 or -1.
     """
-    _require_test_family(system, s, weight, (sign,))
-    phi = as_table(phi, system.N)
-    return qft_inverse(system, bessel_multiplier(weight, sign * s) * phi)
+    _require_test_family(s, (sign,))
+    N = weight.group.N
+    phi = as_table(phi, N)
+    return qft_inverse(WeylSystem(N), bessel_multiplier(weight, sign * s) * phi)
 
 
 def verify_norm_axioms(
@@ -178,8 +174,10 @@ def verify_norm_axioms(
     relations.  No isometry is checked: ``worst_isometry_abs`` is 0 by
     construction, since the weighted map's L^q norm is ``sobolev_norm``
     itself, until a second route to that norm gates it (ROADMAP item 1).
+    Only ``system.N`` is read, and it must be the N of ``spec.weight``.
     """
-    _require_same_grid(system, spec.weight)
+    if spec.weight.group != system.group:
+        raise ValueError("weight lives on a different dual group than the system")
 
     def measure(T, S, c):
         # One transform of T for the inhomogeneous norms at s and 2s and the
@@ -240,16 +238,22 @@ def pairing_analytic_bound(p: float, s: float, weight: Weight, sign: int) -> flo
         bound = N^(1/p' - 1/2) * || (1 + gamma^2)^(sign*s/2) ||_{L^r},
         1/r = 1/2 - 1/q',
 
-    with N the size of the weight's grid.
+    with N the size of the weight's grid.  A ``p`` not above 2, a negative
+    ``s`` or a sign other than +1 or -1 raises ``ValueError``;
+    :func:`pairing_bound_estimate` checks its inputs through this call.
     """
+    if not p > 2.0:
+        raise ValueError(f"pairing estimate needs p > 2, got {p}")
     p_prime = conjugate_exponent(p)
+    if not p_prime > 1.0:
+        raise ValueError(f"pairing estimate needs p' = p/(p - 1) > 1, got p' = {p_prime} for p = {p}")
+    _require_test_family(s, (sign,))
     q_prime = conjugate_exponent(p_prime)
     r = 2.0 * q_prime / (q_prime - 2.0)
     return weight.group.N ** (1.0 / p_prime - 0.5) * weighted_norm(1.0, weight, sign * s, r)
 
 
 def pairing_bound_estimate(
-    system: WeylSystem,
     p: float,
     s: float,
     weight: Weight,
@@ -261,37 +265,35 @@ def pairing_bound_estimate(
     """Sample |tr(T W_phi^*)| / (||T||_Sp * ||phi||_q') against the analytic bound.
 
     Requires ``p > 2`` so the test elements live on the conjugate side
-    (p' < 2, q' = p).  Returns one report per weight sign in ``signs``, all
-    measured on the same draws of ``(T, phi)``.  Trials with a vanishing
-    denominator are skipped and counted.  ``tolerances["pairing_slack"]`` is
-    the bound's relative slack.
+    (p' < 2, q' = p).  The operators are N x N with N that of the weight's
+    grid.  Returns one report per weight sign in ``signs``, all measured on
+    the same draws of ``(T, phi)``.  Trials with a vanishing denominator are
+    skipped and counted.  ``tolerances["pairing_slack"]`` is the bound's
+    relative slack.  Every input is checked before the first draw.
     """
-    if not p > 2.0:
-        raise ValueError(f"pairing estimate needs p > 2, got {p}")
-    p_prime = conjugate_exponent(p)
-    if not p_prime > 1.0:
-        raise ValueError(f"pairing estimate needs p' = p/(p - 1) > 1, got p' = {p_prime} for p = {p}")
-    _require_test_family(system, s, weight, signs)
-    q_prime = conjugate_exponent(p_prime)
     bounds = [pairing_analytic_bound(p, s, weight, sign) for sign in signs]
+    _require_test_family(s, signs)
+    p_prime = conjugate_exponent(p)
+    q_prime = conjugate_exponent(p_prime)
+    grid = weight.group
 
     def measure(T, values):
         pairings = np.stack(
-            [trace_pairing(T, make_test_element(system, s, weight, values, sign)) for sign in signs],
+            [trace_pairing(T, make_test_element(s, weight, values, sign)) for sign in signs],
             axis=-1,
         )
         # libm's hypot, as abs(complex); np.abs may differ from it in the last bit.
         moduli = np.hypot(pairings.real, pairings.imag)
-        return moduli, schatten_norm(T, p) * lq_table_norm(values, q_prime, system.group.dual_mass)
+        return moduli, schatten_norm(T, p) * lq_table_norm(values, q_prime, grid.dual_mass)
 
-    draw = (partial(OperatorReads, system.N), partial(TableReads, system.group.size))
-    moduli, denominators = run_trials(system.N, trials, seed, draw, measure)
+    draw = (partial(OperatorReads, grid.N), partial(TableReads, grid.size))
+    moduli, denominators = run_trials(grid.N, trials, seed, draw, measure)
     reports = []
     for j, (sign, bound) in enumerate(zip(signs, bounds)):
         ratios, kept = kept_ratios(moduli[:, j], denominators)
         worst = worst_trial(ratios, kept)[0]
         reports.append({
-            "N": system.N,
+            "N": grid.N,
             "p": p,
             "p_prime": p_prime,
             "q_prime": q_prime,
@@ -308,8 +310,7 @@ def pairing_bound_estimate(
 
 
 def nondegeneracy_check(
-    system: WeylSystem, s: float, weight: Weight, signs: Sequence[int] = (-1,),
-    tolerances: Mapping[str, float] = DUALITY_TOLERANCES,
+    s: float, weight: Weight, signs: Sequence[int], tolerances: Mapping[str, float] = DUALITY_TOLERANCES
 ) -> tuple[dict, ...]:
     """Verify the trace pairing separates points via the delta-generated family, per sign in ``signs``.
 
@@ -322,16 +323,18 @@ def nondegeneracy_check(
     least eigenvalue (Ostrowski; Horn & Johnson, *Matrix Analysis*,
     Thm 4.5.9), equal to ``N (min m / N)^2`` for this family, whose Gram is
     diagonal.  The rank counts the eigenvalues of S above ``tolerances["rank"]``
-    times max(1, largest).  Limited to ``N <= EXHAUSTIVE_MAX_N``.
+    times max(1, largest).  N is that of the weight's grid, limited to
+    ``N <= EXHAUSTIVE_MAX_N``.
     """
-    _require_test_family(system, s, weight, signs)
-    if system.N > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"nondegeneracy check is limited to N <= {EXHAUSTIVE_MAX_N}, got {system.N}")
-    K = system.group.size
+    _require_test_family(s, signs)
+    N = weight.group.N
+    if N > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"nondegeneracy check is limited to N <= {EXHAUSTIVE_MAX_N}, got {N}")
+    K = weight.group.size
     deltas = np.eye(K, dtype=np.complex128)
     reports = []
     for sign in signs:
-        V = make_test_element(system, s, weight, deltas, sign).reshape(K, K)
+        V = make_test_element(s, weight, deltas, sign).reshape(K, K)
         top = np.max(np.abs(V), axis=1, keepdims=True)
         # Real and imaginary parts divided as floats: numpy's complex division
         # overflows for a row maximum that is subnormal or near the float maximum.
@@ -339,7 +342,7 @@ def nondegeneracy_check(
         eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
         rank = int(np.sum(eigs > tolerances["rank"] * max(float(eigs[-1]), 1.0)))
         reports.append({
-            "N": system.N,
+            "N": N,
             "sign": sign,
             "dimension": K,
             "rank": rank,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qsobolev.embedding import compute_exponents, counterexample_run, verify_embedding_chain
-from qsobolev.groups import lq_table_norm
+from qsobolev.groups import lq_table_norm, make_group
 from qsobolev.linalg import schatten_norm, singular_values
 from qsobolev.qft import (
     conjugate_exponent,
@@ -145,31 +145,25 @@ def test_criterion_4_sobolev_norm_axioms():
 
 
 def test_criterion_5_duality():
-    system = make_weyl_system(8)
-    weight = make_weight_euclidean(system.group)
+    weight = make_weight_euclidean(make_group([8, 8]))
     ok = True
     details = []
-    (pair,) = pairing_bound_estimate(
-        system, p=4.0, s=1.0, weight=weight, signs=(-1,), trials=500, seed=SEED
-    )
+    (pair,) = pairing_bound_estimate(p=4.0, s=1.0, weight=weight, signs=(-1,), trials=500, seed=SEED)
     ok = ok and pair["satisfied"]
     details.append(f"max ratio {pair['max_ratio']:.4f} vs bound {pair['analytic_bound']:.4f}")
     for N in (2, 4):
-        small = make_weyl_system(N)
-        w = make_weight_euclidean(small.group)
-        for nd in nondegeneracy_check(small, 1.0, w, signs=(-1, 1)):
+        for nd in nondegeneracy_check(1.0, make_weight_euclidean(make_group([N, N])), signs=(-1, 1)):
             ok = ok and nd["full_rank"]
     report(5, "pairing bound and full-rank delta test family", ok, "; ".join(details))
 
 
 def test_criterion_6_embedding_chain():
-    system = make_weyl_system(8)
-    weight = make_weight_euclidean(system.group)
+    weight = make_weight_euclidean(make_group([8, 8]))
     ok = True
     details = []
     for homogeneous in (False, True):
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight, homogeneous=homogeneous)
-        rep = verify_embedding_chain(system, spec, alpha=4.0, beta_choice="corrected", trials=500, seed=SEED)
+        rep = verify_embedding_chain(spec, alpha=4.0, beta_choice="corrected", trials=500, seed=SEED)
         ok = (
             ok
             and rep["link1_violations"] == 0
@@ -185,14 +179,11 @@ def test_criterion_6_embedding_chain():
 
 
 def test_criterion_7_exponent_adjudication(tmp_path):
-    system = make_weyl_system(8)
-    weight = make_weight_euclidean(system.group)
+    weight = make_weight_euclidean(make_group([8, 8]))
     spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
     exponents = compute_exponents(4.0, spec.q, spec.s)
     assert exponents["beta_alternate"] != exponents["beta_corrected"]
-    rep = verify_embedding_chain(
-        system, spec, alpha=4.0, beta_choice="alternate", trials=500, seed=SEED
-    )
+    rep = verify_embedding_chain(spec, alpha=4.0, beta_choice="alternate", trials=500, seed=SEED)
     out = tmp_path / "beta_adjudication.json"
     out.write_text(json.dumps(rep, indent=2, sort_keys=True))
     stored = json.loads(out.read_text())

@@ -586,6 +586,23 @@ class TestHarnessInterface:
         required = parameters[: names.index("tolerances")] if "tolerances" in names else parameters
         assert [p.name for p in required if p.default is not inspect.Parameter.empty] == []
 
+    def test_a_weight_fixes_the_grid(self):
+        # A function given a weight or a spec reads N off it; only verify_norm_axioms
+        # still takes a system beside its spec, and checks that the two agree.
+        both = []
+        for name, function in public_functions():
+            annotations = {p.annotation for p in inspect.signature(function).parameters.values()}
+            if annotations & {"Weight", "SobolevSpec"} and "WeylSystem" in annotations:
+                both.append(name)
+        assert both == ["verify_norm_axioms"]
+
+    @pytest.mark.parametrize("function", [sobolev.make_test_element, sobolev.pairing_analytic_bound,
+                                          sobolev.pairing_bound_estimate, sobolev.nondegeneracy_check])
+    def test_no_duality_call_defaults_its_sign(self, function):
+        parameters = inspect.signature(function).parameters
+        sign = parameters["sign"] if "sign" in parameters else parameters["signs"]
+        assert sign.default is inspect.Parameter.empty
+
 
 class TestInputValidation:
     @pytest.mark.parametrize(
@@ -632,8 +649,9 @@ class TestInputValidation:
              "hypothesis alpha (q - 1) > s fails: alpha=1.5, q=4.000000000000001, s=5.0"),
             (["counterexample", "--N", "8,16", "--sizes", "8"],
              "--sizes must list one set size per entry of --N"),
+            (["counterexample", "--q", "0.5"], "normalization exponent q must be >= 1, got 0.5"),
         ],
-        ids=["alternate-beta-hypothesis", "sizes-per-N"],
+        ids=["alternate-beta-hypothesis", "sizes-per-N", "counterexample-q-below-one"],
     )
     def test_rejection_after_parsing_is_one_exact_line(self, argv, message, monkeypatch, tmp_path, capsys):
         # Raised once every value has parsed: by the harness, or by the command across two values.

@@ -83,18 +83,16 @@ class TestMultiplierNorm:
 
 @pytest.fixture(scope="module")
 def setup():
-    system = make_weyl_system(8)
-    weight = make_weight_euclidean(system.group)
-    return system, weight
+    return make_weight_euclidean(make_group([8, 8]))
 
 
 class TestEmbeddingChain:
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_chain_holds(self, setup, homogeneous):
-        system, weight = setup
+        weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight, homogeneous=homogeneous)
-        rep = verify_embedding_chain(system, spec, alpha=4.0, beta_choice="corrected", trials=80, seed=17)
+        rep = verify_embedding_chain(spec, alpha=4.0, beta_choice="corrected", trials=80, seed=17)
         assert rep["link1_violations"] == 0
         assert rep["link2_violations"] == 0
         assert rep["violations"] == 0
@@ -104,17 +102,15 @@ class TestEmbeddingChain:
 
     def test_link2_is_tight_at_sigma_two(self, setup):
         # sigma = 2 makes link 2 the unitary case: ratios reach 1 exactly.
-        system, weight = setup
+        weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
-        rep = verify_embedding_chain(system, spec, alpha=4.0, beta_choice="corrected", trials=40, seed=2)
+        rep = verify_embedding_chain(spec, alpha=4.0, beta_choice="corrected", trials=40, seed=2)
         assert rep["max_link2_ratio"] == pytest.approx(1.0, abs=1e-11)
 
     def test_alternate_choice_records_both_distributions(self, setup):
-        system, weight = setup
+        weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
-        rep = verify_embedding_chain(
-            system, spec, alpha=4.0, beta_choice="alternate", trials=50, seed=17
-        )
+        rep = verify_embedding_chain(spec, alpha=4.0, beta_choice="alternate", trials=50, seed=17)
         assert rep["beta_used"] == pytest.approx(16.0 / 11.0)
         assert rep["beta_alternate"] != rep["beta_corrected"]
         assert len(rep["ratios_corrected"]) == 50 - rep["skipped"]
@@ -126,24 +122,22 @@ class TestEmbeddingChain:
         )
 
     def test_sigma_precondition(self, setup):
-        system, weight = setup
+        weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
         with pytest.raises(ValueError, match="sigma"):
-            verify_embedding_chain(system, spec, alpha=1e9, beta_choice="corrected", trials=5, seed=0)
+            verify_embedding_chain(spec, alpha=1e9, beta_choice="corrected", trials=5, seed=0)
 
     def test_alternate_beta_precondition(self, setup):
-        system, weight = setup
+        weight = setup
         spec = SobolevSpec(s=5.0, p=4.0 / 3.0, weight=weight)
         with pytest.raises(ValueError, match="alpha"):
-            verify_embedding_chain(
-                system, spec, alpha=1.5, beta_choice="alternate", trials=5, seed=0
-            )
+            verify_embedding_chain(spec, alpha=1.5, beta_choice="alternate", trials=5, seed=0)
 
     def test_beta_choice_validation(self, setup):
-        system, weight = setup
+        weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
         with pytest.raises(ValueError):
-            verify_embedding_chain(system, spec, alpha=4.0, beta_choice="guess", trials=100, seed=0)
+            verify_embedding_chain(spec, alpha=4.0, beta_choice="guess", trials=100, seed=0)
 
 
 def as_points(indices, N):

@@ -270,7 +270,7 @@ def incoming_kernels():
     weight = make_weight_euclidean(system.group)
     return {
         "qft_inverse": lambda f: qft_inverse(system, f),
-        "make_test_element": lambda f: make_test_element(system, 1.0, weight, f),
+        "make_test_element": lambda f: make_test_element(1.0, weight, f, -1),
     }
 
 

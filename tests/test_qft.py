@@ -323,6 +323,10 @@ class TestHausdorffYoung:
         assert rep["worst_ratio"] <= 1.0 + 1e-10
         assert rep["q"] == pytest.approx(conjugate_exponent(p))
 
+    @pytest.mark.parametrize("p, q", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_conjugate_exponent(self, p, q):
+        assert conjugate_exponent(p) == q
+
     def test_report_fields(self, sys4):
         (rep,) = verify_hausdorff_young(sys4, [1.5], "inverse", 20, 5)
         assert rep["direction"] == "inverse"

@@ -39,11 +39,11 @@ HARNESS_RUNS = {
     # p = 1 gives q = inf, written as JSON's Infinity.
     "verify_hausdorff_young": lambda: verify_hausdorff_young(SYSTEM, (1.0, 4.0 / 3.0, 2.0), "forward", 10, 0),
     "verify_norm_axioms": lambda: verify_norm_axioms(SYSTEM, SPEC, 10, 0),
-    "pairing_bound_estimate": lambda: pairing_bound_estimate(SYSTEM, 4.0, 1.0, WEIGHT, (-1, 1), 10, 0),
-    "nondegeneracy_check": lambda: nondegeneracy_check(SYSTEM, 1.0, WEIGHT, (-1, 1)),
+    "pairing_bound_estimate": lambda: pairing_bound_estimate(4.0, 1.0, WEIGHT, (-1, 1), 10, 0),
+    "nondegeneracy_check": lambda: nondegeneracy_check(1.0, WEIGHT, (-1, 1)),
     # alpha (q - 1) <= s: beta_alternate is None.
     "compute_exponents": lambda: compute_exponents(1.5, 4.0, 5.0),
-    "verify_embedding_chain": lambda: verify_embedding_chain(SYSTEM, SPEC, 4.0, "alternate", 10, 0),
+    "verify_embedding_chain": lambda: verify_embedding_chain(SPEC, 4.0, "alternate", 10, 0),
     "counterexample_run": lambda: counterexample_run(
         [make_weyl_system(n) for n in (4, 4, 8)], 4.0, 8.0, "subgroup", [4, 1, 1]
     ),

@@ -8,7 +8,6 @@ import pytest
 from qsobolev.groups import lq_table_norm, make_group, symmetric_representative
 from qsobolev.linalg import trace_pairing, schatten_norm
 from qsobolev import embedding, sobolev
-from qsobolev.embedding import verify_embedding_chain
 from qsobolev.qft import qft_forward
 from qsobolev.sobolev import (
     SobolevSpec,
@@ -92,6 +91,12 @@ class TestWeights:
             Weight(sys4.group, np.zeros(16))
         with pytest.raises(ValueError):
             Weight(sys4.group, np.full(16, np.inf))
+
+    @pytest.mark.parametrize("shape", [(15,), (4, 4), (1, 16)])
+    def test_table_of_another_shape_is_rejected(self, sys4, shape):
+        message = f"weight table has shape {shape}, expected (16,)"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            Weight(sys4.group, np.ones(shape))
 
 
 class TestSobolevSpec:
@@ -203,25 +208,25 @@ class TestWeightedNorm:
 
 
 class TestTestFamily:
-    def test_zero_generator(self, sys4, w4):
+    def test_zero_generator(self, w4):
         phi = np.zeros(16)
-        assert np.all(make_test_element(sys4, 1.0, w4, phi) == 0)
+        assert np.all(make_test_element(1.0, w4, phi, -1) == 0)
         assert lq_table_norm(phi, 3.0, 0.25) == 0.0
 
-    def test_delta_generator_positive_sign(self, sys4, w4):
+    def test_delta_generator_positive_sign(self, w4):
         # Weight 2 at the origin, reconstruction mass 1/N: W = (2/N) I.
         phi = np.eye(16)[index((0, 0), 4)]
-        assert np.allclose(make_test_element(sys4, 2.0, w4, phi, sign=+1), (2.0 / 4.0) * np.eye(4))
+        assert np.allclose(make_test_element(2.0, w4, phi, sign=+1), (2.0 / 4.0) * np.eye(4))
 
-    def test_delta_generator_negative_sign(self, sys4, w4):
+    def test_delta_generator_negative_sign(self, w4):
         phi = np.eye(16)[index((0, 0), 4)]
-        assert np.allclose(make_test_element(sys4, 2.0, w4, phi, sign=-1), (0.5 / 4.0) * np.eye(4))
+        assert np.allclose(make_test_element(2.0, w4, phi, sign=-1), (0.5 / 4.0) * np.eye(4))
 
-    def test_injectivity_roundtrip(self, sys4, w4):
+    def test_injectivity_roundtrip(self, w4):
         rng = np.random.default_rng(13)
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         for sign in (-1, 1):
-            W = make_test_element(sys4, 1.0, w4, vals, sign)
+            W = make_test_element(1.0, w4, vals, sign)
             # Invert the construction: divide the transform by the order sign*s multiplier.
             back = qft_forward(W) / bessel_multiplier(w4, sign * 1.0)
             assert np.max(np.abs(back - vals)) < 1e-11
@@ -236,27 +241,12 @@ class TestTestFamily:
         n1, n2, nsum = (lq_table_norm(v, q, 0.25) for v in (v1, v2, v1 + v2))
         assert nsum == pytest.approx((n1**q + n2**q) ** (1.0 / q), rel=1e-13)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda system, w: make_test_element(system, 1.0, w, np.zeros(system.group.size)),
-            lambda system, w: pairing_bound_estimate(
-                system, p=4.0, s=1.0, weight=w, signs=(-1,), trials=2, seed=0
-            ),
-            lambda system, w: nondegeneracy_check(system, 1.0, w),
-        ],
-        ids=["make_test_element", "pairing_bound_estimate", "nondegeneracy_check"],
-    )
-    def test_weight_of_another_grid_is_rejected(self, w4, call):
-        with pytest.raises(ValueError, match="different dual group than the system"):
-            call(make_weyl_system(8), w4)
-
-    def test_sign_validation(self, sys4, w4):
+    def test_sign_validation(self, w4):
         with pytest.raises(ValueError):
-            make_test_element(sys4, 1.0, w4, np.zeros(16), sign=2)
+            make_test_element(1.0, w4, np.zeros(16), sign=2)
 
     @pytest.mark.parametrize("s", [-1.0, -1e308, math.nan])
-    def test_negative_smoothness_rejected_before_any_multiplier(self, sys4, w4, s, monkeypatch):
+    def test_negative_smoothness_rejected_before_any_multiplier(self, w4, s, monkeypatch):
         # The message SobolevSpec gives, raised before an order-(sign*s) table is built.
         def refuse(*args, **kwargs):
             raise AssertionError("a multiplier was built for a rejected s")
@@ -265,11 +255,11 @@ class TestTestFamily:
         phi = np.eye(16)[index((0, 0), 4)]
         message = "^" + re.escape(f"smoothness s must be nonnegative, got {s}") + "$"
         with pytest.raises(ValueError, match=message):
-            make_test_element(sys4, s, w4, phi)
+            make_test_element(s, w4, phi, -1)
         with pytest.raises(ValueError, match=message):
-            pairing_bound_estimate(sys4, p=4.0, s=s, weight=w4, signs=(-1, 1), trials=2, seed=0)
+            pairing_bound_estimate(p=4.0, s=s, weight=w4, signs=(-1, 1), trials=2, seed=0)
         with pytest.raises(ValueError, match=message):
-            nondegeneracy_check(sys4, s, w4, signs=(-1, 1))
+            nondegeneracy_check(s, w4, signs=(-1, 1))
         with pytest.raises(ValueError, match=message):
             SobolevSpec(s=s, p=1.5, weight=w4)
 
@@ -279,47 +269,40 @@ class TestEarlyRejection:
         "call, message",
         [
             pytest.param(
-                lambda system, w: verify_norm_axioms(make_weyl_system(8), SobolevSpec(1.0, 1.5, w), 200, 0),
+                lambda w: verify_norm_axioms(make_weyl_system(8), SobolevSpec(1.0, 1.5, w), 200, 0),
                 "weight lives on a different dual group than the system",
                 id="norm axioms, weight of another grid",
             ),
             pytest.param(
-                lambda system, w: verify_embedding_chain(
-                    make_weyl_system(8), SobolevSpec(1.0, 4.0 / 3.0, w), 4.0, "corrected", 200, 0
-                ),
-                "weight lives on a different dual group than the system",
-                id="embedding chain, weight of another grid",
-            ),
-            pytest.param(
-                lambda system, w: pairing_bound_estimate(system, 4.0, 1.0, w, (), 200, 0),
+                lambda w: pairing_bound_estimate(4.0, 1.0, w, (), 200, 0),
                 "signs must hold at least one weight sign, got none",
                 id="pairing, no sign",
             ),
             pytest.param(
-                lambda system, w: pairing_bound_estimate(system, 4.0, 1.0, w, (-1, 2), 200, 0),
+                lambda w: pairing_bound_estimate(4.0, 1.0, w, (-1, 2), 200, 0),
                 "sign must be +1 or -1, got 2",
                 id="pairing, sign 2",
             ),
             pytest.param(
-                lambda system, w: nondegeneracy_check(system, 1.0, w, ()),
+                lambda w: nondegeneracy_check(1.0, w, ()),
                 "signs must hold at least one weight sign, got none",
                 id="rank check, no sign",
             ),
             pytest.param(
-                lambda system, w: nondegeneracy_check(system, 1.0, w, (-1, 2)),
+                lambda w: nondegeneracy_check(1.0, w, (-1, 2)),
                 "sign must be +1 or -1, got 2",
                 id="rank check, sign 2",
             ),
         ],
     )
-    def test_bad_input_is_rejected_before_the_first_draw(self, sys4, w4, call, message, monkeypatch):
+    def test_bad_input_is_rejected_before_the_first_draw(self, w4, call, message, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a trial was drawn or a test element built for a rejected input")
 
         for module, name in ((sobolev, "run_trials"), (embedding, "run_trials"), (sobolev, "qft_inverse")):
             monkeypatch.setattr(module, name, refuse)
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            call(sys4, w4)
+            call(w4)
 
 
 class TestPairingBound:
@@ -331,18 +314,15 @@ class TestPairingBound:
         for sign in (-1, 1):
             for xi in [(0, 0), (1, 2), (3, 1)]:
                 phi = np.eye(16)[index(xi, 4)]
-                W = make_test_element(sys4, s, w4, phi, sign)
+                W = make_test_element(s, w4, phi, sign)
                 T = (2.0 - 1.0j) * np.asarray(weyl_operator(sys4, xi))
                 ratio = abs(trace_pairing(T, W)) / (schatten_norm(T, p) * lq_table_norm(phi, p, 0.25))
                 expected = (1.0 + w4.values[index(xi, 4)] ** 2) ** (sign * s / 2.0)
                 assert ratio == pytest.approx(expected, rel=1e-12)
 
     def test_harness_respects_bound(self):
-        system = make_weyl_system(8)
-        weight = make_weight_euclidean(system.group)
-        reps = pairing_bound_estimate(
-            system, p=4.0, s=1.0, weight=weight, signs=(-1, 1), trials=120, seed=3
-        )
+        weight = make_weight_euclidean(make_group([8, 8]))
+        reps = pairing_bound_estimate(p=4.0, s=1.0, weight=weight, signs=(-1, 1), trials=120, seed=3)
         assert [rep["sign"] for rep in reps] == [-1, 1]
         for rep in reps:
             assert rep["satisfied"]
@@ -365,9 +345,30 @@ class TestPairingBound:
         ]
         assert bounds == [1.0221605829453764, 1.0925542455436243]
 
-    def test_p_validation(self, sys4, w4):
+    def test_p_validation(self, w4):
         with pytest.raises(ValueError):
-            pairing_bound_estimate(sys4, p=2.0, s=1.0, weight=w4, signs=(-1,), trials=100, seed=0)
+            pairing_bound_estimate(p=2.0, s=1.0, weight=w4, signs=(-1,), trials=100, seed=0)
+
+    @pytest.mark.parametrize(
+        "p, s, sign, message",
+        [
+            (4.0, 1.0, 2, "sign must be +1 or -1, got 2"),
+            (4.0, 1.0, 0, "sign must be +1 or -1, got 0"),
+            (4.0, -1.0, -1, "smoothness s must be nonnegative, got -1.0"),
+            (2.0, 1.0, -1, "pairing estimate needs p > 2, got 2.0"),
+        ],
+        ids=["sign 2", "sign 0", "negative s", "p 2"],
+    )
+    def test_bound_checks_its_inputs_as_the_estimate_does(self, p, s, sign, message):
+        # Without the checks, sign 2 read 50.43, sign 0 2.83, s = -1 the s = 1, sign +1
+        # bound 10.91, and p = 2 raised ZeroDivisionError.
+        weight = make_weight_euclidean(make_group([8, 8]))
+        for call in (
+            lambda: pairing_analytic_bound(p, s, weight, sign),
+            lambda: pairing_bound_estimate(p, s, weight, (sign,), 10, 0),
+        ):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                call()
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_pairing_bound_is_its_multiplier_norm(self, w4, sign):
@@ -385,33 +386,29 @@ class TestNondegeneracy:
     @pytest.mark.parametrize("N", [1, 2, 4])
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_full_rank(self, N, sign):
-        system = make_weyl_system(N)
-        weight = make_weight_euclidean(system.group)
-        (report,) = nondegeneracy_check(system, 1.0, weight, signs=(sign,))
+        (report,) = nondegeneracy_check(1.0, make_weight_euclidean(make_group([N, N])), signs=(sign,))
         assert report["sign"] == sign
         assert report["full_rank"]
         assert report["rank"] == N * N
         assert report["deficiency"] == 0
 
-    def test_one_report_per_sign_in_order(self, sys4, w4):
-        both = nondegeneracy_check(sys4, 1.0, w4, signs=(1, -1))
-        assert both == nondegeneracy_check(sys4, 1.0, w4, signs=(1,)) + nondegeneracy_check(sys4, 1.0, w4)
+    def test_one_report_per_sign_in_order(self, w4):
+        both = nondegeneracy_check(1.0, w4, signs=(1, -1))
+        assert both == nondegeneracy_check(1.0, w4, signs=(1,)) + nondegeneracy_check(1.0, w4, signs=(-1,))
 
     @pytest.mark.parametrize("N", [4, 8])
     @pytest.mark.parametrize("s", [8.0, 20.0, 100.0])
     def test_rank_does_not_depend_on_the_multiplier_spread(self, N, s):
         # The Gram of the delta family is diag(N (m_xi / N)^2), full rank at every s;
         # the eigenvalue floor must not count the small m_xi as missing.
-        system = make_weyl_system(N)
-        weight = make_weight_euclidean(system.group)
-        for report in nondegeneracy_check(system, s, weight, signs=(-1, 1)):
+        weight = make_weight_euclidean(make_group([N, N]))
+        for report in nondegeneracy_check(s, weight, signs=(-1, 1)):
             assert (report["rank"], report["full_rank"], report["deficiency"]) == (N * N, True, 0), report
 
     def test_subnormal_row_maximum_keeps_the_rank(self):
         # At N = 8, s = 410 the smallest row maximum 34^(-205) / 8 is subnormal,
         # and dividing a complex row by it overflows in its reciprocal.
-        system = make_weyl_system(8)
-        (report,) = nondegeneracy_check(system, 410.0, make_weight_euclidean(system.group))
+        (report,) = nondegeneracy_check(410.0, make_weight_euclidean(make_group([8, 8])), signs=(-1,))
         assert (report["rank"], report["full_rank"], report["min_eigenvalue"]) == (64, True, 0.0)
 
     def test_zeroed_row_is_one_short(self, sys4):
@@ -419,7 +416,7 @@ class TestNondegeneracy:
         values = np.ones(16)
         values[5] = 1e200
         weight = Weight(sys4.group, values)
-        (report,) = nondegeneracy_check(sys4, 1.0, weight, signs=(-1,))
+        (report,) = nondegeneracy_check(1.0, weight, signs=(-1,))
         assert (report["rank"], report["full_rank"], report["deficiency"]) == (15, False, 1)
         # The zero row's largest modulus is 0, so the eigenvalue bound is 0.
         assert report["min_eigenvalue"] == 0.0
@@ -429,27 +426,25 @@ class TestNondegeneracy:
     def test_min_eigenvalue_is_its_closed_form(self, N, s):
         # Weyl orthogonality makes the delta family's Gram diag(N (m_xi / N)^2),
         # so its least eigenvalue is N (min m / N)^2, 0.0 where that underflows.
-        system = make_weyl_system(N)
-        weight = make_weight_euclidean(system.group)
-        for report in nondegeneracy_check(system, s, weight, signs=(-1, 1)):
+        weight = make_weight_euclidean(make_group([N, N]))
+        for report in nondegeneracy_check(s, weight, signs=(-1, 1)):
             least = float(np.min(bessel_multiplier(weight, report["sign"] * s)))
             closed = N * (least / N) ** 2
             assert report["min_eigenvalue"] == pytest.approx(closed, rel=1e-14, abs=0.0), report
 
-    def test_one_eigendecomposition_per_sign(self, sys4, w4, monkeypatch):
+    def test_one_eigendecomposition_per_sign(self, w4, monkeypatch):
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
-        nondegeneracy_check(sys4, 1.0, w4, signs=(-1, 1))
+        nondegeneracy_check(1.0, w4, signs=(-1, 1))
         assert calls == [(16, 16), (16, 16)]
 
     def test_size_limit(self):
-        system = make_weyl_system(17)
-        weight = make_weight_euclidean(system.group)
+        weight = make_weight_euclidean(make_group([17, 17]))
         with pytest.raises(ValueError, match="limited to N <= 16, got 17"):
-            nondegeneracy_check(system, 1.0, weight)
+            nondegeneracy_check(1.0, weight, signs=(-1,))
 
-    def test_report_dict(self, sys4, w4):
-        (report,) = nondegeneracy_check(sys4, 1.0, w4)
+    def test_report_dict(self, w4):
+        (report,) = nondegeneracy_check(1.0, w4, signs=(-1,))
         assert report["dimension"] == 16
         assert report["full_rank"] is True

@@ -217,7 +217,7 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
         rng = oracle_rng(seed, k)
         T = operator_oracle(rng, system.N)
         phi = phase_table_oracle(rng, system.group.size)
-        W = make_test_element(system, s, weight, phi, sign)
+        W = make_test_element(s, weight, phi, sign)
         denom = schatten_norm(T, p) * lq_table_norm(phi, q_prime, system.group.dual_mass)
         if denom == 0.0:
             skipped += 1
@@ -281,7 +281,7 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
 def nondegeneracy_loop(system, s, weight, sign):
     """Rank of the row-scaled delta family, and its least eigenvalue times the least squared row maximum."""
     K = system.group.size
-    V = [make_test_element(system, s, weight, phi, sign).ravel() for phi in np.eye(K)]
+    V = [make_test_element(s, weight, phi, sign).ravel() for phi in np.eye(K)]
     tops = [max(abs(x) for x in row) for row in V]
     scaled = np.array([[complex(x.real / top, x.imag / top) for x in row] for row, top in zip(V, tops)])
     eigs = np.linalg.eigvalsh(scaled.conj() @ scaled.T)
@@ -325,7 +325,7 @@ def _hy(direction):
 def _pairing_pair():
     def batch(system, t, s):
         weight = make_weight_euclidean(system.group)
-        return list(pairing_bound_estimate(system, 4.0, 1.0, weight, signs=(-1, 1), trials=t, seed=s))
+        return list(pairing_bound_estimate(4.0, 1.0, weight, signs=(-1, 1), trials=t, seed=s))
 
     def oracle(system, t, s):
         weight = make_weight_euclidean(system.group)
@@ -337,7 +337,7 @@ def _pairing_pair():
 def _embedding_pair(beta_choice, homogeneous):
     def batch(system, t, s):
         spec = _spec(system, homogeneous)
-        return _embedding_fields(verify_embedding_chain(system, spec, 4.0, beta_choice, t, s))
+        return _embedding_fields(verify_embedding_chain(spec, 4.0, beta_choice, t, s))
 
     def oracle(system, t, s):
         return embedding_loop(system, _spec(system, homogeneous), 4.0, beta_choice, t, s)
@@ -434,7 +434,7 @@ class TestOracles:
     def test_nondegeneracy_stacked_deltas(self, N, sign):
         system = make_weyl_system(N)
         weight = make_weight_euclidean(system.group)
-        (report,) = nondegeneracy_check(system, 1.0, weight, signs=(sign,))
+        (report,) = nondegeneracy_check(1.0, weight, signs=(sign,))
         rank, min_eigenvalue = nondegeneracy_loop(system, 1.0, weight, sign)
         assert report["rank"] == rank == N * N
         assert_matches(report["min_eigenvalue"], min_eigenvalue)
@@ -514,11 +514,11 @@ class TestSkippedTrials:
                 assert rep["skipped"] == 10 and rep["worst_ratio"] == 0.0
                 assert not rep["witness_available"] and rep["witness_index"] is None
         spec = _spec(system)
-        chain = verify_embedding_chain(system, spec, 4.0, "corrected", trials=10, seed=1)
+        chain = verify_embedding_chain(spec, 4.0, "corrected", trials=10, seed=1)
         assert chain["skipped"] == 10 and chain["ratios_corrected"] == () and chain["max_ratio"] == 0.0
         axioms = verify_norm_axioms(system, spec, 10, 1)
         assert axioms["worst_triangle_excess"] == -math.inf and axioms["triangle_violations"] == 0
-        (pair,) = pairing_bound_estimate(system, 4.0, 1.0, spec.weight, signs=(-1,), trials=10, seed=1)
+        (pair,) = pairing_bound_estimate(4.0, 1.0, spec.weight, signs=(-1,), trials=10, seed=1)
         assert pair["skipped"] == 10 and pair["max_ratio"] == 0.0 and pair["satisfied"]
 
 
@@ -607,9 +607,9 @@ class TestDrawCounts:
         "run",
         [
             lambda system: pairing_bound_estimate(
-                system, 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0
+                4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0
             ),
-            lambda system: verify_embedding_chain(system, _spec(system), 4.0, "corrected", 300, 0),
+            lambda system: verify_embedding_chain(_spec(system), 4.0, "corrected", 300, 0),
         ],
         ids=["pairing", "embedding"],
     )
@@ -641,7 +641,7 @@ class TestDrawCounts:
         # One transform serves both the Sobolev norm and ||F(T)||_sigma.
         transforms = _count_calls(monkeypatch, qft, "qft_forward")
         system = make_weyl_system(8)
-        verify_embedding_chain(system, _spec(system, homogeneous), 4.0, "corrected", trials=300, seed=0)
+        verify_embedding_chain(_spec(system, homogeneous), 4.0, "corrected", trials=300, seed=0)
         assert len(transforms) == 3  # 300 trials in chunks of 128
 
 
@@ -734,8 +734,8 @@ class TestStreamReads:
             (lambda system: verify_hausdorff_young(system, EXPONENTS, "forward", 300, 0), 1),
             (lambda system: verify_hausdorff_young(system, EXPONENTS, "inverse", 300, 0), 0),
             (lambda system: pairing_bound_estimate(
-                system, 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0), 1),
-            (lambda system: verify_embedding_chain(system, _spec(system), 4.0, "corrected", 300, 0), 1),
+                4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0), 1),
+            (lambda system: verify_embedding_chain(_spec(system), 4.0, "corrected", 300, 0), 1),
             (lambda system: verify_norm_axioms(system, _spec(system), 300, 0), 2),
         ],
         ids=["plancherel", "hausdorff-young-forward", "hausdorff-young-inverse", "pairing",
@@ -820,6 +820,10 @@ class TestStreamSeeding:
             streams.seed_block(bad, 0, 1)
         with pytest.raises(expected.type):
             streams.run_trials(8, 3, bad, (partial(streams.OperatorReads, 8),), lambda T: (T,))
+
+    def test_negative_trial_index_is_rejected(self):
+        with pytest.raises(ValueError, match="^trial index must be non-negative, got -1$"):
+            streams.seed_block(0, -1, 1)
 
 
 class TestReplay:
