@@ -11,7 +11,10 @@ forced by the Hoelder identity ``1/sigma = 1/alpha + 1/q``, and
 by substituting ``sigma = alpha q / (alpha + s)`` instead; assertions gate
 only the corrected choice while both ratio distributions are recorded.  A
 failed hypothesis raises ``ValueError``, like any other invalid input.
-Each harness returns the dict its report holds, keys in report order.
+Each harness returns the dict its report holds, keys in report order, and
+ends it in its verdict, ``passed``, under a ``tolerances`` mapping whose
+default sits beside it: ``EXPONENT_TOLERANCES``, ``CHAIN_TOLERANCES`` or
+``COUNTEREXAMPLE_TOLERANCES``.
 
 ``counterexample_run`` builds normalized indicator generators on shrinking
 dual sets and tracks the growth of the conjugate Schatten norm of their
@@ -35,14 +38,21 @@ from .streams import OperatorReads, kept_ratios, run_trials, worst_trial
 from .weyl import WeylSystem
 
 
+#: Default tolerance of the Hoelder identity of :func:`compute_exponents`, by ``--tol`` name.
+EXPONENT_TOLERANCES = MappingProxyType({"identity": 1e-15})
 #: Default relative slack of each link and of the composite bound, by ``--tol`` name.
 CHAIN_TOLERANCES = MappingProxyType({"link1": 1e-12, "link2": 1e-10, "composite": 1e-10})
 #: The candidates for the final Schatten exponent beta, by ``--beta-choice``
 #: word: the one forced by the Hoelder identity, then the alternate closed form.
 BETA_CHOICES = ("corrected", "alternate")
+#: Default tolerances of :func:`counterexample_run`: each generator's L^q norm
+#: from 1 (absolute) and the fitted slope from the predicted one (relative).
+COUNTEREXAMPLE_TOLERANCES = MappingProxyType({"normalization": 1e-12, "slope_rel": 0.10})
 
 
-def compute_exponents(alpha: float, q: float, s: float) -> dict:
+def compute_exponents(
+    alpha: float, q: float, s: float, tolerances: Mapping[str, float] = EXPONENT_TOLERANCES
+) -> dict:
     """sigma = alpha q/(alpha + q) and both beta candidates, with validity flags.
 
     sigma is evaluated as ``alpha / (1 + alpha/q)`` and ``beta_alternate`` as
@@ -53,7 +63,10 @@ def compute_exponents(alpha: float, q: float, s: float) -> dict:
     boundary of that formula.  The upper boundary of the range check
     ``1 < sigma <= 2`` carries a few ulps of slack because exponents usually
     arrive through conjugate-pair arithmetic (q = p/(p-1)) that does not hit
-    integer endpoints exactly.
+    integer endpoints exactly.  ``holder_identity_error`` is
+    ``|sigma/alpha + sigma/q - 1|``: the identity ``1/sigma = 1/alpha + 1/q``
+    multiplied through by sigma, so relative to its size and finite wherever
+    sigma is.  ``passed`` is whether it is within ``tolerances["identity"]``.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -64,6 +77,7 @@ def compute_exponents(alpha: float, q: float, s: float) -> dict:
     sigma = alpha / (1.0 + alpha / q)
     alternate_denominator = (q - 1.0) - s / alpha
     beta_alternate_defined = alternate_denominator > 0.0
+    identity_error = abs(sigma / alpha + sigma / q - 1.0)
     return {
         "alpha": alpha,
         "q": q,
@@ -73,6 +87,8 @@ def compute_exponents(alpha: float, q: float, s: float) -> dict:
         "beta_alternate": q / alternate_denominator if beta_alternate_defined else None,
         "sigma_in_range": 1.0 < sigma <= 2.0 * (1.0 + 1e-12),
         "beta_alternate_defined": beta_alternate_defined,
+        "holder_identity_error": identity_error,
+        "passed": identity_error <= tolerances["identity"],
     }
 
 
@@ -92,8 +108,10 @@ def verify_embedding_chain(
     ||m||_alpha for the requested ``beta_choice``; the distribution for the
     other candidate is recorded alongside whenever it is defined.  A ratio
     counts as a violation beyond ``1 + tolerances[name]`` times its bound, with
-    every key of ``CHAIN_TOLERANCES`` given.  The operators are N x N with N
-    that of the spec's weight grid.
+    every key of ``CHAIN_TOLERANCES`` given.  ``passed`` is whether no link
+    is violated and, for the corrected beta only, no composite ratio: the
+    alternate candidate is measured, never gated.  The operators are N x N
+    with N that of the spec's weight grid.
     """
     if beta_choice not in BETA_CHOICES:
         raise ValueError(f"beta_choice must be {' or '.join(map(repr, BETA_CHOICES))}, got {beta_choice!r}")
@@ -125,7 +143,7 @@ def verify_embedding_chain(
     link1, kept = kept_ratios(f_sigma, m_norm * snorm)
     link2, link2_kept = kept_ratios(schatten[:, 0], f_sigma)
     ratios = [kept_ratios(schatten[:, j], snorm)[0] for j in range(len(betas))]
-    return {
+    report = {
         "N": grid.N,
         "s": spec.s,
         "p": spec.p,
@@ -150,6 +168,8 @@ def verify_embedding_chain(
         "ratios_corrected": tuple(ratios[0][kept].tolist()),
         "ratios_alternate": tuple(ratios[1][kept].tolist()) if len(ratios) > 1 else None,
     }
+    gated = (report["link1_violations"], report["link2_violations"], report["violations"] if used == 0 else 0)
+    return report | {"passed": not any(gated)}
 
 
 def _require_set_size(group: PhaseSpaceGrid, k: int) -> None:
@@ -203,6 +223,7 @@ def counterexample_run(
     rho: float,
     set_selector: str,
     set_sizes: Sequence[int],
+    tolerances: Mapping[str, float] = COUNTEREXAMPLE_TOLERANCES,
 ) -> dict:
     """Sweep generators a = eps^(-1/q) 1_E over shrinking sets E and fit the growth law.
 
@@ -213,7 +234,11 @@ def counterexample_run(
     ``||T||_{S_rho'}`` is recorded.  Points
     are reported sorted by decreasing ``eps`` and an ordinary least-squares
     fit of ``log ||T||`` against ``log eps`` is compared with the predicted
-    slope ``1/rho - 1/q`` (negative: the norms diverge as eps -> 0).
+    slope ``1/rho - 1/q`` (negative: the norms diverge as eps -> 0).  The
+    report ends in three flags and ``passed``, whether all three hold: every
+    generator's L^q norm within ``tolerances["normalization"]`` of 1, norms
+    strictly increasing as eps shrinks, and the fitted slope within
+    ``tolerances["slope_rel"]`` of the predicted one, relative to it.
     """
     if not rho > q:
         raise ValueError(f"divergence exponent rho must exceed q, got rho={rho}, q={q}")
@@ -251,12 +276,18 @@ def counterexample_run(
             f"got only eps = {eps_values[0]}"
         )
     slope = float(np.polyfit(np.log(eps_values), np.log(norms), 1)[0])
+    predicted = 1.0 / rho - 1.0 / q
+    flags = {
+        "normalization_ok": all(abs(pt["sobolev_norm"] - 1.0) <= tolerances["normalization"] for pt in points),
+        "strictly_increasing": all(b > a for a, b in zip(norms, norms[1:])),
+        "slope_within_tolerance": abs(slope - predicted) <= tolerances["slope_rel"] * abs(predicted),
+    }
     return {
         "q": q,
         "rho": rho,
         "selector": set_selector,
         "points": tuple(points),
         "fitted_slope": slope,
-        "predicted_slope": 1.0 / rho - 1.0 / q,
+        "predicted_slope": predicted,
         "decades_spanned": float(math.log10(eps_values.max() / eps_values.min())),
-    }
+    } | flags | {"passed": all(flags.values())}

@@ -24,14 +24,17 @@ both read the diagonals through one index built once per N.
 
 The harnesses run on the trial engine of :mod:`qsobolev.streams`, which
 also owns the seeded streams and the random ensembles read from them.  Each
-returns the dict its report holds, keys in report order.
+returns the dict its report holds, keys in report order, and ends it in its
+verdict, ``passed``, under a ``tolerances`` mapping whose default sits beside
+it: ``PLANCHEREL_TOLERANCES`` or ``HAUSDORFF_YOUNG_TOLERANCES``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +42,11 @@ from .groups import as_table, lq_table_norm
 from . import streams
 from .linalg import as_operator, schatten_norm
 from .weyl import WeylSystem
+
+#: Default tolerances of :func:`verify_plancherel` and :func:`verify_roundtrips`, by ``--tol`` name.
+PLANCHEREL_TOLERANCES = MappingProxyType({"deviation": 1e-11, "roundtrip": 1e-11})
+#: Default slack of :func:`verify_hausdorff_young`'s bound 1 on every ratio, by ``--tol`` name.
+HAUSDORFF_YOUNG_TOLERANCES = MappingProxyType({"ratio_slack": 1e-10})
 
 
 @lru_cache(maxsize=8)
@@ -105,20 +113,25 @@ def _roundtrip_residuals(system: WeylSystem, T: np.ndarray, transformed: np.ndar
     )
 
 
-def _roundtrip_report(op_err, op_norm, fn_err, fn_norm) -> dict:
-    return {
+def _roundtrip_report(tolerances: Mapping[str, float], op_err, op_norm, fn_err, fn_norm) -> dict:
+    """Both worst relative residuals, and ``passed``: whether each is within ``tolerances["roundtrip"]``."""
+    report = {
         "operator_roundtrip": streams.worst_trial(*streams.kept_ratios(op_err, op_norm))[0],
         "function_roundtrip": streams.worst_trial(*streams.kept_ratios(fn_err, fn_norm))[0],
     }
+    return report | {"passed": all(worst <= tolerances["roundtrip"] for worst in report.values())}
 
 
-def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> dict:
+def verify_plancherel(
+    system: WeylSystem, trials: int, seed: int, tolerances: Mapping[str, float] = PLANCHEREL_TOLERANCES
+) -> dict:
     """Worst Plancherel deviation and round-trip residuals, measured on one set of draws.
 
     ``worst_relative_deviation`` is the worst ``| ||F(T)||_L2 - ||T||_S2 | /
     ||T||_S2`` over random T, with ``||T||_S2`` taken from the entries; the
     round-trip fields are those of :func:`verify_roundtrips` on the same
     operators and dual tables, and one transform of T serves both.
+    ``passed`` also needs the deviation within ``tolerances["deviation"]``.
     """
 
     def measure(T, values):
@@ -129,14 +142,17 @@ def verify_plancherel(system: WeylSystem, trials: int, seed: int) -> dict:
     draw = (partial(streams.OperatorReads, system.N), partial(streams.TableReads, system.group.size))
     deviations, *residuals = streams.run_trials(system.N, trials, seed, draw, measure)
     worst = streams.worst_trial(*streams.kept_ratios(deviations, residuals[1]))[0]
-    return {"worst_relative_deviation": worst} | _roundtrip_report(*residuals)
+    report = {"worst_relative_deviation": worst} | _roundtrip_report(tolerances, *residuals)
+    return report | {"passed": worst <= tolerances["deviation"] and report["passed"]}
 
 
-def verify_roundtrips(system: WeylSystem, trials: int, seed: int) -> dict:
-    """Worst relative residuals of both transform compositions on random inputs."""
+def verify_roundtrips(
+    system: WeylSystem, trials: int, seed: int, tolerances: Mapping[str, float] = PLANCHEREL_TOLERANCES
+) -> dict:
+    """Worst relative residuals of both transform compositions on random inputs, and their verdict."""
     draw = (partial(streams.OperatorReads, system.N), partial(streams.TableReads, system.group.size))
     measure = lambda T, values: _roundtrip_residuals(system, T, qft_forward(T), values)  # noqa: E731
-    return _roundtrip_report(*streams.run_trials(system.N, trials, seed, draw, measure))
+    return _roundtrip_report(tolerances, *streams.run_trials(system.N, trials, seed, draw, measure))
 
 
 def conjugate_exponent(p: float) -> float:
@@ -148,7 +164,8 @@ def conjugate_exponent(p: float) -> float:
 
 
 def verify_hausdorff_young(
-    system: WeylSystem, exponents: Sequence[float], direction: str, trials: int, seed: int
+    system: WeylSystem, exponents: Sequence[float], direction: str, trials: int, seed: int,
+    tolerances: Mapping[str, float] = HAUSDORFF_YOUNG_TOLERANCES,
 ) -> tuple[dict, ...]:
     """Worst ratios of the two-sided norm inequality, one report per exponent.
 
@@ -158,7 +175,8 @@ def verify_hausdorff_young(
     normalization both ratios are bounded by 1; ``p = 2`` is the unitary case
     and ``p = 1`` follows from the operator-norm bound on the Weyl unitaries.
     Every exponent is measured on the same draws, each transformed and
-    decomposed once.
+    decomposed once.  Each report ends in ``passed``: whether its worst ratio
+    is at most ``1 + tolerances["ratio_slack"]``.
     """
     for p in exponents:
         if not 1.0 <= p <= 2.0:
@@ -195,5 +213,6 @@ def verify_hausdorff_young(
             "witness_available": witness is not None,
             "witness_index": witness,
             "skipped": int(np.count_nonzero(~kept)),
+            "passed": worst <= 1.0 + tolerances["ratio_slack"],
         })
     return tuple(reports)

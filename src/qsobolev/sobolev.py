@@ -31,8 +31,8 @@ from .weyl import EXHAUSTIVE_MAX_N, WeylSystem
 
 #: Relative slack of the s-monotonicity and homogeneous-dominance counts.
 MONOTONE_TOL = 1e-12
-#: Default tolerance of :func:`verify_norm_axioms`, by ``--tol`` name.
-NORM_TOLERANCES = MappingProxyType({"triangle": 1e-10})
+#: Default tolerances of :func:`verify_norm_axioms`, by ``--tol`` name.
+NORM_TOLERANCES = MappingProxyType({"homogeneity": 1e-12, "triangle": 1e-10, "isometry": 1e-12})
 #: Default tolerances of the duality harnesses, by ``--tol`` name.
 DUALITY_TOLERANCES = MappingProxyType({"pairing_slack": 1e-10, "rank": 1e-10})
 
@@ -173,7 +173,10 @@ def verify_norm_axioms(
     for the triangle inequality and beyond ``MONOTONE_TOL`` for the two order
     relations.  No isometry is checked: ``worst_isometry_abs`` is 0 by
     construction, since the weighted map's L^q norm is ``sobolev_norm``
-    itself, until a second route to that norm gates it (ROADMAP item 1).
+    itself, until a second route to that norm gates it (ROADMAP item 2).
+    The report ends in ``passed``: no violation of any kind, and the worst
+    homogeneity and isometry deviations within ``tolerances["homogeneity"]``
+    and ``tolerances["isometry"]``.
     Only ``system.N`` is read, and it must be the N of ``spec.weight``.
     """
     if spec.weight.group != system.group:
@@ -207,7 +210,7 @@ def verify_norm_axioms(
     triangle, kept = kept_ratios(n_sum - (nT + nS), nT + nS)
     monotone, base_kept = kept_ratios(n_base - n_stronger, n_base)
     dominance = kept_ratios(n_hom - n_base, n_base)[0]
-    return {
+    report = {
         "N": system.N,
         "s": spec.s,
         "p": spec.p,
@@ -225,6 +228,12 @@ def verify_norm_axioms(
         "worst_hom_dominance_excess": worst_trial(dominance, base_kept, -math.inf)[0],
         "definiteness_violations": int(np.count_nonzero((nT == 0.0) & nonzero)),
     }
+    passed = (
+        worst_hom_rel <= tolerances["homogeneity"]
+        and report["worst_isometry_abs"] <= tolerances["isometry"]
+        and not any(count for key, count in report.items() if key.endswith("_violations"))
+    )
+    return report | {"passed": passed}
 
 
 def pairing_analytic_bound(p: float, s: float, weight: Weight, sign: int) -> float:

@@ -470,7 +470,7 @@ class TestExtremeInputs:
 
     @pytest.mark.xfail(raises=AssertionError, strict=True,
                        reason="the order -s multiplier underflows to 0 on part of the grid, so the rank "
-                              "reads short; ROADMAP item 3")
+                              "reads short; ROADMAP item 6")
     @pytest.mark.parametrize("N, s", [("8", "616"), ("16", "400")])
     def test_underflowing_multiplier_keeps_full_rank(self, N, s, monkeypatch, tmp_path, capsys):
         # The delta family's Gram is diag(N (m/N)^2), full rank in exact arithmetic.
@@ -488,9 +488,8 @@ class TestExtremeInputs:
 
 
 #: A run that passes at the default tolerances and fails at ``value``, per
-#: tolerance of every command: those a harness applies, then those the CLI
-#: applies itself.  ``isometry`` flips only below 0: its field is 0 by
-#: construction (ROADMAP item 1).
+#: tolerance of every command.  ``isometry`` flips only below 0: its field is
+#: 0 by construction (ROADMAP item 2).
 TOLERANCE_FLIPS = [
     *((["axioms", "--N", "2"], name, "-1") for name in AXIOM_TOLERANCES),
     *((EMBED, name, "-1") for name in CHAIN_TOLERANCES),
@@ -508,14 +507,58 @@ TOLERANCE_FLIPS = [
 ]
 
 
+def verdict(result) -> bool:
+    """A harness's verdict: its ``passed`` or ``core_passed``, or every ``satisfied`` and ``full_rank``.
+
+    A tuple holds one report per exponent or sign, and passes if each does.
+    """
+    if isinstance(result, tuple):
+        return all(verdict(report) for report in result)
+    (key,) = {"passed", "core_passed", "satisfied", "full_rank"} & set(result)
+    return result[key]
+
+
+def report_verdict(command: str, results: dict) -> bool:
+    """The verdict of the harnesses, as a command's report holds it."""
+    if command == "pairing":
+        return verdict((*results["pairing"], *results["nondegeneracy"]))
+    if command == "hausdorff-young":
+        return verdict(tuple(results["runs"]))
+    return verdict(results)
+
+
+def record_harness_calls(monkeypatch) -> list:
+    """Spy on every harness the CLI calls: each call appends a rerun of it under a given mapping."""
+    reruns = []
+    for harness, _ in TOLERANCE_HARNESSES:
+        if getattr(cli, harness.__name__, None) is not harness:
+            continue  # verify_roundtrips: no command calls it
+
+        def spy(*args, harness=harness, **kwargs):
+            arguments = inspect.signature(harness).bind(*args, **kwargs).arguments
+            reruns.append(lambda tolerances: harness(**arguments | {"tolerances": tolerances}))
+            return harness(*args, **kwargs)
+
+        monkeypatch.setattr(cli, harness.__name__, spy)
+    return reruns
+
+
 class TestToleranceWiring:
     @pytest.mark.parametrize("argv, name, value", TOLERANCE_FLIPS, ids=[f[1] for f in TOLERANCE_FLIPS])
     def test_tolerance_reaches_its_gate(self, argv, name, value, monkeypatch, tmp_path, capsys):
+        # The exit code follows the harnesses' verdict in the report, and a
+        # library call under the same mapping reaches the same verdict.
         monkeypatch.chdir(tmp_path)
+        path = tmp_path / f"{argv[0].replace('-', '_')}_report.json"
         assert cli.main(argv) == 0
+        assert report_verdict(argv[0], json.loads(path.read_text())["results"]) is True
+        reruns = record_harness_calls(monkeypatch)
         assert cli.main(argv + ["--tol", f"{name}={value}"]) == 1
-        report = json.loads((tmp_path / f"{argv[0].replace('-', '_')}_report.json").read_text())
+        report = json.loads(path.read_text())
         assert report["config"]["tolerances"][name] == float(value)
+        assert report_verdict(argv[0], report["results"]) is False
+        flipped = dict(cli.COMMANDS[argv[0]].tolerances) | {name: float(value)}
+        assert reruns and all(verdict(rerun(flipped)) for rerun in reruns) is False
 
     def test_every_tolerance_has_a_flip(self):
         flipped = [(argv[0], name) for argv, name, _ in TOLERANCE_FLIPS]
@@ -527,10 +570,15 @@ class TestToleranceWiring:
 #: Each harness that applies a ``--tol`` name, with the command whose table holds it.
 TOLERANCE_HARNESSES = [
     (weyl.check_axioms, "axioms"),
+    (qft.verify_plancherel, "plancherel"),
+    (qft.verify_roundtrips, "plancherel"),
+    (qft.verify_hausdorff_young, "hausdorff-young"),
     (sobolev.verify_norm_axioms, "sobolev-norms"),
     (sobolev.pairing_bound_estimate, "pairing"),
     (sobolev.nondegeneracy_check, "pairing"),
+    (embedding.compute_exponents, "exponents"),
     (embedding.verify_embedding_chain, "embed"),
+    (embedding.counterexample_run, "counterexample"),
 ]
 SEEDED_HARNESSES = [
     qft.verify_plancherel,
@@ -568,6 +616,14 @@ class TestHarnessInterface:
         default = inspect.signature(harness).parameters["tolerances"].default
         assert isinstance(default, MappingProxyType)
         assert set(default) <= set(cli.COMMANDS[command].tolerances)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_command_holds_no_tolerance_of_its_own(self, command):
+        # Every --tol name, with its default and in its order, is a key of a harness constant.
+        defaults = [inspect.signature(harness).parameters["tolerances"].default
+                    for harness, name in TOLERANCE_HARNESSES if name == command]
+        union = {key: value for default in defaults for key, value in default.items()}
+        assert defaults and list(cli.COMMANDS[command].tolerances.items()) == list(union.items())
 
     def test_no_public_function_takes_a_scalar_tolerance(self):
         functions = dict(public_functions())

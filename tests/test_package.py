@@ -20,7 +20,7 @@ print(json.dumps({
 
 #: Public top-level names of ``src/qsobolev`` that only tests reference, each with its reason.
 TEST_ONLY_NAMES = {
-    "replay": "rebuilds a reported witness; ROADMAP item 7's --metrics sidecar is to call it",
+    "replay": "rebuilds a reported witness; ROADMAP item 8's --metrics sidecar is to call it",
 }
 
 

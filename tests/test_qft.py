@@ -279,8 +279,9 @@ class TestPlancherel:
     @pytest.mark.parametrize("N", [2, 4, 8])
     def test_harness(self, N):
         results = verify_plancherel(make_weyl_system(N), 100, 42)
-        assert list(results) == ["worst_relative_deviation", "operator_roundtrip", "function_roundtrip"]
-        assert max(results.values()) <= 1e-11
+        assert list(results) == ["worst_relative_deviation", "operator_roundtrip", "function_roundtrip", "passed"]
+        *measured, passed = results.values()
+        assert max(measured) <= 1e-11 and passed is True
 
     def test_roundtrip_harness(self, sys4):
         rts = verify_roundtrips(sys4, 50, 42)

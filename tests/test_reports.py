@@ -52,17 +52,17 @@ HARNESS_RUNS = {
 #: The keys of each harness's report, in the order its CSV rows list them.
 KEY_ORDER = {
     "check_axioms": ("N", "convention", "checks", "core_passed"),
-    "verify_plancherel": ("worst_relative_deviation", "operator_roundtrip", "function_roundtrip"),
-    "verify_roundtrips": ("operator_roundtrip", "function_roundtrip"),
+    "verify_plancherel": ("worst_relative_deviation", "operator_roundtrip", "function_roundtrip", "passed"),
+    "verify_roundtrips": ("operator_roundtrip", "function_roundtrip", "passed"),
     "verify_hausdorff_young": (
         "p", "q", "direction", "trials", "seed", "worst_ratio", "witness_available", "witness_index",
-        "skipped",
+        "skipped", "passed",
     ),
     "verify_norm_axioms": (
         "N", "s", "p", "homogeneous", "trials", "seed", "worst_homogeneity_rel",
         "worst_triangle_excess", "triangle_violations", "worst_isometry_abs",
         "s_monotonicity_violations", "worst_s_monotonicity_excess", "hom_dominance_violations",
-        "worst_hom_dominance_excess", "definiteness_violations",
+        "worst_hom_dominance_excess", "definiteness_violations", "passed",
     ),
     "pairing_bound_estimate": (
         "N", "p", "p_prime", "q_prime", "s", "sign", "trials", "seed", "skipped", "max_ratio",
@@ -71,16 +71,17 @@ KEY_ORDER = {
     "nondegeneracy_check": ("N", "sign", "dimension", "rank", "full_rank", "deficiency", "min_eigenvalue"),
     "compute_exponents": (
         "alpha", "q", "s", "sigma", "beta_corrected", "beta_alternate", "sigma_in_range",
-        "beta_alternate_defined",
+        "beta_alternate_defined", "holder_identity_error", "passed",
     ),
     "verify_embedding_chain": (
         "N", "s", "p", "q", "alpha", "homogeneous", "sigma", "beta_choice", "beta_used",
         "beta_corrected", "beta_alternate", "multiplier_norm", "trials", "seed", "skipped",
         "violations", "link1_violations", "link2_violations", "max_ratio", "max_link1_ratio",
-        "max_link2_ratio", "ratios_corrected", "ratios_alternate",
+        "max_link2_ratio", "ratios_corrected", "ratios_alternate", "passed",
     ),
     "counterexample_run": (
         "q", "rho", "selector", "points", "fitted_slope", "predicted_slope", "decades_spanned",
+        "normalization_ok", "strictly_increasing", "slope_within_tolerance", "passed",
     ),
 }
 #: The keys of the reports nested in a list: ``checks[i]`` and ``points[i]``.

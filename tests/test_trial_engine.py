@@ -89,7 +89,20 @@ def roundtrips_loop(system, trials, seed):
         if norm_f > 0.0:
             again = qft_forward(qft_inverse(system, f))
             worst_fn = max(worst_fn, np.linalg.norm(again - f) / norm_f)
-    return {"operator_roundtrip": worst_op, "function_roundtrip": worst_fn}
+    return {
+        "operator_roundtrip": worst_op,
+        "function_roundtrip": worst_fn,
+        "passed": bool(worst_op <= 1e-11 and worst_fn <= 1e-11),
+    }
+
+
+def plancherel_oracle(system, trials, seed):
+    """The report of ``verify_plancherel`` (default tolerances) from the two loops."""
+    worst = plancherel_loop(system, trials, seed)
+    roundtrips = roundtrips_loop(system, trials, seed)
+    return {"worst_relative_deviation": worst} | roundtrips | {
+        "passed": bool(worst <= 1e-11) and roundtrips["passed"]
+    }
 
 
 def hausdorff_young_loop(system, p, direction, trials, seed):
@@ -126,6 +139,7 @@ def hausdorff_young_loop(system, p, direction, trials, seed):
         "witness_available": witness is not None,
         "witness_index": witness,
         "skipped": skipped,
+        "passed": bool(worst <= 1.0 + 1e-10),
     }
 
 
@@ -142,7 +156,8 @@ def phi_isometry_loop(system, spec, trials, seed):
     return worst
 
 
-def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_tol=1e-12):
+def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_tol=1e-12,
+                     homogeneity_tol=1e-12, isometry_tol=1e-12):
     base = SobolevSpec(s=spec.s, p=spec.p, weight=spec.weight, homogeneous=False)
     stronger = SobolevSpec(s=2.0 * spec.s, p=spec.p, weight=spec.weight, homogeneous=False)
     hom = SobolevSpec(s=spec.s, p=spec.p, weight=spec.weight, homogeneous=True)
@@ -204,6 +219,10 @@ def norm_axioms_loop(system, spec, trials, seed, triangle_tol=1e-10, monotone_to
         "hom_dominance_violations": dom_viol,
         "worst_hom_dominance_excess": worst_dom,
         "definiteness_violations": definite_viol,
+        "passed": bool(
+            worst_hom_rel <= homogeneity_tol and worst_iso <= isometry_tol
+            and tri_viol == mono_viol == dom_viol == definite_viol == 0
+        ),
     }
 
 
@@ -275,6 +294,8 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
         max_link2_ratio=max_link2,
         ratios_corrected=tuple(ratios_corrected),
         ratios_alternate=None if ratios_alternate is None else tuple(ratios_alternate),
+        passed=out["link1_violations"] == out["link2_violations"] == 0
+        and (beta_choice != "corrected" or out["violations"] == 0),
     )
 
 
@@ -311,6 +332,7 @@ def _embedding_fields(report):
             "max_link2_ratio",
             "ratios_corrected",
             "ratios_alternate",
+            "passed",
         )
     }
 
@@ -347,11 +369,7 @@ def _embedding_pair(beta_choice, homogeneous):
 
 #: name -> (engine harness, per-trial oracle), each taking (system, trials, seed).
 HARNESSES = {
-    "plancherel": (
-        verify_plancherel,
-        lambda system, t, s: {"worst_relative_deviation": plancherel_loop(system, t, s)}
-        | roundtrips_loop(system, t, s),
-    ),
+    "plancherel": (verify_plancherel, plancherel_oracle),
     "roundtrips": (verify_roundtrips, roundtrips_loop),
     "hausdorff-young-forward": _hy("forward"),
     "hausdorff-young-inverse": _hy("inverse"),

@@ -7,8 +7,8 @@ parent commit and the working tree.  Each run below is made once per checkout
 with ``PYTHONPATH=<checkout>/src``, in a fresh temporary directory, and with
 one BLAS thread: reports repeat byte for byte only at a fixed thread count
 (README, "BLAS threads").  The runs are the eight subcommands at their
-defaults, the seventeen non-default runs below and every script in
-``demos/``: 30 runs with the five demos of this tree.  A CLI
+defaults, the twenty-two non-default runs below and every script in
+``demos/``: 35 runs with the five demos of this tree.  A CLI
 run writes its JSON and CSV reports there; a demo run only prints.  The
 tool compares the JSON report with its ``timestamp`` line left out, the CSV
 report, stdout, stderr and the exit code.  It prints one line per run and
@@ -36,7 +36,7 @@ DEFAULTS = [
 ]
 #: Non-default runs that reach every other choice word, other exponents and
 #: orders, the homogeneous norm, a sweep to N = 1024, and the tolerance
-#: mappings of the norm and duality harnesses, set where they must fail.
+#: mapping of every command's harnesses, set where a gate must fail.
 NON_DEFAULTS = [
     ["axioms", "--convention", "symmetric"],
     ["hausdorff-young", "--direction", "forward"],
@@ -55,6 +55,11 @@ NON_DEFAULTS = [
     ["counterexample", "--N", "8,8,8,8,16,32,64,128,256,512,1024", "--sizes", "8,4,2,1,1,1,1,1,1,1,1"],
     ["sobolev-norms", "--tol", "triangle=-1"],
     ["pairing", "--tol", "pairing_slack=-1", "--tol", "rank=2"],
+    ["plancherel", "--tol", "roundtrip=-1"],
+    ["hausdorff-young", "--tol", "ratio_slack=-1"],
+    ["exponents", "--tol", "identity=-1"],
+    ["embed", "--tol", "composite=-1"],
+    ["counterexample", "--tol", "slope_rel=-1"],
 ]
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIMESTAMP_LINE = re.compile(rb'^  "timestamp": "[^"]*",?\n', re.MULTILINE)
