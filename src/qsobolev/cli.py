@@ -12,7 +12,8 @@ a contract CI can consume directly:
       operation in a harness, or a NaN result; no report is written),
 * 4 - the report could not be written.
 
-The verdict behind 0 and 1 is the harnesses' own: each takes its command's
+Each subcommand's results are what one harness call returns, and the
+verdict behind 0 and 1 is that harness's own: it takes its command's
 ``--tol`` mapping, whose defaults sit beside it, and ends its report in the
 verdict.  The CLI reads a tolerance only to resolve ``--tol``.
 
@@ -66,17 +67,10 @@ from .sobolev import (
     SobolevSpec,
     make_weight_constant,
     make_weight_euclidean,
-    nondegeneracy_check,
-    pairing_bound_estimate,
+    verify_duality,
     verify_norm_axioms,
 )
-from .weyl import (
-    AXIOM_TOLERANCES,
-    CONVENTIONS,
-    EXHAUSTIVE_MAX_N,
-    check_axioms,
-    make_weyl_system,
-)
+from .weyl import AXIOM_TOLERANCES, CONVENTIONS, EXHAUSTIVE_MAX_N, check_axioms, make_weyl_system
 
 OUTPUT_DIR_ENV = "QSOBOLEV_OUTPUT_DIR"
 
@@ -89,10 +83,6 @@ CONVENTION_NOTES = {
 
 #: Weight constructors by ``--weight`` word (the constant weight is 1).
 WEIGHTS = {"euclidean": make_weight_euclidean, "constant": make_weight_constant}
-#: Test-family weight signs by ``--sign`` word.
-SIGNS = {"-1": (-1,), "1": (1,), "both": (-1, 1)}
-#: Transform directions by ``--direction`` word.
-DIRECTIONS = {"forward": ("forward",), "inverse": ("inverse",), "both": ("forward", "inverse")}
 
 #: Memory budget of one run.  A run holds at most about 11 N x N complex128
 #: matrices at once (random draws, transform tables, the LAPACK SVD
@@ -218,9 +208,9 @@ class Param:
 class Command:
     """A subcommand: its runner, help text, named tolerances and ordered parameters.
 
-    ``tolerances`` is the default mapping of the command's harnesses, the
-    constant beside them; the runner passes the resolved mapping whole and
-    returns the harnesses' verdict.
+    ``tolerances`` is the default mapping of the command's harness, the
+    constant beside it; the runner builds the harness's inputs, passes the
+    resolved mapping whole and returns the report with its verdict.
 
     ``note``, if given, turns the results of a run into a line for stderr,
     printed once the report is written (nothing when it returns ``None``);
@@ -344,27 +334,10 @@ def run_plancherel(config: dict):
 
 
 def run_hausdorff_young(config: dict):
-    system = make_weyl_system(config["N"])
-    # Each direction draws its trials once and measures every exponent on them.
-    by_direction = [
-        verify_hausdorff_young(
-            system, config["p"], direction, config["trials"], config["seed"], config["tolerances"]
-        )
-        for direction in DIRECTIONS[config["direction"]]
-    ]
-    runs = [rep for reports in zip(*by_direction) for rep in reports]  # exponent-major, as listed in --p
-    results = {"runs": runs}
-    # Reported, never asserted: whether the endpoint exponents bound the
-    # interior maxima in this sample.
-    endpoint = [r["worst_ratio"] for r in runs if r["p"] in (1.0, 2.0)]
-    interior = [r["worst_ratio"] for r in runs if r["p"] not in (1.0, 2.0)]
-    if endpoint and interior:
-        results["endpoint_consistency"] = {
-            "endpoint_max": max(endpoint),
-            "interior_max": max(interior),
-            "endpoints_bound_interior": max(interior) <= max(endpoint),
-        }
-    return results, all(r["passed"] for r in runs)
+    results = verify_hausdorff_young(
+        make_weyl_system(config["N"]), config["p"], config["trials"], config["seed"], config["tolerances"]
+    )
+    return results, results["passed"]
 
 
 def run_sobolev_norms(config: dict):
@@ -377,13 +350,10 @@ def run_sobolev_norms(config: dict):
 
 def run_pairing(config: dict):
     weight = WEIGHTS[config["weight"]](PhaseSpaceGrid(config["N"]))
-    s = config["s"]
-    signs = SIGNS[config["sign"]]
-    tol = config["tolerances"]
-    bounds = pairing_bound_estimate(config["p"], s, weight, signs, config["trials"], config["seed"], tol)
-    ranks = nondegeneracy_check(s, weight, signs, tol) if config["N"] <= EXHAUSTIVE_MAX_N else ()
-    results = {"pairing": list(bounds), "nondegeneracy": list(ranks)}
-    return results, all(b["satisfied"] for b in bounds) and all(nd["full_rank"] for nd in ranks)
+    results = verify_duality(
+        config["p"], config["s"], weight, config["trials"], config["seed"], config["tolerances"]
+    )
+    return results, results["passed"]
 
 
 def run_exponents(config: dict):
@@ -401,13 +371,9 @@ def run_embed(config: dict):
 
 
 def run_counterexample(config: dict):
-    dims = config["N"]
-    sizes = config["sizes"]
-    if len(sizes) != len(dims):
-        raise ValueError("--sizes must list one set size per entry of --N")
     report = counterexample_run(
-        [make_weyl_system(n) for n in dims], config["q"], config["rho"], config["selector"], sizes,
-        config["tolerances"],
+        [make_weyl_system(n) for n in config["N"]], config["q"], config["rho"], config["selector"],
+        config["sizes"], config["tolerances"],
     )
     return report, report["passed"]
 
@@ -427,7 +393,6 @@ COMMANDS: dict[str, Command] = {
         (Param("N", parse_dimension, 8),
          Param("p", list_of(parse_real), (1.0, 8 / 7, 4 / 3, 8 / 5, 2.0),
                "comma list of exponents in [1,2]; fractions allowed"),
-         Param("direction", Choice(tuple(DIRECTIONS)), "both"),
          Param("trials", parse_positive_int, 100), SEED),
     ),
     "sobolev-norms": Command(
@@ -441,7 +406,7 @@ COMMANDS: dict[str, Command] = {
         DUALITY_TOLERANCES,
         (Param("N", parse_dimension, 8),
          Param("p", parse_real, 4.0, "Schatten exponent > 2 for the operator side"),
-         Param("s", parse_real, 1.0), WEIGHT, Param("sign", Choice(tuple(SIGNS)), "both"),
+         Param("s", parse_real, 1.0), WEIGHT,
          Param("trials", parse_positive_int, 200), SEED),
         lambda r: None if r["nondegeneracy"] else (
             f"nondegeneracy rank check skipped: it runs only at N <= {EXHAUSTIVE_MAX_N}, "

@@ -247,7 +247,7 @@ def counterexample_run(
     if len(systems) == 0:
         raise ValueError("need at least one system")
     if len(set_sizes) != len(systems):
-        raise ValueError("set_sizes must align with systems")
+        raise ValueError(f"set sizes must list one size per system, got {len(set_sizes)} for {len(systems)}")
     if set_selector not in SET_SELECTORS:
         raise ValueError(
             f"set selector must be one of {tuple(SET_SELECTORS)}, got {set_selector!r}"

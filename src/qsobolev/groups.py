@@ -108,6 +108,8 @@ def lq_table_norm(values: np.ndarray, q: float | Sequence[float], mass_per_point
     """
     single = np.ndim(q) == 0
     exponents = [float(e) for e in np.ravel(q)]
+    if not exponents:
+        raise ValueError("exponent sequence must hold at least one exponent, got none")
     if any(math.isnan(e) or e <= 0 for e in exponents):
         raise ValueError(f"exponent must be positive or inf, got {q}")
     ratios = np.abs(np.asarray(values)).astype(float, copy=False)

@@ -7,7 +7,8 @@ Bessel-style weight ``(1 + gamma^2)^(s/2)`` in the inhomogeneous case and
 ``p in (1, 2)``).  The negative-order side is generated by a test family of
 operators built by inverse-transforming weighted generators; the weight-sign
 of that construction is a parameter because both natural choices are useful,
-and every call requires it (``-1`` keeps the duality chain sharp).  The test
+and every call that builds the family requires it (``-1`` keeps the duality
+chain sharp); :func:`verify_duality` runs both.  The test
 family depends only on s, the weight and the generator, so the duality calls
 read their N x N grid off the weight and take no Weyl system.
 Each harness returns the dict its report holds, keys in report order.
@@ -360,3 +361,22 @@ def nondegeneracy_check(
             "min_eigenvalue": float(eigs[0] * np.min(top) ** 2),
         })
     return tuple(reports)
+
+
+def verify_duality(
+    p: float, s: float, weight: Weight, trials: int, seed: int,
+    tolerances: Mapping[str, float] = DUALITY_TOLERANCES,
+) -> dict:
+    """The pairing bound and the test family's rank, for both weight signs -1 and +1.
+
+    ``pairing`` holds :func:`pairing_bound_estimate`'s reports, both signs on
+    the same draws, and ``nondegeneracy`` those of :func:`nondegeneracy_check`,
+    which runs only up to ``N = EXHAUSTIVE_MAX_N`` and is left empty above it.
+    The report ends in ``passed``: every bound satisfied and every family of
+    full rank.
+    """
+    signs = (-1, 1)
+    bounds = pairing_bound_estimate(p, s, weight, signs, trials, seed, tolerances)
+    ranks = nondegeneracy_check(s, weight, signs, tolerances) if weight.group.N <= EXHAUSTIVE_MAX_N else ()
+    passed = all(b["satisfied"] for b in bounds) and all(nd["full_rank"] for nd in ranks)
+    return {"pairing": list(bounds), "nondegeneracy": list(ranks), "passed": passed}

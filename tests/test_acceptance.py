@@ -68,11 +68,9 @@ def test_criterion_2_hausdorff_young():
     worst = 0.0
     for N in (4, 8):
         system = make_weyl_system(N)
-        for direction in ("forward", "inverse"):
-            reps = verify_hausdorff_young(
-                system, (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0), direction, 500, SEED
-            )
-            worst = max([worst] + [rep["worst_ratio"] for rep in reps])
+        runs = verify_hausdorff_young(system, (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0), 500, SEED)["runs"]
+        assert {run["direction"] for run in runs} == {"forward", "inverse"}
+        worst = max([worst] + [run["worst_ratio"] for run in runs])
         # Endpoint p = 1: exhaustive matrix-unit basis.
         for j in range(N):
             for k in range(N):

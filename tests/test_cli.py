@@ -18,6 +18,7 @@ import pytest
 import qsobolev
 from qsobolev import cli, embedding, qft, sobolev, weyl
 from qsobolev.embedding import CHAIN_TOLERANCES
+from qsobolev.groups import PhaseSpaceGrid
 from qsobolev.weyl import AXIOM_TOLERANCES
 
 
@@ -148,7 +149,7 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["hausdorff-young", "--N", "4", "--trials", "10", "--direction", "inverse"],
+            ["hausdorff-young", "--N", "4", "--trials", "10", "--p", "1.5"],
             ["embed", "--N", "4", "--trials", "10", "--homogeneous", "--beta-choice", "alternate"],
             ["counterexample", "--selector", "ball"],
             ["pairing", "--N", "16", "--trials", "5"],
@@ -472,12 +473,13 @@ class TestExtremeInputs:
                        reason="the order -s multiplier underflows to 0 on part of the grid, so the rank "
                               "reads short; ROADMAP item 6")
     @pytest.mark.parametrize("N, s", [("8", "616"), ("16", "400")])
-    def test_underflowing_multiplier_keeps_full_rank(self, N, s, monkeypatch, tmp_path, capsys):
+    def test_underflowing_multiplier_keeps_full_rank(self, N, s):
         # The delta family's Gram is diag(N (m/N)^2), full rank in exact arithmetic.
-        monkeypatch.chdir(tmp_path)
-        code = cli.main(["pairing", "--N", N, "--s", s, "--sign", "-1", "--trials", "3"])
-        (nondegeneracy,) = json.loads((tmp_path / "pairing_report.json").read_text())["results"]["nondegeneracy"]
-        assert code == 0 and nondegeneracy["full_rank"]
+        # The library call: at this s the +1 sign's multiplier overflows, so
+        # ``pairing``, which runs both signs, exits 3 before the rank check.
+        weight = sobolev.make_weight_euclidean(PhaseSpaceGrid(int(N)))
+        (nondegeneracy,) = sobolev.nondegeneracy_check(float(s), weight, (-1,))
+        assert nondegeneracy["full_rank"]
 
     def test_huge_alpha_names_the_finite_sigma(self, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
@@ -507,24 +509,10 @@ TOLERANCE_FLIPS = [
 ]
 
 
-def verdict(result) -> bool:
-    """A harness's verdict: its ``passed`` or ``core_passed``, or every ``satisfied`` and ``full_rank``.
-
-    A tuple holds one report per exponent or sign, and passes if each does.
-    """
-    if isinstance(result, tuple):
-        return all(verdict(report) for report in result)
-    (key,) = {"passed", "core_passed", "satisfied", "full_rank"} & set(result)
+def verdict(result: dict) -> bool:
+    """A command harness's verdict: its ``passed``, or ``core_passed`` for ``check_axioms``."""
+    (key,) = {"passed", "core_passed"} & set(result)
     return result[key]
-
-
-def report_verdict(command: str, results: dict) -> bool:
-    """The verdict of the harnesses, as a command's report holds it."""
-    if command == "pairing":
-        return verdict((*results["pairing"], *results["nondegeneracy"]))
-    if command == "hausdorff-young":
-        return verdict(tuple(results["runs"]))
-    return verdict(results)
 
 
 def record_harness_calls(monkeypatch) -> list:
@@ -551,12 +539,12 @@ class TestToleranceWiring:
         monkeypatch.chdir(tmp_path)
         path = tmp_path / f"{argv[0].replace('-', '_')}_report.json"
         assert cli.main(argv) == 0
-        assert report_verdict(argv[0], json.loads(path.read_text())["results"]) is True
+        assert verdict(json.loads(path.read_text())["results"]) is True
         reruns = record_harness_calls(monkeypatch)
         assert cli.main(argv + ["--tol", f"{name}={value}"]) == 1
         report = json.loads(path.read_text())
         assert report["config"]["tolerances"][name] == float(value)
-        assert report_verdict(argv[0], report["results"]) is False
+        assert verdict(report["results"]) is False
         flipped = dict(cli.COMMANDS[argv[0]].tolerances) | {name: float(value)}
         assert reruns and all(verdict(rerun(flipped)) for rerun in reruns) is False
 
@@ -574,6 +562,7 @@ TOLERANCE_HARNESSES = [
     (qft.verify_roundtrips, "plancherel"),
     (qft.verify_hausdorff_young, "hausdorff-young"),
     (sobolev.verify_norm_axioms, "sobolev-norms"),
+    (sobolev.verify_duality, "pairing"),
     (sobolev.pairing_bound_estimate, "pairing"),
     (sobolev.nondegeneracy_check, "pairing"),
     (embedding.compute_exponents, "exponents"),
@@ -585,6 +574,7 @@ SEEDED_HARNESSES = [
     qft.verify_roundtrips,
     qft.verify_hausdorff_young,
     sobolev.verify_norm_axioms,
+    sobolev.verify_duality,
     sobolev.pairing_bound_estimate,
     embedding.verify_embedding_chain,
 ]
@@ -704,13 +694,13 @@ class TestInputValidation:
             (["embed", "--beta-choice", "alternate", "--s", "5", "--alpha", "1.5"],
              "hypothesis alpha (q - 1) > s fails: alpha=1.5, q=4.000000000000001, s=5.0"),
             (["counterexample", "--N", "8,16", "--sizes", "8"],
-             "--sizes must list one set size per entry of --N"),
+             "set sizes must list one size per system, got 1 for 2"),
             (["counterexample", "--q", "0.5"], "normalization exponent q must be >= 1, got 0.5"),
         ],
         ids=["alternate-beta-hypothesis", "sizes-per-N", "counterexample-q-below-one"],
     )
     def test_rejection_after_parsing_is_one_exact_line(self, argv, message, monkeypatch, tmp_path, capsys):
-        # Raised once every value has parsed: by the harness, or by the command across two values.
+        # Raised by the harness, once every value has parsed.
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"invalid configuration: {message}\n")
@@ -729,11 +719,11 @@ class TestInputValidation:
         [
             (["counterexample"], "selector = nope"),
             (["plancherel"], "format = xml"),
-            (["hausdorff-young"], "direction = sideways"),
+            (["pairing"], "weight = flat"),
             (["plancherel"], "trials = 2.5"),
             (["plancherel", "--trials", "abc"], None),
         ],
-        ids=["selector-file", "format-file", "direction-file", "trials-file", "trials-flag"],
+        ids=["selector-file", "format-file", "weight-file", "trials-file", "trials-flag"],
     )
     def test_invalid_value_exits_2_naming_parameter(self, argv, entry, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
@@ -749,8 +739,9 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "argv",
-        [["plancherel", "--bogus", "1"], ["plancherel", "--trials"], []],
-        ids=["unknown-flag", "flag-without-value", "no-command"],
+        [["plancherel", "--bogus", "1"], ["plancherel", "--trials"], [],
+         ["hausdorff-young", "--direction", "forward"], ["pairing", "--sign", "-1"]],
+        ids=["unknown-flag", "flag-without-value", "no-command", "no-direction-flag", "no-sign-flag"],
     )
     def test_usage_error_is_one_line_exit_2(self, argv, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)

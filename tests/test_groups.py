@@ -199,6 +199,8 @@ class TestLqNorm:
             lq_table_norm(np.ones(16), 0.0, 0.25)
         with pytest.raises(ValueError):
             lq_table_norm(np.ones(16), -1.0, 0.25)
+        with pytest.raises(ValueError, match="^exponent sequence must hold at least one exponent, got none$"):
+            lq_table_norm(np.ones(16), [], 0.25)
 
     def test_zero_function(self):
         assert lq_table_norm(np.zeros(16), 2.0, 0.25) == 0.0

@@ -293,9 +293,15 @@ class TestPlancherel:
             verify_plancherel(sys4, 0, 1)
 
 
+def run_of(report: dict, direction: str) -> dict:
+    """The one run of ``direction`` in a single-exponent Hausdorff-Young report."""
+    (run,) = [run for run in report["runs"] if run["direction"] == direction]
+    return run
+
+
 class TestHausdorffYoung:
     def test_unitary_endpoint_is_exact(self, sys4):
-        (rep,) = verify_hausdorff_young(sys4, [2.0], "forward", 50, 3)
+        rep = run_of(verify_hausdorff_young(sys4, [2.0], 50, 3), "forward")
         assert rep["worst_ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_p1_forward_operator_norm_bound(self):
@@ -320,7 +326,7 @@ class TestHausdorffYoung:
     @pytest.mark.parametrize("p", [1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_sampled_ratios(self, sys4, p, direction):
-        (rep,) = verify_hausdorff_young(sys4, [p], direction, 100, 11)
+        rep = run_of(verify_hausdorff_young(sys4, [p], 100, 11), direction)
         assert rep["worst_ratio"] <= 1.0 + 1e-10
         assert rep["q"] == pytest.approx(conjugate_exponent(p))
 
@@ -329,8 +335,7 @@ class TestHausdorffYoung:
         assert conjugate_exponent(p) == q
 
     def test_report_fields(self, sys4):
-        (rep,) = verify_hausdorff_young(sys4, [1.5], "inverse", 20, 5)
-        assert rep["direction"] == "inverse"
+        rep = run_of(verify_hausdorff_young(sys4, [1.5], 20, 5), "inverse")
         assert rep["trials"] == 20
         assert rep["seed"] == 5
         assert rep["witness_available"]
@@ -338,11 +343,33 @@ class TestHausdorffYoung:
 
     def test_exponent_validation(self, sys4):
         with pytest.raises(ValueError):
-            verify_hausdorff_young(sys4, [0.9], "forward", 10, 0)
+            verify_hausdorff_young(sys4, [0.9], 10, 0)
         with pytest.raises(ValueError):
-            verify_hausdorff_young(sys4, [2.5], "forward", 10, 0)
-        with pytest.raises(ValueError):
-            verify_hausdorff_young(sys4, [1.5], "sideways", 10, 0)
+            verify_hausdorff_young(sys4, [2.5], 10, 0)
+        with pytest.raises(ValueError, match="at least one exponent"):
+            verify_hausdorff_young(sys4, [], 10, 0)
+
+    def test_runs_are_exponent_major(self, sys4):
+        report = verify_hausdorff_young(sys4, [2.0, 1.5, 1.0], 10, 0)
+        assert [(run["p"], run["direction"]) for run in report["runs"]] == [
+            (p, direction) for p in (2.0, 1.5, 1.0) for direction in ("forward", "inverse")
+        ]
+        assert report["passed"] is True and all(run["passed"] for run in report["runs"])
+
+    @pytest.mark.parametrize("exponents", [[1.0, 2.0], [1.5, 8.0 / 7.0]])
+    def test_endpoint_consistency_needs_endpoints_and_interior(self, sys4, exponents):
+        assert "endpoint_consistency" not in verify_hausdorff_young(sys4, exponents, 10, 0)
+
+    def test_endpoint_consistency_pools_both_directions(self, sys4):
+        report = verify_hausdorff_young(sys4, [1.0, 1.5, 2.0], 30, 2)
+        ratios = {(run["p"], run["direction"]): run["worst_ratio"] for run in report["runs"]}
+        endpoint = max(ratios[p, d] for p in (1.0, 2.0) for d in ("forward", "inverse"))
+        interior = max(ratios[1.5, d] for d in ("forward", "inverse"))
+        assert report["endpoint_consistency"] == {
+            "endpoint_max": endpoint,
+            "interior_max": interior,
+            "endpoints_bound_interior": interior <= endpoint,
+        }
 
 
 def one_of_each(column, rng):

@@ -337,9 +337,14 @@ def _embedding_fields(report):
     }
 
 
+def runs_of(report: dict, direction: str) -> list:
+    """The runs of one direction in a Hausdorff-Young report, in exponent order."""
+    return [run for run in report["runs"] if run["direction"] == direction]
+
+
 def _hy(direction):
     return (
-        lambda system, t, s: list(verify_hausdorff_young(system, EXPONENTS, direction, t, s)),
+        lambda system, t, s: runs_of(verify_hausdorff_young(system, EXPONENTS, t, s), direction),
         lambda system, t, s: [hausdorff_young_loop(system, p, direction, t, s) for p in EXPONENTS],
     )
 
@@ -523,14 +528,13 @@ class TestSkippedTrials:
         chunk_of(3, 4)
         system = make_weyl_system(3)
         zero_draws.update({1, 4})
-        for rep in verify_hausdorff_young(system, EXPONENTS, "forward", 10, 1):
+        for rep in runs_of(verify_hausdorff_young(system, EXPONENTS, 10, 1), "forward"):
             assert rep["skipped"] == 2
             assert rep["witness_available"] and rep["witness_index"] not in (1, 4)
         zero_draws.update(range(10))
-        for direction in ("forward", "inverse"):
-            for rep in verify_hausdorff_young(system, EXPONENTS, direction, 10, 1):
-                assert rep["skipped"] == 10 and rep["worst_ratio"] == 0.0
-                assert not rep["witness_available"] and rep["witness_index"] is None
+        for rep in verify_hausdorff_young(system, EXPONENTS, 10, 1)["runs"]:
+            assert rep["skipped"] == 10 and rep["worst_ratio"] == 0.0
+            assert not rep["witness_available"] and rep["witness_index"] is None
         spec = _spec(system)
         chain = verify_embedding_chain(spec, 4.0, "corrected", trials=10, seed=1)
         assert chain["skipped"] == 10 and chain["ratios_corrected"] == () and chain["max_ratio"] == 0.0
@@ -616,10 +620,8 @@ class TestDrawCounts:
         assert _run_cli(["hausdorff-young"], tmp_path) == 0
         assert len(svds) == 2  # one chunk per direction
         svds.clear()
-        system = make_weyl_system(8)
-        for direction in ("forward", "inverse"):
-            verify_hausdorff_young(system, EXPONENTS, direction, 300, 0)
-        assert len(svds) == 2 * 3
+        verify_hausdorff_young(make_weyl_system(8), EXPONENTS, 300, 0)
+        assert len(svds) == 2 * 3  # per direction, 300 trials in chunks of 128
 
     @pytest.mark.parametrize(
         "run",
@@ -749,14 +751,14 @@ class TestStreamReads:
         "run, per_chunk",
         [
             (lambda system: verify_plancherel(system, 300, 0), 1),
-            (lambda system: verify_hausdorff_young(system, EXPONENTS, "forward", 300, 0), 1),
-            (lambda system: verify_hausdorff_young(system, EXPONENTS, "inverse", 300, 0), 0),
+            # The forward direction's operators; the inverse direction draws tables only.
+            (lambda system: verify_hausdorff_young(system, EXPONENTS, 300, 0), 1),
             (lambda system: pairing_bound_estimate(
                 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0), 1),
             (lambda system: verify_embedding_chain(_spec(system), 4.0, "corrected", 300, 0), 1),
             (lambda system: verify_norm_axioms(system, _spec(system), 300, 0), 2),
         ],
-        ids=["plancherel", "hausdorff-young-forward", "hausdorff-young-inverse", "pairing",
+        ids=["plancherel", "hausdorff-young", "pairing",
              "embedding", "norm-axioms"],
     )
     def test_one_qr_per_operator_column_per_chunk(self, run, per_chunk, monkeypatch):
@@ -867,7 +869,7 @@ class TestReplay:
 
     def test_forward_witness_replays_its_worst_ratio(self):
         system = make_weyl_system(8)
-        for rep in verify_hausdorff_young(system, EXPONENTS, "forward", 100, 0):
+        for rep in runs_of(verify_hausdorff_young(system, EXPONENTS, 100, 0), "forward"):
             (T,) = streams.replay((partial(streams.OperatorReads, 8),), 0, rep["witness_index"])
             transformed = lq_table_norm(qft_forward(T), rep["q"], system.group.dual_mass)
             ratio = transformed / lq_table_norm(singular_values(T), rep["p"], 1.0)

@@ -7,8 +7,8 @@ parent commit and the working tree.  Each run below is made once per checkout
 with ``PYTHONPATH=<checkout>/src``, in a fresh temporary directory, and with
 one BLAS thread: reports repeat byte for byte only at a fixed thread count
 (README, "BLAS threads").  The runs are the eight subcommands at their
-defaults, the twenty-two non-default runs below and every script in
-``demos/``: 35 runs with the five demos of this tree.  A CLI
+defaults, the twenty non-default runs below and every script in
+``demos/``: 33 runs with the five demos of this tree.  A CLI
 run writes its JSON and CSV reports there; a demo run only prints.  The
 tool compares the JSON report with its ``timestamp`` line left out, the CSV
 report, stdout, stderr and the exit code.  It prints one line per run and
@@ -35,19 +35,18 @@ DEFAULTS = [
     )
 ]
 #: Non-default runs that reach every other choice word, other exponents and
-#: orders, the homogeneous norm, a sweep to N = 1024, and the tolerance
-#: mapping of every command's harnesses, set where a gate must fail.
+#: orders, the homogeneous norm, the pairing's skipped rank check above
+#: N = 16, a sweep to N = 1024, and the tolerance mapping of every command's
+#: harnesses, set where a gate must fail.
 NON_DEFAULTS = [
     ["axioms", "--convention", "symmetric"],
-    ["hausdorff-young", "--direction", "forward"],
-    ["hausdorff-young", "--direction", "inverse"],
     ["sobolev-norms", "--weight", "constant"],
     ["sobolev-norms", "--s", "2.5", "--p", "1.2", "--trials", "50"],
     ["embed", "--homogeneous"],
     ["embed", "--beta-choice", "alternate"],
     ["embed", "--alpha", "3", "--weight", "constant"],
-    ["pairing", "--sign", "-1"],
-    ["pairing", "--sign", "1", "--s", "8"],
+    ["pairing", "--s", "8"],
+    ["pairing", "--N", "17", "--trials", "5"],
     ["pairing", "--weight", "constant"],
     ["pairing", "--N", "4", "--s", "20", "--p", "6"],
     ["counterexample", "--selector", "ball"],
