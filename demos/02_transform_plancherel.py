@@ -34,16 +34,15 @@ print()
 
 print("norm inequality ratios (must stay <= 1), 300 draws per cell:")
 print(f"  {'p':>8s} {'q':>8s} {'forward':>12s} {'inverse':>12s}")
-rows = []
 exponents = (1.0, 8.0 / 7.0, 4.0 / 3.0, 8.0 / 5.0, 2.0)
-runs = verify_hausdorff_young(system, exponents, 300, 11)["runs"]  # per exponent: forward, inverse
+report = verify_hausdorff_young(system, exponents, 300, 11)
+runs = report["runs"]  # per exponent: forward, inverse
 for p, fwd, inv in zip(exponents, runs[::2], runs[1::2]):
-    rows.append((p, fwd["q"], fwd["worst_ratio"], inv["worst_ratio"]))
     print(f"  {p:8.4f} {fwd['q']:8.4f} {fwd['worst_ratio']:12.8f} {inv['worst_ratio']:12.8f}")
 
-# The forward column alone; the report's endpoint_consistency pools both directions.
-interior = max(r[2] for r in rows[1:-1])
-endpoints = max(rows[0][2], rows[-1][2])
+# Both directions pooled, as the report holds it.
+consistency = report["endpoint_consistency"]
 print()
-print(f"endpoint consistency (reported): interior max {interior:.8f} vs endpoint max {endpoints:.8f}")
+print(f"endpoint consistency (reported): interior max {consistency['interior_max']:.8f} "
+      f"vs endpoint max {consistency['endpoint_max']:.8f}")
 print("the p = 2 column is the unitary case; p = 1 forward is the operator-norm bound.")

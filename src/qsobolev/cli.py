@@ -23,10 +23,14 @@ parsers read flags, config-file values and defaults alike.  Every dimension
 at ``EXHAUSTIVE_MAX_N`` for the exhaustive axiom check.  ``pairing`` runs its
 exhaustive rank check only up to that same cap.
 Reports are byte-identical across runs with the same config apart from the
-single ``timestamp`` field, at a fixed BLAS thread count: the eight defaults
-read the same with one thread and with two, but at N = 128 the last bits
-move with the count (``embed --N 128 --trials 6``: ``max_link1_ratio``
-0.15051011061446543 with one thread, 0.1505101106144654 with two).  The CSV
+single ``timestamp`` field, at a fixed BLAS thread count.  Singular values up
+to N = ``linalg.SINGLE_THREAD_MAX_N`` (256) run on one OpenBLAS thread
+whatever the count, since two threads only pay from N = 512 up, so the
+eight defaults and ``hausdorff-young --N 128 --trials 6`` read the same with
+one thread and with two.  At N = 128 the last bits of other reports still
+move with the count, through QR and matrix products
+(``embed --N 128 --trials 6``: ``max_link1_ratio`` 0.15051011061446543
+with one thread, 0.1505101106144654 with two).  The CSV
 report is the JSON report flattened: one ``field,value`` row per scalar, the
 timestamp left out.
 """

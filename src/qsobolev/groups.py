@@ -91,6 +91,16 @@ def as_table(values, N: int) -> np.ndarray:
     return f
 
 
+def exponent_list(q: float | Sequence[float]) -> list[float]:
+    """``q``, one exponent or a sequence, as a nonempty list of floats each positive or inf."""
+    exponents = [float(e) for e in np.ravel(q)]
+    if not exponents:
+        raise ValueError("exponent sequence must hold at least one exponent, got none")
+    if any(math.isnan(e) or e <= 0 for e in exponents):
+        raise ValueError(f"exponent must be positive or inf, got {q}")
+    return exponents
+
+
 def lq_table_norm(values: np.ndarray, q: float | Sequence[float], mass_per_point: float):
     """Weighted l^q norm (sum |v|^q * mass)^(1/q) along the last axis of a value table.
 
@@ -107,11 +117,7 @@ def lq_table_norm(values: np.ndarray, q: float | Sequence[float], mass_per_point
     and a norm must not depend on whether its table was stacked.
     """
     single = np.ndim(q) == 0
-    exponents = [float(e) for e in np.ravel(q)]
-    if not exponents:
-        raise ValueError("exponent sequence must hold at least one exponent, got none")
-    if any(math.isnan(e) or e <= 0 for e in exponents):
-        raise ValueError(f"exponent must be positive or inf, got {q}")
+    exponents = exponent_list(q)
     ratios = np.abs(np.asarray(values)).astype(float, copy=False)
     top = np.max(ratios, axis=-1)
     ratios /= np.where(top > 0.0, top, 1.0)[..., None]  # the moduli, rescaled in place

@@ -10,10 +10,18 @@ computed value is within a small multiple of machine epsilon times ``s_1``
 of the exact one.  Values below ``SINGULAR_VALUE_CLAMP`` times their own
 matrix's ``s_1`` are set to exact zero so rounding noise cannot leak into
 small-exponent Schatten norms.
+
+Where numpy links OpenBLAS, a decomposition of N <= ``SINGLE_THREAD_MAX_N``
+runs on one BLAS thread: LAPACK's bidiagonal reduction does much of its
+work as matrix-vector products too small to pay for a second thread.  The
+count is process-wide state, set through OpenBLAS's own functions and
+restored to the caller's after each call.
 """
 
 from __future__ import annotations
 
+import ctypes
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +30,28 @@ from .groups import lq_table_norm
 
 #: Singular values below this fraction of the largest are clamped to zero.
 SINGULAR_VALUE_CLAMP = 1e-13
+#: Largest N whose singular values are computed on one BLAS thread.  On a
+#: 2-vCPU host (numpy 2.4.6, OpenBLAS 0.3.31) one thread is 1.2-2.4x faster
+#: than two for 96 <= N <= 256, as fast up to N = 64 and near N = 384, and
+#: slower from N = 512 up (the ladder is in README "BLAS threads").
+SINGLE_THREAD_MAX_N = 256
+
+
+@cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions, as numpy's linalg extension links them, or None.
+
+    numpy >= 2 wheels export ``scipy_openblas_*64_``, numpy 1.2x wheels
+    ``openblas_*64_`` and distro builds the plain names; MKL and Accelerate
+    export none of them.  Looked up on the first decomposition, not at import.
+    """
+    library = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # already loaded: its handle
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = (getattr(library, name.format(verb), None) for verb in ("get", "set"))
+        if put:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
 
 
 def as_operator(T) -> np.ndarray:
@@ -55,9 +85,21 @@ def singular_values(T) -> np.ndarray:
 
     Values below ``SINGULAR_VALUE_CLAMP`` times the largest singular value of
     the same matrix are clamped to exact zero.  A LAPACK failure to converge
-    raises ``np.linalg.LinAlgError``.
+    raises ``np.linalg.LinAlgError``.  Up to N = ``SINGLE_THREAD_MAX_N`` the
+    LAPACK call runs on one OpenBLAS thread; the thread count is process-wide
+    state, and the caller's is restored after the call, also when it raises.
     """
-    s = np.linalg.svd(as_operator(T), compute_uv=False)
+    A = as_operator(T)
+    blas = A.shape[-1] <= SINGLE_THREAD_MAX_N and _openblas_threads()
+    if blas:
+        get, put = blas
+        caller = get()
+        put(1)
+    try:
+        s = np.linalg.svd(A, compute_uv=False)
+    finally:
+        if blas:
+            put(caller)
     s[s < SINGULAR_VALUE_CLAMP * s[..., :1]] = 0.0
     return s
 

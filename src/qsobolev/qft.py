@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .groups import as_table, lq_table_norm
+from .groups import as_table, exponent_list, lq_table_norm
 from . import streams
 from .linalg import as_operator, schatten_norm
 from .weyl import WeylSystem
@@ -186,7 +186,7 @@ def verify_hausdorff_young(
     for p in exponents:
         if not 1.0 <= p <= 2.0:
             raise ValueError(f"exponent p must lie in [1, 2], got {p}")
-    qs = [conjugate_exponent(p) for p in exponents]
+    qs = [conjugate_exponent(p) for p in exponent_list(exponents)]  # rejects an empty list before any draw
     mass = system.group.dual_mass
 
     def forward(T):

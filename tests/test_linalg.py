@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qsobolev.linalg import (
+    SINGLE_THREAD_MAX_N,
+    _openblas_threads,
     as_operator,
     schatten_norm,
     singular_values,
@@ -79,6 +81,19 @@ def jacobi_oracle(T, max_sweeps=30):
         if not rotated:
             return np.sort(np.linalg.norm(A, axis=0))[::-1]
     raise SweepBudgetExceeded(f"no convergence in {max_sweeps} sweeps (dim {n})")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS's (get, set) thread-count functions, the caller at two threads for the test; restored after."""
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's linalg links no BLAS with OpenBLAS's thread-count functions")
+    get, put = blas
+    caller = get()
+    put(2)
+    yield blas
+    put(caller)
 
 
 class TestSingularValues:
@@ -165,6 +180,45 @@ class TestSingularValues:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             singular_values(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("N, inside", [(8, 1), (SINGLE_THREAD_MAX_N, 1), (SINGLE_THREAD_MAX_N + 1, 2)])
+    def test_blas_threads_inside_the_call(self, two_blas_threads, monkeypatch, N, inside):
+        get, _ = two_blas_threads
+        svd = np.linalg.svd
+        counts = []
+
+        def recording(*args, **kwargs):
+            counts.append(get())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        assert singular_values(np.eye(N)) == pytest.approx(np.ones(N))
+        assert counts == [inside]
+        assert get() == 2
+
+    def test_blas_threads_restored_after_a_failure(self, two_blas_threads, monkeypatch):
+        get, _ = two_blas_threads
+        counts = []
+
+        def failing(*args, **kwargs):
+            counts.append(get())
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            singular_values(np.eye(8))
+        assert counts == [1]
+        assert get() == 2
+
+    def test_values_do_not_depend_on_the_callers_blas_threads(self, two_blas_threads):
+        # At N = 128 LAPACK sums in another order on two threads than on one.
+        rng = np.random.default_rng(7)
+        T = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        at_two = singular_values(T)
+        _, put = two_blas_threads
+        put(1)
+        at_one = singular_values(T)
+        assert at_one.tobytes() == at_two.tobytes()
 
     def test_sweep_budget_error(self):
         # One sweep rotates the only column pair; a second certifies it.

@@ -1,9 +1,11 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 
+from qsobolev import streams
 from qsobolev.groups import as_table, lq_table_norm
 from qsobolev.linalg import schatten_norm
 from qsobolev.qft import (
@@ -341,13 +343,19 @@ class TestHausdorffYoung:
         assert rep["witness_available"]
         assert 0 <= rep["witness_index"] < 20
 
-    def test_exponent_validation(self, sys4):
-        with pytest.raises(ValueError):
-            verify_hausdorff_young(sys4, [0.9], 10, 0)
-        with pytest.raises(ValueError):
-            verify_hausdorff_young(sys4, [2.5], 10, 0)
-        with pytest.raises(ValueError, match="at least one exponent"):
-            verify_hausdorff_young(sys4, [], 10, 0)
+    def test_exponent_validation(self, sys4, monkeypatch):
+        # Every bad exponent list is rejected before the first draw.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial was drawn for rejected exponents")
+
+        monkeypatch.setattr(streams, "run_trials", refuse)
+        for exponents, message in (
+            ([0.9], "exponent p must lie in [1, 2], got 0.9"),
+            ([1.5, 2.5], "exponent p must lie in [1, 2], got 2.5"),
+            ([], "exponent sequence must hold at least one exponent, got none"),
+        ):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                verify_hausdorff_young(sys4, exponents, 10, 0)
 
     def test_runs_are_exponent_major(self, sys4):
         report = verify_hausdorff_young(sys4, [2.0, 1.5, 1.0], 10, 0)
