@@ -23,14 +23,8 @@ parsers read flags, config-file values and defaults alike.  Every dimension
 at ``EXHAUSTIVE_MAX_N`` for the exhaustive axiom check.  ``pairing`` runs its
 exhaustive rank check only up to that same cap.
 Reports are byte-identical across runs with the same config apart from the
-single ``timestamp`` field, at a fixed BLAS thread count.  Singular values up
-to N = ``linalg.SINGLE_THREAD_MAX_N`` (256) run on one OpenBLAS thread
-whatever the count, since two threads only pay from N = 512 up, so the
-eight defaults and ``hausdorff-young --N 128 --trials 6`` read the same with
-one thread and with two.  At N = 128 the last bits of other reports still
-move with the count, through QR and matrix products
-(``embed --N 128 --trials 6``: ``max_link1_ratio`` 0.15051011061446543
-with one thread, 0.1505101106144654 with two).  The CSV
+single ``timestamp`` field, at a fixed BLAS thread count; README's "BLAS
+threads" section says which reports also read the same across counts.  The CSV
 report is the JSON report flattened: one ``field,value`` row per scalar, the
 timestamp left out.
 """
@@ -69,6 +63,7 @@ from .sobolev import (
     DUALITY_TOLERANCES,
     NORM_TOLERANCES,
     SobolevSpec,
+    Weight,
     make_weight_constant,
     make_weight_euclidean,
     verify_duality,
@@ -212,20 +207,23 @@ class Param:
 class Command:
     """A subcommand: its runner, help text, named tolerances and ordered parameters.
 
-    ``tolerances`` is the default mapping of the command's harness, the
-    constant beside it; the runner builds the harness's inputs, passes the
-    resolved mapping whole and returns the report with its verdict.
+    ``run`` turns a resolved config into the results of one harness call: it
+    builds the harness's inputs and passes the resolved ``tolerances`` whole.
+    ``tolerances`` is the default mapping of that harness, the constant
+    beside it.  ``verdict`` is the key of the results that decides the exit
+    code, the last key the harness writes.
 
     ``note``, if given, turns the results of a run into a line for stderr,
     printed once the report is written (nothing when it returns ``None``);
     stdout carries only the verdict.
     """
 
-    run: Callable[[dict], tuple[dict, bool]]
+    run: Callable[[dict], dict]
     help: str
     tolerances: Mapping[str, float]
     params: tuple[Param, ...]
     note: Callable[[dict], str | None] | None = None
+    verdict: str = "passed"
 
 
 SEED = Param("seed", parse_nonnegative_int, 0)
@@ -323,90 +321,53 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def run_axioms(config: dict):
-    system = make_weyl_system(config["N"], config["convention"])
-    report = check_axioms(system, config["tolerances"])
-    return report, report["core_passed"]
+def weight_of(config: dict) -> Weight:
+    """The ``--weight`` table on the dual of the N x N grid."""
+    return WEIGHTS[config["weight"]](PhaseSpaceGrid(config["N"]))
 
 
-def run_plancherel(config: dict):
-    # One draw of (T, dual table) per trial serves all three measurements.
-    results = verify_plancherel(
-        make_weyl_system(config["N"]), config["trials"], config["seed"], config["tolerances"]
-    )
-    return results, results["passed"]
+def spec_of(config: dict, homogeneous: bool = False) -> SobolevSpec:
+    """The Sobolev norm of order ``--s`` and exponent ``--p`` under the ``--weight`` table."""
+    return SobolevSpec(s=config["s"], p=config["p"], weight=weight_of(config), homogeneous=homogeneous)
 
 
-def run_hausdorff_young(config: dict):
-    results = verify_hausdorff_young(
-        make_weyl_system(config["N"]), config["p"], config["trials"], config["seed"], config["tolerances"]
-    )
-    return results, results["passed"]
-
-
-def run_sobolev_norms(config: dict):
-    system = make_weyl_system(config["N"])
-    weight = WEIGHTS[config["weight"]](system.group)
-    spec = SobolevSpec(s=config["s"], p=config["p"], weight=weight)
-    report = verify_norm_axioms(system, spec, config["trials"], config["seed"], config["tolerances"])
-    return report, report["passed"]
-
-
-def run_pairing(config: dict):
-    weight = WEIGHTS[config["weight"]](PhaseSpaceGrid(config["N"]))
-    results = verify_duality(
-        config["p"], config["s"], weight, config["trials"], config["seed"], config["tolerances"]
-    )
-    return results, results["passed"]
-
-
-def run_exponents(config: dict):
-    report = compute_exponents(config["alpha"], config["q"], config["s"], config["tolerances"])
-    return report, report["passed"]
-
-
-def run_embed(config: dict):
-    weight = WEIGHTS[config["weight"]](PhaseSpaceGrid(config["N"]))
-    spec = SobolevSpec(s=config["s"], p=config["p"], weight=weight, homogeneous=config["homogeneous"])
-    report = verify_embedding_chain(
-        spec, config["alpha"], config["beta_choice"], config["trials"], config["seed"], config["tolerances"]
-    )
-    return report, report["passed"]
-
-
-def run_counterexample(config: dict):
-    report = counterexample_run(
-        [make_weyl_system(n) for n in config["N"]], config["q"], config["rho"], config["selector"],
-        config["sizes"], config["tolerances"],
-    )
-    return report, report["passed"]
-
-
+# Each row's runner is a lambda that looks its harness up in this module's
+# globals at call time, so a wrapper installed on that name (a tracer, a
+# spy) sees every call.
 COMMANDS: dict[str, Command] = {
     "axioms": Command(
-        run_axioms, "exhaustive Weyl-system identity checks", AXIOM_TOLERANCES,
+        lambda c: check_axioms(make_weyl_system(c["N"], c["convention"]), c["tolerances"]),
+        "exhaustive Weyl-system identity checks", AXIOM_TOLERANCES,
         (Param("N", integer(1, EXHAUSTIVE_MAX_N, "the exhaustive axiom check"), 4),
          Param("convention", Choice(CONVENTIONS), "standard")),
+        verdict="core_passed",
     ),
     "plancherel": Command(
-        run_plancherel, "norm preservation and round-trips of the transform", PLANCHEREL_TOLERANCES,
+        # One draw of (T, dual table) per trial serves all three measurements.
+        lambda c: verify_plancherel(make_weyl_system(c["N"]), c["trials"], c["seed"], c["tolerances"]),
+        "norm preservation and round-trips of the transform", PLANCHEREL_TOLERANCES,
         (Param("N", parse_dimension, 8), Param("trials", parse_positive_int, 100), SEED),
     ),
     "hausdorff-young": Command(
-        run_hausdorff_young, "two-sided norm inequality ratios", HAUSDORFF_YOUNG_TOLERANCES,
+        lambda c: verify_hausdorff_young(
+            make_weyl_system(c["N"]), c["p"], c["trials"], c["seed"], c["tolerances"]),
+        "two-sided norm inequality ratios", HAUSDORFF_YOUNG_TOLERANCES,
         (Param("N", parse_dimension, 8),
          Param("p", list_of(parse_real), (1.0, 8 / 7, 4 / 3, 8 / 5, 2.0),
                "comma list of exponents in [1,2]; fractions allowed"),
          Param("trials", parse_positive_int, 100), SEED),
     ),
     "sobolev-norms": Command(
-        run_sobolev_norms, "norm axioms and order relations (worst_isometry_abs is 0 by construction)",
+        lambda c: verify_norm_axioms(
+            make_weyl_system(c["N"]), spec_of(c), c["trials"], c["seed"], c["tolerances"]),
+        "norm axioms and order relations (worst_isometry_abs is 0 by construction)",
         NORM_TOLERANCES,
         (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), WEIGHT, Param("trials", parse_positive_int, 200), SEED),
     ),
     "pairing": Command(
-        run_pairing, "duality pairing bound and test-family rank",
+        lambda c: verify_duality(c["p"], c["s"], weight_of(c), c["trials"], c["seed"], c["tolerances"]),
+        "duality pairing bound and test-family rank",
         DUALITY_TOLERANCES,
         (Param("N", parse_dimension, 8),
          Param("p", parse_real, 4.0, "Schatten exponent > 2 for the operator side"),
@@ -417,13 +378,16 @@ COMMANDS: dict[str, Command] = {
             f"got N = {r['pairing'][0]['N']}"),
     ),
     "exponents": Command(
-        run_exponents, "embedding exponent arithmetic", EXPONENT_TOLERANCES,
+        lambda c: compute_exponents(c["alpha"], c["q"], c["s"], c["tolerances"]),
+        "embedding exponent arithmetic", EXPONENT_TOLERANCES,
         (Param("alpha", parse_real, 4.0), Param("q", parse_real, 4.0), Param("s", parse_real, 1.0)),
         lambda r: (f"sigma = {r['sigma']!r}, beta_corrected = {r['beta_corrected']!r}, "
                    f"beta_alternate = {r['beta_alternate']!r}"),
     ),
     "embed": Command(
-        run_embed, "weighted Hoelder + norm-inequality chain", CHAIN_TOLERANCES,
+        lambda c: verify_embedding_chain(
+            spec_of(c, c["homogeneous"]), c["alpha"], c["beta_choice"], c["trials"], c["seed"], c["tolerances"]),
+        "weighted Hoelder + norm-inequality chain", CHAIN_TOLERANCES,
         (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), Param("alpha", parse_real, 4.0), WEIGHT,
          Param("homogeneous", parse_bool, False),
@@ -431,7 +395,9 @@ COMMANDS: dict[str, Command] = {
          Param("trials", parse_positive_int, 200), SEED),
     ),
     "counterexample": Command(
-        run_counterexample, "scaling sweep of normalized indicator generators", COUNTEREXAMPLE_TOLERANCES,
+        lambda c: counterexample_run(
+            [make_weyl_system(n) for n in c["N"]], c["q"], c["rho"], c["selector"], c["sizes"], c["tolerances"]),
+        "scaling sweep of normalized indicator generators", COUNTEREXAMPLE_TOLERANCES,
         (Param("N", list_of(parse_dimension), (8, 8, 8, 8, 16, 32),
                "comma list of dimensions, one per sweep point"),
          Param("sizes", list_of(parse_positive_int), (8, 4, 2, 1, 1, 1),
@@ -505,11 +471,12 @@ def write_reports(config: dict, results: dict, passed: bool) -> list[Path]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         config = resolve_config(args)
         # An overflow or invalid operation anywhere in a harness is a numerical failure.
         with np.errstate(over="raise", invalid="raise"):
-            results, passed = COMMANDS[args.command].run(config)
+            results = command.run(config)
         if (where := nan_path(results)) is not None:
             raise FloatingPointError(f"results{where} is NaN")
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
@@ -519,13 +486,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=_sys.stderr)
         return 2
+    passed = results[command.verdict]
     try:
         paths = write_reports(config, results, passed)
     except OSError as exc:
         print(f"report could not be written: {exc}", file=_sys.stderr)
         return 4
-    note = COMMANDS[args.command].note
-    line = None if note is None else note(results)
+    line = None if command.note is None else command.note(results)
     if line is not None:
         print(line, file=_sys.stderr)
     status = "PASS" if passed else "FAIL"

@@ -164,7 +164,7 @@ def conjugate_exponent(p: float) -> float:
 
 
 def verify_hausdorff_young(
-    system: WeylSystem, exponents: Sequence[float], trials: int, seed: int,
+    system: WeylSystem, exponents: float | Sequence[float], trials: int, seed: int,
     tolerances: Mapping[str, float] = HAUSDORFF_YOUNG_TOLERANCES,
 ) -> dict:
     """Worst ratios of the two-sided norm inequality, one run per exponent and direction.
@@ -183,10 +183,11 @@ def verify_hausdorff_young(
     endpoints' worst ratio bounds the interior ones'.  The report ends in
     ``passed``: every run passed.
     """
-    for p in exponents:
+    for p in np.ravel(exponents):
         if not 1.0 <= p <= 2.0:
             raise ValueError(f"exponent p must lie in [1, 2], got {p}")
-    qs = [conjugate_exponent(p) for p in exponent_list(exponents)]  # rejects an empty list before any draw
+    exponents = exponent_list(exponents)  # rejects an empty list before any draw
+    qs = [conjugate_exponent(p) for p in exponents]
     mass = system.group.dual_mass
 
     def forward(T):

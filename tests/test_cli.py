@@ -509,12 +509,6 @@ TOLERANCE_FLIPS = [
 ]
 
 
-def verdict(result: dict) -> bool:
-    """A command harness's verdict: its ``passed``, or ``core_passed`` for ``check_axioms``."""
-    (key,) = {"passed", "core_passed"} & set(result)
-    return result[key]
-
-
 def record_harness_calls(monkeypatch) -> list:
     """Spy on every harness the CLI calls: each call appends a rerun of it under a given mapping."""
     reruns = []
@@ -538,15 +532,16 @@ class TestToleranceWiring:
         # library call under the same mapping reaches the same verdict.
         monkeypatch.chdir(tmp_path)
         path = tmp_path / f"{argv[0].replace('-', '_')}_report.json"
+        command = cli.COMMANDS[argv[0]]
         assert cli.main(argv) == 0
-        assert verdict(json.loads(path.read_text())["results"]) is True
+        assert json.loads(path.read_text())["results"][command.verdict] is True
         reruns = record_harness_calls(monkeypatch)
         assert cli.main(argv + ["--tol", f"{name}={value}"]) == 1
         report = json.loads(path.read_text())
         assert report["config"]["tolerances"][name] == float(value)
-        assert verdict(report["results"]) is False
-        flipped = dict(cli.COMMANDS[argv[0]].tolerances) | {name: float(value)}
-        assert reruns and all(verdict(rerun(flipped)) for rerun in reruns) is False
+        assert report["results"][command.verdict] is False
+        flipped = dict(command.tolerances) | {name: float(value)}
+        assert reruns and all(rerun(flipped)[command.verdict] for rerun in reruns) is False
 
     def test_every_tolerance_has_a_flip(self):
         flipped = [(argv[0], name) for argv, name, _ in TOLERANCE_FLIPS]

@@ -357,6 +357,9 @@ class TestHausdorffYoung:
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 verify_hausdorff_young(sys4, exponents, 10, 0)
 
+    def test_one_exponent_reads_as_a_list_of_one(self, sys4):
+        assert verify_hausdorff_young(sys4, 1.5, 10, 0) == verify_hausdorff_young(sys4, [1.5], 10, 0)
+
     def test_runs_are_exponent_major(self, sys4):
         report = verify_hausdorff_young(sys4, [2.0, 1.5, 1.0], 10, 0)
         assert [(run["p"], run["direction"]) for run in report["runs"]] == [

@@ -109,7 +109,7 @@ def cli_default_results(command: str):
     """The results of one CLI command at its defaults, computed as ``cli.main`` does."""
     config = cli.resolve_config(cli.build_parser().parse_args([command]))
     with np.errstate(over="raise", invalid="raise"):
-        return cli.COMMANDS[command].run(config)[0]
+        return cli.COMMANDS[command].run(config)
 
 
 def test_every_harness_has_a_key_order():
@@ -148,7 +148,7 @@ def test_cli_results_end_in_the_reports_verdict(command, tmp_path, capsys):
     assert cli.main([command, "--out", str(out), "--format", "both"]) == 0
     with open(out.with_suffix(".csv"), newline="") as fh:
         fields = [field for field, _ in csv.reader(fh) if field.startswith("results.")]
-    key = "core_passed" if command == "axioms" else "passed"
+    key = cli.COMMANDS[command].verdict
     assert fields[-1] == f"results.{key}"
     report = json.loads(out.read_text())
     assert report["results"][key] is report["passed"]
