@@ -48,7 +48,6 @@ import numpy as np
 
 from . import __version__
 from .embedding import (
-    BETA_CHOICES,
     CHAIN_TOLERANCES,
     COUNTEREXAMPLE_TOLERANCES,
     EXPONENT_TOLERANCES,
@@ -386,12 +385,11 @@ COMMANDS: dict[str, Command] = {
     ),
     "embed": Command(
         lambda c: verify_embedding_chain(
-            spec_of(c, c["homogeneous"]), c["alpha"], c["beta_choice"], c["trials"], c["seed"], c["tolerances"]),
+            spec_of(c, c["homogeneous"]), c["alpha"], c["trials"], c["seed"], c["tolerances"]),
         "weighted Hoelder + norm-inequality chain", CHAIN_TOLERANCES,
         (Param("N", parse_dimension, 8), Param("s", parse_real, 1.0),
          Param("p", parse_real, 4 / 3), Param("alpha", parse_real, 4.0), WEIGHT,
          Param("homogeneous", parse_bool, False),
-         Param("beta_choice", Choice(BETA_CHOICES), BETA_CHOICES[0]),
          Param("trials", parse_positive_int, 200), SEED),
     ),
     "counterexample": Command(

@@ -4,13 +4,13 @@ The embedding machinery has two halves.  ``verify_embedding_chain`` measures
 the two links of the Schatten-embedding argument separately on random
 operators: the weighted Hoelder step (exact for finite sums) and the inverse
 norm inequality at the intermediate exponent ``sigma``, then the composite
-ratio against the multiplier constant.  Two candidate values of the final
-Schatten exponent ``beta`` are carried side by side: ``beta_corrected``,
-forced by the Hoelder identity ``1/sigma = 1/alpha + 1/q``, and
-``beta_alternate = alpha q / (alpha (q - 1) - s)``, the closed form obtained
-by substituting ``sigma = alpha q / (alpha + s)`` instead; assertions gate
-only the corrected choice while both ratio distributions are recorded.  A
-failed hypothesis raises ``ValueError``, like any other invalid input.
+ratio against the multiplier constant.  The final Schatten exponent is
+``beta_corrected``, forced by the Hoelder identity ``1/sigma = 1/alpha +
+1/q``: the only one the composite bound is gated at.  The closed form
+``beta_alternate = alpha q / (alpha (q - 1) - s)``, obtained by
+substituting ``sigma = alpha q / (alpha + s)`` instead, is measured beside it
+wherever it is defined and never gated.  A failed hypothesis raises
+``ValueError``, like any other invalid input.
 Each harness returns the dict its report holds, keys in report order, and
 ends it in its verdict, ``passed``, under a ``tolerances`` mapping whose
 default sits beside it: ``EXPONENT_TOLERANCES``, ``CHAIN_TOLERANCES`` or
@@ -42,9 +42,6 @@ from .weyl import WeylSystem
 EXPONENT_TOLERANCES = MappingProxyType({"identity": 1e-15})
 #: Default relative slack of each link and of the composite bound, by ``--tol`` name.
 CHAIN_TOLERANCES = MappingProxyType({"link1": 1e-12, "link2": 1e-10, "composite": 1e-10})
-#: The candidates for the final Schatten exponent beta, by ``--beta-choice``
-#: word: the one forced by the Hoelder identity, then the alternate closed form.
-BETA_CHOICES = ("corrected", "alternate")
 #: Default tolerances of :func:`counterexample_run`: each generator's L^q norm
 #: from 1 (absolute) and the fitted slope from the predicted one (relative).
 COUNTEREXAMPLE_TOLERANCES = MappingProxyType({"normalization": 1e-12, "slope_rel": 0.10})
@@ -95,7 +92,6 @@ def compute_exponents(
 def verify_embedding_chain(
     spec: SobolevSpec,
     alpha: float,
-    beta_choice: str,
     trials: int,
     seed: int,
     tolerances: Mapping[str, float] = CHAIN_TOLERANCES,
@@ -104,28 +100,26 @@ def verify_embedding_chain(
 
     Link 1 (exact weighted Hoelder):   ||F(T)||_sigma <= ||m||_alpha * sobolev_norm(T);
     link 2 (norm inequality, sigma in (1,2]):  ||T||_{S_sigma'} <= ||F(T)||_sigma.
-    The composite ratio ||T||_{S_beta} / sobolev_norm(T) is recorded against
-    ||m||_alpha for the requested ``beta_choice``; the distribution for the
-    other candidate is recorded alongside whenever it is defined.  A ratio
-    counts as a violation beyond ``1 + tolerances[name]`` times its bound, with
-    every key of ``CHAIN_TOLERANCES`` given.  ``passed`` is whether no link
-    is violated and, for the corrected beta only, no composite ratio: the
-    alternate candidate is measured, never gated.  The operators are N x N
-    with N that of the spec's weight grid.
+    The composite ratio ||T||_{S_beta} / sobolev_norm(T) at the corrected
+    beta is gated against ||m||_alpha: ``violations`` and ``max_ratio`` are
+    its.  The distribution at the alternate beta is recorded alongside as
+    ``ratios_alternate``, ``None`` (like ``beta_alternate``) where that form
+    is undefined; it is measured, never gated.  A ratio counts as a violation
+    beyond ``1 + tolerances[name]`` times its bound, with every key of
+    ``CHAIN_TOLERANCES`` given.  ``passed`` is whether no link and no
+    corrected composite ratio is violated.  The report's choice word always
+    reads ``"corrected"`` and ``beta_used`` the corrected beta: both are kept
+    so the report's keys stay as before.  The operators are N x N with N
+    that of the spec's weight grid.
     """
-    if beta_choice not in BETA_CHOICES:
-        raise ValueError(f"beta_choice must be {' or '.join(map(repr, BETA_CHOICES))}, got {beta_choice!r}")
     exponents = compute_exponents(alpha, spec.q, spec.s)
     sigma = exponents["sigma"]
     if not exponents["sigma_in_range"]:
         raise ValueError(f"hypothesis 1 < sigma <= 2 fails: sigma = {sigma} "
                          f"for alpha={alpha}, q={spec.q} (p={spec.p})")
-    # The Schatten exponents measured, indexed like BETA_CHOICES: the corrected
-    # beta (defined once sigma > 1), then the alternate one where it is defined.
-    betas = [beta for beta in (exponents[f"beta_{word}"] for word in BETA_CHOICES) if beta is not None]
-    used = BETA_CHOICES.index(beta_choice)
-    if used >= len(betas):
-        raise ValueError(f"hypothesis alpha (q - 1) > s fails: alpha={alpha}, q={spec.q}, s={spec.s}")
+    # The Schatten exponents measured: the corrected beta (defined once
+    # sigma > 1), then the alternate one where it is defined.
+    betas = [beta for beta in (exponents["beta_corrected"], exponents["beta_alternate"]) if beta is not None]
     # The chain constant C1: the L^alpha norm of the reciprocal multiplier, order -s.
     m_norm = weighted_norm(1.0, spec.weight, -spec.s, alpha, spec.homogeneous)
     grid = spec.weight.group
@@ -151,24 +145,24 @@ def verify_embedding_chain(
         "alpha": alpha,
         "homogeneous": spec.homogeneous,
         "sigma": sigma,
-        "beta_choice": beta_choice,
-        "beta_used": betas[used],
+        "beta_choice": "corrected",
+        "beta_used": exponents["beta_corrected"],
         "beta_corrected": exponents["beta_corrected"],
         "beta_alternate": exponents["beta_alternate"],
         "multiplier_norm": m_norm,
         "trials": trials,
         "seed": seed,
         "skipped": int(np.count_nonzero(~kept)),
-        "violations": int(np.count_nonzero(kept & (ratios[used] > m_norm * (1.0 + tolerances["composite"])))),
+        "violations": int(np.count_nonzero(kept & (ratios[0] > m_norm * (1.0 + tolerances["composite"])))),
         "link1_violations": int(np.count_nonzero(kept & (link1 > 1.0 + tolerances["link1"]))),
         "link2_violations": int(np.count_nonzero(link2_kept & (link2 > 1.0 + tolerances["link2"]))),
-        "max_ratio": worst_trial(ratios[used], kept)[0],
+        "max_ratio": worst_trial(ratios[0], kept)[0],
         "max_link1_ratio": worst_trial(link1, kept)[0],
         "max_link2_ratio": worst_trial(link2, link2_kept)[0],
         "ratios_corrected": tuple(ratios[0][kept].tolist()),
         "ratios_alternate": tuple(ratios[1][kept].tolist()) if len(ratios) > 1 else None,
     }
-    gated = (report["link1_violations"], report["link2_violations"], report["violations"] if used == 0 else 0)
+    gated = (report["link1_violations"], report["link2_violations"], report["violations"])
     return report | {"passed": not any(gated)}
 
 

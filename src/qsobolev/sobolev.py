@@ -40,12 +40,15 @@ DUALITY_TOLERANCES = MappingProxyType({"pairing_slack": 1e-10, "rank": 1e-10})
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Strictly positive weight table gamma on the dual grid."""
+    """Real, strictly positive weight table gamma on the dual grid."""
 
     group: PhaseSpaceGrid
     values: np.ndarray
 
     def __post_init__(self):
+        # Checked before the cast, which would drop an imaginary part silently.
+        if np.iscomplexobj(self.values):
+            raise ValueError("weight values must be real, got a complex table")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.group.size,):
             raise ValueError(f"weight table has shape {vals.shape}, expected ({self.group.size},)")

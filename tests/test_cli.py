@@ -150,7 +150,7 @@ class TestSubcommands:
         "argv",
         [
             ["hausdorff-young", "--N", "4", "--trials", "10", "--p", "1.5"],
-            ["embed", "--N", "4", "--trials", "10", "--homogeneous", "--beta-choice", "alternate"],
+            ["embed", "--N", "4", "--trials", "10", "--homogeneous"],
             ["counterexample", "--selector", "ball"],
             ["pairing", "--N", "16", "--trials", "5"],
         ],
@@ -686,13 +686,11 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["embed", "--beta-choice", "alternate", "--s", "5", "--alpha", "1.5"],
-             "hypothesis alpha (q - 1) > s fails: alpha=1.5, q=4.000000000000001, s=5.0"),
             (["counterexample", "--N", "8,16", "--sizes", "8"],
              "set sizes must list one size per system, got 1 for 2"),
             (["counterexample", "--q", "0.5"], "normalization exponent q must be >= 1, got 0.5"),
         ],
-        ids=["alternate-beta-hypothesis", "sizes-per-N", "counterexample-q-below-one"],
+        ids=["sizes-per-N", "counterexample-q-below-one"],
     )
     def test_rejection_after_parsing_is_one_exact_line(self, argv, message, monkeypatch, tmp_path, capsys):
         # Raised by the harness, once every value has parsed.
@@ -700,6 +698,15 @@ class TestInputValidation:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"invalid configuration: {message}\n")
         assert not list(tmp_path.iterdir())
+
+    def test_undefined_alternate_beta_is_recorded_null(self, monkeypatch, tmp_path):
+        # alpha (q - 1) <= s leaves the alternate closed form undefined; sigma
+        # stays in range, so the corrected chain runs and gates as usual.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["embed", "--N", "4", "--trials", "5", "--s", "5", "--alpha", "1.5"]) == 0
+        results = json.loads((tmp_path / "embed_report.json").read_text())["results"]
+        assert results["beta_alternate"] is None and results["ratios_alternate"] is None
+        assert results["passed"] is True
 
     def test_non_finite_real_in_config_file_exits_2(self, monkeypatch, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -735,8 +742,10 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "argv",
         [["plancherel", "--bogus", "1"], ["plancherel", "--trials"], [],
-         ["hausdorff-young", "--direction", "forward"], ["pairing", "--sign", "-1"]],
-        ids=["unknown-flag", "flag-without-value", "no-command", "no-direction-flag", "no-sign-flag"],
+         ["hausdorff-young", "--direction", "forward"], ["pairing", "--sign", "-1"],
+         ["embed", "--beta-choice", "alternate"]],
+        ids=["unknown-flag", "flag-without-value", "no-command", "no-direction-flag", "no-sign-flag",
+             "no-beta-choice-flag"],
     )
     def test_usage_error_is_one_line_exit_2(self, argv, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)

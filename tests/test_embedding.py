@@ -92,7 +92,7 @@ class TestEmbeddingChain:
     def test_chain_holds(self, setup, homogeneous):
         weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight, homogeneous=homogeneous)
-        rep = verify_embedding_chain(spec, alpha=4.0, beta_choice="corrected", trials=80, seed=17)
+        rep = verify_embedding_chain(spec, alpha=4.0, trials=80, seed=17)
         assert rep["link1_violations"] == 0
         assert rep["link2_violations"] == 0
         assert rep["violations"] == 0
@@ -104,14 +104,14 @@ class TestEmbeddingChain:
         # sigma = 2 makes link 2 the unitary case: ratios reach 1 exactly.
         weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
-        rep = verify_embedding_chain(spec, alpha=4.0, beta_choice="corrected", trials=40, seed=2)
+        rep = verify_embedding_chain(spec, alpha=4.0, trials=40, seed=2)
         assert rep["max_link2_ratio"] == pytest.approx(1.0, abs=1e-11)
 
     def test_alternate_choice_records_both_distributions(self, setup):
         weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
-        rep = verify_embedding_chain(spec, alpha=4.0, beta_choice="alternate", trials=50, seed=17)
-        assert rep["beta_used"] == pytest.approx(16.0 / 11.0)
+        rep = verify_embedding_chain(spec, alpha=4.0, trials=50, seed=17)
+        assert rep["beta_alternate"] == pytest.approx(16.0 / 11.0)
         assert rep["beta_alternate"] != rep["beta_corrected"]
         assert len(rep["ratios_corrected"]) == 50 - rep["skipped"]
         assert rep["ratios_alternate"] is not None
@@ -125,19 +125,20 @@ class TestEmbeddingChain:
         weight = setup
         spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
         with pytest.raises(ValueError, match="sigma"):
-            verify_embedding_chain(spec, alpha=1e9, beta_choice="corrected", trials=5, seed=0)
+            verify_embedding_chain(spec, alpha=1e9, trials=5, seed=0)
 
-    def test_alternate_beta_precondition(self, setup):
+    def test_undefined_alternate_is_recorded_null(self, setup):
+        # alpha (q - 1) <= s: the alternate closed form is undefined, sigma is
+        # still in range, and the corrected chain is measured and gated.
         weight = setup
         spec = SobolevSpec(s=5.0, p=4.0 / 3.0, weight=weight)
-        with pytest.raises(ValueError, match="alpha"):
-            verify_embedding_chain(spec, alpha=1.5, beta_choice="alternate", trials=5, seed=0)
-
-    def test_beta_choice_validation(self, setup):
-        weight = setup
-        spec = SobolevSpec(s=1.0, p=4.0 / 3.0, weight=weight)
-        with pytest.raises(ValueError):
-            verify_embedding_chain(spec, alpha=4.0, beta_choice="guess", trials=100, seed=0)
+        rep = verify_embedding_chain(spec, alpha=1.5, trials=20, seed=0)
+        assert rep["beta_alternate"] is None
+        assert rep["ratios_alternate"] is None
+        assert rep["beta_used"] == rep["beta_corrected"]
+        assert len(rep["ratios_corrected"]) == 20 - rep["skipped"]
+        assert rep["link1_violations"] == rep["link2_violations"] == rep["violations"] == 0
+        assert rep["passed"] is True
 
 
 def as_points(indices, N):

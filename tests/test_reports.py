@@ -48,7 +48,7 @@ HARNESS_RUNS = {
     "verify_duality": lambda: verify_duality(4.0, 1.0, WEIGHT, 10, 0),
     # alpha (q - 1) <= s: beta_alternate is None.
     "compute_exponents": lambda: compute_exponents(1.5, 4.0, 5.0),
-    "verify_embedding_chain": lambda: verify_embedding_chain(SPEC, 4.0, "alternate", 10, 0),
+    "verify_embedding_chain": lambda: verify_embedding_chain(SPEC, 4.0, 10, 0),
     "counterexample_run": lambda: counterexample_run(
         [make_weyl_system(n) for n in (4, 4, 8)], 4.0, 8.0, "subgroup", [4, 1, 1]
     ),

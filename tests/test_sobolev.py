@@ -91,6 +91,8 @@ class TestWeights:
             Weight(sys4.group, np.zeros(16))
         with pytest.raises(ValueError):
             Weight(sys4.group, np.full(16, np.inf))
+        with pytest.raises(ValueError, match="^weight values must be real, got a complex table$"):
+            Weight(sys4.group, np.full(16, 1 + 1j))
 
     @pytest.mark.parametrize("shape", [(15,), (4, 4), (1, 16)])
     def test_table_of_another_shape_is_rejected(self, sys4, shape):

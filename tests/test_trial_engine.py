@@ -258,7 +258,7 @@ def pairing_loop(system, p, s, weight, sign, trials, seed, tolerance=1e-10):
     }
 
 
-def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
+def embedding_loop(system, spec, alpha, trials, seed):
     """The measured fields of ``verify_embedding_chain`` (default tolerances)."""
     exponents = compute_exponents(alpha, spec.q, spec.s)
     sigma = exponents["sigma"]
@@ -285,17 +285,15 @@ def embedding_loop(system, spec, alpha, beta_choice, trials, seed):
         ratios_corrected.append(s_sigma_prime / snorm)
         if ratios_alternate is not None:
             ratios_alternate.append(schatten_norm(T, exponents["beta_alternate"]) / snorm)
-        used = ratios_corrected[-1] if beta_choice == "corrected" else ratios_alternate[-1]
-        max_ratio = max(max_ratio, used)
-        out["violations"] += bool(used > m_norm * (1.0 + 1e-10))
+        max_ratio = max(max_ratio, ratios_corrected[-1])
+        out["violations"] += bool(ratios_corrected[-1] > m_norm * (1.0 + 1e-10))
     return out | dict(
         max_ratio=max_ratio,
         max_link1_ratio=max_link1,
         max_link2_ratio=max_link2,
         ratios_corrected=tuple(ratios_corrected),
         ratios_alternate=None if ratios_alternate is None else tuple(ratios_alternate),
-        passed=out["link1_violations"] == out["link2_violations"] == 0
-        and (beta_choice != "corrected" or out["violations"] == 0),
+        passed=out["link1_violations"] == out["link2_violations"] == out["violations"] == 0,
     )
 
 
@@ -361,13 +359,13 @@ def _pairing_pair():
     return batch, oracle
 
 
-def _embedding_pair(beta_choice, homogeneous):
+def _embedding_pair(homogeneous):
     def batch(system, t, s):
         spec = _spec(system, homogeneous)
-        return _embedding_fields(verify_embedding_chain(spec, 4.0, beta_choice, t, s))
+        return _embedding_fields(verify_embedding_chain(spec, 4.0, t, s))
 
     def oracle(system, t, s):
-        return embedding_loop(system, _spec(system, homogeneous), 4.0, beta_choice, t, s)
+        return embedding_loop(system, _spec(system, homogeneous), 4.0, t, s)
 
     return batch, oracle
 
@@ -391,8 +389,8 @@ HARNESSES = {
         lambda system, t, s: {"phi_isometry": phi_isometry_loop(system, _spec(system), t, s)},
     ),
     "pairing": _pairing_pair(),
-    "embedding-corrected": _embedding_pair("corrected", False),
-    "embedding-alternate-homogeneous": _embedding_pair("alternate", True),
+    "embedding-corrected": _embedding_pair(False),
+    "embedding-homogeneous": _embedding_pair(True),
 }
 
 
@@ -536,7 +534,7 @@ class TestSkippedTrials:
             assert rep["skipped"] == 10 and rep["worst_ratio"] == 0.0
             assert not rep["witness_available"] and rep["witness_index"] is None
         spec = _spec(system)
-        chain = verify_embedding_chain(spec, 4.0, "corrected", trials=10, seed=1)
+        chain = verify_embedding_chain(spec, 4.0, trials=10, seed=1)
         assert chain["skipped"] == 10 and chain["ratios_corrected"] == () and chain["max_ratio"] == 0.0
         axioms = verify_norm_axioms(system, spec, 10, 1)
         assert axioms["worst_triangle_excess"] == -math.inf and axioms["triangle_violations"] == 0
@@ -629,7 +627,7 @@ class TestDrawCounts:
             lambda system: pairing_bound_estimate(
                 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0
             ),
-            lambda system: verify_embedding_chain(_spec(system), 4.0, "corrected", 300, 0),
+            lambda system: verify_embedding_chain(_spec(system), 4.0, 300, 0),
         ],
         ids=["pairing", "embedding"],
     )
@@ -661,7 +659,7 @@ class TestDrawCounts:
         # One transform serves both the Sobolev norm and ||F(T)||_sigma.
         transforms = _count_calls(monkeypatch, qft, "qft_forward")
         system = make_weyl_system(8)
-        verify_embedding_chain(_spec(system, homogeneous), 4.0, "corrected", trials=300, seed=0)
+        verify_embedding_chain(_spec(system, homogeneous), 4.0, trials=300, seed=0)
         assert len(transforms) == 3  # 300 trials in chunks of 128
 
 
@@ -755,7 +753,7 @@ class TestStreamReads:
             (lambda system: verify_hausdorff_young(system, EXPONENTS, 300, 0), 1),
             (lambda system: pairing_bound_estimate(
                 4.0, 1.0, make_weight_euclidean(system.group), (-1, 1), 300, 0), 1),
-            (lambda system: verify_embedding_chain(_spec(system), 4.0, "corrected", 300, 0), 1),
+            (lambda system: verify_embedding_chain(_spec(system), 4.0, 300, 0), 1),
             (lambda system: verify_norm_axioms(system, _spec(system), 300, 0), 2),
         ],
         ids=["plancherel", "hausdorff-young", "pairing",

@@ -35,15 +35,16 @@ DEFAULTS = [
     )
 ]
 #: Non-default runs that reach every other choice word, other exponents and
-#: orders, the homogeneous norm, the pairing's skipped rank check above
-#: N = 16, a sweep to N = 1024, and the tolerance mapping of every command's
-#: harnesses, set where a gate must fail.
+#: orders, the homogeneous norm, an undefined alternate beta in ``embed``,
+#: the pairing's skipped rank check above N = 16, a sweep to N = 1024, and
+#: the tolerance mapping of every command's harnesses, set where a gate must
+#: fail.
 NON_DEFAULTS = [
     ["axioms", "--convention", "symmetric"],
     ["sobolev-norms", "--weight", "constant"],
     ["sobolev-norms", "--s", "2.5", "--p", "1.2", "--trials", "50"],
     ["embed", "--homogeneous"],
-    ["embed", "--beta-choice", "alternate"],
+    ["embed", "--s", "5", "--alpha", "1.5"],
     ["embed", "--alpha", "3", "--weight", "constant"],
     ["pairing", "--s", "8"],
     ["pairing", "--N", "17", "--trials", "5"],
